@@ -493,13 +493,14 @@ let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb =
   let salt = Printf.sprintf "simulate-trace:%d:%d" l1_size l2_size in
   let h, analyzer, count =
     Stream_trace.resumable_fold ~salt s ~init:(h, Trace_rec.analyzer (), 0)
-      ~f:(fun (h, a, count) ~index:_ entries ->
-        Array.iter
-          (fun (e : Trace_rec.entry) ->
-            Trace_rec.feed_analyzer a e;
-            ignore (Hierarchy.access h e.Trace_rec.addr ~write:e.Trace_rec.write))
-          entries;
-        (h, a, count + Array.length entries))
+      ~f:(fun (h, a, count) ~index:_ chunk ->
+        for i = 0 to Array.length chunk - 1 do
+          let addr = Stream_trace.addr chunk.(i)
+          and write = Stream_trace.is_write chunk.(i) in
+          Trace_rec.feed_analyzer a addr write;
+          ignore (Hierarchy.access h addr ~write)
+        done;
+        (h, a, count + Array.length chunk))
   in
   if count = 0 then begin
     Printf.eprintf "ppcache: trace %s is empty (0 accesses); nothing to simulate\n"

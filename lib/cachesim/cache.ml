@@ -21,11 +21,18 @@ type t = {
   seen : Intmap.t;         (* all-time first-touch set, consulted on misses only *)
 }
 
-type outcome = {
-  hit : bool;
-  victim : int option;
-  victim_dirty : bool;
-}
+(* An access outcome is one immediate int, so [access] never allocates:
+   [-1] a hit, [-2] a miss that filled an invalid way, and otherwise
+   [victim lsl 1 lor dirty] for a miss that evicted block [victim].
+   Block numbers are [addr lsr block_shift] with [block_shift >= 3], so
+   [victim lsl 1] never overflows. *)
+type outcome = int
+
+let hit_outcome = -1
+let fill_outcome = -2
+let hit o = o = hit_outcome
+let victim o = if o >= 0 then o lsr 1 else -1
+let victim_dirty o = o >= 0 && o land 1 = 1
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -135,13 +142,14 @@ let plru_touch t set way =
 
 let choose_victim t set =
   let base = set * t.assoc in
-  (* prefer an invalid way *)
-  let rec find_invalid w =
-    if w >= t.assoc then None else if t.tags.(base + w) = -1 then Some w else find_invalid (w + 1)
-  in
-  match find_invalid 0 with
-  | Some w -> w
-  | None -> (
+  (* prefer an invalid way; a loop rather than a local closure keeps
+     the miss path allocation-free *)
+  let invalid = ref 0 in
+  while !invalid < t.assoc && t.tags.(base + !invalid) <> -1 do
+    incr invalid
+  done;
+  if !invalid < t.assoc then !invalid
+  else (
     match t.policy with
     | Replacement.Lru | Replacement.Fifo ->
       let best = ref 0 in
@@ -182,7 +190,7 @@ let access t addr ~write =
     Stats.record t.stats ~hit:true ~write;
     if write then Bytes.set t.dirty (base + way) '\001';
     touch t set way;
-    { hit = true; victim = None; victim_dirty = false }
+    hit_outcome
   end
   else begin
     Stats.record t.stats ~hit:false ~write;
@@ -193,17 +201,17 @@ let access t addr ~write =
     if cold then t.stats.Stats.cold_misses <- t.stats.Stats.cold_misses + 1;
     let way = choose_victim t set in
     let old_tag = t.tags.(base + way) in
-    let victim, victim_dirty =
-      if old_tag = -1 then (None, false)
+    let outcome =
+      if old_tag = -1 then fill_outcome
       else begin
         t.stats.Stats.evictions <- t.stats.Stats.evictions + 1;
         let d = Bytes.get t.dirty (base + way) = '\001' in
         if d then t.stats.Stats.writebacks <- t.stats.Stats.writebacks + 1;
-        (Some (block_number_of t set old_tag), d)
+        (block_number_of t set old_tag lsl 1) lor Bool.to_int d
       end
     in
     install t set way tag ~write;
-    { hit = false; victim; victim_dirty }
+    outcome
   end
 
 let contains t addr =

@@ -6,11 +6,10 @@
 
 type t
 
-type outcome = {
-  hit : bool;
-  victim : int option;        (** evicted block number, if any *)
-  victim_dirty : bool;        (** the eviction caused a write-back *)
-}
+type outcome = private int
+(** What one {!access} did, packed into an immediate so the access path
+    allocates nothing.  Read it through {!hit}, {!victim} and
+    {!victim_dirty}; the encoding is private to this module. *)
 
 val create :
   size_bytes:int ->
@@ -33,6 +32,17 @@ val stats : t -> Stats.t
 val access : t -> int -> write:bool -> outcome
 (** Look up the byte address; on a miss the block is installed and a
     victim (possibly) evicted.  Updates statistics. *)
+
+val hit : outcome -> bool
+(** The block was resident. *)
+
+val victim : outcome -> int
+(** The block number a miss evicted, or [-1] when nothing was evicted
+    (a hit, or a miss that filled an invalid way).  Block numbers are
+    never negative. *)
+
+val victim_dirty : outcome -> bool
+(** The eviction caused a write-back; [false] when {!victim} is [-1]. *)
 
 val contains : t -> int -> bool
 (** Whether the block holding this byte address is currently resident

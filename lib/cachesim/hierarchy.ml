@@ -20,26 +20,23 @@ let create ~l1 ~l2 =
 
 let access t addr ~write =
   let o1 = Cache.access t.l1 addr ~write in
-  if o1.Cache.hit then { l1_hit = true; l2_hit = false; memory_access = false }
+  if Cache.hit o1 then { l1_hit = true; l2_hit = false; memory_access = false }
   else begin
     (* write back the dirty L1 victim into L2 *)
-    (match o1.Cache.victim with
-    | Some victim_block when o1.Cache.victim_dirty ->
-      let victim_addr = Address.of_block victim_block ~block_bytes:(Cache.block_bytes t.l1) in
+    if Cache.victim_dirty o1 then begin
+      let victim_addr =
+        Address.of_block (Cache.victim o1) ~block_bytes:(Cache.block_bytes t.l1)
+      in
       let o_wb = Cache.access t.l2 victim_addr ~write:true in
-      (match o_wb.Cache.victim with
-      | Some _ when o_wb.Cache.victim_dirty -> t.memory_writes <- t.memory_writes + 1
-      | Some _ | None -> ());
-      if not o_wb.Cache.hit then
+      if Cache.victim_dirty o_wb then t.memory_writes <- t.memory_writes + 1;
+      if not (Cache.hit o_wb) then
         (* allocating the write-back that missed L2 fetches the line *)
         t.memory_reads <- t.memory_reads + 1
-    | Some _ | None -> ());
+    end;
     (* demand fetch from L2 *)
     let o2 = Cache.access t.l2 addr ~write:false in
-    (match o2.Cache.victim with
-    | Some _ when o2.Cache.victim_dirty -> t.memory_writes <- t.memory_writes + 1
-    | Some _ | None -> ());
-    if o2.Cache.hit then { l1_hit = false; l2_hit = true; memory_access = false }
+    if Cache.victim_dirty o2 then t.memory_writes <- t.memory_writes + 1;
+    if Cache.hit o2 then { l1_hit = false; l2_hit = true; memory_access = false }
     else begin
       t.memory_reads <- t.memory_reads + 1;
       { l1_hit = false; l2_hit = false; memory_access = true }

@@ -57,20 +57,20 @@ let rec probe keys mask k i =
   if cur = k || cur = empty_key then slot else probe keys mask k (i + 1)
 
 (* the counted variant used by the public operations; [grow]'s rehash
-   keeps the free [probe] so resizes don't pollute the histogram *)
-let probe_counted t k =
-  let keys = t.keys and mask = t.mask in
-  let rec go i n =
-    let slot = i land mask in
-    let cur = keys.(slot) in
-    if cur = k || cur = empty_key then begin
-      let b = if n >= probe_hist_buckets then probe_hist_buckets - 1 else n in
-      t.probe_hist.(b) <- t.probe_hist.(b) + 1;
-      slot
-    end
-    else go (i + 1) (n + 1)
-  in
-  go (hash k) 0
+   keeps the free [probe] so resizes don't pollute the histogram.  A
+   top-level recursion (no local closure) keeps lookups
+   allocation-free. *)
+let rec probe_counted_from t keys mask k i n =
+  let slot = i land mask in
+  let cur = keys.(slot) in
+  if cur = k || cur = empty_key then begin
+    let b = if n >= probe_hist_buckets then probe_hist_buckets - 1 else n in
+    t.probe_hist.(b) <- t.probe_hist.(b) + 1;
+    slot
+  end
+  else probe_counted_from t keys mask k (i + 1) (n + 1)
+
+let probe_counted t k = probe_counted_from t t.keys t.mask k (hash k) 0
 
 let drain_probe_hist t =
   let out = Array.copy t.probe_hist in

@@ -18,19 +18,38 @@ module Engine = Nmcache_engine
 let default_chunk_size = 65536
 let magic = "PPTRC01\x00"
 
+(* ---- packed entries -------------------------------------------------- *)
+
+(* A chunk holds one immediate per entry, [addr lsl 1 lor write], so a
+   chunk is a flat int array with no per-entry record.  Addresses live
+   in [0, 2^61) — the PPTRC01 varint's domain, below — which also makes
+   the shift lossless.  Only this section knows the layout. *)
+
+let max_addr = (1 lsl 61) - 1
+let in_domain addr = addr lsr 61 = 0
+let pack addr write = (addr lsl 1) lor Bool.to_int write
+let addr e = e lsr 1
+let is_write e = e land 1 = 1
+
 (* ---- PPTRC01 codec --------------------------------------------------- *)
 
 (* Per entry, one LEB128 varint of [zigzag(addr - prev) * 2 + write].
    [prev] resets to 0 at each record boundary so records decode
-   independently (a dropped tail never poisons earlier records). *)
+   independently (a dropped tail never poisons earlier records).  With
+   both addresses in [0, 2^61), |delta| < 2^61, so the varint value
+   fits the 63 bits the decoder accepts. *)
 
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag v = (v lsr 1) lxor (- (v land 1))
 
-(* returns the entry's address: the caller threads it as [prev] *)
-let encode_entry buf prev (e : Trace.entry) =
-  let z = zigzag (e.addr - prev) in
-  let v = ref ((z lsl 1) lor (if e.write then 1 else 0)) in
+(* [where] names the caller in the error *)
+let check_addr ~where addr =
+  if not (in_domain addr) then
+    invalid_arg (Printf.sprintf "%s: address %d outside [0, 2^61)" where addr)
+
+let encode_entry buf prev addr write =
+  let z = zigzag (addr - prev) in
+  let v = ref ((z lsl 1) lor Bool.to_int write) in
   let continue = ref true in
   while !continue do
     let b = !v land 0x7f in
@@ -40,33 +59,39 @@ let encode_entry buf prev (e : Trace.entry) =
       continue := false
     end
     else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done;
-  e.addr
+  done
 
-(* [None] on any overrun/garbage: the caller treats the record as a
-   corrupt tail, mirroring a CRC mismatch *)
-let decode_payload payload count =
+(* The one decoder: a record's [count] entries, packed, into
+   [dst.(0 .. count-1)].  [false] on any overrun, garbage or
+   out-of-domain address — the caller treats the record as a corrupt
+   tail, mirroring a CRC mismatch. *)
+let decode_into payload count dst =
   let len = String.length payload in
-  let out = Array.make (max count 1) { Trace.addr = 0; write = false } in
-  let pos = ref 0 in
-  let prev = ref 0 in
-  try
+  let pos = ref 0 and prev = ref 0 in
+  match
     for i = 0 to count - 1 do
       let v = ref 0 and shift = ref 0 and continue = ref true in
       while !continue do
         if !pos >= len || !shift > 62 then raise Exit;
-        let b = Char.code payload.[!pos] in
+        let b = Char.code (String.unsafe_get payload !pos) in
         incr pos;
         v := !v lor ((b land 0x7f) lsl !shift);
         shift := !shift + 7;
         continue := b land 0x80 <> 0
       done;
-      let addr = !prev + unzigzag (!v lsr 1) in
-      prev := addr;
-      out.(i) <- { Trace.addr; write = !v land 1 = 1 }
-    done;
-    if !pos <> len then None else Some (Array.sub out 0 count)
-  with Exit -> None
+      let a = !prev + unzigzag (!v lsr 1) in
+      if not (in_domain a) then raise Exit;
+      prev := a;
+      dst.(i) <- pack a (!v land 1 = 1)
+    done
+  with
+  | () -> !pos = len
+  | exception Exit -> false
+
+(* decode into a reused buffer, grown to the largest record seen *)
+let decode_record dec payload count =
+  if count > Array.length !dec then dec := Array.make count 0;
+  decode_into payload count !dec
 
 (* Checkpoint's u32 helpers are private to the journal; the trace file
    carries its own (same little-endian layout). *)
@@ -75,8 +100,6 @@ let write_u32 oc v =
   output_byte oc ((v lsr 8) land 0xff);
   output_byte oc ((v lsr 16) land 0xff);
   output_byte oc ((v lsr 24) land 0xff)
-
-let crc_to_u32 crc = Int32.to_int crc land 0xffffffff
 
 (* raises [End_of_file] when the stream ends mid-word *)
 let read_u32 ic =
@@ -108,7 +131,7 @@ let read_header ic ~path =
       else
         let hdr = really_input_string ic hlen in
         let crc = read_u32 ic in
-        if crc <> crc_to_u32 (Engine.Checkpoint.crc32 hdr) then `Corrupt
+        if crc <> Engine.Crc32.crc hdr then `Corrupt
         else
           match Engine.Json.parse hdr with
           | Error _ -> `Corrupt
@@ -149,10 +172,33 @@ let read_record ic =
       if plen > max_payload_bytes || count > plen + 1 then raise Corrupt_tail;
       let payload = really_input_string ic plen in
       let crc = read_u32 ic in
-      if crc <> crc_to_u32 (Engine.Checkpoint.crc32 payload) then
-        raise Corrupt_tail;
+      if crc <> Engine.Crc32.crc payload then raise Corrupt_tail;
       Some (count, payload)
     with End_of_file -> raise Corrupt_tail)
+
+(* magic + header(total), the head of every PPTRC01 file *)
+let write_head oc ~name ~total ~chunk =
+  output_string oc magic;
+  let hdr =
+    Engine.Json.to_string
+      (Engine.Json.Obj
+         [
+           ("name", Engine.Json.String name);
+           ("total", Engine.Json.Int total);
+           ("chunk", Engine.Json.Int chunk);
+         ])
+  in
+  write_u32 oc (String.length hdr);
+  output_string oc hdr;
+  write_u32 oc (Engine.Crc32.crc hdr)
+
+(* one chunk record from the [count] entries encoded in [buf] *)
+let write_record oc buf count =
+  let payload = Buffer.contents buf in
+  write_u32 oc count;
+  write_u32 oc (String.length payload);
+  output_string oc payload;
+  write_u32 oc (Engine.Crc32.crc payload)
 
 let write_file ~path ~name ?(chunk_size = default_chunk_size) ~next ~n () =
   if n < 0 then invalid_arg "Stream_trace.write_file: n < 0";
@@ -161,19 +207,7 @@ let write_file ~path ~name ?(chunk_size = default_chunk_size) ~next ~n () =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc magic;
-      let hdr =
-        Engine.Json.to_string
-          (Engine.Json.Obj
-             [
-               ("name", Engine.Json.String name);
-               ("total", Engine.Json.Int n);
-               ("chunk", Engine.Json.Int chunk_size);
-             ])
-      in
-      write_u32 oc (String.length hdr);
-      output_string oc hdr;
-      write_u32 oc (crc_to_u32 (Engine.Checkpoint.crc32 hdr));
+      write_head oc ~name ~total:n ~chunk:chunk_size;
       let buf = Buffer.create (min (4 * chunk_size) (1 lsl 22)) in
       let written = ref 0 in
       while !written < n do
@@ -181,13 +215,12 @@ let write_file ~path ~name ?(chunk_size = default_chunk_size) ~next ~n () =
         Buffer.clear buf;
         let prev = ref 0 in
         for _ = 1 to count do
-          prev := encode_entry buf !prev (next ())
+          let (e : Trace.entry) = next () in
+          check_addr ~where:"Stream_trace.write_file" e.addr;
+          encode_entry buf !prev e.addr e.write;
+          prev := e.addr
         done;
-        let payload = Buffer.contents buf in
-        write_u32 oc count;
-        write_u32 oc (String.length payload);
-        output_string oc payload;
-        write_u32 oc (crc_to_u32 (Engine.Checkpoint.crc32 payload));
+        write_record oc buf count;
         written := !written + count
       done)
 
@@ -206,6 +239,7 @@ let file_info path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let fh = read_header ic ~path in
+      let dec = ref [||] in
       let chunks = ref 0 and entries = ref 0 in
       let dropped = ref false and stop = ref false in
       while not !stop do
@@ -214,16 +248,17 @@ let file_info path =
         | exception Corrupt_tail ->
           dropped := true;
           stop := true
-        | Some (count, payload) -> (
+        | Some (count, payload) ->
           (* decode too: [fi_entries] must be exactly what streaming
              yields, and streaming drops undecodable records *)
-          match decode_payload payload count with
-          | None ->
+          if decode_record dec payload count then begin
+            incr chunks;
+            entries := !entries + count
+          end
+          else begin
             dropped := true;
             stop := true
-          | Some _ ->
-            incr chunks;
-            entries := !entries + count)
+          end
       done;
       if !dropped then Engine.Metrics.incr "stream.dropped_tail";
       {
@@ -315,8 +350,10 @@ let declared_length t =
 
 (* ---- feeds ----------------------------------------------------------- *)
 
-(* a feed is a pull source plus its cleanup: [next] yields entries until
-   [None], [close] releases whatever backs it *)
+(* A feed is a fill function plus its cleanup: [fill buf pos n] writes
+   up to [n] packed entries into [buf] from [pos] and returns how many
+   it wrote, 0 only once the stream is exhausted; [close] releases
+   whatever backs it. *)
 
 let file_feed path =
   let ic = open_in_bin path in
@@ -327,39 +364,72 @@ let file_feed path =
       close_in_noerr ic;
       raise e
   in
-  let buf = ref [||] in
-  let pos = ref 0 in
+  let dec = ref [||] and dpos = ref 0 and dlen = ref 0 in
   let finished = ref false in
   let drop () =
     Engine.Metrics.incr "stream.dropped_tail";
     finished := true
   in
-  let rec next () =
-    if !pos < Array.length !buf then begin
-      let e = (!buf).(!pos) in
-      incr pos;
-      Some e
+  let rec fill buf pos n =
+    if !dpos < !dlen then begin
+      let k = min n (!dlen - !dpos) and d = !dec and from = !dpos in
+      for i = 0 to k - 1 do
+        buf.(pos + i) <- d.(from + i)
+      done;
+      dpos := from + k;
+      k
     end
-    else if !finished then None
+    else if !finished then 0
     else
       match read_record ic with
       | None ->
         finished := true;
-        None
+        0
       | exception Corrupt_tail ->
         drop ();
-        None
-      | Some (count, payload) -> (
-        match decode_payload payload count with
-        | None ->
+        0
+      | Some (count, payload) ->
+        if decode_record dec payload count then begin
+          dpos := 0;
+          dlen := count;
+          fill buf pos n
+        end
+        else begin
           drop ();
-          None
-        | Some entries ->
-          buf := entries;
-          pos := 0;
-          next ())
+          0
+        end
   in
-  (next, fun () -> close_in_noerr ic)
+  (fill, fun () -> close_in_noerr ic)
+
+(* The sources that yield one entry at a time: [next] returns a packed
+   entry, or -1 at the end (packed entries are never negative). *)
+let fill_from next buf pos n =
+  let rec go k =
+    if k >= n then k
+    else
+      let e = next () in
+      if e < 0 then k
+      else begin
+        buf.(pos + k) <- e;
+        go (k + 1)
+      end
+  in
+  go 0
+
+(* [n] entries pulled from [next_entry], each checked against the
+   address domain *)
+let entry_feed ~name ~n next_entry =
+  let left = ref n and where = "Stream_trace " ^ name in
+  let next () =
+    if !left <= 0 then -1
+    else begin
+      decr left;
+      let (e : Trace.entry) = next_entry () in
+      check_addr ~where e.addr;
+      pack e.addr e.write
+    end
+  in
+  (fill_from next, fun () -> ())
 
 let ndjson_feed ~name fd =
   let reader = Engine.Server.make_reader fd in
@@ -370,7 +440,7 @@ let ndjson_feed ~name fd =
   in
   let rec next () =
     match Engine.Server.read_line reader with
-    | Engine.Server.Eof | Engine.Server.Drained -> None
+    | Engine.Server.Eof | Engine.Server.Drained -> -1
     | Engine.Server.Overlong ->
       fail (!line_no + 1)
         (Printf.sprintf "line exceeds %d bytes" Engine.Server.max_line_bytes)
@@ -389,82 +459,53 @@ let ndjson_feed ~name fd =
             | None -> false
           in
           match addr with
-          | Some a when a >= 0 -> Some { Trace.addr = a; write }
-          | Some _ -> fail !line_no "negative \"addr\""
+          | Some a when in_domain a -> pack a write
+          | Some a when a < 0 -> fail !line_no "negative \"addr\""
+          | Some _ -> fail !line_no "\"addr\" must be below 2^61"
           | None -> fail !line_no "missing or non-integer \"addr\""))
   in
-  (next, fun () -> ())
+  (fill_from next, fun () -> ())
 
 let feed_of t =
   match t.source with
-  | Producer { p_n; p_make; _ } ->
-    let produce = p_make () in
-    let left = ref p_n in
-    let next () =
-      if !left <= 0 then None
-      else begin
-        decr left;
-        Some (produce ())
-      end
-    in
-    (next, fun () -> ())
-  | Trace_src { t_trace; _ } ->
-    let len = Trace.length t_trace in
-    let i = ref 0 in
-    let next () =
-      if !i >= len then None
-      else begin
-        let e = Trace.get t_trace !i in
+  | Producer { p_name; p_n; p_make } -> entry_feed ~name:p_name ~n:p_n (p_make ())
+  | Trace_src { t_name; t_trace } ->
+    let i = ref (-1) in
+    entry_feed ~name:t_name ~n:(Trace.length t_trace) (fun () ->
         incr i;
-        Some e
-      end
-    in
-    (next, fun () -> ())
+        Trace.get t_trace !i)
   | File { f_path; _ } -> file_feed f_path
   | Fd { d_name; d_fd } -> ndjson_feed ~name:d_name d_fd
 
 (* ---- folding --------------------------------------------------------- *)
 
-let dummy_entry = { Trace.addr = 0; write = false }
-
 let fold_chunks t ~init ~f =
-  let next, close = feed_of t in
+  let fill, close = feed_of t in
   Fun.protect ~finally:close (fun () ->
       let cs = t.chunk_size in
       let stream_name = name t in
+      (* one buffer serves every full chunk; it grows geometrically
+         toward [cs] so a whole-trace chunk size never preallocates more
+         than the stream holds *)
+      let buf = ref (Array.make (min cs 4096) 0) in
       let acc = ref init in
       let index = ref 0 in
       let stop = ref false in
       while not !stop do
-        (* the buffer grows geometrically toward [cs] so a whole-trace
-           chunk size never preallocates more than the stream holds *)
-        let buf = ref (Array.make (min cs 4096) dummy_entry) in
         let len = ref 0 in
-        let full = ref false in
-        while not !full do
-          if !len >= cs then full := true
-          else
-            match next () with
-            | None ->
-              full := true;
-              stop := true
-            | Some e ->
-              if !len >= Array.length !buf then begin
-                let bigger =
-                  Array.make (min cs (2 * Array.length !buf)) dummy_entry
-                in
-                Array.blit !buf 0 bigger 0 !len;
-                buf := bigger
-              end;
-              (!buf).(!len) <- e;
-              incr len
+        while !len < cs && not !stop do
+          if !len = Array.length !buf then begin
+            let bigger = Array.make (min cs (2 * !len)) 0 in
+            Array.blit !buf 0 bigger 0 !len;
+            buf := bigger
+          end;
+          let got = fill !buf !len (Array.length !buf - !len) in
+          if got = 0 then stop := true else len := !len + got
         done;
         if !len > 0 then begin
           Engine.Deadline.poll ~stage:"cachesim.stream";
-          let entries =
-            if !len = Array.length !buf then !buf else Array.sub !buf 0 !len
-          in
-          acc := f !acc ~index:!index entries;
+          let chunk = if !len = cs then !buf else Array.sub !buf 0 !len in
+          acc := f !acc ~index:!index chunk;
           Engine.Metrics.incr "stream.chunks";
           Engine.Metrics.incr ~by:!len "stream.entries";
           if Engine.Events.enabled () then
@@ -484,20 +525,23 @@ let slot_key ~skey ~salt index =
 let resumable_fold ?(salt = "") t ~init ~f =
   match (Engine.Checkpoint.active (), t.skey) with
   | Some journal, Some skey ->
-    fold_chunks t ~init ~f:(fun acc ~index entries ->
+    fold_chunks t ~init ~f:(fun acc ~index chunk ->
         let key = slot_key ~skey ~salt index in
         match Engine.Checkpoint.lookup journal ~key with
         | Some state -> state
         | None ->
-          let state = f acc ~index entries in
+          let state = f acc ~index chunk in
           Engine.Checkpoint.store journal ~key state;
           state)
   | _ -> fold_chunks t ~init ~f
 
 let iter t g =
-  fold_chunks t ~init:0 ~f:(fun n ~index:_ entries ->
-      Array.iter g entries;
-      n + Array.length entries)
+  fold_chunks t ~init:0 ~f:(fun n ~index:_ chunk ->
+      for i = 0 to Array.length chunk - 1 do
+        let e = chunk.(i) in
+        g (addr e) (is_write e)
+      done;
+      n + Array.length chunk)
 
 (* ---- drivers --------------------------------------------------------- *)
 
@@ -520,23 +564,24 @@ let cache_salt c =
 
 let replay t cache =
   let salt = "replay:" ^ cache_salt cache in
-  resumable_fold ~salt t ~init:(cache, 0) ~f:(fun (c, n) ~index:_ entries ->
-      Array.iter
-        (fun (e : Trace.entry) -> ignore (Cache.access c e.addr ~write:e.write))
-        entries;
-      (c, n + Array.length entries))
+  resumable_fold ~salt t ~init:(cache, 0) ~f:(fun (c, n) ~index:_ chunk ->
+      for i = 0 to Array.length chunk - 1 do
+        let e = chunk.(i) in
+        ignore (Cache.access c (addr e) ~write:(is_write e))
+      done;
+      (c, n + Array.length chunk))
 
 let replay_hierarchy t h =
   let salt =
     Printf.sprintf "hier:%s:%s" (cache_salt (Hierarchy.l1 h))
       (cache_salt (Hierarchy.l2 h))
   in
-  resumable_fold ~salt t ~init:(h, 0) ~f:(fun (h, n) ~index:_ entries ->
-      Array.iter
-        (fun (e : Trace.entry) ->
-          ignore (Hierarchy.access h e.addr ~write:e.write))
-        entries;
-      (h, n + Array.length entries))
+  resumable_fold ~salt t ~init:(h, 0) ~f:(fun (h, n) ~index:_ chunk ->
+      for i = 0 to Array.length chunk - 1 do
+        let e = chunk.(i) in
+        ignore (Hierarchy.access h (addr e) ~write:(is_write e))
+      done;
+      (h, n + Array.length chunk))
 
 (* --- recording a stream of unknown length ---------------------------- *)
 
@@ -545,7 +590,8 @@ let replay_hierarchy t h =
    encoded chunk records to a side file while counting, then assemble
    magic + header(total) + spooled records and commit with an atomic
    rename — O(chunk) memory, and no half-written file ever sits at
-   [path]. *)
+   [path].  Every source has already rejected out-of-domain addresses
+   while filling the chunk. *)
 let record_stream ~path t =
   let spool = path ^ ".spool" in
   let cleanup f = try Sys.remove f with Sys_error _ -> () in
@@ -556,35 +602,23 @@ let record_stream ~path t =
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->
           let buf = Buffer.create (min (4 * chunk_size t) (1 lsl 22)) in
-          fold_chunks t ~init:0 ~f:(fun acc ~index:_ entries ->
+          fold_chunks t ~init:0 ~f:(fun acc ~index:_ chunk ->
               Buffer.clear buf;
               let prev = ref 0 in
-              Array.iter (fun e -> prev := encode_entry buf !prev e) entries;
-              let payload = Buffer.contents buf in
-              write_u32 oc (Array.length entries);
-              write_u32 oc (String.length payload);
-              output_string oc payload;
-              write_u32 oc (crc_to_u32 (Engine.Checkpoint.crc32 payload));
-              acc + Array.length entries))
+              for i = 0 to Array.length chunk - 1 do
+                let a = addr chunk.(i) in
+                encode_entry buf !prev a (is_write chunk.(i));
+                prev := a
+              done;
+              write_record oc buf (Array.length chunk);
+              acc + Array.length chunk))
     in
     let tmp = path ^ ".tmp" in
     let oc = open_out_bin tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc magic;
-        let hdr =
-          Engine.Json.to_string
-            (Engine.Json.Obj
-               [
-                 ("name", Engine.Json.String (name t));
-                 ("total", Engine.Json.Int total);
-                 ("chunk", Engine.Json.Int (chunk_size t));
-               ])
-        in
-        write_u32 oc (String.length hdr);
-        output_string oc hdr;
-        write_u32 oc (crc_to_u32 (Engine.Checkpoint.crc32 hdr));
+        write_head oc ~name:(name t) ~total ~chunk:(chunk_size t);
         let ic = open_in_bin spool in
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)

@@ -18,8 +18,8 @@
 
     {2 The [PPTRC01] trace file format}
 
-    Little-endian throughout, CRC-32 per record like the checkpoint
-    journal ({!Nmcache_engine.Checkpoint}):
+    Little-endian throughout, with a CRC-32 ({!Nmcache_engine.Crc32})
+    per record like the checkpoint journal:
 
     {v
     "PPTRC01\x00"                                      8-byte magic
@@ -33,7 +33,16 @@
     corruption-tolerant the way journal replay is: records are
     consumed until the first truncated, CRC-mismatching or
     undecodable one, and the torn tail is dropped (counted under the
-    [stream.dropped_tail] metric) rather than raised. *)
+    [stream.dropped_tail] metric) rather than raised.
+
+    {2 Address domain}
+
+    Addresses are integers in [\[0, 2^61)] ({!max_addr} is [2^61 - 1]).
+    The varint holds [zigzag(delta) * 2 + write] in 63 bits, so a delta
+    must stay below [2^61] in magnitude; the same bound lets a chunk
+    pack an entry into one int.  Every source rejects an address
+    outside the domain with [Invalid_argument] rather than corrupting
+    it, and a decoded address outside it marks the record undecodable. *)
 
 type t
 
@@ -77,8 +86,9 @@ val of_ndjson_fd : ?chunk_size:int -> name:string -> Unix.file_descr -> t
     through {!Nmcache_engine.Server}'s bounded-memory line reader
     (1 MiB line bound, blank lines skipped, CRLF tolerated).  The
     stream can be consumed once; a malformed line, an overlong line
-    or a negative address raises [Invalid_argument] identifying the
-    line number.  Not checkpointable (a pipe cannot be re-read). *)
+    or an address outside [\[0, 2^61)] raises [Invalid_argument]
+    identifying the line number.  Not checkpointable (a pipe cannot be
+    re-read). *)
 
 (** {1 Inspection} *)
 
@@ -94,22 +104,45 @@ val declared_length : t -> int option
     fewer), [None] for a pipe.  Consumers use it for the warmup
     boundary. *)
 
+(** {1 Packed entries}
+
+    A chunk is an [int array] holding one packed entry per element;
+    read each through {!addr} and {!is_write}, never by its bits. *)
+
+val max_addr : int
+(** [2^61 - 1], the largest address a stream or trace file holds. *)
+
+val addr : int -> int
+(** The address of a packed entry. *)
+
+val is_write : int -> bool
+(** Whether a packed entry is a write. *)
+
 (** {1 Folding} *)
 
-val fold_chunks :
-  t -> init:'a -> f:('a -> index:int -> Trace.entry array -> 'a) -> 'a
-(** Stream every entry through [f] in chunk-sized batches (the last
-    chunk may be short; empty streams call [f] zero times).  Memory is
-    O(chunk).  Each chunk boundary polls the engine deadline (stage
-    [cachesim.stream]), emits an {!Nmcache_engine.Events.Chunk_done}
-    progress event when a sink is armed, and counts under the
-    [stream.chunks] / [stream.entries] metrics. *)
+val fold_chunks : t -> init:'a -> f:('a -> index:int -> int array -> 'a) -> 'a
+(** Stream every entry through [f] in chunk-sized batches of packed
+    entries.  [Array.length chunk] is always the entry count: every
+    chunk but the last holds exactly {!chunk_size} entries, and the
+    last may be short; empty streams call [f] zero times.
+
+    The chunk is a buffer the fold reuses: every full chunk is the
+    same physical array, overwritten by the next chunk.  It is valid
+    only while [f] runs — [f] must never retain it, capture it in a
+    closure, or carry it in the fold state.  This is what keeps a
+    steady-state pass allocation-free.
+
+    Memory is O(chunk).  Each chunk boundary polls the engine deadline
+    (stage [cachesim.stream]), emits an
+    {!Nmcache_engine.Events.Chunk_done} progress event when a sink is
+    armed, and counts under the [stream.chunks] / [stream.entries]
+    metrics. *)
 
 val resumable_fold :
   ?salt:string ->
   t ->
   init:'s ->
-  f:('s -> index:int -> Trace.entry array -> 's) ->
+  f:('s -> index:int -> int array -> 's) ->
   's
 (** {!fold_chunks} with chunk boundaries registered as checkpoint
     slots: when a journal is armed ({!Nmcache_engine.Checkpoint}) and
@@ -121,12 +154,13 @@ val resumable_fold :
     counters) and must be marshallable (plain data, no closures);
     [salt] must name every consumer-side input (cache geometry,
     warmup boundary) so two different computations over one stream
-    can never serve each other's slots.  Without a journal or a key
-    this is exactly {!fold_chunks}. *)
+    can never serve each other's slots.  The chunk contract of
+    {!fold_chunks} applies.  Without a journal or a key this is
+    exactly {!fold_chunks}. *)
 
-val iter : t -> (Trace.entry -> unit) -> int
-(** Feed every entry to a consumer; returns the number of entries
-    streamed. *)
+val iter : t -> (int -> bool -> unit) -> int
+(** [iter t g] calls [g addr write] for every entry; returns the
+    number of entries streamed. *)
 
 (** {1 Simulation drivers} *)
 
@@ -161,8 +195,9 @@ val write_file :
   unit
 (** Record [n] entries from a producer to a [PPTRC01] file in
     O(chunk) memory.  [chunk_size] is the on-disk record grain
-    (readers re-chunk freely).  Raises [Invalid_argument] if [n < 0]
-    or [chunk_size < 1]. *)
+    (readers re-chunk freely).  Raises [Invalid_argument] if [n < 0],
+    [chunk_size < 1], or an entry's address is outside
+    [\[0, 2^61)]. *)
 
 val record_stream : path:string -> t -> int
 (** Record a stream of {e unknown} length (a piped NDJSON source) to a
@@ -172,8 +207,8 @@ val record_stream : path:string -> t -> int
     and committed with an atomic rename — O(chunk) memory, and no
     partial file is ever visible at [path].  On-disk chunking is the
     stream's {!chunk_size}.  Raises like the stream's fold (e.g.
-    [Invalid_argument] on a malformed NDJSON line), cleaning up its
-    temporary files. *)
+    [Invalid_argument] on a malformed NDJSON line or an address
+    outside [\[0, 2^61)]), cleaning up its temporary files. *)
 
 type file_info = {
   fi_name : string;  (** workload name from the header *)

@@ -68,13 +68,13 @@ let analyzer () =
     a_prev = min_int;
   }
 
-let feed_analyzer a e =
+let feed_analyzer a addr write =
   a.a_accesses <- a.a_accesses + 1;
-  if e.write then a.a_writes <- a.a_writes + 1;
-  Hashtbl.replace a.blocks (e.addr / 64) ();
-  if a.a_prev <> min_int && e.addr >= a.a_prev && e.addr <= a.a_prev + 64 then
+  if write then a.a_writes <- a.a_writes + 1;
+  Hashtbl.replace a.blocks (addr / 64) ();
+  if a.a_prev <> min_int && addr >= a.a_prev && addr <= a.a_prev + 64 then
     a.a_sequential <- a.a_sequential + 1;
-  a.a_prev <- e.addr
+  a.a_prev <- addr
 
 (* total, unlike [analyze]: an empty stream has a defined answer *)
 let analyzer_stats a =
@@ -92,7 +92,7 @@ let analyzer_stats a =
 let analyze t =
   if Array.length t = 0 then invalid_arg "Trace.analyze: empty trace";
   let a = analyzer () in
-  Array.iter (feed_analyzer a) t;
+  Array.iter (fun e -> feed_analyzer a e.addr e.write) t;
   analyzer_stats a
 
 let pp_stats fmt s =

@@ -60,7 +60,8 @@ val zero_stats : stats
 type analyzer
 
 val analyzer : unit -> analyzer
-val feed_analyzer : analyzer -> entry -> unit
+val feed_analyzer : analyzer -> int -> bool -> unit
+(** [feed_analyzer a addr write] counts one access. *)
 
 val analyzer_stats : analyzer -> stats
 (** Summary of everything fed so far; {!zero_stats} when nothing was

@@ -39,34 +39,7 @@ let journal_name = "journal.ppck"
 let max_key_len = 1_000_000
 let max_value_len = 256_000_000
 
-(* --- CRC-32 (IEEE 802.3), table-driven, dependency-free ------------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32_update crc s =
-  let t = Lazy.force crc_table in
-  let c = ref crc in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-      c := Int32.logxor t.(i) (Int32.shift_right_logical !c 8))
-    s;
-  !c
-
-let crc32 s = Int32.logxor 0xFFFFFFFFl (crc32_update 0xFFFFFFFFl s)
-
-let record_crc ~key ~value =
-  Int32.logxor 0xFFFFFFFFl (crc32_update (crc32_update 0xFFFFFFFFl key) value)
+let record_crc ~key ~value = Crc32.update (Crc32.update Crc32.init key) value
 
 (* --- binary plumbing ------------------------------------------------ *)
 
@@ -106,7 +79,7 @@ let replay_channel ic table =
        if vlen < 0 || vlen > max_value_len then raise Exit;
        let value = read_string ic vlen in
        let crc = read_u32 ic in
-       if Int32.to_int (record_crc ~key ~value) land 0xFFFFFFFF <> crc then raise Exit;
+       if record_crc ~key ~value <> crc then raise Exit;
        Hashtbl.replace table key value;
        good_end := pos_in ic
      done
@@ -227,8 +200,7 @@ let store t ~key v =
           output_string oc key;
           output_string oc (u32_to_bytes (String.length value));
           output_string oc value;
-          output_string oc
-            (u32_to_bytes (Int32.to_int (record_crc ~key ~value) land 0xFFFFFFFF));
+          output_string oc (u32_to_bytes (record_crc ~key ~value));
           (* flush per record: a crash loses at most the half-written
              tail, which replay truncates *)
           flush oc;

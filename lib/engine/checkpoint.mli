@@ -78,10 +78,6 @@ val active : unit -> t option
 
 (* -- exposed for tests ----------------------------------------------- *)
 
-val crc32 : string -> int32
-(** CRC-32 (IEEE 802.3, reflected, pre/post-conditioned) — the record
-    checksum.  [crc32 "123456789" = 0xCBF43926l]. *)
-
 val magic : string
 (** The 8-byte journal header, ["PPCKPT01"]. *)
 

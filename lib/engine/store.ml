@@ -59,9 +59,9 @@ let read_string ic n =
   really_input ic b 0 n;
   Bytes.unsafe_to_string b
 
-let record_crc ~key ~value =
-  (* CRC over key ^ value, identical to the checkpoint record CRC *)
-  Int32.to_int (Checkpoint.crc32 (key ^ value)) land 0xFFFFFFFF
+(* CRC over key ^ value, identical to the checkpoint record CRC, chained
+   so the record is never copied *)
+let record_crc ~key ~value = Crc32.update (Crc32.update Crc32.init key) value
 
 (* [klen][key][vlen][value][crc] *)
 let record_size ~key ~value = 12 + String.length key + String.length value

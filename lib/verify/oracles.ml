@@ -353,7 +353,7 @@ let profile ctx =
           let profiler = Mattson.create ~block_bytes:block () in
           let feed (a : Access.t) =
             let o = Cache.access l1 a.Access.addr ~write:a.Access.write in
-            if not o.Cache.hit then Mattson.access profiler a.Access.addr
+            if not (Cache.hit o) then Mattson.access profiler a.Access.addr
           in
           let warm = int_of_float (Profile.warmup_fraction *. float_of_int n) in
           Mattson.set_measuring profiler false;
@@ -505,7 +505,7 @@ let stream ctx =
         let info = Stream_trace.file_info path in
         let got = ref [] in
         let got_n = Stream_trace.iter (Stream_trace.of_file ~chunk_size:777 path)
-            (fun e -> got := e :: !got)
+            (fun addr write -> got := { Trace.addr; write } :: !got)
         in
         let got = Array.of_list (List.rev !got) in
         [

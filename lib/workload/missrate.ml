@@ -91,7 +91,6 @@ let simulate ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64) ?(policy = Replacemen
           }))
 
 module Stream_trace = Nmcache_cachesim.Stream_trace
-module Trace = Nmcache_cachesim.Trace
 
 (* The streamed twin of [simulate]: identical access sequence,
    identical warmup reset (statistics cleared exactly when the running
@@ -124,18 +123,18 @@ let simulate_stream ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64)
   in
   let h, (_ : int) =
     Stream_trace.resumable_fold ~salt stream ~init:(h, 0)
-      ~f:(fun (h, processed) ~index:_ entries ->
-        let p = ref processed in
-        Array.iter
-          (fun (e : Trace.entry) ->
-            if !p = warm then begin
-              Cache.reset_stats (Hierarchy.l1 h);
-              Cache.reset_stats (Hierarchy.l2 h)
-            end;
-            ignore (Hierarchy.access h e.Trace.addr ~write:e.Trace.write);
-            incr p)
-          entries;
-        (h, !p))
+      ~f:(fun (h, processed) ~index:_ chunk ->
+        for i = 0 to Array.length chunk - 1 do
+          if processed + i = warm then begin
+            Cache.reset_stats (Hierarchy.l1 h);
+            Cache.reset_stats (Hierarchy.l2 h)
+          end;
+          let e = chunk.(i) in
+          ignore
+            (Hierarchy.access h (Stream_trace.addr e)
+               ~write:(Stream_trace.is_write e))
+        done;
+        (h, processed + Array.length chunk))
   in
   Nmcache_engine.Metrics.incr "cachesim.simulations";
   Nmcache_engine.Metrics.incr "stream.simulations";

@@ -97,7 +97,7 @@ let build ~workload ~kind ~block ~seed ~n =
               ( Some l1,
                 fun (a : Access.t) ->
                   let o = Cache.access l1 a.Access.addr ~write:a.Access.write in
-                  if not o.Cache.hit then Mattson.access profiler a.Access.addr )
+                  if not (Cache.hit o) then Mattson.access profiler a.Access.addr )
           in
           let feed = polled ~stage:"simulate" feed_raw in
           let warm = int_of_float (warmup_fraction *. float_of_int n) in
@@ -144,7 +144,6 @@ let l1_filtered ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~w
   build ~workload ~kind:(L1_filtered { l1_size; l1_assoc }) ~block ~seed ~n
 
 module Stream_trace = Nmcache_cachesim.Stream_trace
-module Trace = Nmcache_cachesim.Trace
 
 (* The streamed twin of [build]: same profiler, same L1 filter, same
    warmup discipline — measuring off until [warmup_fraction] of the
@@ -167,17 +166,16 @@ let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
       let profiler = Mattson.create ~block_bytes:block () in
       let l1_opt, feed =
         match kind with
-        | Raw ->
-          (None, fun (e : Trace.entry) -> Mattson.access profiler e.Trace.addr)
+        | Raw -> (None, fun addr _ -> Mattson.access profiler addr)
         | L1_filtered { l1_size; l1_assoc } ->
           let l1 =
             Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block
               ~policy:Replacement.Lru ()
           in
           ( Some l1,
-            fun (e : Trace.entry) ->
-              let o = Cache.access l1 e.Trace.addr ~write:e.Trace.write in
-              if not o.Cache.hit then Mattson.access profiler e.Trace.addr )
+            fun addr write ->
+              if not (Cache.hit (Cache.access l1 addr ~write)) then
+                Mattson.access profiler addr )
       in
       let warm =
         match Stream_trace.declared_length stream with
@@ -187,13 +185,13 @@ let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
       Mattson.set_measuring profiler false;
       let fed = ref 0 in
       let n_fed =
-        Stream_trace.iter stream (fun e ->
+        Stream_trace.iter stream (fun addr write ->
             if !fed = warm then begin
               (match l1_opt with Some l1 -> Cache.reset_stats l1 | None -> ());
               Mattson.set_measuring profiler true
             end;
             incr fed;
-            feed e)
+            feed addr write)
       in
       Metrics.incr "cachesim.mattson_curves";
       flush_probe_hist (Mattson.drain_probe_hist profiler);

@@ -28,11 +28,11 @@ let test_address () =
 let test_cold_then_hit () =
   let c = make () in
   let o1 = Cache.access c 0 ~write:false in
-  Alcotest.(check bool) "first access misses" false o1.Cache.hit;
+  Alcotest.(check bool) "first access misses" false (Cache.hit o1);
   let o2 = Cache.access c 0 ~write:false in
-  Alcotest.(check bool) "second access hits" true o2.Cache.hit;
+  Alcotest.(check bool) "second access hits" true (Cache.hit o2);
   let o3 = Cache.access c 32 ~write:false in
-  Alcotest.(check bool) "same block hits" true o3.Cache.hit
+  Alcotest.(check bool) "same block hits" true (Cache.hit o3)
 
 let test_stats_consistency () =
   let c = make () in
@@ -58,8 +58,8 @@ let test_lru_eviction_order () =
   ignore (Cache.access c b ~write:false);
   ignore (Cache.access c a ~write:false);
   let o = Cache.access c d ~write:false in
-  Alcotest.(check bool) "miss inserting C" false o.Cache.hit;
-  Alcotest.(check (option int)) "LRU victim is B" (Some 1) o.Cache.victim;
+  Alcotest.(check bool) "miss inserting C" false (Cache.hit o);
+  Alcotest.(check int) "LRU victim is B" 1 (Cache.victim o);
   Alcotest.(check bool) "A still resident" true (Cache.contains c a);
   Alcotest.(check bool) "B evicted" false (Cache.contains c b)
 
@@ -72,7 +72,7 @@ let test_fifo_vs_lru () =
   ignore (Cache.access f a ~write:false);
   (* re-touch A: FIFO ignores it *)
   let o = Cache.access f d ~write:false in
-  Alcotest.(check (option int)) "FIFO victim is A" (Some 0) o.Cache.victim
+  Alcotest.(check int) "FIFO victim is A" 0 (Cache.victim o)
 
 let test_cyclic_lru_thrash () =
   (* loop of N+1 blocks over an N-block LRU cache: steady state misses
@@ -118,7 +118,7 @@ let test_writeback_dirty () =
   ignore (Cache.access c 64 ~write:false);
   let o = Cache.access c 128 ~write:false in
   (* victim is block 0 which is dirty *)
-  Alcotest.(check bool) "victim dirty" true o.Cache.victim_dirty;
+  Alcotest.(check bool) "victim dirty" true (Cache.victim_dirty o);
   Alcotest.(check int) "writeback counted" 1 (Cache.stats c).Stats.writebacks
 
 let test_clean_eviction () =
@@ -126,7 +126,7 @@ let test_clean_eviction () =
   ignore (Cache.access c 0 ~write:false);
   ignore (Cache.access c 64 ~write:false);
   let o = Cache.access c 128 ~write:false in
-  Alcotest.(check bool) "clean victim" false o.Cache.victim_dirty
+  Alcotest.(check bool) "clean victim" false (Cache.victim_dirty o)
 
 let test_plru_basic () =
   let c = make ~size:(4 * 64) ~assoc:4 ~block:64 ~policy:Replacement.Plru () in
@@ -137,7 +137,7 @@ let test_plru_basic () =
   done;
   ignore (Cache.access c 0 ~write:false);
   let o = Cache.access c (4 * 64 * 4) ~write:false in
-  Alcotest.(check bool) "eviction happened" true (o.Cache.victim <> None);
+  Alcotest.(check bool) "eviction happened" true (Cache.victim o >= 0);
   Alcotest.(check bool) "most recent survives PLRU" true (Cache.contains c 0)
 
 let test_random_policy_reproducible () =
@@ -257,7 +257,7 @@ let prop_lru_against_reference =
         reference.(set) <-
           (if List.length lst > assoc then List.filteri (fun i _ -> i < assoc) lst else lst);
         let o = Cache.access c addr ~write:false in
-        if o.Cache.hit <> expected_hit then ok := false
+        if Cache.hit o <> expected_hit then ok := false
       done;
       !ok)
 

@@ -1,6 +1,7 @@
 (* Tests for the execution engine: domain-pool determinism, memo-cache
-   behaviour, trace accounting, and end-to-end parallel-vs-sequential
-   byte identity for the paper pipelines. *)
+   behaviour, trace accounting, the CRC-32 every on-disk format shares,
+   and end-to-end parallel-vs-sequential byte identity for the paper
+   pipelines. *)
 
 module Engine = Nmcache_engine
 module Pool = Nmcache_engine.Pool
@@ -9,6 +10,25 @@ module Task = Nmcache_engine.Task
 module Sweep = Nmcache_engine.Sweep
 module Trace = Nmcache_engine.Trace
 module Executor = Nmcache_engine.Executor
+module Crc32 = Nmcache_engine.Crc32
+
+(* --- CRC-32 ------------------------------------------------------------- *)
+
+let test_crc32_vector () =
+  (* the canonical IEEE 802.3 check value *)
+  Alcotest.(check int) "crc32(123456789)" 0xCBF43926 (Crc32.crc "123456789");
+  Alcotest.(check int) "empty string" Crc32.init (Crc32.crc "");
+  Alcotest.(check bool) "crc distinguishes" true (Crc32.crc "abc" <> Crc32.crc "abd")
+
+(* journals checksum a record piecewise (key, then value) and must get
+   the CRC of the concatenation, which older files carry *)
+let crc32_chaining_prop =
+  QCheck.Test.make ~name:"crc32: chained update equals crc of the concatenation"
+    ~count:200
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      let c = Crc32.update (Crc32.update Crc32.init a) b in
+      c = Crc32.crc (a ^ b) && c >= 0 && c <= 0xFFFFFFFF)
 
 (* --- pool --------------------------------------------------------------- *)
 
@@ -218,6 +238,8 @@ let suite =
     Alcotest.test_case "memo exception clears pending" `Quick
       test_memo_exception_clears_pending;
     Alcotest.test_case "trace summary smoke" `Quick test_trace_summary_smoke;
+    Alcotest.test_case "crc32: IEEE 802.3 check vector" `Quick test_crc32_vector;
+    Generators.to_alcotest crc32_chaining_prop;
     Alcotest.test_case "executor with_jobs" `Quick test_executor_with_jobs;
     Alcotest.test_case "schemes parallel == sequential" `Slow
       (test_parallel_byte_identical "schemes");

@@ -43,13 +43,7 @@ let write_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
-(* --- CRC and journal roundtrip --------------------------------------- *)
-
-let test_crc32_vector () =
-  (* the canonical IEEE 802.3 check value *)
-  Alcotest.(check int32) "crc32(123456789)" 0xCBF43926l (Checkpoint.crc32 "123456789");
-  Alcotest.(check bool) "crc distinguishes" true
-    (Checkpoint.crc32 "abc" <> Checkpoint.crc32 "abd")
+(* --- journal roundtrip ----------------------------------------------- *)
 
 let test_roundtrip () =
   let dir = tmpdir () in
@@ -450,7 +444,6 @@ let test_kill_during_report_write () =
 
 let suite =
   [
-    Alcotest.test_case "checkpoint: crc32 test vector" `Quick test_crc32_vector;
     Alcotest.test_case "checkpoint: journal roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "checkpoint: truncated tail dropped and repaired" `Quick
       test_truncated_tail;

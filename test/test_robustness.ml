@@ -486,15 +486,13 @@ let test_record_stream_roundtrip () =
   (* the recording replays the exact entry sequence *)
   let got = ref [] in
   let streamed =
-    Stream.iter (Stream.of_file path) (fun e -> got := e :: !got)
+    Stream.iter (Stream.of_file path) (fun addr write -> got := (addr, write) :: !got)
   in
   Alcotest.(check int) "iter count" n streamed;
   let got = List.rev !got in
   Alcotest.(check bool) "addresses and kinds byte-exact" true
     (List.for_all2
-       (fun i e ->
-         e.Nmcache_cachesim.Trace.addr = i * 64
-         && e.Nmcache_cachesim.Trace.write = (i mod 3 = 0))
+       (fun i (addr, write) -> addr = i * 64 && write = (i mod 3 = 0))
        (List.init n Fun.id) got);
   (* no temporaries left behind *)
   Alcotest.(check (list string)) "only the committed file remains"

@@ -8,9 +8,12 @@
    {1, 7, 4096, whole}, and a QCheck property re-samples (workload,
    chunk) pairs.  The PPTRC01 chaos set mirrors the journal tests in
    test_resilience: round-trip, torn tail, mid-file corruption,
-   foreign files.  The kill-and-resume gate SIGKILLs a checkpointed
-   streamed simulation mid-chunk in a re-exec'd child and requires the
-   resumed run to finish byte-identically. *)
+   foreign files, the address domain.  The kill-and-resume gate
+   SIGKILLs a checkpointed streamed simulation mid-chunk in a
+   re-exec'd child and requires the resumed run to finish
+   byte-identically.  The allocation gate pins the packed, reused
+   chunk path: replaying a recorded file allocates almost nothing per
+   access. *)
 
 module Trace = Nmcache_cachesim.Trace
 module Stream_trace = Nmcache_cachesim.Stream_trace
@@ -70,7 +73,9 @@ let hierarchy_stats h = (Cache.stats (Hierarchy.l1 h), Cache.stats (Hierarchy.l2
 
 let collect s =
   let acc = ref [] in
-  let (_ : int) = Stream_trace.iter s (fun e -> acc := e :: !acc) in
+  let (_ : int) =
+    Stream_trace.iter s (fun addr write -> acc := { Trace.addr; write } :: !acc)
+  in
   Array.of_list (List.rev !acc)
 
 let record_to ~path ~name ~chunk_size entries =
@@ -204,6 +209,58 @@ let chunk_invariance_prop =
       Stream_trace.analyze (stream ()) = Trace.analyze trace
       && count = n
       && hierarchy_stats h = hierarchy_stats ref_h)
+
+(* Arbitrary entries across the whole address domain, boundaries
+   included, with both write bits: recorded to PPTRC01 at a random
+   on-disk grain and streamed back at chunk size 1, 7 or 4096, every
+   packed entry unpacks to what was written and every chunk but the
+   last is exactly chunk-sized. *)
+let pptrc_packed_roundtrip_prop =
+  let addr_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return 0);
+          (1, return Stream_trace.max_addr);
+          (3, int_bound 4096);
+          (3, int_bound Stream_trace.max_addr);
+        ])
+  in
+  QCheck.Test.make ~name:"pptrc: packed chunks round-trip the full address domain"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (entries, disk_chunk, chunk_size) ->
+         Printf.sprintf "%d entries, on-disk chunk %d, chunk %d" (List.length entries)
+           disk_chunk chunk_size)
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 600) (pair addr_gen bool))
+           (int_range 1 300) (oneofl [ 1; 7; 4096 ])))
+    (fun (entries, disk_chunk, chunk_size) ->
+      let entries =
+        Array.of_list (List.map (fun (addr, write) -> { Trace.addr; write }) entries)
+      in
+      let path = Filename.concat (tmpdir ()) "domain.pptrc" in
+      record_to ~path ~name:"domain" ~chunk_size:disk_chunk entries;
+      let n = Array.length entries in
+      let got, shapes_ok =
+        Stream_trace.fold_chunks (Stream_trace.of_file ~chunk_size path)
+          ~init:(0, true)
+          ~f:(fun (seen, ok) ~index:_ chunk ->
+            let len = Array.length chunk in
+            let ok = ok && (len = chunk_size || seen + len = n) in
+            let ok = ref ok in
+            Array.iteri
+              (fun i e ->
+                let want = entries.(seen + i) in
+                if Stream_trace.addr e <> want.Trace.addr
+                   || Stream_trace.is_write e <> want.Trace.write
+                then ok := false)
+              chunk;
+            (seen + len, !ok))
+      in
+      Sys.remove path;
+      got = n && shapes_ok)
 
 (* --- PPTRC01 chaos set -------------------------------------------------- *)
 
@@ -346,8 +403,75 @@ let test_ndjson_source () =
   in
   rejected "malformed" "not json\n";
   rejected "negative-addr" "{\"addr\":-4}\n";
+  (* 2^61: past the PPTRC01 varint's domain, once silently corrupted *)
+  rejected "addr-2^61" "{\"addr\":0}\n{\"addr\":2305843009213693952}\n";
   rejected "missing-addr" "{\"write\":true}\n";
   rejected "bool-addr" "{\"addr\":true}\n"
+
+let test_write_file_rejects_out_of_domain () =
+  let path = Filename.concat (tmpdir ()) "domain.pptrc" in
+  let record addr =
+    raises_invalid (fun () ->
+        record_to ~path ~name:"domain" ~chunk_size:4
+          [| { Trace.addr = 64; write = false }; { Trace.addr; write = true } |])
+  in
+  Alcotest.(check bool) "2^61 rejected" true (record (Stream_trace.max_addr + 1));
+  Alcotest.(check bool) "max_int rejected" true (record max_int);
+  Alcotest.(check bool) "negative rejected" true (record (-64));
+  Alcotest.(check bool) "2^61 - 1 accepted" false (record Stream_trace.max_addr);
+  let got = collect (Stream_trace.of_file path) in
+  Alcotest.(check bool) "the largest address round-trips" true
+    (got
+    = [| { Trace.addr = 64; write = false };
+         { Trace.addr = Stream_trace.max_addr; write = true } |])
+
+(* --- packed, reused chunks ---------------------------------------------- *)
+
+let test_full_chunks_share_one_buffer () =
+  let entries = entries_of "tpcc" 23_000 in
+  let path = Filename.concat (tmpdir ()) "reuse.pptrc" in
+  record_to ~path ~name:"tpcc" ~chunk_size:1000 entries;
+  List.iter
+    (fun (what, stream) ->
+      (* this test alone keeps the previous chunk, to compare identity *)
+      let prev = ref [||] and reused = ref 0 and lengths = ref [] in
+      let (_ : unit) =
+        Stream_trace.fold_chunks stream ~init:() ~f:(fun () ~index chunk ->
+            if index > 0 && Array.length chunk = 5000 && chunk == !prev then incr reused;
+            prev := chunk;
+            lengths := Array.length chunk :: !lengths)
+      in
+      Alcotest.(check (list int)) (what ^ ": chunk lengths are entry counts")
+        [ 5000; 5000; 5000; 5000; 3000 ] (List.rev !lengths);
+      Alcotest.(check int) (what ^ ": every later full chunk reuses the buffer") 3
+        !reused)
+    [
+      ("file", Stream_trace.of_file ~chunk_size:5000 path);
+      ("trace", Stream_trace.of_trace ~chunk_size:5000 ~name:"tpcc" (Trace.of_entries entries));
+    ]
+
+let test_replay_allocation_gate () =
+  let n = 200_000 in
+  let path = Filename.concat (tmpdir ()) "alloc.pptrc" in
+  let gen = Registry.build "spec2000-mix" in
+  Stream_trace.write_file ~path ~name:"spec2000-mix" ~n
+    ~next:(fun () ->
+      let a = Gen.next gen in
+      { Trace.addr = a.Access.addr; write = a.Access.write })
+    ();
+  let replay () =
+    Missrate.simulate_stream ~warmup:false ~stream:(Stream_trace.of_file path)
+      ~l1_size:(16 * 1024) ~l2_size:(1024 * 1024) ()
+  in
+  let reference = replay () in
+  let w0 = Gc.minor_words () in
+  let point = replay () in
+  let per_access = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool) "replays agree" true (point = reference);
+  (* about 0.01 here; a per-entry record, option, boxed CRC step or
+     per-miss closure each costs whole words per access *)
+  if per_access > 1.0 then
+    Alcotest.failf "replay allocates %.2f minor words per access (gate: 1)" per_access
 
 (* --- checkpointed streaming -------------------------------------------- *)
 
@@ -405,13 +529,15 @@ let stream_child_main spec : unit =
     let s = Stream_trace.of_file ~chunk_size:100 trace_file in
     let h, count =
       Stream_trace.resumable_fold ~salt:"chaos" s ~init:(make_hierarchy (), 0)
-        ~f:(fun (h, c) ~index:_ entries ->
+        ~f:(fun (h, c) ~index:_ chunk ->
           Unix.sleepf 0.03;
-          Array.iter
-            (fun (e : Trace.entry) ->
-              ignore (Hierarchy.access h e.Trace.addr ~write:e.Trace.write))
-            entries;
-          (h, c + Array.length entries))
+          for i = 0 to Array.length chunk - 1 do
+            let e = chunk.(i) in
+            ignore
+              (Hierarchy.access h (Stream_trace.addr e)
+                 ~write:(Stream_trace.is_write e))
+          done;
+          (h, c + Array.length chunk))
     in
     let served = Checkpoint.served j in
     Checkpoint.set_active None;
@@ -504,6 +630,7 @@ let suite =
     Alcotest.test_case "simulate_stream equals simulate bitwise (any chunk, any jobs)"
       `Quick test_simulate_stream_equality;
     Generators.to_alcotest chunk_invariance_prop;
+    Generators.to_alcotest pptrc_packed_roundtrip_prop;
     Alcotest.test_case "pptrc: round-trip is entry-exact" `Quick test_pptrc_roundtrip;
     Alcotest.test_case "pptrc: torn tail is dropped, prefix survives" `Quick
       test_pptrc_truncated_tail;
@@ -515,6 +642,12 @@ let suite =
       test_empty_stream;
     Alcotest.test_case "ndjson: pipe source parses, skips blanks, rejects garbage"
       `Quick test_ndjson_source;
+    Alcotest.test_case "pptrc: write_file rejects addresses outside [0, 2^61)" `Quick
+      test_write_file_rejects_out_of_domain;
+    Alcotest.test_case "chunks: every full chunk is one reused buffer" `Quick
+      test_full_chunks_share_one_buffer;
+    Alcotest.test_case "alloc gate: file replay allocates <= 1 minor word/access"
+      `Quick test_replay_allocation_gate;
     Alcotest.test_case "checkpoint: chunk slots resume byte-identically" `Quick
       test_checkpoint_resume_in_process;
     Alcotest.test_case "chaos: SIGKILL mid-chunk, resume byte-identical" `Quick
