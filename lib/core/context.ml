@@ -52,12 +52,20 @@ let quick () =
     coarse_grid = Grid.coarse tech;
   }
 
+(* Names the fitter and optimiser generation.  Change it with any
+   numerical change that can move a fitted model or an optimum, so
+   stores and checkpoint journals written before it miss and recompute
+   rather than serve the old answers. *)
+let numerics_tag = "vp1"
+
 (* A stable fingerprint of every context field that can change an
    experiment's numbers — the checkpoint layer folds it into slot keys
    so a journal written under one context is never served under
-   another (quick vs default, different seeds, grids, workloads…). *)
+   another (quick vs default, different seeds, grids, workloads,
+   numerics generations…). *)
 let fingerprint t =
-  Printf.sprintf "%s:%.1fK:%.2fV:l1=%d/%d:l2=%d/%d:b%d:out%d:w=%s:seed=%Ld:n=%d:g=%dx%d:cg=%dx%d:mem=%.2e"
+  Printf.sprintf
+    "%s:%.1fK:%.2fV:l1=%d/%d:l2=%d/%d:b%d:out%d:w=%s:seed=%Ld:n=%d:g=%dx%d:cg=%dx%d:mem=%.2e:num=%s"
     t.tech.Tech.name t.tech.Tech.temp_k t.tech.Tech.vdd t.l1_size t.l1_assoc t.l2_size
     t.l2_assoc t.block_bytes t.l2_output_bits
     (String.concat "+" t.workloads)
@@ -66,7 +74,7 @@ let fingerprint t =
     (Array.length t.grid.Grid.toxs)
     (Array.length t.coarse_grid.Grid.vths)
     (Array.length t.coarse_grid.Grid.toxs)
-    t.mem.Nmcache_energy.Main_memory.e_access
+    t.mem.Nmcache_energy.Main_memory.e_access numerics_tag
 
 let l1_config t ?size () =
   Config.make

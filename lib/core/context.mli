@@ -28,12 +28,19 @@ val default : unit -> t
 val quick : unit -> t
 (** Reduced setting for tests: 400 k-access traces, coarse grids. *)
 
+val numerics_tag : string
+(** The fitter and optimiser generation, last in {!fingerprint}.  It
+    changes with every numerical change that can move a fitted model or
+    an optimum. *)
+
 val fingerprint : t -> string
 (** A stable, human-readable digest of every field that can change an
     experiment's numbers (tech corner, geometries, workloads, seed,
-    trace length, grid shapes, memory model).  {!Experiments.task}
-    folds it into checkpoint slot keys, so a journal recorded under one
-    context is never served into a run with different inputs. *)
+    trace length, grid shapes, memory model, {!numerics_tag}).
+    {!Experiments.task} folds it into checkpoint slot keys and
+    [Service] into store keys, so a journal or store recorded under one
+    context or numerics generation is never served into a run with
+    different inputs. *)
 
 val l1_config : t -> ?size:int -> unit -> Nmcache_geometry.Config.t
 val l2_config : t -> ?size:int -> unit -> Nmcache_geometry.Config.t

@@ -97,7 +97,7 @@ let extensions =
     };
     {
       id = "anneal";
-      title = "Simulated-annealing cross-check of the exact DP";
+      title = "Simulated-annealing cross-check of the exact Scheme I search";
       paper_ref = "extension X9";
       run = Extensions.anneal_crosscheck;
     };

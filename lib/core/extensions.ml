@@ -205,16 +205,16 @@ let anneal_crosscheck ctx =
             ~delay_budget:budget
         with
         | None -> None
-        | Some dp ->
+        | Some exact ->
           let sa = Anneal.minimize_leakage fitted ~grid ~delay_budget:budget () in
           let gap =
-            if sa.Anneal.feasible then (sa.Anneal.leak_w /. dp.Scheme.leak_w) -. 1.0
+            if sa.Anneal.feasible then (sa.Anneal.leak_w /. exact.Scheme.leak_w) -. 1.0
             else Float.nan
           in
           Some
             [
               Printf.sprintf "%.0f" (Units.to_ps budget);
-              Printf.sprintf "%.4f" (Units.to_mw dp.Scheme.leak_w);
+              Printf.sprintf "%.4f" (Units.to_mw exact.Scheme.leak_w);
               (if sa.Anneal.feasible then Printf.sprintf "%.4f" (Units.to_mw sa.Anneal.leak_w)
                else "infeasible");
               (if Float.is_nan gap then "-" else Printf.sprintf "%.2f%%" (100.0 *. gap));
@@ -222,14 +222,14 @@ let anneal_crosscheck ctx =
       [ 0.05; 0.15; 0.3; 0.5; 0.75 ]
   in
   [
-    Report.table ~title:"X9: simulated annealing vs exact DP (scheme I, 16KB cache)"
-      ~columns:[ "budget (ps)"; "DP optimum (mW)"; "SA result (mW)"; "SA gap" ]
+    Report.table ~title:"X9: simulated annealing vs exact search (scheme I, 16KB cache)"
+      ~columns:[ "budget (ps)"; "exact optimum (mW)"; "SA result (mW)"; "SA gap" ]
       ~rows;
     Report.note
-      "The stochastic optimiser matches the exact DP to within ~2% over most of the \
-       budget range (the gap widens only at the tightest budget, where the feasible \
-       region collapses) -- evidence both that the DP is correct and that SA is a \
-       usable fallback for objectives the DP cannot decompose.";
+      "The stochastic optimiser matches the exact Pareto search to within ~2% over \
+       most of the budget range (the gap widens only at the tightest budget, where \
+       the feasible region collapses) -- evidence both that the search is correct and \
+       that SA is a usable fallback for objectives the search cannot decompose.";
   ]
 
 (* --- X10: associativity / block-size sweeps --------------------------------- *)

@@ -17,7 +17,7 @@ val drowsy_comparison : Context.t -> Report.artefact list
     combination. *)
 
 val anneal_crosscheck : Context.t -> Report.artefact list
-(** X9 — simulated annealing vs the exact DP on Scheme-I problems:
+(** X9 — simulated annealing vs the exact Pareto search on Scheme-I problems:
     optimality gap across budgets. *)
 
 val geometry_sweeps : Context.t -> Report.artefact list

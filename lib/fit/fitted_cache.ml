@@ -16,7 +16,8 @@ type component_model = {
 type t = {
   circuit : Cache_model.t;
   models : component_model array; (* indexed by Component.kind_index *)
-  samples : Fitter.samples array; (* raw characterisation data, same index *)
+  vths : float array; (* the characterisation grid; samples are *)
+  toxs : float array; (* recomputed from it rather than retained *)
   vth_range : float * float; (* the (Vth, Tox) box the fits saw; *)
   tox_range : float * float; (* evaluation outside it is a fault   *)
 }
@@ -44,14 +45,13 @@ let characterize_and_fit ?(vth_steps = 6) ?(tox_steps = 4) ?vth_range ?tox_range
         let leak, leak_quality = Fitter.fit_leak samples in
         let delay, delay_quality = Fitter.fit_delay samples in
         let energy, energy_quality = Fitter.fit_energy samples in
-        ( { kind; leak; leak_quality; delay; delay_quality; energy; energy_quality },
-          samples ))
+        { kind; leak; leak_quality; delay; delay_quality; energy; energy_quality })
   in
-  let fitted = List.map fit_kind Component.all_kinds in
   {
     circuit;
-    models = Array.of_list (List.map fst fitted);
-    samples = Array.of_list (List.map snd fitted);
+    models = Array.of_list (List.map fit_kind Component.all_kinds);
+    vths;
+    toxs;
     vth_range = (vth_lo, vth_hi);
     tox_range = (tox_lo, tox_hi);
   }
@@ -59,7 +59,9 @@ let characterize_and_fit ?(vth_steps = 6) ?(tox_steps = 4) ?vth_range ?tox_range
 let circuit_model t = t.circuit
 let component t kind = t.models.(Component.kind_index kind)
 let components t = Array.to_list t.models
-let samples t kind = t.samples.(Component.kind_index kind)
+(* characterisation is deterministic, so these are the very samples the
+   fit saw; keeping them would make every stored model ~8× larger *)
+let samples t kind = Cache_model.characterize t.circuit kind ~vths:t.vths ~toxs:t.toxs
 let vth_range t = t.vth_range
 let tox_range t = t.tox_range
 

@@ -38,7 +38,8 @@ val components : t -> component_model list
 
 val samples : t -> Nmcache_geometry.Component.kind -> Fitter.samples
 (** The raw characterisation samples one component's models were fitted
-    to — retained so verification can re-evaluate the compact models
+    to, recomputed over the same knob grid (characterisation is
+    deterministic) — so verification can re-evaluate the compact models
     against their own training data ({!Fitter.quality_leak} /
     {!Fitter.quality_delay} residual bounds). *)
 

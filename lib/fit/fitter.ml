@@ -110,55 +110,164 @@ let quality_of ~actual ~predicted =
 
 (* --- leakage ------------------------------------------------------- *)
 
-(* For fixed exponents the model is linear in (A0, A1, A2). *)
-let leak_linear_fit pts ~alpha_v ~alpha_t =
-  let rows =
-    Array.map (fun (v, x, _) -> [| 1.0; Float.exp (alpha_v *. v); Float.exp (alpha_t *. x) |]) pts
+let quality_leak m samples =
+  let actual = Array.map (fun (_, (s : Component.summary)) -> s.Component.leak_w) samples in
+  let predicted =
+    Array.map
+      (fun ((k : Component.knob), _) ->
+        Model.eval_leak m ~vth:k.Component.vth ~tox:k.Component.tox)
+      samples
   in
-  let ys = Array.map (fun (_, _, y) -> y) pts in
-  let a = Matrix.of_rows rows in
-  let coef = Linsolve.lstsq_weighted a ys ~weights:(weights ys) in
-  let predict (v, x, _) =
-    coef.(0) +. (coef.(1) *. Float.exp (alpha_v *. v)) +. (coef.(2) *. Float.exp (alpha_t *. x))
-  in
-  let rel_err =
-    Array.fold_left
-      (fun acc ((_, _, y) as p) ->
-        let e = (predict p -. y) /. Float.max (Float.abs y) 1e-30 in
-        acc +. (e *. e))
-      0.0 pts
-  in
-  (coef, rel_err)
+  quality_of ~actual ~predicted
 
-let leak_eval theta (xi : float array) =
-  theta.(0)
-  +. (theta.(1) *. Float.exp (theta.(2) *. xi.(0)))
-  +. (theta.(3) *. Float.exp (theta.(4) *. xi.(1)))
+(* Variable projection (Golub–Pereyra).  For fixed exponents
+   (alpha_v, alpha_t) the model is linear in (A0, A1, A2), and the
+   weighted QR solve gives those exactly, so the fit is a 2-parameter
+   problem over the relative residuals r left by that solve.  Damped
+   Gauss–Newton runs on the exponents with Kaufman's Jacobian: column k
+   is the part of ∂P/∂alpha_k (relative) that the design cannot absorb,
+   which makes Jᵀr the exact gradient. *)
+type leak_data = {
+  vths : float array;
+  toxs : float array;  (* Å *)
+  ys : float array;
+  w : float array;     (* relative-error weights *)
+}
+
+type projection = {
+  alpha_v : float;
+  alpha_t : float;
+  design : Matrix.t;
+  coef : float array;  (* A0, A1, A2 *)
+  r : float array;     (* relative residuals *)
+  cost : float;        (* ‖r‖₂ *)
+}
+
+let dot u v =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length u - 1 do
+    acc := !acc +. (u.(i) *. v.(i))
+  done;
+  !acc
+
+(* relative residuals (Φc − g)/|y| of the weighted solve Φc ≈ g *)
+let project d design g =
+  let coef = Linsolve.lstsq_weighted design g ~weights:d.w in
+  let r = Matrix.mul_vec design coef in
+  for i = 0 to Array.length r - 1 do
+    r.(i) <- (r.(i) -. g.(i)) /. Float.max (Float.abs d.ys.(i)) 1e-30
+  done;
+  (coef, r)
+
+let leak_projection d ~alpha_v ~alpha_t =
+  let n = Array.length d.ys in
+  let design = Matrix.create ~rows:n ~cols:3 in
+  for i = 0 to n - 1 do
+    Matrix.set design i 0 1.0;
+    Matrix.set design i 1 (Float.exp (alpha_v *. d.vths.(i)));
+    Matrix.set design i 2 (Float.exp (alpha_t *. d.toxs.(i)))
+  done;
+  let coef, r = project d design d.ys in
+  { alpha_v; alpha_t; design; coef; r; cost = Float.sqrt (dot r r) }
+
+(* the coarse exponent grid the Gauss–Newton starts from *)
+let alpha_vs = Minimize.linspace ~lo:(-40.0) ~hi:(-5.0) ~steps:11
+let alpha_ts = Minimize.linspace ~lo:(-2.4) ~hi:(-0.3) ~steps:6
+
+let vp_max_iter = 100
+let vp_step_tol = 1e-10
+let vp_grad_tol = 1e-10
+let vp_max_damping_tries = 30
+
+let leak_gauss_newton ~check d start =
+  let kaufman (p : projection) =
+    let column a knob alpha =
+      let g = Array.make (Array.length knob) 0.0 in
+      for i = 0 to Array.length knob - 1 do
+        g.(i) <- a *. knob.(i) *. Float.exp (alpha *. knob.(i))
+      done;
+      let _, r = project d p.design g in
+      for i = 0 to Array.length r - 1 do
+        r.(i) <- -.r.(i)
+      done;
+      r
+    in
+    (column p.coef.(1) d.vths p.alpha_v, column p.coef.(2) d.toxs p.alpha_t)
+  in
+  let rec iterate (p : projection) lambda it =
+    check ();
+    let jv, jt = kaufman p in
+    let vv = dot jv jv and vt = dot jv jt and tt = dot jt jt in
+    let gv = dot jv p.r and gt = dot jt p.r in
+    (* stationary: r is orthogonal to both Jacobian columns *)
+    let stationary =
+      Float.abs gv <= vp_grad_tol *. Float.sqrt vv *. p.cost
+      && Float.abs gt <= vp_grad_tol *. Float.sqrt tt *. p.cost
+    in
+    if stationary then (p, it, true)
+    else if it >= vp_max_iter then (p, it, false)
+    else
+      (* Marquardt damping on the 2×2 normal equations, raised until the
+         step lowers the cost *)
+      let rec damped lambda tries =
+        if tries >= vp_max_damping_tries then None
+        else
+          let vv' = vv *. (1.0 +. lambda) and tt' = tt *. (1.0 +. lambda) in
+          let det = (vv' *. tt') -. (vt *. vt) in
+          let dv = ((-.gv *. tt') +. (gt *. vt)) /. det
+          and dt = ((-.gt *. vv') +. (gv *. vt)) /. det in
+          let trial =
+            if det > 0.0 && Float.is_finite dv && Float.is_finite dt then
+              try
+                Some
+                  (leak_projection d ~alpha_v:(p.alpha_v +. dv) ~alpha_t:(p.alpha_t +. dt))
+              with Linsolve.Singular -> None
+            else None
+          in
+          match trial with
+          | Some q when q.cost < p.cost -> Some (q, lambda, Float.hypot dv dt)
+          | _ -> damped (Float.max (lambda *. 10.0) 1e-12) (tries + 1)
+      in
+      match damped lambda 0 with
+      | None ->
+        (* no damping lowers the cost: a minimum to rounding *)
+        (p, it + 1, true)
+      | Some (q, lambda, step) ->
+        let scale = Float.hypot q.alpha_v q.alpha_t in
+        if step <= vp_step_tol *. (scale +. vp_step_tol) then (q, it + 1, true)
+        else iterate q (lambda /. 10.0) (it + 1)
+  in
+  iterate start 0.0 0
 
 let fit_leak samples =
   if Array.length samples < 6 then invalid_arg "Fitter.fit_leak: too few samples";
   let key = samples_key samples in
-  let pts = unpack samples (fun s -> s.Component.leak_w) in
-  (* the exponent profile depends only on the samples — computed once
-     and shared across retry attempts (lazy memoises exceptions too,
-     and a Singular profile is not retryable anyway) *)
-  let profile =
+  let ys = Array.map (fun (_, (s : Component.summary)) -> s.Component.leak_w) samples in
+  let d =
+    {
+      vths = Array.map (fun ((k : Component.knob), _) -> k.Component.vth) samples;
+      toxs = Array.map (fun ((k : Component.knob), _) -> Units.to_angstrom k.Component.tox) samples;
+      ys;
+      w = weights ys;
+    }
+  in
+  (* the grid's projections, best first, depend only on the samples —
+     computed once and shared across retry attempts, which start from
+     successive grid points (lazy memoises exceptions too, and a grid
+     that is singular everywhere is not retryable anyway) *)
+  let starts =
     lazy
-      ((* profile the two exponents on a coarse grid *)
-       let best = ref None in
-       let alpha_vs = Minimize.linspace ~lo:(-40.0) ~hi:(-5.0) ~steps:35 in
-       let alpha_ts = Minimize.linspace ~lo:(-2.4) ~hi:(-0.3) ~steps:21 in
-       Array.iter
-         (fun alpha_v ->
-           Array.iter
-             (fun alpha_t ->
-               let coef, err = leak_linear_fit pts ~alpha_v ~alpha_t in
-               match !best with
-               | Some (_, _, _, e) when e <= err -> ()
-               | _ -> best := Some (coef, alpha_v, alpha_t, err))
-             alpha_ts)
-         alpha_vs;
-       match !best with Some b -> b | None -> assert false)
+      (let projections =
+         Array.to_list alpha_vs
+         |> List.concat_map (fun alpha_v ->
+                Array.to_list alpha_ts
+                |> List.filter_map (fun alpha_t ->
+                       try Some (leak_projection d ~alpha_v ~alpha_t)
+                       with Linsolve.Singular -> None))
+       in
+       if projections = [] then raise Linsolve.Singular;
+       Array.of_list
+         (List.stable_sort (fun p q -> Float.compare p.cost q.cost) projections))
   in
   let first = ref None in
   let finish (result : Lm.result) =
@@ -173,29 +282,26 @@ let fit_leak samples =
         alpha_t = theta.(4);
       }
     in
-    let actual = Array.map (fun (_, _, y) -> y) pts in
-    let predicted =
-      Array.map
-        (fun ((k : Component.knob), _) ->
-          Model.eval_leak m ~vth:k.Component.vth ~tox:k.Component.tox)
-        samples
-    in
-    let quality = quality_of ~actual ~predicted in
+    let quality = quality_leak m samples in
     record_quality ~model:"leak" quality;
     (m, quality)
   in
   try
     fit_boundary ~stage:"fit.leak" ~key @@ fun ~attempt ~last:_ ->
-    let coef, alpha_v, alpha_t, _ = Lazy.force profile in
-    (* LM refinement on all five parameters, relative residuals *)
-    let xs = Array.map (fun (v, x, y) -> [| v; x; y |]) pts in
-    let ys_rel = Array.map (fun _ -> 1.0) pts in
-    let f theta xi = leak_eval theta xi /. Float.max (Float.abs xi.(2)) 1e-30 in
-    let init = [| coef.(0); coef.(1); alpha_v; coef.(2); alpha_t |] in
-    let result =
-      Lm.fit_robust
+    let starts = Lazy.force starts in
+    let p, iterations, converged =
+      leak_gauss_newton
         ~check:(fun () -> Deadline.poll ~stage:"fit.leak")
-        ~seed:(retry_seed attempt) ~f ~xs ~ys:ys_rel ~init ()
+        d
+        starts.((attempt - 1) mod Array.length starts)
+    in
+    let result =
+      {
+        Lm.params = [| p.coef.(0); p.coef.(1); p.alpha_v; p.coef.(2); p.alpha_t |];
+        residual = p.cost;
+        iterations;
+        converged;
+      }
     in
     record_attempt ~model:"leak" result;
     finish (settle_lm ~model:"leak" ~key ~attempt ~first result)
@@ -204,16 +310,6 @@ let fit_leak samples =
        casualty and return the canonical first-attempt model *)
     Fault.record fault;
     finish (match !first with Some r -> r | None -> assert false)
-
-let quality_leak m samples =
-  let actual = Array.map (fun (_, (s : Component.summary)) -> s.Component.leak_w) samples in
-  let predicted =
-    Array.map
-      (fun ((k : Component.knob), _) ->
-        Model.eval_leak m ~vth:k.Component.vth ~tox:k.Component.tox)
-      samples
-  in
-  quality_of ~actual ~predicted
 
 (* --- delay --------------------------------------------------------- *)
 

@@ -47,39 +47,87 @@ let solve a b =
   done;
   x
 
+(* Householder QR on the row-weighted design, after scaling every column
+   to unit norm.  Weighting rows by √wᵢ turns the problem into ordinary
+   least squares; the column scaling keeps designs whose columns span
+   many decades (the leakage fit's 1, exp(a1·Vth), exp(a2·Tox)) from
+   losing the small columns to rounding, which squaring them in the
+   normal equations did.  A column that is zero, or dependent on the
+   earlier ones to within rounding, raises [Singular]. *)
 let lstsq_weighted a b ~weights =
   let nr = Matrix.rows a and nc = Matrix.cols a in
   if Array.length b <> nr then invalid_arg "Linsolve.lstsq: rhs length mismatch";
   if Array.length weights <> nr then invalid_arg "Linsolve.lstsq: weights length mismatch";
   if nr < nc then invalid_arg "Linsolve.lstsq: underdetermined system";
   Array.iter (fun w -> if w < 0.0 then invalid_arg "Linsolve.lstsq: negative weight") weights;
-  (* Normal equations: (AᵀWA + ridge·I) x = AᵀWb.  The ridge is scaled to
-     the magnitude of the diagonal so it only matters near singularity. *)
-  let ata = Matrix.create ~rows:nc ~cols:nc in
-  let atb = Array.make nc 0.0 in
+  (* q: the weighted design, column-major, reduced in place to R *)
+  let q = Array.make (nr * nc) 0.0 and y = Array.make nr 0.0 in
+  let scale = Array.make nc 0.0 in
   for i = 0 to nr - 1 do
-    let w = weights.(i) in
-    if w > 0.0 then
-      for j = 0 to nc - 1 do
-        let aij = Matrix.get a i j in
-        atb.(j) <- atb.(j) +. (w *. aij *. b.(i));
-        for k = j to nc - 1 do
-          Matrix.set ata j k (Matrix.get ata j k +. (w *. aij *. Matrix.get a i k))
-        done
-      done
-  done;
-  (* symmetrise *)
-  for j = 0 to nc - 1 do
-    for k = 0 to j - 1 do
-      Matrix.set ata j k (Matrix.get ata k j)
+    let s = Float.sqrt weights.(i) in
+    y.(i) <- s *. b.(i);
+    for j = 0 to nc - 1 do
+      q.((j * nr) + i) <- s *. Matrix.get a i j
     done
   done;
-  let max_diag = ref 0.0 in
   for j = 0 to nc - 1 do
-    max_diag := Float.max !max_diag (Float.abs (Matrix.get ata j j))
+    let acc = ref 0.0 in
+    for i = 0 to nr - 1 do
+      acc := !acc +. (q.((j * nr) + i) *. q.((j * nr) + i))
+    done;
+    let norm = Float.sqrt !acc in
+    if norm = 0.0 then raise Singular;
+    scale.(j) <- norm;
+    for i = 0 to nr - 1 do
+      q.((j * nr) + i) <- q.((j * nr) + i) /. norm
+    done
   done;
-  let ridge = 1e-12 *. Float.max !max_diag 1e-30 in
-  solve (Matrix.add_diagonal ata ridge) atb
+  (* unit columns put |R_00| = 1, so a fixed floor is a relative one *)
+  let rank_floor = float_of_int nr *. epsilon_float in
+  let v = Array.make nr 0.0 in
+  let reflect vv k (col : float array) off =
+    let dot = ref 0.0 in
+    for i = k to nr - 1 do
+      dot := !dot +. (v.(i) *. col.(off + i))
+    done;
+    let tau = 2.0 *. !dot /. vv in
+    for i = k to nr - 1 do
+      col.(off + i) <- col.(off + i) -. (tau *. v.(i))
+    done
+  in
+  for k = 0 to nc - 1 do
+    let off = k * nr in
+    let acc = ref 0.0 in
+    for i = k to nr - 1 do
+      acc := !acc +. (q.(off + i) *. q.(off + i))
+    done;
+    let norm = Float.sqrt !acc in
+    if norm <= rank_floor then raise Singular;
+    let alpha = if q.(off + k) > 0.0 then -.norm else norm in
+    for i = k to nr - 1 do
+      v.(i) <- q.(off + i)
+    done;
+    v.(k) <- v.(k) -. alpha;
+    let vv = ref 0.0 in
+    for i = k to nr - 1 do
+      vv := !vv +. (v.(i) *. v.(i))
+    done;
+    q.(off + k) <- alpha;
+    for j = k + 1 to nc - 1 do
+      reflect !vv k q (j * nr)
+    done;
+    reflect !vv k y 0
+  done;
+  (* back substitution on R, then undo the column scaling *)
+  let x = Array.make nc 0.0 in
+  for k = nc - 1 downto 0 do
+    let acc = ref y.(k) in
+    for j = k + 1 to nc - 1 do
+      acc := !acc -. (q.((j * nr) + k) *. x.(j))
+    done;
+    x.(k) <- !acc /. q.((k * nr) + k)
+  done;
+  Array.mapi (fun j xj -> xj /. scale.(j)) x
 
 let lstsq a b = lstsq_weighted a b ~weights:(Array.make (Matrix.rows a) 1.0)
 

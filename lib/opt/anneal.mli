@@ -1,8 +1,8 @@
 (** Simulated annealing over per-component knob assignments.
 
-    A stochastic cross-check for the exact dynamic program of
+    A stochastic cross-check for the exact Pareto search of
     {!Scheme.minimize_leakage} (Scheme I), and the fallback optimiser
-    for objective shapes the DP cannot decompose (couplings across
+    for objective shapes that search cannot decompose (couplings across
     components, non-additive penalties).  The constraint is folded in as
     a smooth penalty: states over the delay budget pay
     [penalty_weight · (excess / budget)] of extra (relative) cost. *)

@@ -121,57 +121,62 @@ let minimize_split tables ~delay_budget =
   in
   Option.map (fun (idx, _) -> result_of Split tables idx) best
 
-(* Scheme I: exact DP over discretised delay.  Component delays are
-   rounded UP to a bin, so any DP-feasible solution is truly feasible;
-   4000 bins keeps the rounding loss below ~0.1% of the budget.
-   table.(c).(b) = minimal leakage of components 0..c using at most b
-   delay bins; choice.(c).(b) = the knob index component c uses there. *)
-let dp_bins = 20000
+(* Scheme I: exact search over Pareto fronts.  A knob that another beats
+   on both delay and leakage is never part of an optimum, nor is a pair
+   of knobs for two components that another pair beats on both sums
+   (float addition is monotone).  So only the (delay, leak) front of
+   pairs for components 0+1 and the one for 2+3 matter, each built from
+   the per-component fronts.  The 2+3 front is sorted by rising delay
+   and falling leakage, so for each 0+1 point the best partner is the
+   last one that still fits: a binary search on the pair sum, with a few
+   ulps of slack, then a walk back to the first partner the sequential
+   sum of [totals] accepts — feasibility means exactly what it means to
+   every other search here. *)
+let pair_front tables c =
+  let front c' =
+    Pareto.front
+      ~key:(fun i -> (tables.delay.(c').(i), tables.leak.(c').(i)))
+      (List.init (Array.length tables.knobs) Fun.id)
+  in
+  let lo = front c and hi = front (c + 1) in
+  Pareto.front
+    ~key:(fun (i, j) ->
+      ( tables.delay.(c).(i) +. tables.delay.(c + 1).(j),
+        tables.leak.(c).(i) +. tables.leak.(c + 1).(j) ))
+    (List.concat_map (fun i -> List.map (fun j -> (i, j)) hi) lo)
+  |> Array.of_list
 
 let minimize_independent tables ~delay_budget =
-  Nmcache_engine.Trace.with_stage "scheme.dp" @@ fun () ->
-  let n = Array.length tables.knobs in
-  let unit = delay_budget /. float_of_int dp_bins in
-  let bin_of d = int_of_float (Float.ceil (d /. unit)) in
-  let infinite = Float.max_float in
-  let table = Array.init n_components (fun _ -> Array.make (dp_bins + 1) infinite) in
-  let choice = Array.init n_components (fun _ -> Array.make (dp_bins + 1) (-1)) in
-  for c = 0 to n_components - 1 do
-    for i = 0 to n - 1 do
-      let db = bin_of tables.delay.(c).(i) in
-      let leak = tables.leak.(c).(i) in
-      if db <= dp_bins then
-        for b = db to dp_bins do
-          let prev = if c = 0 then 0.0 else table.(c - 1).(b - db) in
-          if prev < infinite then begin
-            let cand = prev +. leak in
-            if cand < table.(c).(b) then begin
-              table.(c).(b) <- cand;
-              choice.(c).(b) <- i
-            end
-          end
-        done
-    done;
-    (* prefix-min: a budget of b bins can always use fewer *)
-    for b = 1 to dp_bins do
-      if table.(c).(b - 1) < table.(c).(b) then begin
-        table.(c).(b) <- table.(c).(b - 1);
-        choice.(c).(b) <- choice.(c).(b - 1)
-      end
-    done
-  done;
-  if table.(n_components - 1).(dp_bins) >= infinite then None
-  else begin
-    let idx = Array.make n_components 0 in
-    let b = ref dp_bins in
-    for c = n_components - 1 downto 0 do
-      let i = choice.(c).(!b) in
-      assert (i >= 0);
-      idx.(c) <- i;
-      b := !b - bin_of tables.delay.(c).(i)
-    done;
-    Some (result_of Independent tables idx)
-  end
+  Nmcache_engine.Trace.with_stage "scheme.pareto" @@ fun () ->
+  let front01 = pair_front tables 0 and front23 = pair_front tables 2 in
+  let delay23 (i2, i3) = tables.delay.(2).(i2) +. tables.delay.(3).(i3) in
+  let slack = delay_budget *. (1.0 +. (4.0 *. epsilon_float)) in
+  let best = ref None in
+  Array.iter
+    (fun (i0, i1) ->
+      let d01 = tables.delay.(0).(i0) +. tables.delay.(1).(i1) in
+      (* last index k with d01 + delay23 k within the slack, or -1 *)
+      let rec search lo hi =
+        if lo >= hi then lo - 1
+        else
+          let mid = (lo + hi) / 2 in
+          if d01 +. delay23 front23.(mid) <= slack then search (mid + 1) hi
+          else search lo mid
+      in
+      let rec fit k =
+        if k < 0 then None
+        else
+          let i2, i3 = front23.(k) in
+          let idx = [| i0; i1; i2; i3 |] in
+          let leak, delay = totals tables idx in
+          if delay <= delay_budget then Some (idx, leak) else fit (k - 1)
+      in
+      match (fit (search 0 (Array.length front23)), !best) with
+      | Some (_, leak), Some (_, l) when l <= leak -> ()
+      | (Some _ as cand), _ -> best := cand
+      | None, _ -> ())
+    front01;
+  Option.map (fun (idx, _) -> result_of Independent tables idx) !best
 
 let minimize_leakage fitted ~grid ~scheme ~delay_budget =
   if delay_budget <= 0.0 then invalid_arg "Scheme.minimize_leakage: non-positive budget";
@@ -179,18 +184,7 @@ let minimize_leakage fitted ~grid ~scheme ~delay_budget =
   match scheme with
   | Uniform -> minimize_uniform tables ~delay_budget
   | Split -> minimize_split tables ~delay_budget
-  | Independent -> (
-    (* Scheme II's space is a subset of Scheme I's, so its exhaustive
-       optimum is a sound fallback against the DP's delay-rounding
-       pessimism at very tight budgets. *)
-    let relabel r = { r with scheme = Independent } in
-    let dp = minimize_independent tables ~delay_budget in
-    let split = Option.map relabel (minimize_split tables ~delay_budget) in
-    match (dp, split) with
-    | None, None -> None
-    | (Some _ as r), None -> r
-    | None, (Some _ as r) -> r
-    | Some a, Some b -> Some (if b.leak_w < a.leak_w then b else a))
+  | Independent -> minimize_independent tables ~delay_budget
 
 let extreme_access_time fitted ~grid ~pick =
   let tables = build_tables fitted ~grid in

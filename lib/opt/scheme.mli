@@ -8,9 +8,13 @@
 
     The optimisation problem is:  minimise Σᵢ Pᵢ(Vthᵢ, Toxᵢ) subject to
     Σᵢ Tᵢ(Vthᵢ, Toxᵢ) ≤ delay budget, knobs drawn from the discrete
-    grid.  Schemes II/III are solved exhaustively; Scheme I (13⁴·9⁴
-    raw combinations) by an exact dynamic program over discretised
-    component delays. *)
+    grid.  Schemes II/III are solved exhaustively.  Scheme I (13⁴·9⁴
+    raw combinations) is solved exactly by pairing (delay, leakage)
+    Pareto fronts: one front for components 0+1, one for 2+3, and a
+    binary search of the second for each point of the first.  All
+    three schemes decide feasibility by the same left-to-right sum of
+    component delays, so their optima agree with brute force to the
+    last bit of the budget test. *)
 
 type t = Independent | Split | Uniform
 

@@ -16,7 +16,7 @@
 type status = Pass | Fail | Crashed of Nmcache_engine.Fault.t
 
 type t = {
-  name : string;    (** dotted, stable: [oracle.scheme.brute-vs-dp.I] *)
+  name : string;    (** dotted, stable: [oracle.scheme.brute-vs-pareto.I] *)
   status : status;
   detail : string;  (** measured values / tolerance, deterministic text *)
 }

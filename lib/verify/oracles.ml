@@ -21,11 +21,10 @@ module Context = Core.Context
 (* ------------------------------------------------------------------ *)
 (* Oracle 1: exhaustive grid enumeration vs the scheme optimisers      *)
 
-(* The documented tolerances.  The DP rounds component delays UP into
-   bins, so it can be pessimistic but never beat the true optimum; the
+(* The documented tolerances.  The exact searches (I's Pareto search,
+   II and III exhaustive) must agree with brute force to rounding; the
    annealer is stochastic-but-seeded, so it gets a looser one-sided
-   bound.  Exhaustive searches (II, III) must agree exactly. *)
-let dp_slack = 1.02
+   bound. *)
 let anneal_slack = 1.05
 let exact_tol = 1e-9
 
@@ -108,19 +107,14 @@ let scheme ctx =
               (Printf.sprintf "access %.6g s within budget %.6g s" r.Scheme.access_time
                  budget)
           in
-          let agree =
+          let search =
             match s with
-            | Scheme.Independent ->
-              (* DP: delay discretisation may cost up to dp_slack, but a
-                 result *below* the enumerated optimum is a search bug *)
-              Check.check ~name:(name "brute-vs-dp")
-                (r.Scheme.leak_w >= b *. (1.0 -. exact_tol)
-                && r.Scheme.leak_w <= b *. dp_slack)
-                (Printf.sprintf "dp %.6g W vs brute %.6g W (tol [1, %.2f])"
-                   r.Scheme.leak_w b dp_slack)
-            | Scheme.Split | Scheme.Uniform ->
-              Check.within ~name:(name "brute-vs-exhaustive") ~value:r.Scheme.leak_w
-                ~reference:b ~rel_tol:exact_tol
+            | Scheme.Independent -> "brute-vs-pareto"
+            | Scheme.Split | Scheme.Uniform -> "brute-vs-exhaustive"
+          in
+          let agree =
+            Check.within ~name:(name search) ~value:r.Scheme.leak_w ~reference:b
+              ~rel_tol:exact_tol
           in
           [ agree; budget_ok ]
       in
@@ -216,8 +210,11 @@ let mattson ctx =
 (* ------------------------------------------------------------------ *)
 (* Oracle 3: compact models vs their raw characterisation samples      *)
 
+(* max_rel: the worst fit here (the L1 address drivers' leakage) sits at
+   0.372 and is model-form error, not a fitter shortfall — see the
+   fitcheck experiment.  The bound leaves 0.028 of margin above it. *)
 let min_r2 = 0.90
-let max_rel_bound = 0.60
+let max_rel_bound = 0.40
 let quality_repro_tol = 1e-9
 
 let fit ctx =
@@ -261,11 +258,53 @@ let fit ctx =
     [ ("l1", Context.l1_config ctx ()); ("l2", Context.l2_config ctx ()) ]
 
 (* ------------------------------------------------------------------ *)
+(* Oracle 3b: a clean run records no faults                            *)
+
+module Metrics = Nmcache_engine.Metrics
+module Fault = Nmcache_engine.Fault
+module Faultpoint = Nmcache_engine.Faultpoint
+module Cache_model = Nmcache_geometry.Cache_model
+
+(* Fits are the only stage that faults without injection, so re-fitting
+   every L1 and L2 size the experiments sweep, bypassing the memo, is a
+   clean run of everything that can fault: it must record no fault,
+   exhaust no retry, and converge every fit on its first attempt. *)
+let clean ctx =
+  Check.group ~name:"oracle.clean" @@ fun () ->
+  if Faultpoint.active () then
+    [ Check.pass ~name:"oracle.clean.skipped" "fault injection armed: not a clean run" ]
+  else
+    let configs =
+      Array.to_list (Array.map (fun size -> Context.l1_config ctx ~size ()) Context.l1_sizes)
+      @ Array.to_list (Array.map (fun size -> Context.l2_config ctx ~size ()) Context.l2_sizes)
+    in
+    let c = Metrics.counter_value in
+    let faults0 = List.length (Fault.recorded ()) in
+    let exhausted0 = c "retry.exhausted" and attempts0 = c "retry.attempts" in
+    let fits0 = c "lm.fits" and converged0 = c "lm.converged" in
+    List.iter
+      (fun config ->
+        ignore (Fitted_cache.characterize_and_fit (Cache_model.make ctx.Context.tech config)))
+      configs;
+    let faults = List.length (Fault.recorded ()) - faults0 in
+    let exhausted = c "retry.exhausted" - exhausted0 in
+    let retries = c "retry.attempts" - attempts0 in
+    let fits = c "lm.fits" - fits0 and converged = c "lm.converged" - converged0 in
+    let n = List.length configs in
+    [
+      Check.check ~name:"oracle.clean.zero-faults" (faults = 0)
+        (Printf.sprintf "%d faults recorded fitting %d caches" faults n);
+      Check.check ~name:"oracle.clean.retries-exhausted" (exhausted = 0 && retries = 0)
+        (Printf.sprintf "retries: %d attempts, %d exhausted" retries exhausted);
+      Check.check ~name:"oracle.clean.converged" (fits > 0 && converged = fits)
+        (Printf.sprintf "%d of %d fits converged on their first attempt" converged fits);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Oracle 4: profile-derived miss curves vs direct simulation          *)
 
 module Missrate = Nmcache_workload.Missrate
 module Profile = Nmcache_workload.Profile
-module Metrics = Nmcache_engine.Metrics
 
 (* the derivation layer inherits the Mattson-vs-direct tolerance: its
    set-associative binomial correction must stay inside the same
@@ -532,4 +571,4 @@ let stream ctx =
   in
   equivalence @ simulate_equiv @ roundtrip @ empty
 
-let all ctx = scheme ctx @ mattson ctx @ fit ctx @ profile ctx @ stream ctx
+let all ctx = scheme ctx @ mattson ctx @ fit ctx @ clean ctx @ profile ctx @ stream ctx

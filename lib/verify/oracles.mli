@@ -1,15 +1,14 @@
 (** Differential oracles: independent reference implementations the
     production hot paths must agree with.
 
-    Four cross-checks, each pairing an optimised implementation with a
+    Cross-checks, each pairing an optimised implementation with a
     brute-force or first-principles reference:
 
     - {!scheme}: exhaustive (Vth, Tox)-grid enumeration on a
-      downsampled grid vs the production optimisers — the Scheme II/III
-      exhaustive searches must match the enumerated optimum exactly,
-      the Scheme I dynamic program within its documented delay-rounding
-      pessimism (≤ 2% above, never below), and the annealer within 5%
-      above the optimum while meeting the budget;
+      downsampled grid vs the production optimisers — the Scheme I
+      Pareto search and the Scheme II/III exhaustive searches must
+      match the enumerated optimum to 1e-9 relative, and the annealer
+      must land within 5% above it while meeting the budget;
     - {!mattson}: the one-pass stack-distance profiler vs direct
       {!Nmcache_cachesim.Cache} simulation — exact equality against
       fully-associative LRU at every probed capacity, bounded
@@ -19,7 +18,11 @@
       characterisation samples they were trained on — recomputed
       quality must reproduce the stored quality exactly and respect
       per-component residual bounds (R² ≥ 0.90, max relative residual
-      ≤ 60%);
+      ≤ 40%);
+    - {!clean}: every L1 and L2 size the experiments sweep, fitted
+      afresh without fault injection, must record no fault, exhaust no
+      retry and converge every fit on its first attempt (skipped, as a
+      passing check, when injection is armed);
     - {!profile}: the profile-once derivation layer vs direct
       simulation — fully-associative derivations must match direct LRU
       miss-for-miss (warmup included), the binomial set-associative
@@ -42,9 +45,10 @@
 val scheme : Core.Context.t -> Check.t list
 val mattson : Core.Context.t -> Check.t list
 val fit : Core.Context.t -> Check.t list
+val clean : Core.Context.t -> Check.t list
 val profile : Core.Context.t -> Check.t list
 val stream : Core.Context.t -> Check.t list
 
 val all : Core.Context.t -> Check.t list
-(** The five oracles, each behind its own {!Check.group} fault
+(** The six oracles, each behind its own {!Check.group} fault
     boundary, in the order above. *)

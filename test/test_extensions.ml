@@ -86,7 +86,7 @@ let fitted =
     (Fitted_cache.characterize_and_fit
        (Cache_model.make tech (Config.make ~size_bytes:(16 * 1024) ~assoc:4 ~block_bytes:64 ())))
 
-let test_anneal_close_to_dp () =
+let test_anneal_close_to_exact () =
   let f = Lazy.force fitted in
   let grid = Grid.coarse tech in
   let fast = Scheme.fastest_access_time f ~grid in
@@ -94,20 +94,20 @@ let test_anneal_close_to_dp () =
     (fun mult ->
       let budget = mult *. fast in
       match Scheme.minimize_leakage f ~grid ~scheme:Scheme.Independent ~delay_budget:budget with
-      | None -> Alcotest.fail "DP should be feasible"
-      | Some dp ->
+      | None -> Alcotest.fail "Scheme I should be feasible"
+      | Some exact ->
         let sa = Anneal.minimize_leakage f ~grid ~delay_budget:budget () in
         Alcotest.(check bool) "SA feasible" true sa.Anneal.feasible;
         Alcotest.(check bool) "SA meets the budget" true
           (sa.Anneal.access_time <= budget *. 1.0000001);
         Alcotest.(check bool)
-          (Printf.sprintf "SA within 15%% of DP (%.4g vs %.4g)" sa.Anneal.leak_w
-             dp.Scheme.leak_w)
+          (Printf.sprintf "SA within 15%% of the exact optimum (%.4g vs %.4g)"
+             sa.Anneal.leak_w exact.Scheme.leak_w)
           true
-          (sa.Anneal.leak_w <= dp.Scheme.leak_w *. 1.15);
-        (* DP is optimal: SA can never beat it (same grid) *)
-        Alcotest.(check bool) "SA >= DP" true
-          (sa.Anneal.leak_w >= dp.Scheme.leak_w *. 0.999999))
+          (sa.Anneal.leak_w <= exact.Scheme.leak_w *. 1.15);
+        (* the search is exact: SA can never beat it (same grid) *)
+        Alcotest.(check bool) "SA >= exact" true
+          (sa.Anneal.leak_w >= exact.Scheme.leak_w *. 0.999999))
     [ 1.15; 1.35; 1.7 ]
 
 let test_anneal_deterministic () =
@@ -234,7 +234,7 @@ let suite =
     Alcotest.test_case "inflation monotone" `Quick test_inflation_monotone_in_sigma;
     Alcotest.test_case "percentile factors" `Quick test_percentile_factor;
     Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
-    Alcotest.test_case "anneal close to DP" `Quick test_anneal_close_to_dp;
+    Alcotest.test_case "anneal close to exact Scheme I" `Quick test_anneal_close_to_exact;
     Alcotest.test_case "anneal deterministic" `Quick test_anneal_deterministic;
     Alcotest.test_case "anneal validation" `Quick test_anneal_validation;
     Alcotest.test_case "trace record/replay" `Quick test_trace_record_replay;

@@ -166,6 +166,32 @@ let test_estimate_is_component_sum () =
   Alcotest.(check bool) "leak sum" true
     (Float.abs (est.Fitted_cache.leak_w -. leak_sum) < 1e-12 *. leak_sum)
 
+(* Every leakage fit converges on its first attempt: one attempt per
+   fit, converged, and no retry. *)
+let test_leak_converges_first_attempt () =
+  let module Metrics = Nmcache_engine.Metrics in
+  let module Minimize = Nmcache_numerics.Minimize in
+  let vths = Minimize.linspace ~lo:tech.Tech.vth_min ~hi:tech.Tech.vth_max ~steps:6 in
+  let toxs = Minimize.linspace ~lo:tech.Tech.tox_min ~hi:tech.Tech.tox_max ~steps:4 in
+  List.iter
+    (fun (size_kb, assoc, block_bytes) ->
+      let circuit =
+        Cache_model.make tech (Config.make ~size_bytes:(size_kb * 1024) ~assoc ~block_bytes ())
+      in
+      List.iter
+        (fun kind ->
+          let samples = Cache_model.characterize circuit kind ~vths ~toxs in
+          let c = Metrics.counter_value in
+          let fits0 = c "lm.fits" and conv0 = c "lm.converged" and retry0 = c "retry.attempts" in
+          ignore (Fitter.fit_leak samples);
+          Alcotest.(check (triple int int int))
+            (Printf.sprintf "%dKB/%d-way/%dB %s: attempts, converged, retries" size_kb assoc
+               block_bytes (Component.kind_name kind))
+            (1, 1, 0)
+            (c "lm.fits" - fits0, c "lm.converged" - conv0, c "retry.attempts" - retry0))
+        Component.all_kinds)
+    [ (4, 1, 32); (16, 4, 64); (128, 2, 32); (1024, 8, 64); (8192, 8, 64) ]
+
 let test_worst_quality () =
   let f = Lazy.force fitted in
   let q = Fitted_cache.worst_quality f in
@@ -182,4 +208,6 @@ let suite =
     Alcotest.test_case "fitted models monotone" `Quick test_fitted_models_monotone;
     Alcotest.test_case "estimate is component sum" `Quick test_estimate_is_component_sum;
     Alcotest.test_case "worst quality" `Quick test_worst_quality;
+    Alcotest.test_case "leak fit converges on attempt 1" `Quick
+      test_leak_converges_first_attempt;
   ]

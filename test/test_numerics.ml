@@ -81,6 +81,43 @@ let test_lstsq_overdetermined () =
   close "intercept" 1.0 c.(0) ~eps:1e-6;
   close "slope" 2.0 c.(1) ~eps:1e-6
 
+(* The leakage fit's design at the 6x4-step characterisation grid:
+   columns 1, exp(-29 Vth) and exp(-1.9 Tox_A) span about 12 decades,
+   with relative-error weights 1/y^2.  Normal equations square that
+   spread, and their ridge then swamped the small column; the
+   column-scaled QR recovers the planted coefficients to rounding. *)
+let test_lstsq_weighted_leak_design () =
+  let vths = Minimize.linspace ~lo:0.2 ~hi:0.5 ~steps:6 in
+  let toxs = Minimize.linspace ~lo:10.0 ~hi:14.0 ~steps:4 in
+  let rows =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun v ->
+              Array.map (fun x -> [| 1.0; Float.exp (-29.0 *. v); Float.exp (-1.9 *. x) |]) toxs)
+            vths))
+  in
+  let planted = [| 2e-4; 0.3; 5e5 |] in
+  let a = Matrix.of_rows rows in
+  let ys = Matrix.mul_vec a planted in
+  let weights = Array.map (fun y -> 1.0 /. (y *. y)) ys in
+  let c = Linsolve.lstsq_weighted a ys ~weights in
+  Array.iteri
+    (fun i p ->
+      let rel = Float.abs (c.(i) -. p) /. Float.abs p in
+      Alcotest.(check bool)
+        (Printf.sprintf "coefficient %d: %.12g vs planted %g (rel %.1e)" i c.(i) p rel)
+        true (rel < 1e-9))
+    planted
+
+let test_lstsq_weighted_singular () =
+  let a = Matrix.of_rows [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |]; [| 3.0; 6.0 |] |] in
+  Alcotest.check_raises "dependent columns" Linsolve.Singular (fun () ->
+      ignore (Linsolve.lstsq_weighted a [| 1.0; 2.0; 3.0 |] ~weights:[| 1.0; 1.0; 1.0 |]));
+  let z = Matrix.of_rows [| [| 1.0; 0.0 |]; [| 2.0; 0.0 |] |] in
+  Alcotest.check_raises "zero column" Linsolve.Singular (fun () ->
+      ignore (Linsolve.lstsq z [| 1.0; 2.0 |]))
+
 let prop_solve_recovers =
   QCheck.Test.make ~count:100 ~name:"solve recovers random well-conditioned systems"
     Generators.linsys_seed_arb
@@ -315,6 +352,9 @@ let suite =
     Alcotest.test_case "solve singular raises" `Quick test_solve_singular;
     Alcotest.test_case "matrix inverse" `Quick test_invert;
     Alcotest.test_case "least squares on a line" `Quick test_lstsq_overdetermined;
+    Alcotest.test_case "weighted least squares on the leak design" `Quick
+      test_lstsq_weighted_leak_design;
+    Alcotest.test_case "weighted least squares singular" `Quick test_lstsq_weighted_singular;
     Alcotest.test_case "LM recovers exponential" `Quick test_lm_exponential_recovery;
     Alcotest.test_case "LM validation" `Quick test_lm_validation;
     Alcotest.test_case "golden section" `Quick test_golden_section;

@@ -243,9 +243,40 @@ let test_split_scheme_structure () =
       (Component.get a Component.Addr_drivers = periph
       && Component.get a Component.Data_drivers = periph)
 
-let test_dp_matches_bruteforce () =
-  (* exhaustive enumeration over a shrunk grid: the DP must match the
-     true optimum exactly (up to its delay-rounding conservatism) *)
+(* brute force over every 4-tuple of [grid]'s knobs, summing component
+   delays left to right like the production searches *)
+let brute_independent f ~grid budget =
+  let knobs = Grid.knobs grid in
+  let n = Array.length knobs in
+  let table pick =
+    Array.of_list (List.map (fun kind -> Array.map (pick f kind) knobs) Component.all_kinds)
+  in
+  let leak = table Fitted_cache.leak_of and delay = table Fitted_cache.delay_of in
+  let best = ref Float.infinity in
+  for i0 = 0 to n - 1 do
+    for i1 = 0 to n - 1 do
+      for i2 = 0 to n - 1 do
+        for i3 = 0 to n - 1 do
+          let d = delay.(0).(i0) +. delay.(1).(i1) +. delay.(2).(i2) +. delay.(3).(i3) in
+          if d <= budget then begin
+            let l = leak.(0).(i0) +. leak.(1).(i1) +. leak.(2).(i2) +. leak.(3).(i3) in
+            if l < !best then best := l
+          end
+        done
+      done
+    done
+  done;
+  if !best = Float.infinity then None else Some !best
+
+(* exact to rounding: the leakage sums of two optimal tuples may differ
+   in the last bits *)
+let same_optimum a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Float.abs (x -. y) <= 1e-12 *. Float.abs y
+  | _ -> false
+
+let test_scheme_i_matches_bruteforce () =
   let f = Lazy.force fitted in
   let full = Grid.make tech in
   let small =
@@ -254,52 +285,27 @@ let test_dp_matches_bruteforce () =
       toxs = [| full.Grid.toxs.(0); full.Grid.toxs.(8) |];
     }
   in
-  let knobs = Grid.knobs small in
-  let n = Array.length knobs in
-  let leak = Array.make_matrix 4 n 0.0 and delay = Array.make_matrix 4 n 0.0 in
-  List.iteri
-    (fun c kind ->
-      Array.iteri
-        (fun i k ->
-          leak.(c).(i) <- Nmcache_fit.Fitted_cache.leak_of f kind k;
-          delay.(c).(i) <- Nmcache_fit.Fitted_cache.delay_of f kind k)
-        knobs)
-    Component.all_kinds;
-  let brute budget =
-    let best = ref Float.infinity in
-    for i0 = 0 to n - 1 do
-      for i1 = 0 to n - 1 do
-        for i2 = 0 to n - 1 do
-          for i3 = 0 to n - 1 do
-            let d = delay.(0).(i0) +. delay.(1).(i1) +. delay.(2).(i2) +. delay.(3).(i3) in
-            if d <= budget then begin
-              let l = leak.(0).(i0) +. leak.(1).(i1) +. leak.(2).(i2) +. leak.(3).(i3) in
-              if l < !best then best := l
-            end
-          done
-        done
-      done
-    done;
-    if !best = Float.infinity then None else Some !best
-  in
   let fast = Scheme.fastest_access_time f ~grid:small in
   let slow = Scheme.slowest_access_time f ~grid:small in
   List.iter
     (fun frac ->
       let budget = fast +. (frac *. (slow -. fast)) in
-      let dp = Scheme.minimize_leakage f ~grid:small ~scheme:Scheme.Independent ~delay_budget:budget in
-      match (brute budget, dp) with
-      | None, None -> ()
-      | Some b, Some d ->
-        (* DP rounds component delays up, so it may be *slightly* pessimistic
-           but never better than the true optimum *)
-        Alcotest.(check bool)
-          (Printf.sprintf "DP %.6g vs brute %.6g at %.2f" d.Scheme.leak_w b frac)
-          true
-          (d.Scheme.leak_w >= b *. 0.999999 && d.Scheme.leak_w <= b *. 1.02)
-      | None, Some _ -> Alcotest.fail "DP found a solution brute force did not"
-      | Some _, None -> Alcotest.fail "DP missed a feasible solution")
-    [ 0.02; 0.1; 0.25; 0.5; 0.75; 0.95 ]
+      let exact =
+        Scheme.minimize_leakage f ~grid:small ~scheme:Scheme.Independent ~delay_budget:budget
+      in
+      let got = Option.map (fun r -> r.Scheme.leak_w) exact in
+      let want = brute_independent f ~grid:small budget in
+      Alcotest.(check bool)
+        (Printf.sprintf "Scheme I %s vs brute %s at %.2f"
+           (Option.fold ~none:"none" ~some:string_of_float got)
+           (Option.fold ~none:"none" ~some:string_of_float want)
+           frac)
+        true (same_optimum got want);
+      Option.iter
+        (fun r ->
+          Alcotest.(check bool) "meets the budget" true (r.Scheme.access_time <= budget))
+        exact)
+    [ 0.0; 0.02; 0.1; 0.25; 0.5; 0.75; 0.95; 1.0 ]
 
 (* --- tuple problem ---------------------------------------------------------- *)
 
@@ -421,6 +427,27 @@ let prop_scheme_ordering_on_subgrids =
       | Some _, None, None | None, None, None -> true
       | _ -> false (* a more general scheme must stay feasible *))
 
+(* The exact Scheme I search against brute force over all 4-tuples on
+   random subgrids, at random budgets between the fastest and slowest
+   access — the fastest included, where only the all-fastest tuple fits
+   and the feasibility test must sum exactly like [fastest_access_time]. *)
+let prop_scheme_i_exact_on_subgrids =
+  QCheck.Test.make ~count:20 ~name:"Scheme I equals brute force on random subgrids"
+    QCheck.(pair Generators.grid_arb (option (float_range 0.0 1.0)))
+    (fun (grid, frac) ->
+      let f = Lazy.force fitted in
+      let fast = Scheme.fastest_access_time f ~grid in
+      let slow = Scheme.slowest_access_time f ~grid in
+      let budget = match frac with None -> fast | Some x -> fast +. (x *. (slow -. fast)) in
+      let exact =
+        Scheme.minimize_leakage f ~grid ~scheme:Scheme.Independent ~delay_budget:budget
+      in
+      same_optimum
+        (Option.map (fun r -> r.Scheme.leak_w) exact)
+        (brute_independent f ~grid budget)
+      && Option.fold ~none:true ~some:(fun r -> r.Scheme.access_time <= budget) exact
+      && (frac <> None || exact <> None))
+
 let suite =
   [
     Alcotest.test_case "grid sizes" `Quick test_grid_sizes;
@@ -444,7 +471,7 @@ let suite =
     Alcotest.test_case "leakage monotone in budget" `Quick test_scheme_monotone_in_budget;
     Alcotest.test_case "scheme III uniform" `Quick test_uniform_scheme_really_uniform;
     Alcotest.test_case "scheme II structure" `Quick test_split_scheme_structure;
-    Alcotest.test_case "DP matches brute force" `Quick test_dp_matches_bruteforce;
+    Alcotest.test_case "Scheme I matches brute force" `Quick test_scheme_i_matches_bruteforce;
     Alcotest.test_case "tuple synthetic optimum" `Quick test_tuple_synthetic;
     Alcotest.test_case "tuple set sizes" `Quick test_tuple_sets_sized;
     Alcotest.test_case "richer budget dominates" `Quick test_richer_budget_dominates;
@@ -456,4 +483,5 @@ let suite =
         prop_pareto_front_invariant;
         prop_pareto_covers_inputs;
         prop_scheme_ordering_on_subgrids;
+        prop_scheme_i_exact_on_subgrids;
       ]

@@ -505,6 +505,67 @@ let test_store_serves_warm_and_restart () =
   Alcotest.(check string) "restart replay byte-identical" cold restarted;
   Store.close store2
 
+let replace_all ~sub ~by s =
+  let n = String.length sub and m = String.length s in
+  let b = Buffer.create m in
+  let rec go i =
+    if i > m - n then Buffer.add_string b (String.sub s i (m - i))
+    else if String.sub s i n = sub then begin
+      Buffer.add_string b by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* A store written before the numerics tag joined the fingerprint keys
+   its models and optima by the tagless fingerprint.  Served by the
+   current code, every such record must miss: the query recomputes and
+   appends fresh records.  The same records under the current keys hit,
+   which shows the miss comes from the tag alone. *)
+let test_store_stale_numerics_misses () =
+  let q =
+    {|{"id":"n","op":"optimize","scheme":"I","size_kb":8,"assoc":2,"block_bytes":64,"output_bits":64,"delay_budget_ps":2500}|}
+  in
+  let current = Core.Context.fingerprint (Lazy.force quick_ctx) in
+  let tag = ":num=" ^ Core.Context.numerics_tag in
+  Alcotest.(check bool) "the tag ends the fingerprint" true
+    (String.ends_with ~suffix:tag current);
+  let legacy = String.sub current 0 (String.length current - String.length tag) in
+  let source = Store.open_ ~dir:(tmpdir ()) in
+  let cold = ask (make_service ~store:source ()) q in
+  let copy ~rekey =
+    let store = Store.open_ ~dir:(tmpdir ()) in
+    List.iter
+      (fun ns ->
+        List.iter
+          (fun key ->
+            match Store.lookup source ~ns ~key with
+            | Some v -> Store.add store ~ns ~key:(rekey key) v
+            | None -> ())
+          (Store.keys source ~ns))
+      [ "model"; "optimize" ];
+    store
+  in
+  let answer store =
+    let before = Store.appended store in
+    let response = ask (make_service ~store ()) q in
+    let appended = Store.appended store - before in
+    Store.close store;
+    (response, appended)
+  in
+  let stale, stale_appended = answer (copy ~rekey:(replace_all ~sub:current ~by:legacy)) in
+  let warm, warm_appended = answer (copy ~rekey:Fun.id) in
+  Store.close source;
+  Alcotest.(check string) "stale store recomputes the same answer" cold stale;
+  Alcotest.(check bool) "stale records missed, fresh ones appended" true (stale_appended > 0);
+  Alcotest.(check string) "current store answers warm" cold warm;
+  Alcotest.(check int) "current records hit" 0 warm_appended
+
 (* --- kill-and-restart chaos gate --------------------------------------- *)
 
 (* Child mode: re-executed with [serve_child_env] set to
@@ -658,6 +719,8 @@ let suite =
       test_breaker_degrades_and_recovers;
     Alcotest.test_case "store: warm answers byte-identical across restart"
       `Quick test_store_serves_warm_and_restart;
+    Alcotest.test_case "store: records of an older numerics tag miss" `Quick
+      test_store_stale_numerics_misses;
     Alcotest.test_case "chaos: SIGKILL mid-serve, restart replays identically"
       `Quick test_kill_and_restart_serving;
   ]
