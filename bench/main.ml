@@ -536,15 +536,6 @@ let () =
   let write_metrics_prom () =
     if metrics_prom <> "" then Obs.write_openmetrics ~path:metrics_prom
   in
-  (* --checkpoint DIR [--resume] journals phase-1 sweep slots like
-     `ppcache run`; the resumed-slot counts land in the report's
-     resilience section *)
-  let checkpoint = string_flag "--checkpoint" "" in
-  let resume = Array.exists (fun a -> a = "--resume") Sys.argv in
-  if checkpoint = "" && resume then begin
-    prerr_endline "bench: --resume requires --checkpoint DIR";
-    exit 2
-  end;
   (* --inject SPEC arms deterministic fault injection (same grammar as
      PPCACHE_FAULTS) for chaos benchmarking *)
   (match string_flag "--inject" "" with
@@ -599,27 +590,7 @@ let () =
     exit 2);
   let t0 = Unix.gettimeofday () in
   Span.set_enabled true;
-  (* journal only phase 1 (the sweeps); microbenchmarks re-run kernels
-     thousands of times and must never be served from disk *)
-  let journal =
-    if checkpoint = "" then None
-    else begin
-      let j = Nmcache_engine.Checkpoint.open_ ~dir:checkpoint ~resume in
-      Nmcache_engine.Checkpoint.set_active (Some j);
-      Some j
-    end
-  in
   reproduce ctx ~jobs;
-  Option.iter
-    (fun j ->
-      Nmcache_engine.Checkpoint.set_active None;
-      Printf.printf "[checkpoint %s: %d replayed, %d served, %d appended]\n"
-        (Nmcache_engine.Checkpoint.path j)
-        (Nmcache_engine.Checkpoint.replayed j)
-        (Nmcache_engine.Checkpoint.served j)
-        (Nmcache_engine.Checkpoint.appended j);
-      Nmcache_engine.Checkpoint.close j)
-    journal;
   write_bench_json ~label ~jobs ~quick ~wall_s:(Unix.gettimeofday () -. t0) ();
   write_metrics_prom ();
   (* microbenchmarks measure single-kernel latency: keep them off the

@@ -95,7 +95,7 @@ let fail_fast_arg =
 
 let checkpoint_arg =
   let doc =
-    "Journal completed sweep slots to $(docv)/journal.ppck (append-only, \
+    "Journal completed sweep slots to $(docv)/store.ppck (append-only, \
      CRC-guarded) so an interrupted run can be resumed with $(b,--resume).  \
      Keyed kernels (experiments, miss-rate curves and sweeps) are journaled; \
      a crash costs at most the record being written."
@@ -140,36 +140,56 @@ let set_resilience ~retries ~deadline =
     exit 2
   | d -> Nmcache_engine.Deadline.set_default d
 
-(* Arm the checkpoint journal around a command body.  The summary goes
-   to stderr — stdout is byte-compared against uninterrupted runs — and
-   the journal is closed before any exit-code decision runs (exit does
-   not unwind Fun.protect). *)
+(* The journal directory behind --checkpoint, --store and `store DIR`:
+   open its store ([fresh]: start it over), run [f], close it.  A
+   directory that cannot hold a journal, or one held by a live writer,
+   is a usage error (exit 2).  With [summary] the replay counts go to
+   stderr on the way out — stdout is byte-compared against
+   uninterrupted runs — and the store is closed before any exit-code
+   decision runs (exit does not unwind Fun.protect). *)
+let with_journal_dir ?(fresh = false) ?summary ~flag dir f =
+  let module S = Nmcache_engine.Store in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "ppcache: %s %s%s\n" flag dir msg;
+        exit 2)
+      fmt
+  in
+  let s =
+    try if fresh then S.open_fresh ~dir else S.open_ ~dir with
+    | Nmcache_engine.Lockfile.Locked { path; pid } ->
+      fail
+        " is locked by running pid %d (%s); two writers on one journal would \
+         interleave records"
+        pid path
+    | Unix.Unix_error (e, _, _) -> fail ": %s" (Unix.error_message e)
+    | Sys_error msg -> fail ": %s" msg
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter
+        (fun label ->
+          Printf.eprintf "ppcache: %s %s: %d replayed, %d served, %d appended%s\n%!"
+            label (S.path s) (S.replayed s) (S.served s) (S.appended s)
+            (if S.dropped_tail s then " (corrupt tail dropped)" else ""))
+        summary;
+      S.close s)
+    (fun () -> f s)
+
+(* Arm the checkpoint journal around a command body; without --resume
+   an existing journal is discarded. *)
 let with_checkpoint ~checkpoint ~resume f =
-  let module C = Nmcache_engine.Checkpoint in
   match (checkpoint, resume) with
   | None, true ->
     Printf.eprintf "ppcache: --resume requires --checkpoint DIR\n";
     exit 2
   | None, false -> f ()
   | Some dir, resume ->
-    let j =
-      try C.open_ ~dir ~resume
-      with Nmcache_engine.Lockfile.Locked { path; pid } ->
-        Printf.eprintf
-          "ppcache: checkpoint %s is locked by running pid %d (%s); two \
-           writers on one journal would interleave records\n"
-          dir pid path;
-        exit 2
-    in
-    C.set_active (Some j);
-    Fun.protect
-      ~finally:(fun () ->
-        C.set_active None;
-        Printf.eprintf "ppcache: checkpoint %s: %d replayed, %d served, %d appended%s\n%!"
-          (C.path j) (C.replayed j) (C.served j) (C.appended j)
-          (if C.dropped_tail j then " (corrupt tail dropped)" else "");
-        C.close j)
-      f
+    with_journal_dir ~fresh:(not resume) ~summary:"checkpoint" ~flag:"--checkpoint"
+      dir (fun s ->
+        Nmcache_engine.Sweep.set_journal (Some s);
+        Fun.protect ~finally:(fun () -> Nmcache_engine.Sweep.set_journal None) f)
 
 (* Usage-error boundary: bad geometry/arguments surface as
    Invalid_argument from the constructors — render the message with a
@@ -924,27 +944,19 @@ let workloads_cmd =
 
 (* --- store ------------------------------------------------------------ *)
 
-let store_open_or_exit dir =
-  let module S = Nmcache_engine.Store in
-  if not (Sys.file_exists (Filename.concat dir S.store_name)) then begin
+(* `store info|compact` inspect an existing journal, never create one *)
+let with_existing_store dir f =
+  if not (Sys.file_exists (Filename.concat dir Nmcache_engine.Store.store_name))
+  then begin
     Printf.eprintf "ppcache: no store at %s\n" dir;
     exit 2
   end;
-  try S.open_ ~dir
-  with Nmcache_engine.Lockfile.Locked { path; pid } ->
-    Printf.eprintf
-      "ppcache: store %s is locked by running pid %d (%s); stop the writer \
-       first\n"
-      dir pid path;
-    exit 2
+  with_journal_dir ~flag:"store" dir f
 
 let store_info dir =
   usage_guard @@ fun () ->
   let module S = Nmcache_engine.Store in
-  let s = store_open_or_exit dir in
-  Fun.protect
-    ~finally:(fun () -> S.close s)
-    (fun () ->
+  with_existing_store dir (fun s ->
       Printf.printf "store: %s\n" (S.path s);
       Printf.printf "segment: PPSTOR0%d\n" (S.segment_version s);
       Printf.printf "live records: %d (%d bytes)\n" (S.entries s)
@@ -957,10 +969,7 @@ let store_info dir =
 let store_compact dir =
   usage_guard @@ fun () ->
   let module S = Nmcache_engine.Store in
-  let s = store_open_or_exit dir in
-  Fun.protect
-    ~finally:(fun () -> S.close s)
-    (fun () ->
+  with_existing_store dir (fun s ->
       let r = S.compact s in
       Printf.printf
         "compacted %s: %d live record(s) kept, %d dead record(s) reclaimed, \
@@ -1028,46 +1037,25 @@ let serve store_dir socket queue max_conns global_queue write_timeout
   let module S = Nmcache_engine.Store in
   let module Server = Nmcache_engine.Server in
   let ctx = context quick in
-  let store =
+  let with_store f =
     match store_dir with
-    | None -> None
-    | Some dir -> (
-      try Some (S.open_ ~dir)
-      with Nmcache_engine.Lockfile.Locked { path; pid } ->
-        Printf.eprintf
-          "ppcache: store %s is locked by running pid %d (%s); two writers \
-           on one store would interleave records\n"
-          dir pid path;
-        exit 2)
+    | None -> f None
+    | Some dir ->
+      with_journal_dir ~summary:"store" ~flag:"--store" dir (fun s ->
+          (* startup auto-compaction: when the dead fraction of the
+             journal exceeds --compact-ratio, rewrite it before serving *)
+          let dead = S.dead_bytes s and live = S.live_bytes s in
+          let total = dead + live in
+          if total > 0 && float_of_int dead > compact_ratio *. float_of_int total
+          then begin
+            let r = S.compact s in
+            Printf.eprintf
+              "ppcache: store %s: compacted %d dead record(s), %d -> %d bytes\n%!"
+              (S.path s) r.S.reclaimed_records r.S.before_bytes r.S.after_bytes
+          end;
+          f (Some s))
   in
-  (* startup auto-compaction: when the dead fraction of the journal
-     exceeds --compact-ratio, rewrite it before serving *)
-  Option.iter
-    (fun s ->
-      let dead = S.dead_bytes s and live = S.live_bytes s in
-      let total = dead + live in
-      if total > 0 && float_of_int dead > compact_ratio *. float_of_int total
-      then begin
-        let r = S.compact s in
-        Printf.eprintf
-          "ppcache: store %s: compacted %d dead record(s), %d -> %d bytes\n%!"
-          (S.path s) r.S.reclaimed_records r.S.before_bytes r.S.after_bytes
-      end)
-    store;
-  S.set_active store;
-  Fun.protect
-    ~finally:(fun () ->
-      S.set_active None;
-      Option.iter
-        (fun s ->
-          S.flush s;
-          Printf.eprintf
-            "ppcache: store %s: %d replayed, %d served, %d appended%s\n%!"
-            (S.path s) (S.replayed s) (S.served s) (S.appended s)
-            (if S.dropped_tail s then " (corrupt tail dropped)" else "");
-          S.close s)
-        store)
-    (fun () ->
+  with_store (fun store ->
       let pool = Nmcache_engine.Executor.pool () in
       let service =
         Core.Service.create ?store ~ctx ~queue

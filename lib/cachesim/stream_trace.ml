@@ -93,7 +93,7 @@ let decode_record dec payload count =
   if count > Array.length !dec then dec := Array.make count 0;
   decode_into payload count !dec
 
-(* Checkpoint's u32 helpers are private to the journal; the trace file
+(* Store's u32 helpers are private to the journal; the trace file
    carries its own (same little-endian layout). *)
 let write_u32 oc v =
   output_byte oc (v land 0xff);
@@ -523,16 +523,11 @@ let slot_key ~skey ~salt index =
   Printf.sprintf "stream\x00%s\x00%s:chunk:%d" skey salt index
 
 let resumable_fold ?(salt = "") t ~init ~f =
-  match (Engine.Checkpoint.active (), t.skey) with
-  | Some journal, Some skey ->
+  match t.skey with
+  | Some skey when Engine.Sweep.journal_armed () ->
     fold_chunks t ~init ~f:(fun acc ~index chunk ->
-        let key = slot_key ~skey ~salt index in
-        match Engine.Checkpoint.lookup journal ~key with
-        | Some state -> state
-        | None ->
-          let state = f acc ~index chunk in
-          Engine.Checkpoint.store journal ~key state;
-          state)
+        Engine.Sweep.journaled ~key:(slot_key ~skey ~salt index) (fun () ->
+            f acc ~index chunk))
   | _ -> fold_chunks t ~init ~f
 
 let iter t g =

@@ -19,7 +19,7 @@
     {2 The [PPTRC01] trace file format}
 
     Little-endian throughout, with a CRC-32 ({!Nmcache_engine.Crc32})
-    per record like the checkpoint journal:
+    per record like the {!Nmcache_engine.Store} journal:
 
     {v
     "PPTRC01\x00"                                      8-byte magic
@@ -145,8 +145,9 @@ val resumable_fold :
   f:('s -> index:int -> int array -> 's) ->
   's
 (** {!fold_chunks} with chunk boundaries registered as checkpoint
-    slots: when a journal is armed ({!Nmcache_engine.Checkpoint}) and
-    the stream has a {!key}, the post-chunk state is journaled under
+    slots: when a journal is armed ({!Nmcache_engine.Sweep.set_journal})
+    and the stream has a {!key}, the post-chunk state is journaled
+    through {!Nmcache_engine.Sweep.journaled} under
     [stream\x00<key>\x00<salt>:chunk:<i>] and served back on resume —
     the chunk's [f] is skipped and the journaled state replaces the
     accumulator, so a killed run resumes byte-identically.  The state

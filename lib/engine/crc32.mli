@@ -1,7 +1,7 @@
 (** CRC-32 (IEEE 802.3: reflected polynomial [0xEDB88320],
     pre/post-conditioned), the record checksum of every on-disk format
-    in the repository: the checkpoint journal ([PPCKPT01]), the model
-    store ([PPSTOR01]/[PPSTOR02]) and trace files ([PPTRC01]).
+    in the repository: the {!Store} journal ([PPSTOR01]/[PPSTOR02]),
+    which also holds run checkpoints, and trace files ([PPTRC01]).
 
     Values are native ints in [\[0, 2^32)], the unsigned little-endian
     [u32] the formats store; nothing is boxed. *)

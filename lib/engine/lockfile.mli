@@ -1,9 +1,9 @@
 (** Advisory single-writer lock files for on-disk journals.
 
-    The checkpoint journal and the persistent model store are
-    append-only files with per-record CRCs: corruption-tolerant against
-    crashes, but defenceless against two live processes interleaving
-    appends into the same file.  A lock file makes that failure mode
+    {!Store} journals (the persistent model store and run checkpoints)
+    are append-only files with per-record CRCs: corruption-tolerant
+    against crashes, but defenceless against two live processes
+    interleaving appends into the same file.  A lock file makes that failure mode
     loud: {!acquire} creates [<target>.lock] with [O_CREAT | O_EXCL]
     and writes the owner's PID into it, so a second process armed on
     the same journal fails fast (the CLI maps {!Locked} to exit 2)

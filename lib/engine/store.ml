@@ -1,13 +1,12 @@
-(* Persistent cross-run model store (see the .mli for the contract).
+(* Persistent journal store (see the .mli for the contract).
 
-   The record format is the checkpoint journal's —
+   Format: an 8-byte magic followed by append-only records
 
      [klen:u32le] [key bytes] [vlen:u32le] [value bytes] [crc:u32le]
 
-   — under its own magic so a store can never be mistaken for (or
-   appended onto) a run checkpoint.  Keys carry their namespace inline
-   as "<ns>\x00<key>": one flat table, namespaced lookups, and the
-   replay path stays byte-compatible with the checkpoint reader.
+   where value is a [Marshal] string and crc is CRC-32 over key then
+   value.  Keys carry their namespace inline as "<ns>\x00<key>": one
+   flat table, namespaced lookups.
 
    Two magics share the format: PPSTOR01 is an append-grown journal,
    PPSTOR02 a compacted segment (every key exactly once).  Both are
@@ -42,7 +41,7 @@ let full_key ~ns ~key =
   if String.contains ns '\x00' then invalid_arg "Store: namespace contains NUL";
   ns ^ "\x00" ^ key
 
-(* --- binary plumbing (mirrors Checkpoint's record format) ----------- *)
+(* --- binary plumbing ------------------------------------------------ *)
 
 let u32_to_bytes n =
   let b = Bytes.create 4 in
@@ -59,23 +58,25 @@ let read_string ic n =
   really_input ic b 0 n;
   Bytes.unsafe_to_string b
 
-(* CRC over key ^ value, identical to the checkpoint record CRC, chained
-   so the record is never copied *)
+(* CRC over key then value, chained so the record is never copied *)
 let record_crc ~key ~value = Crc32.update (Crc32.update Crc32.init key) value
 
 (* [klen][key][vlen][value][crc] *)
 let record_size ~key ~value = 12 + String.length key + String.length value
 
+(* the one writer of the record layout; [emit] is a channel or a buffer *)
+let write_record emit ~key ~value =
+  emit (u32_to_bytes (String.length key));
+  emit key;
+  emit (u32_to_bytes (String.length value));
+  emit value;
+  emit (u32_to_bytes (record_crc ~key ~value))
+
 let encode_record ~ns ~key ~value =
-  let k = full_key ~ns ~key in
-  String.concat ""
-    [
-      u32_to_bytes (String.length k);
-      k;
-      u32_to_bytes (String.length value);
-      value;
-      u32_to_bytes (record_crc ~key:k ~value);
-    ]
+  let key = full_key ~ns ~key in
+  let b = Buffer.create (record_size ~key ~value) in
+  write_record (Buffer.add_string b) ~key ~value;
+  Buffer.contents b
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -121,7 +122,9 @@ let truncate_file path len =
 
 (* --- lifecycle ------------------------------------------------------ *)
 
-let open_ ~dir =
+(* without [replay] an existing journal is discarded: the file starts
+   over at the magic *)
+let open_with ~replay ~dir =
   mkdir_p dir;
   let path = Filename.concat dir store_name in
   let file_lock = Lockfile.acquire ~path:(path ^ ".lock") in
@@ -137,7 +140,7 @@ let open_ ~dir =
     let live_bytes = ref 0 in
     let dead_records = ref 0 in
     let dead_bytes = ref 0 in
-    if Sys.file_exists path then begin
+    if replay && Sys.file_exists path then begin
       let ic = open_in_bin path in
       let size = in_channel_length ic in
       let good_end =
@@ -202,6 +205,9 @@ let open_ ~dir =
     Lockfile.release file_lock;
     raise e
 
+let open_ ~dir = open_with ~replay:true ~dir
+let open_fresh ~dir = open_with ~replay:false ~dir
+
 let close t =
   Mutex.protect t.lock (fun () ->
       match t.oc with
@@ -229,27 +235,27 @@ let lookup : type a. t -> ns:string -> key:string -> a option =
     Metrics.incr "store.hits";
     Some (Marshal.from_string v 0)
 
-let add t ~ns ~key v =
+let add_new t ~ns ~key v =
   let k = full_key ~ns ~key in
   let value = Marshal.to_string v [] in
   Mutex.protect t.lock (fun () ->
-      if not (Hashtbl.mem t.table k) then begin
+      if Hashtbl.mem t.table k then false
+      else begin
         Hashtbl.replace t.table k value;
         match t.oc with
-        | None -> ()
+        | None -> false
         | Some oc ->
-          output_string oc (u32_to_bytes (String.length k));
-          output_string oc k;
-          output_string oc (u32_to_bytes (String.length value));
-          output_string oc value;
-          output_string oc (u32_to_bytes (record_crc ~key:k ~value));
+          write_record (output_string oc) ~key:k ~value;
           (* flush per record: a SIGKILL loses at most the half-written
              tail, which the next open truncates *)
           Stdlib.flush oc;
           t.appended <- t.appended + 1;
           t.live_bytes <- t.live_bytes + record_size ~key:k ~value;
-          Metrics.incr "store.appended"
+          Metrics.incr "store.appended";
+          true
       end)
+
+let add t ~ns ~key v = ignore (add_new t ~ns ~key v : bool)
 
 let mem t ~ns ~key =
   let k = full_key ~ns ~key in
@@ -330,11 +336,7 @@ let compact ?(on_step = fun (_ : int) -> ()) t =
       List.iteri
         (fun i k ->
           let value = Hashtbl.find t.table k in
-          output_string toc (u32_to_bytes (String.length k));
-          output_string toc k;
-          output_string toc (u32_to_bytes (String.length value));
-          output_string toc value;
-          output_string toc (u32_to_bytes (record_crc ~key:k ~value));
+          write_record (output_string toc) ~key:k ~value;
           live_bytes := !live_bytes + record_size ~key:k ~value;
           on_step (i + 1))
         keys;
@@ -365,9 +367,3 @@ let compact ?(on_step = fun (_ : int) -> ()) t =
       Metrics.incr "store.compactions";
       if reclaimed_bytes > 0 then Metrics.incr ~by:reclaimed_bytes "store.reclaimed_bytes";
       { live; reclaimed_records; reclaimed_bytes; before_bytes; after_bytes })
-
-(* --- the process-wide active store ---------------------------------- *)
-
-let active_state : t option Atomic.t = Atomic.make None
-let set_active s = Atomic.set active_state s
-let active () = Atomic.get active_state

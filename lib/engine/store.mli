@@ -1,45 +1,56 @@
-(** Persistent cross-run model store: the {!Checkpoint} journal idea
-    generalised from "one run's sweep slots" to "every expensive
-    artefact this machine has ever computed".
+(** Persistent journal store: every expensive artefact, and every
+    completed sweep slot of a checkpointed run, saved across processes.
 
     The store is an append-only binary journal ([DIR/store.ppck], magic
     [PPSTOR01]) of [(namespace, key) -> marshalled value] records, each
-    guarded by the same CRC-32 as the checkpoint journal and flushed as
-    written.  Opening always replays: records are read until the first
-    truncated or CRC-mismatching one, the file is truncated back to the
-    last good record, and the lost tail is simply recomputed by later
-    queries — a SIGKILL mid-append can at worst lose the record being
-    written.  Replay is first-write-wins, mirroring {!add}: a duplicate
-    key on disk is a *dead* record that can never be served.  Dead
-    records and bytes are counted at replay and reclaimed by
-    {!compact}, which rewrites the live records into a fresh
-    [PPSTOR02] segment via tmp+rename — the old segment stays
-    authoritative until the single atomic rename, so a SIGKILL at any
-    instruction of compaction loses nothing.  A {!Lockfile} on
-    [store.ppck.lock] enforces one writer per directory (stale locks
-    from dead owners are broken automatically).
+    guarded by a CRC-32 ({!Crc32}) and flushed as written.  {!open_}
+    replays: records are read until the first truncated or
+    CRC-mismatching one, the file is truncated back to the last good
+    record, and the lost tail is simply recomputed by later queries — a
+    SIGKILL mid-append can at worst lose the record being written.  A
+    zero-byte file or one with a foreign header starts over.  Replay is
+    first-write-wins, mirroring {!add}: a duplicate key on disk is a
+    *dead* record that can never be served.  Dead records and bytes are
+    counted at replay and reclaimed by {!compact}, which rewrites the
+    live records into a fresh [PPSTOR02] segment via tmp+rename — the
+    old segment stays authoritative until the single atomic rename, so
+    a SIGKILL at any instruction of compaction loses nothing.  A
+    {!Lockfile} on [store.ppck.lock] enforces one writer per directory
+    (stale locks from dead owners are broken automatically).
 
-    [ppcache serve] arms one store process-wide ({!set_active}) and
-    keys everything by {!Core.Context.fingerprint}-derived strings:
+    Namespaces in use (the first three keyed by
+    {!Core.Context.fingerprint}-derived strings):
 
     - ["model"]    — fitted cache models ({!Nmcache_fit.Fitted_cache.t}),
                      so a restarted server never re-characterises a
                      cache it has seen under any budget;
     - ["curve"]    — memoised miss-rate curves;
-    - ["response"] — rendered query results, so a warm query answers in
-                     microseconds without touching the numeric stack.
+    - ["optimize"] — scheme optima with their rendered responses, so a
+                     warm query answers in microseconds without touching
+                     the numeric stack;
+    - ["slot"]     — checkpointed sweep slots ([<task>\x00<slot key>])
+                     and stream chunks ([stream\x00...]) of
+                     [ppcache run|verify|simulate --checkpoint DIR],
+                     journaled through {!Sweep.journaled}.
 
     Values travel through [Marshal]: a lookup must deserialise at the
     type that was stored, which the namespace discipline guarantees —
-    one namespace, one value type.  All operations are domain-safe. *)
+    one namespace, one value type (the ["slot"] keys carry their task
+    name for the same reason).  All operations are domain-safe. *)
 
 type t
 
 val open_ : dir:string -> t
 (** Open (creating [dir] as needed) and replay the store at
     [dir/store.ppck], truncating any corrupt tail.  Raises
-    {!Lockfile.Locked} when another live process holds the directory.
-    Counters: [store.replayed], [store.dropped]. *)
+    {!Lockfile.Locked} when another live process holds the directory,
+    and [Unix.Unix_error] or [Sys_error] when [dir] cannot hold a
+    journal (a regular file, an unwritable parent).  Counters:
+    [store.replayed], [store.dropped]. *)
+
+val open_fresh : dir:string -> t
+(** {!open_} without the replay: an existing journal is discarded and
+    the store starts empty — a [--checkpoint] run without [--resume]. *)
 
 val close : t -> unit
 (** Flush, close and release the writer lock.  Idempotent. *)
@@ -58,6 +69,10 @@ val add : t -> ns:string -> key:string -> 'a -> unit
     unless the key is already present — first write wins, so replayed
     and recomputed values can never fight.  Counted under
     [store.appended]. *)
+
+val add_new : t -> ns:string -> key:string -> 'a -> bool
+(** {!add}, telling whether this call wrote the record: [false] when
+    the key was already present (or the store is closed). *)
 
 val mem : t -> ns:string -> key:string -> bool
 
@@ -116,11 +131,6 @@ val compact : ?on_step:(int -> unit) -> t -> compact_stats
     [on_step] is the chaos-test kill seam: [0] before the tmp exists,
     [i] after the i-th live record, [live+1] after the fsync (just
     before the rename), [live+2] after the rename. *)
-
-(* -- the process-wide active store ---------------------------------- *)
-
-val set_active : t option -> unit
-val active : unit -> t option
 
 (* -- exposed for tests ----------------------------------------------- *)
 

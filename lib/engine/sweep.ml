@@ -1,24 +1,51 @@
+(* --- the checkpoint journal ----------------------------------------- *)
+
+(* completed slots live in the ["slot"] namespace of one process-wide
+   store, armed by [ppcache ... --checkpoint DIR] *)
+let slot_ns = "slot"
+let journal : Store.t option Atomic.t = Atomic.make None
+
+let set_journal j =
+  Option.iter
+    (fun s ->
+      let replayed = Store.replayed s in
+      if replayed > 0 then begin
+        Metrics.incr ~by:replayed "checkpoint.replayed";
+        if Events.enabled () then
+          Events.emit (Events.Checkpoint_replayed { dir = Store.dir s; replayed })
+      end;
+      if Store.dropped_tail s then Metrics.incr "checkpoint.dropped")
+    j;
+  Atomic.set journal j
+
+let journal_armed () = Option.is_some (Atomic.get journal)
+
+let journaled ~key f =
+  match Atomic.get journal with
+  | None -> f ()
+  | Some s -> (
+    match Store.lookup s ~ns:slot_ns ~key with
+    | Some v ->
+      Metrics.incr "checkpoint.served";
+      v
+    | None ->
+      let v = f () in
+      if Store.add_new s ~ns:slot_ns ~key v then Metrics.incr "checkpoint.appended";
+      v)
+
 (* one slot's evaluation, with the resilience plumbing applied in a
-   fixed order: serve the slot from the armed checkpoint journal if it
-   is keyed and already there; otherwise arm the default deadline
-   budget at the kernel root, compute, and journal the fresh result.
-   Serving happens *before* any deadline or fault can fire, so resumed
-   slots are immune to re-injection — which is exactly what makes a
-   crashed-then-resumed run byte-identical to an uninterrupted one. *)
+   fixed order: serve the slot from the armed journal if it is keyed
+   and already there; otherwise arm the default deadline budget at the
+   kernel root, compute, and journal the fresh result.  Serving happens
+   *before* any deadline or fault can fire, so resumed slots are immune
+   to re-injection — which is exactly what makes a crashed-then-resumed
+   run byte-identical to an uninterrupted one.  Slot keys are only
+   rendered while a journal is armed. *)
 let eval_slot task x =
-  match Checkpoint.active () with
-  | None -> Deadline.with_root (fun () -> Task.kernel task x)
-  | Some journal -> (
-    match Task.slot_key task x with
-    | None -> Deadline.with_root (fun () -> Task.kernel task x)
-    | Some slot ->
-      let key = Task.name task ^ "\x00" ^ slot in
-      (match Checkpoint.lookup journal ~key with
-      | Some v -> v
-      | None ->
-        let v = Deadline.with_root (fun () -> Task.kernel task x) in
-        Checkpoint.store journal ~key v;
-        v))
+  let compute () = Deadline.with_root (fun () -> Task.kernel task x) in
+  match if journal_armed () then Task.slot_key task x else None with
+  | Some slot -> journaled ~key:(Task.name task ^ "\x00" ^ slot) compute
+  | None -> compute ()
 
 let map_array ?pool task arr =
   let pool = match pool with Some p -> p | None -> Executor.pool () in

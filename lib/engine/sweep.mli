@@ -27,3 +27,36 @@ val map_array_result :
 
 val map_list_result :
   ?pool:Pool.t -> ('a, 'b) Task.t -> 'a list -> ('b, Fault.t) result list
+
+(** {1 Checkpoint journal}
+
+    One process-wide {!Store} can be armed as the checkpoint journal
+    ([ppcache run|verify|simulate --checkpoint DIR]).  While it is,
+    every *keyed* slot ({!Task.make}'s [key]) of every sweep is looked
+    up in the store's ["slot"] namespace under
+    ["<task name>\x00<slot key>"] before it is computed, and stored
+    after — only successes, so a faulted slot is recomputed on resume.
+    Because slot keys encode every input the result depends on and
+    results are served in slot order wherever they came from, a
+    resumed run's output is byte-identical to an uninterrupted one at
+    any [--jobs]. *)
+
+val set_journal : Store.t option -> unit
+(** Arm (or disarm, with [None]) the checkpoint journal.  Arming a store
+    that replayed records counts them under [checkpoint.replayed] and
+    emits a [checkpoint_replayed] event; a truncated corrupt tail
+    counts under [checkpoint.dropped]. *)
+
+val journal_armed : unit -> bool
+(** Whether a journal is armed; check it before rendering a slot key,
+    so unjournaled runs never build one. *)
+
+val journaled : key:string -> (unit -> 'a) -> 'a
+(** [journaled ~key f] is [f ()] when no journal is armed.  Otherwise it
+    is the value journaled under [key] in the ["slot"] namespace
+    (counted under [checkpoint.served]), or else [f ()], journaled
+    under [key] before it is returned (counted under
+    [checkpoint.appended] when this call wrote the record).  An
+    exception from [f] journals nothing.  Unsafe at the wrong type,
+    like [Marshal]: the key must name its producer, as
+    ["<task>\x00<slot>"] and ["stream\x00..."] keys do. *)

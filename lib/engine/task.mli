@@ -12,9 +12,9 @@ val make : name:string -> ?key:('a -> string) -> ('a -> 'b) -> ('a, 'b) t
 
     [key], when given, renders a slot input to a stable string
     identifying the computation — same key, same result.  Keyed tasks
-    are the unit of {!Checkpoint} journaling: {!Sweep} serves a
-    journaled slot instead of recomputing it and journals fresh
-    results.  Keys must be unique per distinct input and must encode
+    are the unit of checkpoint journaling ({!Sweep.set_journal}):
+    {!Sweep} serves a journaled slot instead of recomputing it and
+    journals fresh results.  Keys must be unique per distinct input and must encode
     everything the result depends on (context parameters included);
     unkeyed tasks are never journaled. *)
 

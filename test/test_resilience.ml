@@ -1,6 +1,8 @@
-(* Resilience suite: checkpoint journal (roundtrip, corruption chaos,
-   sweep integration), deterministic retry (counters, backoff purity),
-   and cooperative deadlines (budget tokens, pool watchdog).
+(* Resilience suite: the checkpoint journal (a Store armed through
+   Sweep: roundtrip, corruption chaos, sweep integration, the
+   resilience report's counters), deterministic retry (counters,
+   backoff purity), and cooperative deadlines (budget tokens, pool
+   watchdog).
 
    The journal, retry policy, deadline default and fault log are
    process-wide, so every test that arms one disarms it in a
@@ -9,7 +11,9 @@
 
 module Fault = Nmcache_engine.Fault
 module Faultpoint = Nmcache_engine.Faultpoint
-module Checkpoint = Nmcache_engine.Checkpoint
+module Store = Nmcache_engine.Store
+module Json = Nmcache_engine.Json
+module Obs = Nmcache_engine.Obs
 module Retry = Nmcache_engine.Retry
 module Deadline = Nmcache_engine.Deadline
 module Metrics = Nmcache_engine.Metrics
@@ -29,9 +33,14 @@ let tmpdir () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "ppck-test-%d-%d" (Unix.getpid ()) !tmp_counter)
 
-let with_journal ~dir ~resume f =
-  let j = Checkpoint.open_ ~dir ~resume in
-  Fun.protect ~finally:(fun () -> Checkpoint.close j) (fun () -> f j)
+let with_store ~dir ~resume f =
+  let s = if resume then Store.open_ ~dir else Store.open_fresh ~dir in
+  Fun.protect ~finally:(fun () -> Store.close s) (fun () -> f s)
+
+(* run [f] with [s] armed as the checkpoint journal *)
+let armed s f =
+  Sweep.set_journal (Some s);
+  Fun.protect ~finally:(fun () -> Sweep.set_journal None) f
 
 let read_file path =
   let ic = open_in_bin path in
@@ -47,87 +56,117 @@ let write_file path s =
 
 let test_roundtrip () =
   let dir = tmpdir () in
-  with_journal ~dir ~resume:false (fun j ->
-      Checkpoint.store j ~key:"a" 11;
-      Checkpoint.store j ~key:"b" 22;
-      Checkpoint.store j ~key:"c" 33;
-      (* duplicate store is a no-op, not a second record *)
-      Checkpoint.store j ~key:"a" 99;
-      Alcotest.(check int) "appended" 3 (Checkpoint.appended j);
-      Alcotest.(check int) "entries" 3 (Checkpoint.entries j));
-  with_journal ~dir ~resume:true (fun j ->
-      Alcotest.(check int) "replayed" 3 (Checkpoint.replayed j);
-      Alcotest.(check bool) "no dropped tail" false (Checkpoint.dropped_tail j);
-      Alcotest.(check (option int)) "a" (Some 11) (Checkpoint.lookup j ~key:"a");
-      Alcotest.(check (option int)) "b" (Some 22) (Checkpoint.lookup j ~key:"b");
-      Alcotest.(check (option int)) "c" (Some 33) (Checkpoint.lookup j ~key:"c");
-      Alcotest.(check (option int)) "missing" None (Checkpoint.lookup j ~key:"z");
-      Alcotest.(check int) "served" 3 (Checkpoint.served j));
-  (* resume:false starts over: the old journal is not consulted *)
-  with_journal ~dir ~resume:false (fun j ->
-      Alcotest.(check int) "fresh ignores journal" 0 (Checkpoint.replayed j))
+  let calls = ref 0 in
+  let compute v () =
+    incr calls;
+    v
+  in
+  Alcotest.(check int) "unarmed: just the computation" 5
+    (Sweep.journaled ~key:"a" (compute 5));
+  with_store ~dir ~resume:false (fun s ->
+      armed s (fun () ->
+          Alcotest.(check int) "a computed" 11 (Sweep.journaled ~key:"a" (compute 11));
+          Alcotest.(check int) "b computed" 22 (Sweep.journaled ~key:"b" (compute 22));
+          (* a journaled key is served, never recomputed *)
+          Alcotest.(check int) "a served" 11 (Sweep.journaled ~key:"a" (compute 99)));
+      Alcotest.(check int) "computed once per key" 3 !calls;
+      Alcotest.(check int) "appended" 2 (Store.appended s);
+      Alcotest.(check (list string)) "slots live in the slot namespace" [ "a"; "b" ]
+        (Store.keys s ~ns:"slot"));
+  with_store ~dir ~resume:true (fun s ->
+      Alcotest.(check int) "replayed" 2 (Store.replayed s);
+      armed s (fun () ->
+          Alcotest.(check int) "a from disk" 11 (Sweep.journaled ~key:"a" (compute 0));
+          Alcotest.(check int) "b from disk" 22 (Sweep.journaled ~key:"b" (compute 0)));
+      Alcotest.(check int) "nothing recomputed" 3 !calls;
+      Alcotest.(check int) "served" 2 (Store.served s));
+  (* a failing computation journals nothing *)
+  with_store ~dir ~resume:true (fun s ->
+      armed s (fun () ->
+          match Sweep.journaled ~key:"c" (fun () -> failwith "boom") with
+          | (_ : int) -> Alcotest.fail "should have raised"
+          | exception Failure _ -> ());
+      Alcotest.(check bool) "failed slot not journaled" false
+        (Store.mem s ~ns:"slot" ~key:"c"))
 
 (* --- corruption chaos ------------------------------------------------ *)
 
+(* a fresh checkpoint directory holding [entries] as journaled slots *)
 let seeded_dir entries =
   let dir = tmpdir () in
-  with_journal ~dir ~resume:false (fun j ->
-      List.iter (fun (k, v) -> Checkpoint.store j ~key:k (v : string)) entries);
-  (dir, Filename.concat dir Checkpoint.journal_name)
+  with_store ~dir ~resume:false (fun s ->
+      armed s (fun () ->
+          List.iter
+            (fun (k, v) -> ignore (Sweep.journaled ~key:k (fun () -> (v : string))))
+            entries));
+  (dir, Filename.concat dir Store.store_name)
+
+let not_recomputed key () = Alcotest.failf "slot %s recomputed" key
 
 let test_truncated_tail () =
   let dir, path = seeded_dir [ ("k1", "v1"); ("k2", "v2"); ("k3", "v3") ] in
   let bytes = read_file path in
   (* chop into the last record: replay must keep k1/k2, drop k3 *)
   write_file path (String.sub bytes 0 (String.length bytes - 3));
-  with_journal ~dir ~resume:true (fun j ->
-      Alcotest.(check int) "last good records kept" 2 (Checkpoint.replayed j);
-      Alcotest.(check bool) "tail dropped" true (Checkpoint.dropped_tail j);
-      Alcotest.(check (option string)) "good slot served" (Some "v2")
-        (Checkpoint.lookup j ~key:"k2");
-      Alcotest.(check (option string)) "corrupt slot never served" None
-        (Checkpoint.lookup j ~key:"k3");
-      (* the truncated journal extends cleanly *)
-      Checkpoint.store j ~key:"k3" "v3'");
-  with_journal ~dir ~resume:true (fun j ->
-      Alcotest.(check int) "extended journal replays whole" 3 (Checkpoint.replayed j);
-      Alcotest.(check bool) "no dropped tail after repair" false (Checkpoint.dropped_tail j);
-      Alcotest.(check (option string)) "recomputed slot" (Some "v3'")
-        (Checkpoint.lookup j ~key:"k3"))
+  with_store ~dir ~resume:true (fun s ->
+      Alcotest.(check int) "last good records kept" 2 (Store.replayed s);
+      Alcotest.(check bool) "tail dropped" true (Store.dropped_tail s);
+      armed s (fun () ->
+          Alcotest.(check string) "good slot served" "v2"
+            (Sweep.journaled ~key:"k2" (not_recomputed "k2"));
+          (* the corrupt slot is never served: it is recomputed, and the
+             truncated journal extends cleanly *)
+          Alcotest.(check string) "corrupt slot recomputed" "v3'"
+            (Sweep.journaled ~key:"k3" (fun () -> "v3'"))));
+  with_store ~dir ~resume:true (fun s ->
+      Alcotest.(check int) "extended journal replays whole" 3 (Store.replayed s);
+      Alcotest.(check bool) "no dropped tail after repair" false (Store.dropped_tail s);
+      armed s (fun () ->
+          Alcotest.(check string) "recomputed slot served" "v3'"
+            (Sweep.journaled ~key:"k3" (not_recomputed "k3"))))
 
 let test_garbled_record () =
-  let dir, path = seeded_dir [ ("k1", "v1"); ("k2", "v2") ] in
+  let keys = [ "k1"; "k22"; "k333" ] in
+  let dir, path = seeded_dir (List.map (fun k -> (k, "v" ^ k)) keys) in
+  let record_len k =
+    String.length
+      (Store.encode_record ~ns:"slot" ~key:k ~value:(Marshal.to_string ("v" ^ k) []))
+  in
+  (* flip the last byte of k22's record, its CRC: replay stops after
+     k1, and everything from k22 on is dropped *)
+  let i = String.length Store.magic + record_len "k1" + record_len "k22" - 1 in
   let bytes = Bytes.of_string (read_file path) in
-  (* flip a bit near the end: the CRC of the last record no longer
-     matches, so replay stops after k1 *)
-  let i = Bytes.length bytes - 1 in
   Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 0xFF));
   write_file path (Bytes.to_string bytes);
-  with_journal ~dir ~resume:true (fun j ->
-      Alcotest.(check int) "replay stops at bad crc" 1 (Checkpoint.replayed j);
-      Alcotest.(check bool) "tail dropped" true (Checkpoint.dropped_tail j);
-      Alcotest.(check (option string)) "garbled slot never served" None
-        (Checkpoint.lookup j ~key:"k2"))
+  with_store ~dir ~resume:true (fun s ->
+      Alcotest.(check int) "replay stops at bad crc" 1 (Store.replayed s);
+      Alcotest.(check bool) "tail dropped" true (Store.dropped_tail s);
+      Alcotest.(check bool) "garbled slot never served" false
+        (Store.mem s ~ns:"slot" ~key:"k22");
+      Alcotest.(check bool) "slots after it dropped too" false
+        (Store.mem s ~ns:"slot" ~key:"k333");
+      armed s (fun () ->
+          Alcotest.(check string) "good slot served" "vk1"
+            (Sweep.journaled ~key:"k1" (not_recomputed "k1"))))
 
 let test_empty_and_foreign_journals () =
-  (* zero-byte file: fresh start, not an error *)
-  let dir = tmpdir () in
-  let path = Filename.concat dir Checkpoint.journal_name in
-  Unix.mkdir dir 0o755;
-  write_file path "";
-  with_journal ~dir ~resume:true (fun j ->
-      Alcotest.(check int) "empty file replays nothing" 0 (Checkpoint.replayed j);
-      Checkpoint.store j ~key:"k" "v");
-  with_journal ~dir ~resume:true (fun j ->
-      Alcotest.(check int) "restarted journal works" 1 (Checkpoint.replayed j));
-  (* foreign header: also a fresh start *)
-  let dir2 = tmpdir () in
-  let path2 = Filename.concat dir2 Checkpoint.journal_name in
-  Unix.mkdir dir2 0o755;
-  write_file path2 "NOTAJRNLgarbage bytes";
-  with_journal ~dir:dir2 ~resume:true (fun j ->
-      Alcotest.(check int) "foreign header replays nothing" 0 (Checkpoint.replayed j));
-  ignore path
+  (* a zero-byte file or a foreign header is not a journal: the run
+     starts over, and the restarted journal replays *)
+  List.iter
+    (fun (what, content) ->
+      let dir = tmpdir () in
+      Unix.mkdir dir 0o755;
+      write_file (Filename.concat dir Store.store_name) content;
+      with_store ~dir ~resume:true (fun s ->
+          Alcotest.(check int) (what ^ ": replays nothing") 0 (Store.replayed s);
+          armed s (fun () -> ignore (Sweep.journaled ~key:"k" (fun () -> "v"))));
+      with_store ~dir ~resume:true (fun s ->
+          Alcotest.(check int) (what ^ ": restarted journal replays") 1
+            (Store.replayed s);
+          armed s (fun () ->
+              Alcotest.(check string) (what ^ ": slot served") "v"
+                (Sweep.journaled ~key:"k" (not_recomputed "k")))))
+    [ ("zero-byte file", ""); ("foreign header", "NOTAJRNLgarbage bytes") ]
 
 (* --- sweep integration ----------------------------------------------- *)
 
@@ -140,29 +179,24 @@ let test_sweep_resume () =
         x * x)
   in
   let run ?(n = 8) ~resume ~jobs () =
-    let j = Checkpoint.open_ ~dir ~resume in
-    Checkpoint.set_active (Some j);
-    Fun.protect
-      ~finally:(fun () ->
-        Checkpoint.set_active None;
-        Checkpoint.close j)
-      (fun () ->
-        (Sweep.map_array ~pool:(Pool.create ~jobs) task (Array.init n Fun.id), j))
+    with_store ~dir ~resume (fun s ->
+        armed s (fun () ->
+            (Sweep.map_array ~pool:(Pool.create ~jobs) task (Array.init n Fun.id), s)))
   in
   (* "crash" after half the sweep: only the first four slots ran *)
   let _, j0 = run ~n:4 ~resume:false ~jobs:1 () in
   Alcotest.(check int) "partial run computed 4" 4 (Atomic.get calls);
-  Alcotest.(check int) "partial run journaled 4" 4 (Checkpoint.appended j0);
+  Alcotest.(check int) "partial run journaled 4" 4 (Store.appended j0);
   (* resume completes the rest without recomputing the journaled slots *)
   let r1, j1 = run ~resume:true ~jobs:1 () in
   Alcotest.(check int) "resume computed only the tail" 8 (Atomic.get calls);
-  Alcotest.(check int) "resume replayed 4" 4 (Checkpoint.replayed j1);
-  Alcotest.(check int) "resume appended 4" 4 (Checkpoint.appended j1);
+  Alcotest.(check int) "resume replayed 4" 4 (Store.replayed j1);
+  Alcotest.(check int) "resume appended 4" 4 (Store.appended j1);
   (* a parallel resume serves everything and matches exactly *)
   let r2, j2 = run ~resume:true ~jobs:4 () in
   Alcotest.(check int) "full resume computed nothing" 8 (Atomic.get calls);
-  Alcotest.(check int) "full resume replayed all" 8 (Checkpoint.replayed j2);
-  Alcotest.(check int) "full resume appended none" 0 (Checkpoint.appended j2);
+  Alcotest.(check int) "full resume replayed all" 8 (Store.replayed j2);
+  Alcotest.(check int) "full resume appended none" 0 (Store.appended j2);
   Alcotest.(check (array int)) "results identical across jobs/resume" r1 r2;
   Alcotest.(check (array int)) "results correct" (Array.init 8 (fun i -> i * i)) r2
 
@@ -174,24 +208,55 @@ let test_sweep_result_journals_only_successes () =
         x * 10)
   in
   Fun.protect ~finally:Fault.reset @@ fun () ->
-  let j = Checkpoint.open_ ~dir ~resume:false in
-  Checkpoint.set_active (Some j);
+  with_store ~dir ~resume:false @@ fun s ->
   let results =
-    Fun.protect
-      ~finally:(fun () ->
-        Checkpoint.set_active None;
-        Checkpoint.close j)
-      (fun () ->
+    armed s (fun () ->
         Sweep.map_array_result ~pool:Pool.sequential task (Array.init 4 Fun.id))
   in
-  Alcotest.(check int) "three successes journaled" 3 (Checkpoint.appended j);
+  Alcotest.(check int) "three successes journaled" 3 (Store.appended s);
   Alcotest.(check bool) "successful slot journaled under its key" true
-    (Checkpoint.mem j ~key:"flaky\x001");
+    (Store.mem s ~ns:"slot" ~key:"flaky\x001");
   Alcotest.(check bool) "faulted slot not journaled" false
-    (Checkpoint.mem j ~key:"flaky\x002");
-  (match results.(2) with
+    (Store.mem s ~ns:"slot" ~key:"flaky\x002");
+  match results.(2) with
   | Error f -> Alcotest.(check bool) "slot faulted" true (f.Fault.kind = Fault.Crashed)
-  | Ok _ -> Alcotest.fail "slot 2 should have faulted")
+  | Ok _ -> Alcotest.fail "slot 2 should have faulted"
+
+(* the resilience section of every report reads the checkpoint.*
+   counters; the registry is process-wide, so compare deltas *)
+let checkpoint_counts () =
+  match Json.member "checkpoint" (Obs.resilience_json ()) with
+  | None -> Alcotest.fail "resilience report has no checkpoint section"
+  | Some c ->
+    List.map
+      (fun field ->
+        match Option.bind (Json.member field c) Json.to_int with
+        | Some n -> n
+        | None -> Alcotest.failf "checkpoint.%s missing" field)
+      [ "replayed"; "served"; "appended"; "dropped_tails" ]
+
+let test_checkpoint_counters () =
+  let dir = tmpdir () in
+  let task = Task.make ~name:"cube" ~key:string_of_int (fun x -> x * x * x) in
+  let counted ~n ~resume =
+    let before = checkpoint_counts () in
+    with_store ~dir ~resume (fun s ->
+        armed s (fun () ->
+            ignore (Sweep.map_array ~pool:Pool.sequential task (Array.init n Fun.id))));
+    List.map2 ( - ) (checkpoint_counts ()) before
+  in
+  let fields = Alcotest.(list int) in
+  Alcotest.check fields "journaled run: [replayed; served; appended; dropped]"
+    [ 0; 0; 5; 0 ] (counted ~n:5 ~resume:false);
+  Alcotest.check fields "resume serves the journaled slots, appends the rest"
+    [ 5; 5; 3; 0 ] (counted ~n:8 ~resume:true);
+  (* a torn tail is dropped on open and counted once the store is armed *)
+  let path = Filename.concat dir Store.store_name in
+  write_file path (read_file path ^ "\x05\x00\x00\x00torn");
+  Alcotest.check fields "torn tail dropped, every slot served" [ 8; 8; 0; 1 ]
+    (counted ~n:8 ~resume:true);
+  Alcotest.check fields "without resume the journal starts over" [ 0; 0; 8; 0 ]
+    (counted ~n:8 ~resume:false)
 
 (* --- retry ------------------------------------------------------------ *)
 
@@ -455,6 +520,8 @@ let suite =
       `Quick test_sweep_resume;
     Alcotest.test_case "checkpoint: result sweeps journal only successes" `Quick
       test_sweep_result_journals_only_successes;
+    Alcotest.test_case "checkpoint: resilience report counts the journal" `Quick
+      test_checkpoint_counters;
     Alcotest.test_case "retry: transient fault recovered" `Quick test_retry_recovers;
     Alcotest.test_case "retry: budget exhaustion re-raises" `Quick test_retry_exhausts;
     Alcotest.test_case "retry: deterministic kinds fail fast" `Quick

@@ -1,7 +1,8 @@
-(* Serve suite: single-writer lock files, the persistent model store,
-   circuit breakers, the generic serve loop, the protocol handler
-   (validation, admission, redaction, poison injection, breaker
-   degradation) and the kill-and-restart chaos gate.
+(* Serve suite: single-writer lock files, the persistent store (torn
+   tails, fresh opens), circuit breakers, the generic serve loop, the
+   protocol handler (validation, admission, redaction, poison
+   injection, breaker degradation) and the kill-and-restart chaos
+   gate.
 
    The faultpoint configuration, retry policy and drain flag are
    process-wide; every test that arms one disarms it in a finally. *)
@@ -147,6 +148,24 @@ let test_store_corrupt_tail () =
   Alcotest.(check bool) "tail clean after repair" false (Store.dropped_tail s3);
   Store.close s3
 
+let test_store_open_fresh () =
+  let dir = tmpdir () in
+  let s = Store.open_ ~dir in
+  Store.add s ~ns:"slot" ~key:"old" 1;
+  Store.close s;
+  let s = Store.open_fresh ~dir in
+  Alcotest.(check int) "nothing replayed" 0 (Store.replayed s);
+  Alcotest.(check (option int)) "old record not served" None
+    (Store.lookup s ~ns:"slot" ~key:"old");
+  Store.add s ~ns:"slot" ~key:"new" 2;
+  Store.close s;
+  (* discarded on disk, not merely skipped: a replaying open sees only
+     the new journal *)
+  let s = Store.open_ ~dir in
+  Alcotest.(check (list string)) "only the new journal replays" [ "new" ]
+    (Store.keys s ~ns:"slot");
+  Store.close s
+
 let test_store_single_writer () =
   let dir = tmpdir () in
   let s = Store.open_ ~dir in
@@ -157,24 +176,6 @@ let test_store_single_writer () =
   Store.close s;
   let s2 = Store.open_ ~dir in
   Store.close s2
-
-let test_checkpoint_single_writer () =
-  (* the satellite of the same guard on the run journal: a second
-     writer on one --checkpoint directory fails fast *)
-  let module Checkpoint = Nmcache_engine.Checkpoint in
-  let dir = tmpdir () in
-  let j = Checkpoint.open_ ~dir ~resume:false in
-  (match Checkpoint.open_ ~dir ~resume:true with
-  | _ -> Alcotest.fail "second journal on one directory must raise Locked"
-  | exception Lockfile.Locked { pid; _ } ->
-    Alcotest.(check int) "held by this process" (Unix.getpid ()) pid);
-  Checkpoint.close j;
-  (* and a SIGKILLed writer's stale lock does not brick the directory *)
-  write_file
-    (Filename.concat dir "journal.ppck.lock")
-    (Printf.sprintf "%d\n" (dead_pid ()));
-  let j2 = Checkpoint.open_ ~dir ~resume:true in
-  Checkpoint.close j2
 
 (* --- breaker ----------------------------------------------------------- *)
 
@@ -693,8 +694,8 @@ let suite =
       test_store_corrupt_tail;
     Alcotest.test_case "store: single writer per directory" `Quick
       test_store_single_writer;
-    Alcotest.test_case "checkpoint: single writer per directory" `Quick
-      test_checkpoint_single_writer;
+    Alcotest.test_case "store: fresh open discards the journal" `Quick
+      test_store_open_fresh;
     Alcotest.test_case "breaker: trip, cooldown, half-open, close" `Quick
       test_breaker_state_machine;
     Alcotest.test_case "server: request order kept, crashes isolated" `Quick

@@ -6,8 +6,8 @@
    simulation must equal the materialised-trace results exactly — the
    golden matrix pins it for the headline workloads at chunk sizes
    {1, 7, 4096, whole}, and a QCheck property re-samples (workload,
-   chunk) pairs.  The PPTRC01 chaos set mirrors the journal tests in
-   test_resilience: round-trip, torn tail, mid-file corruption,
+   chunk) pairs.  The PPTRC01 chaos set mirrors the store journal
+   tests in test_serve: round-trip, torn tail, mid-file corruption,
    foreign files, the address domain.  The kill-and-resume gate
    SIGKILLs a checkpointed streamed simulation mid-chunk in a
    re-exec'd child and requires the resumed run to finish
@@ -27,7 +27,8 @@ module Registry = Nmcache_workload.Registry
 module Profile = Nmcache_workload.Profile
 module Missrate = Nmcache_workload.Missrate
 module Wstream = Nmcache_workload.Stream
-module Checkpoint = Nmcache_engine.Checkpoint
+module Store = Nmcache_engine.Store
+module Sweep = Nmcache_engine.Sweep
 module Executor = Nmcache_engine.Executor
 
 let tmp_counter = ref 0
@@ -333,8 +334,8 @@ let test_pptrc_foreign_files () =
   in
   check_rejected "empty" "";
   check_rejected "garbage" "definitely not a trace file";
-  (* the checkpoint journal shares the CRC discipline but not the magic *)
-  check_rejected "journal" (Checkpoint.magic ^ "tail");
+  (* the store journal shares the CRC discipline but not the magic *)
+  check_rejected "journal" (Store.magic ^ "tail");
   (* right magic, corrupt header *)
   let path = Filename.concat dir "corrupt-header.pptrc" in
   record_to ~path ~name:"tpcc" ~chunk_size:64 (entries_of "tpcc" 100);
@@ -485,32 +486,32 @@ let test_checkpoint_resume_in_process () =
   in
   let reference = run () in
   let with_journal ~resume f =
-    let j = Checkpoint.open_ ~dir ~resume in
-    Checkpoint.set_active (Some j);
+    let j = if resume then Store.open_ ~dir else Store.open_fresh ~dir in
+    Sweep.set_journal (Some j);
     let r =
       Fun.protect
         ~finally:(fun () ->
-          Checkpoint.set_active None;
-          Checkpoint.close j)
+          Sweep.set_journal None;
+          Store.close j)
         f
     in
     (r, j)
   in
   let first, j1 = with_journal ~resume:false run in
   Alcotest.(check bool) "journaled run equals plain run" true (first = reference);
-  Alcotest.(check int) "one slot per chunk" (n / 500) (Checkpoint.appended j1);
+  Alcotest.(check int) "one slot per chunk" (n / 500) (Store.appended j1);
   let second, j2 = with_journal ~resume:true run in
   Alcotest.(check bool) "resumed run equals plain run" true (second = reference);
   Alcotest.(check int) "every chunk served from the journal" (n / 500)
-    (Checkpoint.served j2);
-  Alcotest.(check int) "nothing recomputed" 0 (Checkpoint.appended j2);
+    (Store.served j2);
+  Alcotest.(check int) "nothing recomputed" 0 (Store.appended j2);
   (* a different consumer geometry must miss every slot (salted keys) *)
   let third, j3 =
     with_journal ~resume:true (fun () ->
         Missrate.simulate_stream ~stream:(stream ()) ~l1_size ~l2_size:(64 * 1024) ())
   in
   Alcotest.(check bool) "different geometry computes fresh slots" true
-    (Checkpoint.appended j3 = n / 500 && third <> reference)
+    (Store.appended j3 = n / 500 && third <> reference)
 
 (* --- kill-and-resume chaos gate ----------------------------------------- *)
 
@@ -524,8 +525,8 @@ let stream_child_env = "PPCACHE_TEST_STREAM_CHILD"
 let stream_child_main spec : unit =
   match String.split_on_char ':' spec with
   | [ trace_file; ckpt_dir; out_file ] ->
-    let j = Checkpoint.open_ ~dir:ckpt_dir ~resume:true in
-    Checkpoint.set_active (Some j);
+    let j = Store.open_ ~dir:ckpt_dir in
+    Sweep.set_journal (Some j);
     let s = Stream_trace.of_file ~chunk_size:100 trace_file in
     let h, count =
       Stream_trace.resumable_fold ~salt:"chaos" s ~init:(make_hierarchy (), 0)
@@ -539,9 +540,9 @@ let stream_child_main spec : unit =
           done;
           (h, c + Array.length chunk))
     in
-    let served = Checkpoint.served j in
-    Checkpoint.set_active None;
-    Checkpoint.close j;
+    let served = Store.served j in
+    Sweep.set_journal None;
+    Store.close j;
     let oc = open_out_bin out_file in
     Printf.fprintf oc "%d %.9f %.9f\nserved %d\n" count (Hierarchy.l1_miss_rate h)
       (Hierarchy.l2_local_miss_rate h) served;
@@ -578,7 +579,7 @@ let test_kill_and_resume_streaming () =
   (* kill only once slots are demonstrably on disk — the per-chunk
      handicap (40 chunks x 30 ms) guarantees plenty of unsimulated
      tail remains *)
-  let journal = Filename.concat ckpt_dir Checkpoint.journal_name in
+  let journal = Filename.concat ckpt_dir Store.store_name in
   let deadline = Unix.gettimeofday () +. 30.0 in
   let rec await () =
     let progressed =

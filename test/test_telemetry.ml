@@ -15,7 +15,7 @@ module Trace = Nmcache_engine.Trace
 module Events = Nmcache_engine.Events
 module Resource = Nmcache_engine.Resource
 module Bench_diff = Nmcache_engine.Bench_diff
-module Checkpoint = Nmcache_engine.Checkpoint
+module Store = Nmcache_engine.Store
 module Fault = Nmcache_engine.Fault
 module Pool = Nmcache_engine.Pool
 module Task = Nmcache_engine.Task
@@ -107,12 +107,15 @@ let test_events_checkpoint_replayed () =
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "ppcache-telemetry-ckpt-%d-%d" (Unix.getpid ()) !tmp_counter)
       in
-      let j = Checkpoint.open_ ~dir ~resume:false in
-      Checkpoint.store j ~key:"k1" 1;
-      Checkpoint.store j ~key:"k2" 2;
-      Checkpoint.close j;
-      let j2 = Checkpoint.open_ ~dir ~resume:true in
-      Checkpoint.close j2;
+      let s = Store.open_fresh ~dir in
+      Store.add s ~ns:"slot" ~key:"k1" 1;
+      Store.add s ~ns:"slot" ~key:"k2" 2;
+      Store.close s;
+      (* the event fires when the replayed store is armed as the journal *)
+      let s2 = Store.open_ ~dir in
+      Sweep.set_journal (Some s2);
+      Sweep.set_journal None;
+      Store.close s2;
       Events.close ();
       match
         List.find_opt
