@@ -9,7 +9,6 @@
 module Rng = Nmcache_numerics.Rng
 module Gen = Nmcache_workload.Gen
 module Regions = Nmcache_workload.Regions
-module Access = Nmcache_workload.Access
 module Cache = Nmcache_cachesim.Cache
 module Hierarchy = Nmcache_cachesim.Hierarchy
 module Replacement = Nmcache_cachesim.Replacement
@@ -50,8 +49,8 @@ let () =
     Cache.create ~size_bytes:(mb 1) ~assoc:8 ~block_bytes:64 ~policy:Replacement.Lru ()
   in
   let h = Hierarchy.create ~l1 ~l2 in
-  Gen.iter gen 2_000_000 (fun a ->
-      ignore (Hierarchy.access h a.Access.addr ~write:a.Access.write));
+  Gen.iter ~stage:"simulate" gen 2_000_000 (fun addr write ->
+      ignore (Hierarchy.access h addr ~write));
   let m1 = Hierarchy.l1_miss_rate h in
   let m2 = Hierarchy.l2_local_miss_rate h in
   Printf.printf "video-server: L1 miss %.2f%%, L2 local miss %.2f%%\n" (100.0 *. m1)

@@ -105,24 +105,24 @@ let find_way t base tag =
     else if tags.(base + 7) = tag then 7
     else -1
   | a ->
-    let rec go w =
-      if w >= a then -1 else if tags.(base + w) = tag then w else go (w + 1)
-    in
-    go 0
+    let w = ref 0 in
+    while !w < a && tags.(base + !w) <> tag do
+      incr w
+    done;
+    if !w < a then !w else -1
 
 (* PLRU: the tree bits of a set select a way; touching a way points the
    bits away from it. *)
 let plru_victim t set =
   let bits = t.plru.(set) in
-  (* internal nodes are 0 .. assoc-2, leaves assoc-1 .. 2*assoc-2 *)
-  let rec descend node =
-    if node >= t.assoc - 1 then node - (t.assoc - 1)
-    else begin
-      let bit = (bits lsr node) land 1 in
-      descend ((2 * node) + 1 + bit)
-    end
-  in
-  if t.assoc = 1 then 0 else descend 0
+  (* internal nodes are 0 .. assoc-2, leaves assoc-1 .. 2*assoc-2; a
+     loop rather than a local closure keeps the descent allocation-free *)
+  let leaves = t.assoc - 1 in
+  let node = ref 0 in
+  while !node < leaves do
+    node := (2 * !node) + 1 + ((bits lsr !node) land 1)
+  done;
+  !node - leaves
 
 let plru_touch t set way =
   if t.assoc > 1 then begin

@@ -517,10 +517,17 @@ let fold_chunks t ~init ~f =
       done;
       !acc)
 
+(* A slot holds a marshalled fold state (a [Cache.t], and with it an
+   [Rng.t]), and unmarshalling a state of another layout as the current
+   one is memory-unsafe.  Slot keys therefore name the state format:
+   bump it with any such layout change, so an older journal's slots
+   miss and are recomputed. *)
+let state_format = "rng-bytes"
+
 let slot_key ~skey ~salt index =
   (* pseudo-task namespace "stream": no Sweep task carries that name,
      so slots can never collide with sweep results in a shared journal *)
-  Printf.sprintf "stream\x00%s\x00%s:chunk:%d" skey salt index
+  Printf.sprintf "stream\x00%s\x00%s:chunk:%d:%s" skey salt index state_format
 
 let resumable_fold ?(salt = "") t ~init ~f =
   match t.skey with

@@ -112,6 +112,11 @@ val declared_length : t -> int option
 val max_addr : int
 (** [2^61 - 1], the largest address a stream or trace file holds. *)
 
+val pack : int -> bool -> int
+(** [pack addr write] is the packed entry for one access (the encoding
+    generators produce, too).  [addr] must lie in [\[0, 2^61)]; this is
+    not checked here. *)
+
 val addr : int -> int
 (** The address of a packed entry. *)
 
@@ -148,7 +153,8 @@ val resumable_fold :
     slots: when a journal is armed ({!Nmcache_engine.Sweep.set_journal})
     and the stream has a {!key}, the post-chunk state is journaled
     through {!Nmcache_engine.Sweep.journaled} under
-    [stream\x00<key>\x00<salt>:chunk:<i>] and served back on resume —
+    [stream\x00<key>\x00<salt>:chunk:<i>:<state format>] and served back
+    on resume —
     the chunk's [f] is skipped and the journaled state replaces the
     accumulator, so a killed run resumes byte-identically.  The state
     must therefore carry {e everything} the fold mutates (caches,

@@ -16,7 +16,6 @@ module Cache = Nmcache_cachesim.Cache
 module Prefetch = Nmcache_cachesim.Prefetch
 module Replacement = Nmcache_cachesim.Replacement
 module Gen = Nmcache_workload.Gen
-module Waccess = Nmcache_workload.Access
 
 (* --- X6: within-die variation --------------------------------------- *)
 
@@ -311,10 +310,11 @@ let prefetch_study ctx =
     let gen = Nmcache_workload.Registry.build ~seed:ctx.Context.seed workload in
     (* warm half, measure half; count demand L2 behaviour only *)
     let warm = n / 2 in
-    Gen.iter gen warm (fun a -> ignore (Prefetch.access p a.Waccess.addr ~write:a.Waccess.write));
+    Gen.iter ~stage:"simulate" gen warm (fun addr write ->
+        ignore (Prefetch.access p addr ~write));
     let demand_misses = ref 0 and demand_accesses = ref 0 in
-    Gen.iter gen (n - warm) (fun a ->
-        let o = Prefetch.access p a.Waccess.addr ~write:a.Waccess.write in
+    Gen.iter ~stage:"simulate" gen (n - warm) (fun addr write ->
+        let o = Prefetch.access p addr ~write in
         if not o.Prefetch.l1_hit then begin
           incr demand_accesses;
           if not o.Prefetch.l2_hit then incr demand_misses

@@ -1,4 +1,10 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state is four 64-bit words in one 32-byte buffer,
+   read and written in place: a record of [int64] fields would box a
+   fresh word on every update, while here a draw allocates nothing. *)
+type t = Bytes.t
+
+let[@inline] get t i = Bytes.get_int64_ne t (i lsl 3)
+let[@inline] set t i v = Bytes.set_int64_ne t (i lsl 3) v
 
 let splitmix64 x =
   let open Int64 in
@@ -18,43 +24,48 @@ let create ~seed =
   let s2 = next () in
   let s3 = next () in
   (* xoshiro must not start in the all-zero state *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  let words =
+    if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then [ 1L; 2L; 3L; 4L ]
+    else [ s0; s1; s2; s3 ]
+  in
+  let t = Bytes.create 32 in
+  List.iteri (set t) words;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* xoshiro256** *)
-let bits64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+(* xoshiro256**, inlined into every draw below so its words stay
+   unboxed *)
+let[@inline] bits64 t =
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 0 (Int64.logxor s0 s3);
+  set t 1 (Int64.logxor s1 s2);
+  set t 2 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
 
 let split t = create ~seed:(bits64 t)
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  (* rejection sampling on the top bits to avoid modulo bias *)
+  (* rejection sampling on the top bits to avoid modulo bias; a loop,
+     not a local recursive closure, keeps the draw allocation-free *)
   let b = Int64.of_int bound in
-  let rec draw () =
+  let limit = Int64.sub (Int64.sub Int64.max_int b) 1L in
+  let v = ref (-1) in
+  while !v < 0 do
     let r = Int64.shift_right_logical (bits64 t) 1 in
-    let v = Int64.rem r b in
-    if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int b) 1L then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+    let m = Int64.rem r b in
+    if Int64.sub r m <= limit then v := Int64.to_int m
+  done;
+  !v
 
-let float t =
-  (* use the top 53 bits *)
-  let r = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float r *. 0x1.0p-53
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+let[@inline] float t = Float.of_int (bits53 t) *. 0x1.0p-53
 
 let float_range t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.float_range: lo > hi";

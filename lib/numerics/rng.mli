@@ -6,7 +6,10 @@
     xoshiro256** seeded via splitmix64. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state.  Drawing an [int], [bool], {!bits53} or
+    any sample that reduces to one in this module allocates nothing;
+    a {!bits64} or {!float} result is boxed when it is returned across
+    a module boundary. *)
 
 val create : seed:int64 -> t
 (** [create ~seed] builds a generator; any seed (including 0) is valid. *)
@@ -20,6 +23,11 @@ val copy : t -> t
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
+
+val bits53 : t -> int
+(** The top 53 bits of the next raw output, uniform in [\[0, 2^53)].
+    [float t] is exactly [Float.of_int (bits53 t) *. 0x1p-53], which is
+    how an allocation-free caller in another module draws a float. *)
 
 val int : t -> bound:int -> int
 (** [int t ~bound] is uniform in [0, bound).  Raises [Invalid_argument]

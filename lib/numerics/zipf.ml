@@ -7,12 +7,19 @@ type t = {
 let create ~n ~s =
   if n <= 0 then invalid_arg "Zipf.create: n <= 0";
   if s < 0.0 then invalid_arg "Zipf.create: s < 0";
-  let weights = Array.init n (fun i -> (float_of_int (i + 1)) ** -.s) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let cdf = Array.make n 0.0 in
+  (* the weights are written into [cdf] and normalised there, so the
+     table is the only array built *)
+  let cdf = Array.create_float n in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w = float_of_int (i + 1) ** -.s in
+    cdf.(i) <- w;
+    total := !total +. w
+  done;
+  let total = !total in
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
-    acc := !acc +. (weights.(i) /. total);
+    acc := !acc +. (cdf.(i) /. total);
     cdf.(i) <- !acc
   done;
   cdf.(n - 1) <- 1.0;
@@ -21,9 +28,10 @@ let create ~n ~s =
 let n t = t.n
 let exponent t = t.s
 
-(* first index with cdf.(i) >= u *)
+(* first index with cdf.(i) >= u, for u = Rng.float drawn without a
+   boxed return *)
 let sample t rng =
-  let u = Rng.float rng in
+  let u = Float.of_int (Rng.bits53 rng) *. 0x1.0p-53 in
   let lo = ref 0 and hi = ref (t.n - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

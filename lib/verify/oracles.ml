@@ -317,10 +317,10 @@ let direct_l1_measured ~workload ~seed ~block ~size_bytes ~assoc ~n =
   let gen = Registry.build ~seed workload in
   let c = Cache.create ~size_bytes ~assoc ~block_bytes:block ~policy:Replacement.Lru () in
   let warm = int_of_float (Profile.warmup_fraction *. float_of_int n) in
-  let feed (a : Access.t) = ignore (Cache.access c a.Access.addr ~write:a.Access.write) in
-  Gen.iter gen warm feed;
+  let feed addr write = ignore (Cache.access c addr ~write) in
+  Gen.iter ~stage:"oracle" gen warm feed;
   Cache.reset_stats c;
-  Gen.iter gen (n - warm) feed;
+  Gen.iter ~stage:"oracle" gen (n - warm) feed;
   let st = Cache.stats c in
   (st.Stats.misses, Stats.miss_rate st)
 
@@ -390,16 +390,16 @@ let profile ctx =
               ~policy:Replacement.Lru ()
           in
           let profiler = Mattson.create ~block_bytes:block () in
-          let feed (a : Access.t) =
-            let o = Cache.access l1 a.Access.addr ~write:a.Access.write in
-            if not (Cache.hit o) then Mattson.access profiler a.Access.addr
+          let feed addr write =
+            let o = Cache.access l1 addr ~write in
+            if not (Cache.hit o) then Mattson.access profiler addr
           in
           let warm = int_of_float (Profile.warmup_fraction *. float_of_int n) in
           Mattson.set_measuring profiler false;
-          Gen.iter gen warm feed;
+          Gen.iter ~stage:"oracle" gen warm feed;
           Cache.reset_stats l1;
           Mattson.set_measuring profiler true;
-          Gen.iter gen (n - warm) feed;
+          Gen.iter ~stage:"oracle" gen (n - warm) feed;
           let caps = Array.map (fun s -> max 1 (s / block)) l2_sizes in
           let legacy = Mattson.miss_ratio_curve profiler ~capacities:caps in
           let legacy_l1 = Stats.miss_rate (Cache.stats l1) in

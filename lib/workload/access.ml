@@ -2,8 +2,3 @@ type t = {
   addr : int;
   write : bool;
 }
-
-let read addr = { addr; write = false }
-let write addr = { addr; write = true }
-
-let pp fmt t = Format.fprintf fmt "%s 0x%x" (if t.write then "W" else "R") t.addr

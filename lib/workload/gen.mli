@@ -3,20 +3,37 @@
     A generator is a named, stateful producer of an infinite access
     stream.  All randomness comes from the generator's own seeded
     {!Nmcache_numerics.Rng} stream, so a given (name, seed) pair always
-    replays the identical trace. *)
+    replays the identical trace.
+
+    Accesses travel as packed entries — an immediate int built by
+    {!Nmcache_cachesim.Stream_trace.pack} and read back with
+    {!Nmcache_cachesim.Stream_trace.addr} and
+    {!Nmcache_cachesim.Stream_trace.is_write} — so the built-in
+    generators and {!iter} allocate nothing per access.  {!next} and
+    {!take} box each access as an {!Access.t}. *)
 
 type t
 
-val make : name:string -> (unit -> Access.t) -> t
+val make : name:string -> (unit -> int) -> t
+(** [make ~name next]: [next ()] returns the stream's next access as a
+    packed entry. *)
+
 val name : t -> string
+
+val next_packed : t -> int
+(** The next access as a packed entry. *)
+
 val next : t -> Access.t
+(** The next access, boxed. *)
 
 val take : t -> int -> Access.t array
-(** The next [n] accesses.  Raises [Invalid_argument] if [n < 0]. *)
+(** The next [n] accesses, boxed.  Raises [Invalid_argument] if
+    [n < 0]. *)
 
-val iter : t -> int -> (Access.t -> unit) -> unit
-(** Feed the next [n] accesses to a consumer without materialising
-    them. *)
+val iter : stage:string -> t -> int -> (int -> bool -> unit) -> unit
+(** [iter ~stage t n f] calls [f addr write] on each of the next [n]
+    accesses without materialising or boxing them, and polls
+    {!Nmcache_engine.Deadline.poll} [~stage] every 4096 accesses. *)
 
 (** {1 Combinators} *)
 

@@ -55,7 +55,6 @@ let combined_workloads_key workloads =
     (List.map (fun w -> Printf.sprintf "%d:%s" (String.length w) w) workloads)
 
 let warmup_fraction = Profile.warmup_fraction
-let polled = Profile.polled
 
 let simulate ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64) ?(policy = Replacement.Lru)
     ?(seed = Registry.default_seed) ~workload ~l1_size ~l2_size ~n () =
@@ -73,14 +72,11 @@ let simulate ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64) ?(policy = Replacemen
           let l2 = Cache.create ~size_bytes:l2_size ~assoc:l2_assoc ~block_bytes:block ~policy () in
           let h = Hierarchy.create ~l1 ~l2 in
           let warm = int_of_float (warmup_fraction *. float_of_int n) in
-          let feed =
-            polled ~stage:"simulate" (fun a ->
-                ignore (Hierarchy.access h a.Access.addr ~write:a.Access.write))
-          in
-          Gen.iter gen warm feed;
+          let feed addr write = ignore (Hierarchy.access h addr ~write) in
+          Gen.iter ~stage:"simulate" gen warm feed;
           Cache.reset_stats l1;
           Cache.reset_stats l2;
-          Gen.iter gen (n - warm) feed;
+          Gen.iter ~stage:"simulate" gen (n - warm) feed;
           Nmcache_engine.Metrics.incr "cachesim.simulations";
           Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
           Stats.flush_to_metrics ~prefix:"cachesim.l2" (Cache.stats l2);
@@ -291,14 +287,11 @@ let l1_sweep ?(l1_assoc = 4) ?(block = 64) ?(policy = Replacement.Lru)
                let l1 =
                  Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block ~policy ()
                in
-               let feed =
-                 polled ~stage:"simulate" (fun a ->
-                     ignore (Cache.access l1 a.Access.addr ~write:a.Access.write))
-               in
+               let feed addr write = ignore (Cache.access l1 addr ~write) in
                let warm = int_of_float (warmup_fraction *. float_of_int n) in
-               Gen.iter gen warm feed;
+               Gen.iter ~stage:"simulate" gen warm feed;
                Cache.reset_stats l1;
-               Gen.iter gen (n - warm) feed;
+               Gen.iter ~stage:"simulate" gen (n - warm) feed;
                Nmcache_engine.Metrics.incr "cachesim.simulations";
                Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
                Stats.miss_rate (Cache.stats l1))))

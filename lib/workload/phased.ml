@@ -17,7 +17,7 @@ let cycle ~name ~rng ~dwell phases =
         remaining := draw_dwell ()
       end;
       decr remaining;
-      Gen.next phases.(!current))
+      Gen.next_packed phases.(!current))
 
 let spec_phased ~seed () =
   let rng = Rng.create ~seed in

@@ -4,7 +4,6 @@ module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Memo = Nmcache_engine.Memo
 module Retry = Nmcache_engine.Retry
-module Deadline = Nmcache_engine.Deadline
 module Faultpoint = Nmcache_engine.Faultpoint
 module Span = Nmcache_engine.Span
 module Metrics = Nmcache_engine.Metrics
@@ -33,16 +32,6 @@ type t = {
    cold-start — the same convention as direct simulation. *)
 let warmup_fraction = 0.5
 
-(* Cooperative deadline seam for the access loops: one poll every 4096
-   accesses bounds a wedged traversal without showing up in the
-   profile. *)
-let polled ~stage feed =
-  let count = ref 0 in
-  fun a ->
-    incr count;
-    if !count land 4095 = 0 then Deadline.poll ~stage;
-    feed a
-
 (* drain the per-map probe-length counts accumulated over a traversal
    into one registry histogram: bucket index is the probe length
    (slots past the first; last bucket = 16+) *)
@@ -61,6 +50,59 @@ let key ~workload ~kind ~block ~seed ~n =
   | L1_filtered { l1_size; l1_assoc } ->
     Printf.sprintf "prof:l1:%s:%d:%d:%d:%Ld:%d" workload l1_size l1_assoc block seed n
 
+(* The traversal kit shared by [build] and [of_stream]: a profiler, the
+   optional L1 filter in front of it, and the feed that runs one access
+   through both. *)
+let traversal ~block kind =
+  let profiler = Mattson.create ~block_bytes:block () in
+  match kind with
+  | Raw -> (profiler, None, fun addr _ -> Mattson.access profiler addr)
+  | L1_filtered { l1_size; l1_assoc } ->
+    let l1 =
+      Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block
+        ~policy:Replacement.Lru ()
+    in
+    ( profiler,
+      Some l1,
+      fun addr write ->
+        if not (Cache.hit (Cache.access l1 addr ~write)) then
+          Mattson.access profiler addr )
+
+(* close a traversal: flush its counters and reduce the profiler to the
+   suffix CDF *)
+let finish ~workload ~kind ~block ~seed ~n profiler l1_opt =
+  Metrics.incr "cachesim.mattson_curves";
+  flush_probe_hist (Mattson.drain_probe_hist profiler);
+  let l1_miss_rate =
+    match l1_opt with
+    | Some l1 ->
+      flush_probe_hist (Cache.drain_probe_hist l1);
+      Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
+      Stats.miss_rate (Cache.stats l1)
+    | None -> Float.nan
+  in
+  let dists, suffix = Mattson.cdf profiler in
+  let k = Array.length dists in
+  let counts =
+    Array.init k (fun i ->
+        if i + 1 < k then suffix.(i) - suffix.(i + 1) else suffix.(i))
+  in
+  {
+    workload;
+    kind;
+    block;
+    seed;
+    n;
+    accesses = Mattson.accesses profiler;
+    cold = Mattson.cold_misses profiler;
+    dists;
+    counts;
+    suffix;
+    l1_miss_rate;
+  }
+
+let kind_name = function Raw -> "raw" | L1_filtered _ -> "l1-filtered"
+
 (* One measured traversal of the trace: build the stack-distance CDF
    (raw trace, or the L1 miss stream when [kind] filters).  This is the
    only place in the derivation layer that touches the generator. *)
@@ -76,65 +118,20 @@ let build ~workload ~kind ~block ~seed ~n =
             ~attrs:
               [
                 ("workload", Json.String workload);
-                ( "kind",
-                  Json.String
-                    (match kind with Raw -> "raw" | L1_filtered _ -> "l1-filtered")
-                );
+                ("kind", Json.String (kind_name kind));
                 ("n", Json.Int n);
               ]
             "profile:build"
             (fun () ->
-          let gen = Registry.build ~seed workload in
-          let profiler = Mattson.create ~block_bytes:block () in
-          let l1_opt, feed_raw =
-            match kind with
-            | Raw -> (None, fun (a : Access.t) -> Mattson.access profiler a.Access.addr)
-            | L1_filtered { l1_size; l1_assoc } ->
-              let l1 =
-                Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block
-                  ~policy:Replacement.Lru ()
-              in
-              ( Some l1,
-                fun (a : Access.t) ->
-                  let o = Cache.access l1 a.Access.addr ~write:a.Access.write in
-                  if not (Cache.hit o) then Mattson.access profiler a.Access.addr )
-          in
-          let feed = polled ~stage:"simulate" feed_raw in
-          let warm = int_of_float (warmup_fraction *. float_of_int n) in
-          Mattson.set_measuring profiler false;
-          Gen.iter gen warm feed;
-          (match l1_opt with Some l1 -> Cache.reset_stats l1 | None -> ());
-          Mattson.set_measuring profiler true;
-          Gen.iter gen (n - warm) feed;
-          Metrics.incr "cachesim.mattson_curves";
-          flush_probe_hist (Mattson.drain_probe_hist profiler);
-          let l1_miss_rate =
-            match l1_opt with
-            | Some l1 ->
-              flush_probe_hist (Cache.drain_probe_hist l1);
-              Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
-              Stats.miss_rate (Cache.stats l1)
-            | None -> Float.nan
-          in
-          let dists, suffix = Mattson.cdf profiler in
-          let k = Array.length dists in
-          let counts =
-            Array.init k (fun i ->
-                if i + 1 < k then suffix.(i) - suffix.(i + 1) else suffix.(i))
-          in
-          {
-            workload;
-            kind;
-            block;
-            seed;
-            n;
-            accesses = Mattson.accesses profiler;
-            cold = Mattson.cold_misses profiler;
-            dists;
-            counts;
-            suffix;
-            l1_miss_rate;
-          })))
+              let gen = Registry.build ~seed workload in
+              let profiler, l1_opt, feed = traversal ~block kind in
+              let warm = int_of_float (warmup_fraction *. float_of_int n) in
+              Mattson.set_measuring profiler false;
+              Gen.iter ~stage:"simulate" gen warm feed;
+              Option.iter Cache.reset_stats l1_opt;
+              Mattson.set_measuring profiler true;
+              Gen.iter ~stage:"simulate" gen (n - warm) feed;
+              finish ~workload ~kind ~block ~seed ~n profiler l1_opt)))
 
 let raw ?(block = 64) ?(seed = Registry.default_seed) ~workload ~n () =
   build ~workload ~kind:Raw ~block ~seed ~n
@@ -157,26 +154,11 @@ let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
     ~attrs:
       [
         ("stream", Json.String (Stream_trace.name stream));
-        ( "kind",
-          Json.String
-            (match kind with Raw -> "raw" | L1_filtered _ -> "l1-filtered") );
+        ("kind", Json.String (kind_name kind));
       ]
     "profile:stream"
     (fun () ->
-      let profiler = Mattson.create ~block_bytes:block () in
-      let l1_opt, feed =
-        match kind with
-        | Raw -> (None, fun addr _ -> Mattson.access profiler addr)
-        | L1_filtered { l1_size; l1_assoc } ->
-          let l1 =
-            Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block
-              ~policy:Replacement.Lru ()
-          in
-          ( Some l1,
-            fun addr write ->
-              if not (Cache.hit (Cache.access l1 addr ~write)) then
-                Mattson.access profiler addr )
-      in
+      let profiler, l1_opt, feed = traversal ~block kind in
       let warm =
         match Stream_trace.declared_length stream with
         | Some n -> int_of_float (warmup_fraction *. float_of_int n)
@@ -187,41 +169,14 @@ let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
       let n_fed =
         Stream_trace.iter stream (fun addr write ->
             if !fed = warm then begin
-              (match l1_opt with Some l1 -> Cache.reset_stats l1 | None -> ());
+              Option.iter Cache.reset_stats l1_opt;
               Mattson.set_measuring profiler true
             end;
             incr fed;
             feed addr write)
       in
-      Metrics.incr "cachesim.mattson_curves";
-      flush_probe_hist (Mattson.drain_probe_hist profiler);
-      let l1_miss_rate =
-        match l1_opt with
-        | Some l1 ->
-          flush_probe_hist (Cache.drain_probe_hist l1);
-          Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
-          Stats.miss_rate (Cache.stats l1)
-        | None -> Float.nan
-      in
-      let dists, suffix = Mattson.cdf profiler in
-      let k = Array.length dists in
-      let counts =
-        Array.init k (fun i ->
-            if i + 1 < k then suffix.(i) - suffix.(i + 1) else suffix.(i))
-      in
-      {
-        workload = Stream_trace.name stream;
-        kind;
-        block;
-        seed;
-        n = n_fed;
-        accesses = Mattson.accesses profiler;
-        cold = Mattson.cold_misses profiler;
-        dists;
-        counts;
-        suffix;
-        l1_miss_rate;
-      })
+      finish ~workload:(Stream_trace.name stream) ~kind ~block ~seed ~n:n_fed
+        profiler l1_opt)
 
 (* --- derivations: no trace traversal below this line ------------------- *)
 

@@ -83,10 +83,5 @@ val warmup_fraction : float
     shared with direct simulation so derived and simulated rates see
     the same steady-state window. *)
 
-val polled : stage:string -> (Access.t -> unit) -> Access.t -> unit
-(** Wrap a feed with a {!Nmcache_engine.Deadline.poll} every 4096
-    accesses — the cooperative cancellation seam shared by every trace
-    loop in this library. *)
-
 val clear_cache : unit -> unit
 (** Drop all memoised profiles (tests use this to bound memory). *)

@@ -1,5 +1,15 @@
 (** Building blocks for synthetic workloads: stateful walkers over
-    address regions with controlled temporal and spatial locality. *)
+    address regions with controlled temporal and spatial locality.
+
+    A walker returns each access as a packed entry
+    ({!Nmcache_cachesim.Stream_trace.pack}), the form {!Gen.make}
+    takes, so walking allocates nothing. *)
+
+val zipf_table : n:int -> s:float -> Nmcache_numerics.Zipf.t
+(** The Zipf sampler over [n] ranks with exponent [s], built on the
+    first request for this [(n, s)] and shared, physically, by every
+    later one in the process (domain-safe: a concurrent request waits
+    for the build in flight).  Tables are never dropped. *)
 
 val locality_walker :
   rng:Nmcache_numerics.Rng.t ->
@@ -8,7 +18,7 @@ val locality_walker :
   p_continue:float ->
   unit ->
   unit ->
-  Access.t
+  int
 (** A cursor over [base, base+bytes): with probability [p_continue] the
     next access is the next word (sequential run, wrapping); otherwise
     the cursor jumps to a uniformly random word.  Models loop/stack
@@ -24,14 +34,13 @@ val zipf_blocks :
   run:int ->
   unit ->
   unit ->
-  Access.t
+  int
 (** Block-grained Zipf popularity over the region: each visit picks a
     block by Zipf rank (rank→place scrambled so popularity is not
     spatially correlated) and scans [run] consecutive words inside it.
-    Models heap/object locality with a long tail.  Raises
-    [Invalid_argument] if [block] doesn't divide the region or is not a
-    multiple of 8, or [run < 1]. *)
+    Models heap/object locality with a long tail.  The sampler is
+    {!zipf_table}'s.  Raises [Invalid_argument] if [block] doesn't
+    divide the region or is not a multiple of 8, or [run < 1]. *)
 
-val stream :
-  base:int -> bytes:int -> stride:int -> unit -> unit -> Access.t
+val stream : base:int -> bytes:int -> stride:int -> unit -> unit -> int
 (** Sequential scan with wrap-around — array streaming. *)

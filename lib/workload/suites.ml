@@ -1,4 +1,5 @@
 module Rng = Nmcache_numerics.Rng
+module Stream_trace = Nmcache_cachesim.Stream_trace
 
 type spec_variant = Mix | Gcc | Mcf | Art
 
@@ -168,7 +169,7 @@ let specweb_like ~seed () =
   let rng = Rng.create ~seed in
   let n_objects = 1 lsl 17 in
   let slot = kb 16 in
-  let zipf = Nmcache_numerics.Zipf.create ~n:n_objects ~s:0.9 in
+  let zipf = Regions.zipf_table ~n:n_objects ~s:0.9 in
   let obj_rng = Rng.split rng in
   let size_rng = Rng.split rng in
   let remaining = ref 0 in
@@ -185,10 +186,10 @@ let specweb_like ~seed () =
           cursor := warm_base + (o * slot);
           remaining := size / 8
         end;
-        let a = Access.read !cursor in
+        let e = Stream_trace.pack !cursor false in
         cursor := !cursor + 8;
         decr remaining;
-        a)
+        e)
   in
   let metadata =
     Gen.make ~name:"metadata"
@@ -219,7 +220,7 @@ let tpcc_like ~seed () =
   in
   let log =
     let inner = Regions.stream ~base:stream_base ~bytes:(mb 64) ~stride:8 () in
-    Gen.make ~name:"log" (fun () -> Access.write (inner ()).Access.addr)
+    Gen.make ~name:"log" (fun () -> Stream_trace.pack (Stream_trace.addr (inner ())) true)
   in
   Gen.mix ~name:"tpcc" ~rng:(Rng.split rng)
     [ (0.35, root); (0.25, internal); (0.28, leaf); (0.12, log) ]
@@ -227,6 +228,6 @@ let tpcc_like ~seed () =
   (* reads/writes: log is all writes; give the rest a 25% store mix *)
   let wrng = Rng.split rng in
   Gen.make ~name:"tpcc" (fun () ->
-      let a = Gen.next mixed in
-      if a.Access.write then a
-      else { a with Access.write = Rng.bernoulli wrng ~p:0.25 })
+      let e = Gen.next_packed mixed in
+      if Stream_trace.is_write e then e
+      else Stream_trace.pack (Stream_trace.addr e) (Rng.bernoulli wrng ~p:0.25))

@@ -140,6 +140,31 @@ let test_plru_basic () =
   Alcotest.(check bool) "eviction happened" true (Cache.victim o >= 0);
   Alcotest.(check bool) "most recent survives PLRU" true (Cache.contains c 0)
 
+(* The access loop allocates nothing on hits or misses, including the
+   PLRU victim descent, the generic-associativity way search (16 ways)
+   and the random policy's draw.  The trace spans 8x the capacity so
+   most accesses miss; a first pass fills the first-touch set so the
+   measured pass sees no table growth. *)
+let test_access_allocation_gate () =
+  let rng = Rng.create ~seed:4L in
+  let addrs = Array.init 50_000 (fun _ -> 64 * Rng.int rng ~bound:2048) in
+  List.iter
+    (fun (assoc, policy) ->
+      let c = make ~size:(kb 16) ~assoc ~block:64 ~policy () in
+      let pass () =
+        for i = 0 to Array.length addrs - 1 do
+          ignore (Cache.access c addrs.(i) ~write:(i land 7 = 0))
+        done
+      in
+      pass ();
+      let w0 = Gc.minor_words () in
+      pass ();
+      let words = Gc.minor_words () -. w0 in
+      if words > 0.0 then
+        Alcotest.failf "%d-way %s: %.0f minor words over %d accesses" assoc
+          (Replacement.name policy) words (Array.length addrs))
+    [ (4, Replacement.Plru); (16, Replacement.Lru); (8, Replacement.Random 3) ]
+
 let test_random_policy_reproducible () =
   let run () =
     let c = make ~size:(4 * 64) ~assoc:4 ~block:64 ~policy:(Replacement.Random 7) () in
@@ -298,6 +323,8 @@ let suite =
     Alcotest.test_case "dirty write-back" `Quick test_writeback_dirty;
     Alcotest.test_case "clean eviction" `Quick test_clean_eviction;
     Alcotest.test_case "PLRU basics" `Quick test_plru_basic;
+    Alcotest.test_case "alloc gate: 4-way PLRU and 16-way LRU access allocates 0 words"
+      `Quick test_access_allocation_gate;
     Alcotest.test_case "random policy reproducible" `Quick test_random_policy_reproducible;
     Alcotest.test_case "valid blocks" `Quick test_valid_blocks;
     Alcotest.test_case "cache validation" `Quick test_cache_validation;

@@ -13,7 +13,6 @@ module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Gen = Nmcache_workload.Gen
 module Phased = Nmcache_workload.Phased
-module Access = Nmcache_workload.Access
 module Registry = Nmcache_workload.Registry
 module Rng = Nmcache_numerics.Rng
 
@@ -110,8 +109,8 @@ let test_prefetch_improves_sequential_l2_hits () =
     let p = Prefetch.create ~degree ~l1 ~l2 () in
     let g = Gen.sequential ~stride:64 ~name:"s" () in
     let l2_hits = ref 0 and l1_misses = ref 0 in
-    Gen.iter g 2000 (fun acc ->
-        let o = Prefetch.access p acc.Access.addr ~write:false in
+    Gen.iter ~stage:"test" g 2000 (fun addr _ ->
+        let o = Prefetch.access p addr ~write:false in
         if not o.Prefetch.l1_hit then begin
           incr l1_misses;
           if o.Prefetch.l2_hit then incr l2_hits
@@ -128,7 +127,7 @@ let test_prefetch_accuracy_on_stream () =
   let l1, l2 = fresh_pair () in
   let p = Prefetch.create ~degree:1 ~l1 ~l2 () in
   let g = Gen.sequential ~stride:64 ~name:"s" () in
-  Gen.iter g 2000 (fun acc -> ignore (Prefetch.access p acc.Access.addr ~write:false));
+  Gen.iter ~stage:"test" g 2000 (fun addr _ -> ignore (Prefetch.access p addr ~write:false));
   Alcotest.(check bool)
     (Printf.sprintf "accuracy %.2f high on a pure stream" (Prefetch.accuracy p))
     true
@@ -164,7 +163,7 @@ let test_phased_cycles () =
   let g = Phased.cycle ~name:"p" ~rng ~dwell:50 [ p1; p2 ] in
   let in_b = ref 0 in
   let n = 20_000 in
-  Gen.iter g n (fun acc -> if acc.Access.addr >= 1 lsl 40 then incr in_b);
+  Gen.iter ~stage:"test" g n (fun addr _ -> if addr >= 1 lsl 40 then incr in_b);
   let frac = float_of_int !in_b /. float_of_int n in
   (* two equal phases: roughly half the time in each *)
   Alcotest.(check bool) (Printf.sprintf "phase balance %.2f" frac) true

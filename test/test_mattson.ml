@@ -8,7 +8,6 @@ module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Rng = Nmcache_numerics.Rng
 module Gen = Nmcache_workload.Gen
-module Access = Nmcache_workload.Access
 module Registry = Nmcache_workload.Registry
 
 let test_simple_distances () =
@@ -118,7 +117,7 @@ let prop_workload_curve_monotone =
     (fun name ->
       let g = Registry.build ~seed:7L name in
       let m = Mattson.create ~block_bytes:64 () in
-      Gen.iter g 20_000 (fun acc -> Mattson.access m acc.Access.addr);
+      Gen.iter ~stage:"test" g 20_000 (fun addr _ -> Mattson.access m addr);
       let curve = Mattson.miss_ratio_curve m ~capacities:[| 4; 16; 64; 256; 1024 |] in
       let ok = ref (Array.for_all (fun r -> r >= 0.0 && r <= 1.0) curve) in
       for i = 0 to Array.length curve - 2 do

@@ -239,6 +239,56 @@ let test_rng_seeds_differ () =
   done;
   Alcotest.(check int) "different streams" 0 !same
 
+(* Known answers, pinned before the generator state moved from a record
+   of [int64] fields into a byte buffer: the stream must not change. *)
+let test_rng_known_answers () =
+  let rng = Rng.create ~seed:2005L in
+  List.iter
+    (fun want -> Alcotest.(check int64) "bits64" want (Rng.bits64 rng))
+    [
+      2072291165580959782L; -2068581103330885870L; -7538402352609517695L;
+      -7045835609698293907L;
+    ];
+  List.iter
+    (fun want -> Alcotest.(check (float 0.0)) "float" want (Rng.float rng))
+    [ 0x1.3a513b23439c6p-2; 0x1.25ab3810f7e25p-1; 0x1.1afc6adf3549p-1; 0x1.dfdef23e46f88p-2 ];
+  List.iter
+    (fun want -> Alcotest.(check int) "int ~bound:1000" want (Rng.int rng ~bound:1000))
+    [ 534; 72; 234; 742 ];
+  List.iter
+    (fun want ->
+      Alcotest.(check int) "int ~bound:(2^61 + 12345)" want
+        (Rng.int rng ~bound:((1 lsl 61) + 12345)))
+    [ 2078082938728359797; 414101390549813209 ];
+  (* the documented float construction from bits53 *)
+  let a = Rng.create ~seed:3L in
+  let b = Rng.copy a in
+  for _ = 1 to 100 do
+    Alcotest.(check (float 0.0)) "float = bits53 * 2^-53" (Rng.float a)
+      (Float.of_int (Rng.bits53 b) *. 0x1p-53)
+  done
+
+(* A warm draw of anything that returns an immediate allocates nothing:
+   the state is read and written in place. *)
+let test_rng_draw_allocates_nothing () =
+  let rng = Rng.create ~seed:8L in
+  let sink = ref 0 in
+  let draw () =
+    sink :=
+      !sink + Rng.int rng ~bound:1000 + Rng.bits53 rng
+      + Bool.to_int (Rng.bernoulli rng ~p:0.3)
+      + Bool.to_int (Rng.bool rng)
+      + Rng.geometric rng ~p:0.2
+  in
+  draw ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    draw ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sink);
+  if words > 0.0 then Alcotest.failf "10k warm draws allocated %.0f minor words" words
+
 let test_rng_int_bounds () =
   let rng = Rng.create ~seed:5L in
   for _ = 1 to 10_000 do
@@ -322,6 +372,27 @@ let test_zipf_uniform_degenerate () =
     close "uniform pmf" 0.1 (Zipf.pmf z k) ~eps:1e-9
   done
 
+(* Known answers for the tables themselves, pinned before [create]
+   started normalising in place: an MD5 of every pmf's bits.  A change
+   of summation order moves these while leaving most sampled ranks, and
+   so the generator digests, untouched. *)
+let test_zipf_known_answers () =
+  List.iter
+    (fun (n, s, want) ->
+      let z = Zipf.create ~n ~s in
+      let buf = Buffer.create (8 * n) in
+      for k = 0 to n - 1 do
+        Buffer.add_int64_le buf (Int64.bits_of_float (Zipf.pmf z k))
+      done;
+      Alcotest.(check string) (Printf.sprintf "n=%d s=%g" n s) want
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [
+      (1000, 0.8, "1163158e13fb6b8cf667cc99737cc60a");
+      (4096, 0.7, "468742307911e75cbc664b08aa69e5bf");
+      (131072, 0.9, "70f0c13e934e061467f62ad21b9f51bc");
+      (524288, 1.0, "2902b62c9378a523205c2d5ce6832be8");
+    ]
+
 let test_zipf_sampling_matches_pmf () =
   let z = Zipf.create ~n:20 ~s:0.8 in
   let rng = Rng.create ~seed:11L in
@@ -369,6 +440,9 @@ let suite =
     Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "rng reproducible" `Quick test_rng_reproducible;
     Alcotest.test_case "rng seeds differ" `Quick test_rng_seeds_differ;
+    Alcotest.test_case "rng known answers (seed 2005)" `Quick test_rng_known_answers;
+    Alcotest.test_case "alloc gate: a warm rng draw allocates 0 words" `Quick
+      test_rng_draw_allocates_nothing;
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "rng float unit interval" `Quick test_rng_float_unit;
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniformity;
@@ -380,5 +454,6 @@ let suite =
     Alcotest.test_case "zipf pmf monotone" `Quick test_zipf_monotone;
     Alcotest.test_case "zipf s=0 uniform" `Quick test_zipf_uniform_degenerate;
     Alcotest.test_case "zipf sampling frequencies" `Quick test_zipf_sampling_matches_pmf;
+    Alcotest.test_case "zipf table known answers" `Quick test_zipf_known_answers;
   ]
   @ qcheck

@@ -10,7 +10,6 @@ module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Metrics = Nmcache_engine.Metrics
 module Gen = Nmcache_workload.Gen
-module Access = Nmcache_workload.Access
 module Registry = Nmcache_workload.Registry
 module Missrate = Nmcache_workload.Missrate
 module Profile = Nmcache_workload.Profile
@@ -37,7 +36,7 @@ let check_stats name (s : Stats.t) (acc, hits, misses, ra, wa, ev, wb, cold) =
 let run_cache ~workload ~size ~assoc ~block ~policy ~n =
   let c = Cache.create ~size_bytes:size ~assoc ~block_bytes:block ~policy () in
   let g = Registry.build ~seed:42L workload in
-  Gen.iter g n (fun a -> ignore (Cache.access c a.Access.addr ~write:a.Access.write));
+  Gen.iter ~stage:"test" g n (fun addr write -> ignore (Cache.access c addr ~write));
   Cache.stats c
 
 let test_pinned_single_level () =
@@ -68,7 +67,7 @@ let test_pinned_hierarchy () =
   let l2 = Cache.create ~size_bytes:(kb 256) ~assoc:8 ~block_bytes:64 ~policy:Replacement.Lru () in
   let h = Hierarchy.create ~l1 ~l2 in
   let g = Registry.build ~seed:42L "spec2000-mix" in
-  Gen.iter g 200_000 (fun a -> ignore (Hierarchy.access h a.Access.addr ~write:a.Access.write));
+  Gen.iter ~stage:"test" g 200_000 (fun addr write -> ignore (Hierarchy.access h addr ~write));
   check_stats "hierarchy L1" (Cache.stats l1)
     (200000, 188025, 11975, 139955, 60045, 11719, 10882, 7814);
   check_stats "hierarchy L2" (Cache.stats l2)
@@ -79,7 +78,7 @@ let test_pinned_hierarchy () =
 let test_pinned_mattson () =
   let m = Mattson.create ~block_bytes:64 () in
   let g = Registry.build ~seed:42L "tpcc" in
-  Gen.iter g 100_000 (fun a -> Mattson.access m a.Access.addr);
+  Gen.iter ~stage:"test" g 100_000 (fun addr _ -> Mattson.access m addr);
   let hist = Mattson.histogram m in
   Alcotest.(check (list int)) "profiler digest"
     [ 100000; 5747; 5747; 927; 3162017; 18922; 9482; 5765 ]
@@ -143,10 +142,10 @@ let prop_fullassoc_exact =
           in
           let g = Registry.build ~seed:Registry.default_seed workload in
           let warm = int_of_float (Profile.warmup_fraction *. float_of_int n) in
-          let feed (a : Access.t) = ignore (Cache.access c a.Access.addr ~write:a.Access.write) in
-          Gen.iter g warm feed;
+          let feed addr write = ignore (Cache.access c addr ~write) in
+          Gen.iter ~stage:"test" g warm feed;
           Cache.reset_stats c;
-          Gen.iter g (n - warm) feed;
+          Gen.iter ~stage:"test" g (n - warm) feed;
           (Cache.stats c).Stats.misses = Profile.misses_at prof ~capacity_blocks:cap)
         [ 16; 64; 512 ])
 

@@ -513,6 +513,36 @@ let test_checkpoint_resume_in_process () =
   Alcotest.(check bool) "different geometry computes fresh slots" true
     (Store.appended j3 = n / 500 && third <> reference)
 
+(* Slot keys carry the fold-state format, so a journal written before
+   it (by a binary whose [Cache.t] held a record-of-[int64] [Rng.t])
+   never feeds an old state to the current fold: every such slot
+   misses and is recomputed.  The stale slots here hold a wrong count,
+   which a served slot would leak into the result. *)
+let test_checkpoint_old_slot_format_recomputed () =
+  let dir = tmpdir () in
+  let s = Wstream.of_workload ~chunk_size:500 ~workload:"tpcc" ~n:2_000 () in
+  let skey = Option.get (Stream_trace.key s) and salt = "count" in
+  let j = Store.open_fresh ~dir in
+  for i = 0 to 3 do
+    let old_key = Printf.sprintf "stream\x00%s\x00%s:chunk:%d" skey salt i in
+    ignore (Store.add_new j ~ns:"slot" ~key:old_key (-1_000_000))
+  done;
+  Store.close j;
+  let j = Store.open_ ~dir in
+  Sweep.set_journal (Some j);
+  let total =
+    Fun.protect
+      ~finally:(fun () -> Sweep.set_journal None)
+      (fun () ->
+        Stream_trace.resumable_fold ~salt s ~init:0 ~f:(fun n ~index:_ chunk ->
+            n + Array.length chunk))
+  in
+  let served = Store.served j and appended = Store.appended j in
+  Store.close j;
+  Alcotest.(check int) "the count is recomputed" 2_000 total;
+  Alcotest.(check int) "no old-format slot served" 0 served;
+  Alcotest.(check int) "every chunk journaled under the tagged key" 4 appended
+
 (* --- kill-and-resume chaos gate ----------------------------------------- *)
 
 (* Child mode: re-executed with [stream_child_env] set to
@@ -649,6 +679,8 @@ let suite =
       test_full_chunks_share_one_buffer;
     Alcotest.test_case "alloc gate: file replay allocates <= 1 minor word/access"
       `Quick test_replay_allocation_gate;
+    Alcotest.test_case "checkpoint: an old-format slot is recomputed, not served" `Quick
+      test_checkpoint_old_slot_format_recomputed;
     Alcotest.test_case "checkpoint: chunk slots resume byte-identically" `Quick
       test_checkpoint_resume_in_process;
     Alcotest.test_case "chaos: SIGKILL mid-chunk, resume byte-identical" `Quick

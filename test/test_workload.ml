@@ -7,6 +7,7 @@ module Suites = Nmcache_workload.Suites
 module Registry = Nmcache_workload.Registry
 module Missrate = Nmcache_workload.Missrate
 module Rng = Nmcache_numerics.Rng
+module Stream_trace = Nmcache_cachesim.Stream_trace
 
 let kb n = n * 1024
 let mb n = n * 1024 * 1024
@@ -27,9 +28,8 @@ let test_cyclic () =
 let test_uniform_random_in_range () =
   let rng = Rng.create ~seed:20L in
   let g = Gen.uniform_random ~base:1000 ~name:"u" ~rng ~footprint:(kb 64) () in
-  Gen.iter g 10_000 (fun a ->
-      Alcotest.(check bool) "in region" true
-        (a.Access.addr >= 1000 && a.Access.addr < 1000 + kb 64))
+  Gen.iter ~stage:"test" g 10_000 (fun addr _ ->
+      Alcotest.(check bool) "in region" true (addr >= 1000 && addr < 1000 + kb 64))
 
 let test_mix_weights () =
   let rng = Rng.create ~seed:21L in
@@ -38,7 +38,7 @@ let test_mix_weights () =
   let g = Gen.mix ~name:"m" ~rng [ (0.8, left); (0.2, right) ] in
   let n = 50_000 in
   let left_count = ref 0 in
-  Gen.iter g n (fun a -> if a.Access.addr < mb 512 then incr left_count);
+  Gen.iter ~stage:"test" g n (fun addr _ -> if addr < mb 512 then incr left_count);
   let frac = float_of_int !left_count /. float_of_int n in
   Alcotest.(check bool) (Printf.sprintf "left fraction %.3f" frac) true
     (Float.abs (frac -. 0.8) < 0.02)
@@ -48,7 +48,7 @@ let test_write_fraction () =
   let g = Gen.with_write_fraction ~rng ~p:0.3 (Gen.sequential ~name:"s" ()) in
   let writes = ref 0 in
   let n = 50_000 in
-  Gen.iter g n (fun a -> if a.Access.write then incr writes);
+  Gen.iter ~stage:"test" g n (fun _ write -> if write then incr writes);
   let frac = float_of_int !writes /. float_of_int n in
   Alcotest.(check bool) "30% writes" true (Float.abs (frac -. 0.3) < 0.02)
 
@@ -58,9 +58,8 @@ let test_locality_walker_region () =
   let rng = Rng.create ~seed:23L in
   let next = Regions.locality_walker ~rng ~base:(kb 4) ~bytes:(kb 8) ~p_continue:0.7 () in
   for _ = 1 to 5_000 do
-    let a = next () in
-    Alcotest.(check bool) "stays in region" true
-      (a.Access.addr >= kb 4 && a.Access.addr < kb 12)
+    let addr = Stream_trace.addr (next ()) in
+    Alcotest.(check bool) "stays in region" true (addr >= kb 4 && addr < kb 12)
   done
 
 let test_zipf_blocks_region_and_runs () =
@@ -70,10 +69,10 @@ let test_zipf_blocks_region_and_runs () =
   let sequential_steps = ref 0 in
   let total = 10_000 in
   for _ = 1 to total do
-    let a = next () in
-    Alcotest.(check bool) "in region" true (a.Access.addr >= 0 && a.Access.addr < kb 64);
-    if !prev >= 0 && a.Access.addr = !prev + 8 then incr sequential_steps;
-    prev := a.Access.addr
+    let addr = Stream_trace.addr (next ()) in
+    Alcotest.(check bool) "in region" true (addr >= 0 && addr < kb 64);
+    if !prev >= 0 && addr = !prev + 8 then incr sequential_steps;
+    prev := addr
   done;
   (* runs of 4 mean ~3/4 of steps are sequential *)
   let frac = float_of_int !sequential_steps /. float_of_int total in
@@ -81,7 +80,7 @@ let test_zipf_blocks_region_and_runs () =
 
 let test_stream_wraps () =
   let next = Regions.stream ~base:0 ~bytes:256 ~stride:64 () in
-  let xs = List.init 5 (fun _ -> (next ()).Access.addr) in
+  let xs = List.init 5 (fun _ -> Stream_trace.addr (next ())) in
   Alcotest.(check (list int)) "wraps" [ 0; 64; 128; 192; 0 ] xs
 
 (* --- suites ---------------------------------------------------------------- *)
@@ -93,6 +92,67 @@ let test_generators_deterministic () =
       let g2 = Registry.build ~seed:5L name in
       let t1 = Gen.take g1 1000 and t2 = Gen.take g2 1000 in
       Alcotest.(check bool) (name ^ " deterministic") true (t1 = t2))
+    Registry.names
+
+(* Digests of the first 100 000 accesses of every registry workload at
+   seed 42, pinned before generators moved to packed entries and shared
+   Zipf tables; the goldens exercise only the headline three. *)
+let known_digests =
+  [
+    ("spec2000-mix", "abc67fb2cbe1f876fcfc9bf5b31cb6fa");
+    ("spec2000-gcc", "50ef903117b618936ccc9249d11101a4");
+    ("spec2000-mcf", "5fca0a3df4e78fe5b891bd7898eb43fa");
+    ("spec2000-art", "85ac1455dcb8f5198847082a061d28d1");
+    ("specweb", "f2e8db288b2456647536a578acf821fd");
+    ("tpcc", "3a4da73cd2bb3f2f887a636121f7f0d8");
+    ("spec2000-phased", "6f07b289b0496cda43f2f28d28b0bb0d");
+  ]
+
+let test_generators_known_answers () =
+  Alcotest.(check (list string)) "every workload pinned" Registry.names
+    (List.map fst known_digests);
+  List.iter
+    (fun (name, want) ->
+      let buf = Buffer.create (8 * 100_000) in
+      Gen.iter ~stage:"test" (Registry.build ~seed:42L name) 100_000 (fun addr write ->
+          Buffer.add_int64_le buf (Int64.of_int (Stream_trace.pack addr write)));
+      Alcotest.(check string) (name ^ " digest") want
+        (Digest.to_hex (Digest.string (Buffer.contents buf)));
+      (* the boxing adapter reads the same stream *)
+      let packed = Registry.build ~seed:42L name and boxed = Registry.build ~seed:42L name in
+      for _ = 1 to 1000 do
+        let e = Gen.next_packed packed and a = Gen.next boxed in
+        if Stream_trace.addr e <> a.Access.addr || Stream_trace.is_write e <> a.Access.write
+        then Alcotest.failf "%s: Gen.next disagrees with Gen.next_packed" name
+      done)
+    known_digests
+
+let test_zipf_table_shared () =
+  let a = Regions.zipf_table ~n:1000 ~s:0.8 in
+  Alcotest.(check bool) "same (n, s): the same table" true
+    (a == Regions.zipf_table ~n:1000 ~s:0.8);
+  Alcotest.(check bool) "another s: another table" true
+    (a != Regions.zipf_table ~n:1000 ~s:0.7);
+  Alcotest.(check bool) "another n: another table" true
+    (a != Regions.zipf_table ~n:1001 ~s:0.8)
+
+(* The steady-state generation path allocates nothing: packed entries,
+   unboxed RNG state, float draws that never leave their function.  The
+   gate is the ROADMAP's 1 word/access; every workload measures 0. *)
+let test_gen_iter_allocation_gate () =
+  List.iter
+    (fun name ->
+      let g = Registry.build ~seed:42L name in
+      let n = 200_000 in
+      let sink = ref 0 in
+      let feed addr write = sink := !sink + addr + Bool.to_int write in
+      Gen.iter ~stage:"test" g 1000 feed;
+      let w0 = Gc.minor_words () in
+      Gen.iter ~stage:"test" g n feed;
+      let per_access = (Gc.minor_words () -. w0) /. float_of_int n in
+      if per_access > 1.0 then
+        Alcotest.failf "%s: Gen.iter allocates %.2f minor words per access (gate: 1)" name
+          per_access)
     Registry.names
 
 let test_generators_seed_sensitivity () =
@@ -183,6 +243,11 @@ let suite =
     Alcotest.test_case "zipf blocks region and runs" `Quick test_zipf_blocks_region_and_runs;
     Alcotest.test_case "stream wraps" `Quick test_stream_wraps;
     Alcotest.test_case "generators deterministic" `Quick test_generators_deterministic;
+    Alcotest.test_case "generators known answers (seed 42)" `Quick
+      test_generators_known_answers;
+    Alcotest.test_case "zipf table shared per (n, s)" `Quick test_zipf_table_shared;
+    Alcotest.test_case "alloc gate: Gen.iter allocates <= 1 minor word/access" `Quick
+      test_gen_iter_allocation_gate;
     Alcotest.test_case "seed sensitivity" `Quick test_generators_seed_sensitivity;
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "unknown workload" `Quick test_registry_unknown_build;
