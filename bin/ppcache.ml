@@ -122,7 +122,7 @@ let retries_arg =
 let deadline_arg =
   let doc =
     "Cooperative per-kernel budget in seconds: a kernel that overruns it \
-     (observed at the LM / annealer / cachesim poll points) becomes a typed \
+     (observed at the fit / annealer / cachesim poll points) becomes a typed \
      $(b,timed_out) fault in its own slot instead of a hung run.  0 fires on \
      the first poll."
   in

@@ -56,7 +56,7 @@ let quick () =
    numerical change that can move a fitted model or an optimum, so
    stores and checkpoint journals written before it miss and recompute
    rather than serve the old answers. *)
-let numerics_tag = "vp1"
+let numerics_tag = "vp2"
 
 (* A stable fingerprint of every context field that can change an
    experiment's numbers — the checkpoint layer folds it into slot keys

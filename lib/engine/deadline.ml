@@ -2,7 +2,7 @@
 
    A deadline is a per-domain token (DLS, so spawned pool workers each
    carry their own) holding an absolute expiry instant.  Long kernels
-   poll it at loop seams — LM iterations, anneal steps, cachesim
+   poll it at loop seams — fit iterations, anneal steps, cachesim
    batches — and an expired poll raises a typed [Timed_out] fault,
    which the sweep's result boundary settles into the kernel's own
    slot.  Cancellation is cooperative by design: OCaml domains cannot

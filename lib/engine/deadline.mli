@@ -5,7 +5,7 @@
     the engine arms a per-domain budget token around every sweep slot
     ({!with_root}, driven by the process default from [ppcache run
     --deadline S]), and long-running kernels poll it at their loop
-    seams — LM iterations ({!Lm.fit}'s [check] hook), annealer steps,
+    seams — the fitter's Gauss–Newton iterations, annealer steps,
     cachesim replay batches.  An expired {!poll} raises a
     [Fault.Timed_out] fault that the sweep's result boundary settles
     into that slot, so the pool always drains and the run reports the

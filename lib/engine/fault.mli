@@ -16,7 +16,7 @@
     report. *)
 
 type kind =
-  | Fit_diverged      (** LM fit exhausted its restarts unconverged *)
+  | Fit_diverged      (** fit still unconverged after its retries *)
   | Singular_system   (** linear solve hit a singular system *)
   | Non_finite        (** NaN/Inf in inputs or results *)
   | Out_of_domain     (** model evaluated outside its fitted range *)

@@ -1,7 +1,7 @@
 (** Process-wide metrics registry: counters, gauges and log-bucketed
     histograms, keyed by name.
 
-    Instrumented hot paths (LM fits, anneal moves, cache simulations,
+    Instrumented hot paths (model fits, anneal moves, cache simulations,
     pool fan-outs) report here; [ppcache --metrics-json] and the bench
     report serialise a snapshot.  All operations are domain-safe — a
     single mutex guards the registry, which is fine because every call

@@ -1,6 +1,6 @@
 (* Per-stage retry with deterministic backoff.
 
-   Transient faults — an injected chaos hit, an LM fit that stalls from
+   Transient faults — an injected chaos hit, a fit left unconverged by
    an unlucky start — should be retried at the boundary that understands
    them before being recorded as casualties.  The *decision path* is
    pure: which kinds retry, how many attempts, and the backoff schedule

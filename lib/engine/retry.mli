@@ -1,7 +1,7 @@
 (** Per-stage retry policies with deterministic, seeded backoff.
 
-    Transient faults — a {!Faultpoint} chaos hit, an LM fit stalled by
-    an unlucky start — deserve another attempt at the boundary that
+    Transient faults — a {!Faultpoint} chaos hit, a fit left unconverged
+    by an unlucky start — deserve another attempt at the boundary that
     understands them ([fit.*], [anneal], [simulate]) before being
     recorded as casualties.  Chaos runs must stay reproducible, so the
     whole decision path is pure: retryable kinds and attempt counts

@@ -2,7 +2,6 @@ module Units = Nmcache_physics.Units
 module Component = Nmcache_geometry.Component
 module Matrix = Nmcache_numerics.Matrix
 module Linsolve = Nmcache_numerics.Linsolve
-module Lm = Nmcache_numerics.Lm
 module Stats = Nmcache_numerics.Stats
 module Minimize = Nmcache_numerics.Minimize
 module Metrics = Nmcache_engine.Metrics
@@ -29,8 +28,8 @@ let samples_key (samples : samples) =
 
 (* Fault boundary for one compact-model fit, now a retry boundary: the
    armed fault point fires first (chaos harness — per-attempt, so
-   transient arms recover under retry), then numeric failures escaping
-   the solvers are mapped into typed faults instead of raw exceptions.
+   transient arms recover under retry), then a singular design escaping
+   the solver is mapped into a typed fault instead of a raw exception.
    Retryable faults (injected, fit_diverged) get up to the policy's
    attempt budget with deterministic backoff before escaping. *)
 let fit_boundary ~stage ~key f =
@@ -39,62 +38,73 @@ let fit_boundary ~stage ~key f =
       try f ~attempt ~last with
       | Linsolve.Singular ->
         Fault.error ~kind:Fault.Singular_system ~stage
-          ("linear system singular for samples " ^ key)
-      | Lm.Non_finite msg ->
-        Fault.error ~kind:Fault.Non_finite ~stage
-          (Printf.sprintf "%s (samples %s)" msg key))
+          ("linear system singular for samples " ^ key))
+
+(* A NaN or Inf sample would run the whole start grid and the damping
+   loop on garbage before the fitted parameters showed it, so every fit
+   rejects one up front, naming where it is. *)
+let check_samples ~stage ~key ~field value (samples : samples) =
+  let check i name v =
+    if not (Float.is_finite v) then
+      Fault.error ~kind:Fault.Non_finite ~stage
+        (Printf.sprintf "sample %d %s is %g (samples %s)" i name v key)
+  in
+  Array.iteri
+    (fun i ((k : Component.knob), s) ->
+      check i "vth" k.Component.vth;
+      check i "tox" k.Component.tox;
+      check i field (value s))
+    samples
 
 let check_model_finite ~stage ~key params =
   if not (List.for_all Float.is_finite params) then
     Fault.error ~kind:Fault.Non_finite ~stage
       ("fitted parameters non-finite for samples " ^ key)
 
-(* One metrics sample per LM *attempt*: iteration count and final
-   residual, labelled by which compact model was being fitted.  Fits
-   are coarse (milliseconds), so the registry update is noise.  With
-   retries armed, [lm.fits] counts attempts, not fit_leak/fit_delay
-   calls. *)
-let record_attempt ~model (result : Lm.result) =
+(* One fit attempt's outcome: the linear coefficients and exponents at
+   the point the Gauss–Newton stopped. *)
+type attempt = {
+  coef : float array;
+  alpha : float array;
+  residual : float;  (* ‖relative residual‖₂ *)
+  iterations : int;
+  converged : bool;
+}
+
+(* One metrics sample per fit *attempt*: iteration count and final
+   residual, labelled by which compact model was being fitted.  The
+   [lm.*] names predate the variable-projection fits and are kept
+   because dashboards and the benchmark read them.  With retries armed,
+   [lm.fits] counts attempts, not fit_leak/fit_delay calls. *)
+let record_attempt ~model (a : attempt) =
   Metrics.incr "lm.fits";
-  if result.Lm.converged then Metrics.incr "lm.converged";
-  Metrics.observe "lm.iterations" (float_of_int result.Lm.iterations);
-  Metrics.observe ("lm." ^ model ^ ".iterations") (float_of_int result.Lm.iterations);
-  Metrics.observe ("lm." ^ model ^ ".residual") result.Lm.residual
+  if a.converged then Metrics.incr "lm.converged";
+  Metrics.observe "lm.iterations" (float_of_int a.iterations);
+  Metrics.observe ("lm." ^ model ^ ".iterations") (float_of_int a.iterations);
+  Metrics.observe ("lm." ^ model ^ ".residual") a.residual
 
 let record_quality ~model (quality : Model.quality) =
   Metrics.observe ("fit." ^ model ^ ".r2") quality.Model.r2;
   Metrics.observe ("fit." ^ model ^ ".rms_rel") quality.Model.rms_rel
 
-(* multi-start seed per retry attempt: attempt 1 keeps the canonical
-   seed, later attempts shift it so each retry actually explores new
-   starts *)
-let retry_seed attempt = Int64.add 0x5EEDL (Int64.of_int (attempt - 1))
-
-(* Divergence policy at the retry boundary.  A fit still unconverged
-   after its internal multi-starts raises Fit_diverged — the retry
-   boundary re-fits with a shifted multi-start seed, and exhaustion is
-   counted as exhaustion (never as a recovery).  The first attempt's
-   result is stashed so the caller can degrade gracefully when every
-   attempt diverges: the *canonical first-attempt* model is recorded
-   as a Fit_diverged casualty and returned, making a run whose retries
-   never converge byte-identical (models, fault details, CSVs) to a
-   run with retries disabled.  The raised detail quotes the canonical
-   result for the same reason. *)
-let settle_lm ~model ~key ~attempt ~first (result : Lm.result) =
-  if result.Lm.converged then result
+(* Divergence policy at the retry boundary.  An unconverged attempt
+   raises Fit_diverged — the retry boundary re-fits from the next-best
+   start, and exhaustion is counted as exhaustion (never as a
+   recovery).  The first attempt's result is stashed so the caller can
+   degrade gracefully when every attempt diverges: the *canonical
+   first-attempt* model is recorded as a Fit_diverged casualty and
+   returned, making a run whose retries never converge byte-identical
+   (models, fault details, CSVs) to a run with retries disabled.  The
+   raised detail quotes the canonical result for the same reason. *)
+let settle ~model ~key ~attempt ~first (a : attempt) =
+  if a.converged then a
   else begin
-    if attempt = 1 then first := Some result;
-    let canonical = match !first with Some r -> r | None -> result in
+    if attempt = 1 then first := Some a;
+    let canonical = match !first with Some r -> r | None -> a in
     Fault.error ~kind:Fault.Fit_diverged ~stage:("fit." ^ model)
       (Printf.sprintf "unconverged after %d iterations, residual %.3e (samples %s)"
-         canonical.Lm.iterations canonical.Lm.residual key)
+         canonical.iterations canonical.residual key)
   end
-
-let unpack samples field =
-  Array.map
-    (fun ((k : Component.knob), (s : Component.summary)) ->
-      (k.Component.vth, Units.to_angstrom k.Component.tox, field s))
-    samples
 
 (* Relative-error weights: leakage spans decades, and the optimiser
    cares about being right everywhere on the grid, not just at the
@@ -108,40 +118,99 @@ let quality_of ~actual ~predicted =
     rms_rel = Stats.rms_rel_error ~actual ~predicted;
   }
 
-(* --- leakage ------------------------------------------------------- *)
+let quality_on samples ~value ~eval =
+  quality_of
+    ~actual:(Array.map (fun (_, s) -> value s) samples)
+    ~predicted:
+      (Array.map
+         (fun ((k : Component.knob), _) -> eval ~vth:k.Component.vth ~tox:k.Component.tox)
+         samples)
 
 let quality_leak m samples =
-  let actual = Array.map (fun (_, (s : Component.summary)) -> s.Component.leak_w) samples in
-  let predicted =
-    Array.map
-      (fun ((k : Component.knob), _) ->
-        Model.eval_leak m ~vth:k.Component.vth ~tox:k.Component.tox)
-      samples
-  in
-  quality_of ~actual ~predicted
+  quality_on samples ~value:(fun s -> s.Component.leak_w) ~eval:(Model.eval_leak m)
 
-(* Variable projection (Golub–Pereyra).  For fixed exponents
-   (alpha_v, alpha_t) the model is linear in (A0, A1, A2), and the
-   weighted QR solve gives those exactly, so the fit is a 2-parameter
-   problem over the relative residuals r left by that solve.  Damped
+let quality_delay m samples =
+  quality_on samples ~value:(fun s -> s.Component.delay) ~eval:(Model.eval_delay m)
+
+(* --- variable projection ------------------------------------------- *)
+
+(* Both compact models are separable (Golub–Pereyra): for fixed
+   exponents they are linear in their coefficients, and the weighted
+   QR solve gives those exactly, so each fit is a one- or two-parameter
+   problem over the relative residuals r that solve leaves.  Damped
    Gauss–Newton runs on the exponents with Kaufman's Jacobian: column k
    is the part of ∂P/∂alpha_k (relative) that the design cannot absorb,
-   which makes Jᵀr the exact gradient. *)
-type leak_data = {
-  vths : float array;
-  toxs : float array;  (* Å *)
-  ys : float array;
-  w : float array;     (* relative-error weights *)
+   which makes Jᵀr the exact gradient.  Each point's design is
+   factored once; its coefficients and every Jacobian column are solves
+   against that one factorisation. *)
+
+(* One exponent: it fills design column [col] with exp(alpha·x). *)
+type axis = {
+  col : int;
+  x : float array;       (* the knob, per sample *)
+  values : float array;  (* its distinct values *)
+  slot : int array;      (* sample -> its value's index in [values] *)
+  ex : float array;      (* exp(alpha·value) per distinct value, workspace *)
+  grid : float array;    (* the exponent's start grid *)
 }
 
-type projection = {
-  alpha_v : float;
-  alpha_t : float;
-  design : Matrix.t;
-  coef : float array;  (* A0, A1, A2 *)
-  r : float array;     (* relative residuals *)
-  cost : float;        (* ‖r‖₂ *)
+(* Designs are column-major float arrays, the layout the
+   factorisation reads: element (i, j) is at [j·n + i]. *)
+type problem = {
+  n : int;               (* samples *)
+  nc : int;              (* design columns *)
+  ys : float array;
+  w : float array;       (* relative-error weights *)
+  den : float array;     (* max(|y|, 1e-30): residuals are relative *)
+  axes : axis array;     (* one or two exponents *)
+  fixed : float array;   (* the design's exponent-free columns *)
 }
+
+let axis ~col ~grid x =
+  let values = ref [] in
+  Array.iter (fun v -> if not (List.exists (Float.equal v) !values) then values := v :: !values) x;
+  let values = Array.of_list (List.rev !values) in
+  let slot =
+    Array.map
+      (fun v ->
+        let rec find u = if Float.equal values.(u) v then u else find (u + 1) in
+        find 0)
+      x
+  in
+  { col; x; values; slot; ex = Array.make (Array.length values) 0.0; grid }
+
+(* [fixed] is the n × nc design with its exponent-free columns set *)
+let problem ~ys ~axes ~fixed =
+  let n = Array.length ys in
+  {
+    n;
+    nc = Array.length fixed / n;
+    ys;
+    w = weights ys;
+    den = Array.map (fun y -> Float.max (Float.abs y) 1e-30) ys;
+    axes;
+    fixed;
+  }
+
+(* The projection at one exponent point, in a reusable workspace. *)
+type point = {
+  alpha : float array;
+  design : float array;
+  qr : Linsolve.qr;
+  coef : float array;
+  r : float array;       (* relative residuals *)
+  mutable cost : float;  (* ‖r‖₂ *)
+}
+
+let point d =
+  {
+    alpha = Array.make (Array.length d.axes) 0.0;
+    design = Array.copy d.fixed;
+    qr = Linsolve.qr ~rows:d.n ~cols:d.nc;
+    coef = Array.make d.nc 0.0;
+    r = Array.make d.n 0.0;
+    cost = 0.0;
+  }
 
 let dot u v =
   let acc = ref 0.0 in
@@ -151,256 +220,260 @@ let dot u v =
   !acc
 
 (* relative residuals (Φc − g)/|y| of the weighted solve Φc ≈ g *)
-let project d design g =
-  let coef = Linsolve.lstsq_weighted design g ~weights:d.w in
-  let r = Matrix.mul_vec design coef in
-  for i = 0 to Array.length r - 1 do
-    r.(i) <- (r.(i) -. g.(i)) /. Float.max (Float.abs d.ys.(i)) 1e-30
-  done;
-  (coef, r)
+let residuals d design coef g r =
+  for i = 0 to d.n - 1 do
+    let acc = ref 0.0 in
+    for j = 0 to d.nc - 1 do
+      acc := !acc +. (design.((j * d.n) + i) *. coef.(j))
+    done;
+    r.(i) <- (!acc -. g.(i)) /. d.den.(i)
+  done
 
-let leak_projection d ~alpha_v ~alpha_t =
-  let n = Array.length d.ys in
-  let design = Matrix.create ~rows:n ~cols:3 in
-  for i = 0 to n - 1 do
-    Matrix.set design i 0 1.0;
-    Matrix.set design i 1 (Float.exp (alpha_v *. d.vths.(i)));
-    Matrix.set design i 2 (Float.exp (alpha_t *. d.toxs.(i)))
+(* factor the design at [p.alpha] and solve for its coefficients *)
+let project d p =
+  for k = 0 to Array.length d.axes - 1 do
+    let ax = d.axes.(k) in
+    for u = 0 to Array.length ax.values - 1 do
+      ax.ex.(u) <- Float.exp (p.alpha.(k) *. ax.values.(u))
+    done;
+    for i = 0 to d.n - 1 do
+      p.design.((ax.col * d.n) + i) <- ax.ex.(ax.slot.(i))
+    done
   done;
-  let coef, r = project d design d.ys in
-  { alpha_v; alpha_t; design; coef; r; cost = Float.sqrt (dot r r) }
+  Linsolve.factor_weighted p.qr p.design ~weights:d.w;
+  Linsolve.solve_into p.qr d.ys p.coef;
+  residuals d p.design p.coef d.ys p.r;
+  p.cost <- Float.sqrt (dot p.r p.r)
 
-(* the coarse exponent grid the Gauss–Newton starts from *)
-let alpha_vs = Minimize.linspace ~lo:(-40.0) ~hi:(-5.0) ~steps:11
-let alpha_ts = Minimize.linspace ~lo:(-2.4) ~hi:(-0.3) ~steps:6
+(* start-grid point [g], the first exponent's grid varying slowest *)
+let load_grid_point d p g =
+  let g = ref g in
+  for k = Array.length d.axes - 1 downto 0 do
+    let grid = d.axes.(k).grid in
+    p.alpha.(k) <- grid.(!g mod Array.length grid);
+    g := !g / Array.length grid
+  done;
+  project d p
+
+(* The start grid's points, best first, ranked in one workspace; a
+   singular point is no start.  Raises [Linsolve.Singular] when every
+   point is. *)
+let rank_starts d p =
+  let size = Array.fold_left (fun acc ax -> acc * Array.length ax.grid) 1 d.axes in
+  let costs = Array.make size Float.nan in
+  let ok = ref [] in
+  for g = size - 1 downto 0 do
+    match load_grid_point d p g with
+    | () ->
+      costs.(g) <- p.cost;
+      ok := g :: !ok
+    | exception Linsolve.Singular -> ()
+  done;
+  if !ok = [] then raise Linsolve.Singular;
+  let starts = Array.of_list !ok in
+  Array.stable_sort (fun g h -> Float.compare costs.(g) costs.(h)) starts;
+  starts
+
+(* the Marquardt-damped Gauss–Newton step for one or two exponents;
+   false when the damped system is not positive definite or the step
+   is not finite *)
+let damped_step ~h ~grad ~lambda step =
+  match step with
+  | [| _ |] ->
+    let vv' = h.(0).(0) *. (1.0 +. lambda) in
+    step.(0) <- -.grad.(0) /. vv';
+    vv' > 0.0 && Float.is_finite step.(0)
+  | _ ->
+    let vv = h.(0).(0) and vt = h.(0).(1) and tt = h.(1).(1) in
+    let gv = grad.(0) and gt = grad.(1) in
+    let vv' = vv *. (1.0 +. lambda) and tt' = tt *. (1.0 +. lambda) in
+    let det = (vv' *. tt') -. (vt *. vt) in
+    let dv = ((-.gv *. tt') +. (gt *. vt)) /. det
+    and dt = ((-.gt *. vv') +. (gv *. vt)) /. det in
+    step.(0) <- dv;
+    step.(1) <- dt;
+    det > 0.0 && Float.is_finite dv && Float.is_finite dt
+
+let norm v = if Array.length v = 1 then Float.abs v.(0) else Float.hypot v.(0) v.(1)
 
 let vp_max_iter = 100
 let vp_step_tol = 1e-10
 let vp_grad_tol = 1e-10
 let vp_max_damping_tries = 30
 
-let leak_gauss_newton ~check d start =
-  let kaufman (p : projection) =
-    let column a knob alpha =
-      let g = Array.make (Array.length knob) 0.0 in
-      for i = 0 to Array.length knob - 1 do
-        g.(i) <- a *. knob.(i) *. Float.exp (alpha *. knob.(i))
+let gauss_newton ~check d start spare =
+  let m = Array.length d.axes and n = d.n in
+  let jac = Array.init m (fun _ -> Array.make n 0.0) in
+  let g = Array.make n 0.0 and c = Array.make d.nc 0.0 in
+  let h = Array.init m (fun _ -> Array.make m 0.0) and grad = Array.make m 0.0 in
+  let step = Array.make m 0.0 in
+  (* Kaufman's columns at [p], solved against p's factorisation *)
+  let kaufman p =
+    for k = 0 to m - 1 do
+      let ax = d.axes.(k) and jk = jac.(k) in
+      let a = p.coef.(ax.col) in
+      for i = 0 to n - 1 do
+        g.(i) <- a *. ax.x.(i) *. p.design.((ax.col * n) + i)
       done;
-      let _, r = project d p.design g in
-      for i = 0 to Array.length r - 1 do
-        r.(i) <- -.r.(i)
-      done;
-      r
-    in
-    (column p.coef.(1) d.vths p.alpha_v, column p.coef.(2) d.toxs p.alpha_t)
+      Linsolve.solve_into p.qr g c;
+      residuals d p.design c g jk;
+      for i = 0 to n - 1 do
+        jk.(i) <- -.jk.(i)
+      done
+    done
   in
-  let rec iterate (p : projection) lambda it =
+  let rec iterate p q lambda it =
     check ();
-    let jv, jt = kaufman p in
-    let vv = dot jv jv and vt = dot jv jt and tt = dot jt jt in
-    let gv = dot jv p.r and gt = dot jt p.r in
-    (* stationary: r is orthogonal to both Jacobian columns *)
-    let stationary =
-      Float.abs gv <= vp_grad_tol *. Float.sqrt vv *. p.cost
-      && Float.abs gt <= vp_grad_tol *. Float.sqrt tt *. p.cost
-    in
-    if stationary then (p, it, true)
+    kaufman p;
+    for k = 0 to m - 1 do
+      for l = k to m - 1 do
+        h.(k).(l) <- dot jac.(k) jac.(l);
+        h.(l).(k) <- h.(k).(l)
+      done;
+      grad.(k) <- dot jac.(k) p.r
+    done;
+    (* stationary: r is orthogonal to every Jacobian column *)
+    let stationary = ref true in
+    for k = 0 to m - 1 do
+      stationary :=
+        !stationary && Float.abs grad.(k) <= vp_grad_tol *. Float.sqrt h.(k).(k) *. p.cost
+    done;
+    if !stationary then (p, it, true)
     else if it >= vp_max_iter then (p, it, false)
     else
-      (* Marquardt damping on the 2×2 normal equations, raised until the
-         step lowers the cost *)
+      (* Marquardt damping, raised until the step lowers the cost; the
+         trial point is built in [q], which becomes current on success *)
       let rec damped lambda tries =
         if tries >= vp_max_damping_tries then None
         else
-          let vv' = vv *. (1.0 +. lambda) and tt' = tt *. (1.0 +. lambda) in
-          let det = (vv' *. tt') -. (vt *. vt) in
-          let dv = ((-.gv *. tt') +. (gt *. vt)) /. det
-          and dt = ((-.gt *. vv') +. (gv *. vt)) /. det in
-          let trial =
-            if det > 0.0 && Float.is_finite dv && Float.is_finite dt then
-              try
-                Some
-                  (leak_projection d ~alpha_v:(p.alpha_v +. dv) ~alpha_t:(p.alpha_t +. dt))
-              with Linsolve.Singular -> None
-            else None
+          let accepted =
+            damped_step ~h ~grad ~lambda step
+            && begin
+              for k = 0 to m - 1 do
+                q.alpha.(k) <- p.alpha.(k) +. step.(k)
+              done;
+              match project d q with
+              | () -> q.cost < p.cost
+              | exception Linsolve.Singular -> false
+            end
           in
-          match trial with
-          | Some q when q.cost < p.cost -> Some (q, lambda, Float.hypot dv dt)
-          | _ -> damped (Float.max (lambda *. 10.0) 1e-12) (tries + 1)
+          if accepted then Some lambda
+          else damped (Float.max (lambda *. 10.0) 1e-12) (tries + 1)
       in
       match damped lambda 0 with
       | None ->
         (* no damping lowers the cost: a minimum to rounding *)
         (p, it + 1, true)
-      | Some (q, lambda, step) ->
-        let scale = Float.hypot q.alpha_v q.alpha_t in
-        if step <= vp_step_tol *. (scale +. vp_step_tol) then (q, it + 1, true)
-        else iterate q (lambda /. 10.0) (it + 1)
+      | Some lambda ->
+        if norm step <= vp_step_tol *. (norm q.alpha +. vp_step_tol) then (q, it + 1, true)
+        else iterate q p (lambda /. 10.0) (it + 1)
   in
-  iterate start 0.0 0
+  let p, iterations, converged = iterate start spare 0.0 0 in
+  { coef = Array.copy p.coef; alpha = Array.copy p.alpha; residual = p.cost; iterations;
+    converged }
 
-let fit_leak samples =
-  if Array.length samples < 6 then invalid_arg "Fitter.fit_leak: too few samples";
-  let key = samples_key samples in
-  let ys = Array.map (fun (_, (s : Component.summary)) -> s.Component.leak_w) samples in
-  let d =
-    {
-      vths = Array.map (fun ((k : Component.knob), _) -> k.Component.vth) samples;
-      toxs = Array.map (fun ((k : Component.knob), _) -> Units.to_angstrom k.Component.tox) samples;
-      ys;
-      w = weights ys;
-    }
+(* The shared fit: attempt k runs Gauss–Newton from the k-th best
+   start-grid point.  The ranking depends only on the samples, so it
+   is computed once and shared across retry attempts (lazy memoises
+   exceptions too, and a grid that is singular everywhere is not
+   retryable anyway). *)
+let fit_separable ~model ~key d ~model_of ~quality =
+  let stage = "fit." ^ model in
+  let finish (a : attempt) =
+    check_model_finite ~stage ~key (Array.to_list (Array.append a.coef a.alpha));
+    let m = model_of a in
+    let q = quality m in
+    record_quality ~model q;
+    (m, q)
   in
-  (* the grid's projections, best first, depend only on the samples —
-     computed once and shared across retry attempts, which start from
-     successive grid points (lazy memoises exceptions too, and a grid
-     that is singular everywhere is not retryable anyway) *)
-  let starts =
-    lazy
-      (let projections =
-         Array.to_list alpha_vs
-         |> List.concat_map (fun alpha_v ->
-                Array.to_list alpha_ts
-                |> List.filter_map (fun alpha_t ->
-                       try Some (leak_projection d ~alpha_v ~alpha_t)
-                       with Linsolve.Singular -> None))
-       in
-       if projections = [] then raise Linsolve.Singular;
-       Array.of_list
-         (List.stable_sort (fun p q -> Float.compare p.cost q.cost) projections))
-  in
+  let current = point d and spare = point d in
+  let starts = lazy (rank_starts d spare) in
   let first = ref None in
-  let finish (result : Lm.result) =
-    let theta = result.Lm.params in
-    check_model_finite ~stage:"fit.leak" ~key (Array.to_list theta);
-    let m =
-      {
-        Model.a0 = theta.(0);
-        a1 = theta.(1);
-        alpha_v = theta.(2);
-        a2 = theta.(3);
-        alpha_t = theta.(4);
-      }
-    in
-    let quality = quality_leak m samples in
-    record_quality ~model:"leak" quality;
-    (m, quality)
-  in
   try
-    fit_boundary ~stage:"fit.leak" ~key @@ fun ~attempt ~last:_ ->
+    fit_boundary ~stage ~key @@ fun ~attempt ~last:_ ->
     let starts = Lazy.force starts in
-    let p, iterations, converged =
-      leak_gauss_newton
-        ~check:(fun () -> Deadline.poll ~stage:"fit.leak")
-        d
-        starts.((attempt - 1) mod Array.length starts)
-    in
-    let result =
-      {
-        Lm.params = [| p.coef.(0); p.coef.(1); p.alpha_v; p.coef.(2); p.alpha_t |];
-        residual = p.cost;
-        iterations;
-        converged;
-      }
-    in
-    record_attempt ~model:"leak" result;
-    finish (settle_lm ~model:"leak" ~key ~attempt ~first result)
+    load_grid_point d current starts.((attempt - 1) mod Array.length starts);
+    let a = gauss_newton ~check:(fun () -> Deadline.poll ~stage) d current spare in
+    record_attempt ~model a;
+    finish (settle ~model ~key ~attempt ~first a)
   with Fault.Fault ({ kind = Fault.Fit_diverged; _ } as fault) when !first <> None ->
     (* every attempt diverged: degrade, don't fail — record the
        casualty and return the canonical first-attempt model *)
     Fault.record fault;
-    finish (match !first with Some r -> r | None -> assert false)
+    finish (match !first with Some a -> a | None -> assert false)
+
+let vths samples = Array.map (fun ((k : Component.knob), _) -> k.Component.vth) samples
+
+let toxs samples =
+  Array.map (fun ((k : Component.knob), _) -> Units.to_angstrom k.Component.tox) samples
+
+(* --- leakage ------------------------------------------------------- *)
+
+(* the coarse exponent grid the Gauss–Newton starts from *)
+let alpha_vs = Minimize.linspace ~lo:(-40.0) ~hi:(-5.0) ~steps:11
+let alpha_ts = Minimize.linspace ~lo:(-2.4) ~hi:(-0.3) ~steps:6
+
+let fit_leak samples =
+  if Array.length samples < 6 then invalid_arg "Fitter.fit_leak: too few samples";
+  let key = samples_key samples in
+  let leak_w (s : Component.summary) = s.Component.leak_w in
+  check_samples ~stage:"fit.leak" ~key ~field:"leak_w" leak_w samples;
+  (* columns 1 and 2 are the exponentials *)
+  let n = Array.length samples in
+  let fixed = Array.concat [ Array.make n 1.0; Array.make (2 * n) 0.0 ] in
+  let d =
+    problem
+      ~ys:(Array.map (fun (_, s) -> leak_w s) samples)
+      ~axes:
+        [| axis ~col:1 ~grid:alpha_vs (vths samples); axis ~col:2 ~grid:alpha_ts (toxs samples) |]
+      ~fixed
+  in
+  fit_separable ~model:"leak" ~key d
+    ~quality:(fun m -> quality_leak m samples)
+    ~model_of:(fun a ->
+      {
+        Model.a0 = a.coef.(0);
+        a1 = a.coef.(1);
+        alpha_v = a.alpha.(0);
+        a2 = a.coef.(2);
+        alpha_t = a.alpha.(1);
+      })
 
 (* --- delay --------------------------------------------------------- *)
 
-let delay_linear_fit pts ~kappa_v =
-  let rows = Array.map (fun (v, x, _) -> [| 1.0; Float.exp (kappa_v *. v); x |]) pts in
-  let ys = Array.map (fun (_, _, y) -> y) pts in
-  let a = Matrix.of_rows rows in
-  let coef = Linsolve.lstsq_weighted a ys ~weights:(weights ys) in
-  let predict (v, x, _) = coef.(0) +. (coef.(1) *. Float.exp (kappa_v *. v)) +. (coef.(2) *. x) in
-  let rel_err =
-    Array.fold_left
-      (fun acc ((_, _, y) as p) ->
-        let e = (predict p -. y) /. Float.max (Float.abs y) 1e-30 in
-        acc +. (e *. e))
-      0.0 pts
-  in
-  (coef, rel_err)
-
-let delay_eval theta (xi : float array) =
-  theta.(0) +. (theta.(1) *. Float.exp (theta.(2) *. xi.(0))) +. (theta.(3) *. xi.(1))
+(* For a fixed k3 the delay model is linear in (k0, k1, k2), so the fit
+   is a projection over k3 alone, started from this grid. *)
+let kappas = Minimize.linspace ~lo:0.2 ~hi:10.0 ~steps:49
 
 let fit_delay samples =
   if Array.length samples < 5 then invalid_arg "Fitter.fit_delay: too few samples";
   let key = samples_key samples in
-  let pts = unpack samples (fun s -> s.Component.delay) in
-  let profile =
-    lazy
-      (let best = ref None in
-       let kappas = Minimize.linspace ~lo:0.2 ~hi:10.0 ~steps:49 in
-       Array.iter
-         (fun kappa_v ->
-           let coef, err = delay_linear_fit pts ~kappa_v in
-           match !best with
-           | Some (_, _, e) when e <= err -> ()
-           | _ -> best := Some (coef, kappa_v, err))
-         kappas;
-       match !best with Some b -> b | None -> assert false)
+  let delay (s : Component.summary) = s.Component.delay in
+  check_samples ~stage:"fit.delay" ~key ~field:"delay" delay samples;
+  (* column 1 is the exponential; column 2 is ToxÅ *)
+  let n = Array.length samples in
+  let fixed = Array.concat [ Array.make n 1.0; Array.make n 0.0; toxs samples ] in
+  let d =
+    problem
+      ~ys:(Array.map (fun (_, s) -> delay s) samples)
+      ~axes:[| axis ~col:1 ~grid:kappas (vths samples) |]
+      ~fixed
   in
-  let first = ref None in
-  let finish (result : Lm.result) =
-    let theta = result.Lm.params in
-    check_model_finite ~stage:"fit.delay" ~key (Array.to_list theta);
-    let m = { Model.k0 = theta.(0); k1 = theta.(1); kappa_v = theta.(2); k2 = theta.(3) } in
-    let actual = Array.map (fun (_, _, y) -> y) pts in
-    let predicted =
-      Array.map
-        (fun ((k : Component.knob), _) ->
-          Model.eval_delay m ~vth:k.Component.vth ~tox:k.Component.tox)
-        samples
-    in
-    let quality = quality_of ~actual ~predicted in
-    record_quality ~model:"delay" quality;
-    (m, quality)
-  in
-  try
-    fit_boundary ~stage:"fit.delay" ~key @@ fun ~attempt ~last:_ ->
-    let coef, kappa_v, _ = Lazy.force profile in
-    let xs = Array.map (fun (v, x, y) -> [| v; x; y |]) pts in
-    let ys_rel = Array.map (fun _ -> 1.0) pts in
-    let f theta xi = delay_eval theta xi /. Float.max (Float.abs xi.(2)) 1e-30 in
-    let init = [| coef.(0); coef.(1); kappa_v; coef.(2) |] in
-    let result =
-      Lm.fit_robust
-        ~check:(fun () -> Deadline.poll ~stage:"fit.delay")
-        ~seed:(retry_seed attempt) ~f ~xs ~ys:ys_rel ~init ()
-    in
-    record_attempt ~model:"delay" result;
-    finish (settle_lm ~model:"delay" ~key ~attempt ~first result)
-  with Fault.Fault ({ kind = Fault.Fit_diverged; _ } as fault) when !first <> None ->
-    Fault.record fault;
-    finish (match !first with Some r -> r | None -> assert false)
-
-let quality_delay m samples =
-  let actual = Array.map (fun (_, (s : Component.summary)) -> s.Component.delay) samples in
-  let predicted =
-    Array.map
-      (fun ((k : Component.knob), _) ->
-        Model.eval_delay m ~vth:k.Component.vth ~tox:k.Component.tox)
-      samples
-  in
-  quality_of ~actual ~predicted
+  fit_separable ~model:"delay" ~key d
+    ~quality:(fun m -> quality_delay m samples)
+    ~model_of:(fun a ->
+      { Model.k0 = a.coef.(0); k1 = a.coef.(1); kappa_v = a.alpha.(0); k2 = a.coef.(2) })
 
 (* --- dynamic energy ------------------------------------------------ *)
 
 let fit_energy samples =
   if Array.length samples < 2 then invalid_arg "Fitter.fit_energy: too few samples";
   let key = samples_key samples in
+  let dyn_energy (s : Component.summary) = s.Component.dyn_energy in
+  check_samples ~stage:"fit.energy" ~key ~field:"dyn_energy" dyn_energy samples;
   fit_boundary ~stage:"fit.energy" ~key @@ fun ~attempt:_ ~last:_ ->
-  let pts = unpack samples (fun s -> s.Component.dyn_energy) in
-  let rows = Array.map (fun (_, x, _) -> [| 1.0; x |]) pts in
-  let ys = Array.map (fun (_, _, y) -> y) pts in
+  let rows = Array.map (fun x -> [| 1.0; x |]) (toxs samples) in
+  let ys = Array.map (fun (_, s) -> dyn_energy s) samples in
   let coef = Linsolve.lstsq (Matrix.of_rows rows) ys in
   check_model_finite ~stage:"fit.energy" ~key (Array.to_list coef);
   let m = { Model.e0 = coef.(0); e1 = coef.(1) } in

@@ -1,31 +1,40 @@
 (** Fitting the compact models to characterisation samples.
 
     Both model forms are {e separable}: for fixed exponents the
-    remaining coefficients are linear.  The leakage fit is a variable
-    projection: damped Gauss–Newton over its two exponents, started
-    from the best point of a 12×7 exponent grid, with the exact
-    weighted QR solve for (A0, A1, A2) inside every step; it stops on a
-    relative step or a vanishing gradient.  The delay fit profiles its
-    exponent over a grid with linear least squares inside, then refines
-    all four parameters with Levenberg–Marquardt.  This mirrors how one
+    remaining coefficients are linear.  Both fits are variable
+    projections sharing one implementation: damped Gauss–Newton over
+    the exponents with Kaufman's Jacobian, and the exact weighted QR
+    solve for the linear coefficients inside every step.  The leakage fit
+    searches its two exponents from the best point of a 12×7 grid; the
+    delay fit searches k3 alone from the best point of a 50-point grid.
+    Each exponent point's design is factored once, and its
+    coefficients and Jacobian columns are solves against that
+    factorisation, in workspaces reused for the whole fit.  A fit stops
+    on a relative step or a vanishing gradient.  This mirrors how one
     extracts the paper's equations from HSPICE data.
 
     Fit failure is treated as an expected input, not an exception:
     compact leakage models go ill-conditioned at corner regions, so
-    each fit runs behind a fault boundary.  [Linsolve.Singular] and
-    [Lm.Non_finite] escape as typed
-    {!Nmcache_engine.Fault.Fault} values ([Singular_system] /
-    [Non_finite], stage [fit.leak] / [fit.delay] / [fit.energy]).  A
-    fit that remains unconverged after its retries (leakage: restarted
-    from the next-best grid point; delay: seeded LM multi-starts) still
-    returns its first attempt's model, recording a degraded-quality
-    [Fit_diverged] fault.  Leakage attempts count under the same
-    [lm.*] metrics as the LM fits.  Each fit also exposes a
-    {!Nmcache_engine.Faultpoint} named after its stage, keyed by a
-    deterministic fingerprint of the sample set. *)
+    each fit runs behind a fault boundary.  A NaN or Inf knob or value
+    is rejected before any solve, and [Linsolve.Singular] escapes as a
+    typed {!Nmcache_engine.Fault.Fault} ([Non_finite] /
+    [Singular_system], stage [fit.leak] / [fit.delay] /
+    [fit.energy]).  An unconverged attempt is retried from the
+    next-best grid point; a fit that remains unconverged after its
+    retries still returns its first attempt's model, recording a
+    degraded-quality [Fit_diverged] fault.  Attempts are counted under
+    the [lm.fits], [lm.converged] and [lm.<model>.*] metrics: the names
+    predate the variable projection and are kept because the benchmark
+    ledger reads them.  Each fit also exposes a
+    {!Nmcache_engine.Faultpoint} named after its stage, keyed by
+    {!samples_key}. *)
 
 type samples = (Nmcache_geometry.Component.knob * Nmcache_geometry.Component.summary) array
 (** The output of {!Nmcache_geometry.Cache_model.characterize}. *)
+
+val samples_key : samples -> string
+(** A deterministic fingerprint of a sample set: the key of the fits'
+    fault points and the sample reference in their fault details. *)
 
 val fit_leak : samples -> Model.leak * Model.quality
 (** Fit P = A0 + A1·exp(a1·Vth) + A2·exp(a2·ToxÅ) to the samples'

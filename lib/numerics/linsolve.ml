@@ -53,21 +53,64 @@ let solve a b =
    many decades (the leakage fit's 1, exp(a1·Vth), exp(a2·Tox)) from
    losing the small columns to rounding, which squaring them in the
    normal equations did.  A column that is zero, or dependent on the
-   earlier ones to within rounding, raises [Singular]. *)
-let lstsq_weighted a b ~weights =
-  let nr = Matrix.rows a and nc = Matrix.cols a in
-  if Array.length b <> nr then invalid_arg "Linsolve.lstsq: rhs length mismatch";
+   earlier ones to within rounding, raises [Singular].
+
+   The factorisation keeps R (in [q]'s upper triangle), the column
+   scales, √w and every reflector, so each right-hand side costs one
+   pass of reflections and a back substitution.  A right-hand side
+   sees the same reflections, in the same order and arithmetic, as it
+   would reduced beside the design's columns, so solving many against
+   one factorisation gives the bits of factoring for each. *)
+type qr = {
+  nr : int;
+  nc : int;
+  q : float array;     (* the weighted design, column-major, reduced to R *)
+  scale : float array; (* column norms *)
+  sw : float array;    (* √wᵢ *)
+  v : float array;     (* reflector k in rows k.. of column k, column-major *)
+  vv : float array;    (* ‖v_k‖² *)
+  y : float array;     (* rhs workspace *)
+}
+
+let qr ~rows ~cols =
+  if rows < cols then invalid_arg "Linsolve.lstsq: underdetermined system";
+  {
+    nr = rows;
+    nc = cols;
+    q = Array.make (rows * cols) 0.0;
+    scale = Array.make cols 0.0;
+    sw = Array.make rows 0.0;
+    v = Array.make (rows * cols) 0.0;
+    vv = Array.make cols 0.0;
+    y = Array.make rows 0.0;
+  }
+
+(* apply reflector [k] to rows k.. of the column at [off] in [col] *)
+let reflect f k (col : float array) off =
+  let nr = f.nr and v = f.v and voff = k * f.nr in
+  let dot = ref 0.0 in
+  for i = k to nr - 1 do
+    dot := !dot +. (v.(voff + i) *. col.(off + i))
+  done;
+  let tau = 2.0 *. !dot /. f.vv.(k) in
+  for i = k to nr - 1 do
+    col.(off + i) <- col.(off + i) -. (tau *. v.(voff + i))
+  done
+
+let factor_weighted f design ~weights =
+  let nr = f.nr and nc = f.nc in
+  if Array.length design <> nr * nc then
+    invalid_arg "Linsolve.factor_weighted: design size mismatch";
   if Array.length weights <> nr then invalid_arg "Linsolve.lstsq: weights length mismatch";
-  if nr < nc then invalid_arg "Linsolve.lstsq: underdetermined system";
-  Array.iter (fun w -> if w < 0.0 then invalid_arg "Linsolve.lstsq: negative weight") weights;
-  (* q: the weighted design, column-major, reduced in place to R *)
-  let q = Array.make (nr * nc) 0.0 and y = Array.make nr 0.0 in
-  let scale = Array.make nc 0.0 in
+  for i = 0 to nr - 1 do
+    if weights.(i) < 0.0 then invalid_arg "Linsolve.lstsq: negative weight"
+  done;
+  let q = f.q and v = f.v in
   for i = 0 to nr - 1 do
     let s = Float.sqrt weights.(i) in
-    y.(i) <- s *. b.(i);
+    f.sw.(i) <- s;
     for j = 0 to nc - 1 do
-      q.((j * nr) + i) <- s *. Matrix.get a i j
+      q.((j * nr) + i) <- s *. design.((j * nr) + i)
     done
   done;
   for j = 0 to nc - 1 do
@@ -77,24 +120,13 @@ let lstsq_weighted a b ~weights =
     done;
     let norm = Float.sqrt !acc in
     if norm = 0.0 then raise Singular;
-    scale.(j) <- norm;
+    f.scale.(j) <- norm;
     for i = 0 to nr - 1 do
       q.((j * nr) + i) <- q.((j * nr) + i) /. norm
     done
   done;
   (* unit columns put |R_00| = 1, so a fixed floor is a relative one *)
   let rank_floor = float_of_int nr *. epsilon_float in
-  let v = Array.make nr 0.0 in
-  let reflect vv k (col : float array) off =
-    let dot = ref 0.0 in
-    for i = k to nr - 1 do
-      dot := !dot +. (v.(i) *. col.(off + i))
-    done;
-    let tau = 2.0 *. !dot /. vv in
-    for i = k to nr - 1 do
-      col.(off + i) <- col.(off + i) -. (tau *. v.(i))
-    done
-  in
   for k = 0 to nc - 1 do
     let off = k * nr in
     let acc = ref 0.0 in
@@ -105,21 +137,31 @@ let lstsq_weighted a b ~weights =
     if norm <= rank_floor then raise Singular;
     let alpha = if q.(off + k) > 0.0 then -.norm else norm in
     for i = k to nr - 1 do
-      v.(i) <- q.(off + i)
+      v.(off + i) <- q.(off + i)
     done;
-    v.(k) <- v.(k) -. alpha;
+    v.(off + k) <- v.(off + k) -. alpha;
     let vv = ref 0.0 in
     for i = k to nr - 1 do
-      vv := !vv +. (v.(i) *. v.(i))
+      vv := !vv +. (v.(off + i) *. v.(off + i))
     done;
+    f.vv.(k) <- !vv;
     q.(off + k) <- alpha;
     for j = k + 1 to nc - 1 do
-      reflect !vv k q (j * nr)
-    done;
-    reflect !vv k y 0
+      reflect f k q (j * nr)
+    done
+  done
+
+let solve_into f b x =
+  let nr = f.nr and nc = f.nc and q = f.q and y = f.y in
+  if Array.length b <> nr then invalid_arg "Linsolve.lstsq: rhs length mismatch";
+  if Array.length x <> nc then invalid_arg "Linsolve.solve_into: solution length mismatch";
+  for i = 0 to nr - 1 do
+    y.(i) <- f.sw.(i) *. b.(i)
+  done;
+  for k = 0 to nc - 1 do
+    reflect f k y 0
   done;
   (* back substitution on R, then undo the column scaling *)
-  let x = Array.make nc 0.0 in
   for k = nc - 1 downto 0 do
     let acc = ref y.(k) in
     for j = k + 1 to nc - 1 do
@@ -127,7 +169,19 @@ let lstsq_weighted a b ~weights =
     done;
     x.(k) <- !acc /. q.((k * nr) + k)
   done;
-  Array.mapi (fun j xj -> xj /. scale.(j)) x
+  for j = 0 to nc - 1 do
+    x.(j) <- x.(j) /. f.scale.(j)
+  done
+
+let lstsq_weighted a b ~weights =
+  let nr = Matrix.rows a and nc = Matrix.cols a in
+  if Array.length b <> nr then invalid_arg "Linsolve.lstsq: rhs length mismatch";
+  if Array.length weights <> nr then invalid_arg "Linsolve.lstsq: weights length mismatch";
+  let f = qr ~rows:nr ~cols:nc in
+  factor_weighted f (Array.init (nr * nc) (fun k -> Matrix.get a (k mod nr) (k / nr))) ~weights;
+  let x = Array.make nc 0.0 in
+  solve_into f b x;
+  x
 
 let lstsq a b = lstsq_weighted a b ~weights:(Array.make (Matrix.rows a) 1.0)
 

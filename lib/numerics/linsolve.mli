@@ -19,7 +19,31 @@ val lstsq_weighted : Matrix.t -> float array -> weights:float array -> float arr
     apart in magnitude solve to full precision.  [a] must have at least
     as many rows as columns and all weights must be non-negative.
     Raises {!Singular} when a column is zero or linearly dependent on
-    the others to within rounding. *)
+    the others to within rounding.  It is {!factor_weighted} followed
+    by {!solve_into}. *)
+
+type qr
+(** A reusable workspace holding the factorisation of one weighted
+    design: R, the column scales, √w and the Householder reflectors.
+    It is mutable and owned by one caller at a time. *)
+
+val qr : rows:int -> cols:int -> qr
+(** [qr ~rows ~cols] is an empty workspace for [rows] × [cols] designs.
+    Raises [Invalid_argument] when [rows < cols]. *)
+
+val factor_weighted : qr -> float array -> weights:float array -> unit
+(** [factor_weighted f design ~weights] factors the weighted design
+    into [f], replacing what it held, and allocates nothing.  [design]
+    is column-major: element (i, j) is at [j·rows + i].  Validation and
+    {!Singular} are as for {!lstsq_weighted}; after [Singular], [f]
+    holds no usable factorisation until the next successful call. *)
+
+val solve_into : qr -> float array -> float array -> unit
+(** [solve_into f b x] writes into [x] the weighted least-squares
+    solution for right-hand side [b] against the design last factored
+    into [f], allocating nothing.  Any number of right-hand sides may be
+    solved against one factorisation, and each result is bit-identical
+    to {!lstsq_weighted} on the same design, weights and [b]. *)
 
 val invert : Matrix.t -> Matrix.t
 (** [invert a] is the inverse of square matrix [a].  Raises {!Singular}

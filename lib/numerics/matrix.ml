@@ -88,14 +88,6 @@ let add a b =
 
 let scale k m = { m with data = Array.map (fun v -> k *. v) m.data }
 
-let add_diagonal m d =
-  if m.rows <> m.cols then invalid_arg "Matrix.add_diagonal: not square";
-  let r = copy m in
-  for i = 0 to m.rows - 1 do
-    unsafe_set r i i (unsafe_get r i i +. d)
-  done;
-  r
-
 let map_row m i f =
   if i < 0 || i >= m.rows then invalid_arg "Matrix.map_row: row out of bounds";
   for j = 0 to m.cols - 1 do

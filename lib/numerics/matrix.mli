@@ -48,11 +48,6 @@ val add : t -> t -> t
 val scale : float -> t -> t
 (** [scale k m] is [k · m] (new matrix). *)
 
-val add_diagonal : t -> float -> t
-(** [add_diagonal m d] returns a copy of square matrix [m] with [d] added
-    to each diagonal element (used for Levenberg–Marquardt damping).
-    Raises [Invalid_argument] if [m] is not square. *)
-
 val map_row : t -> int -> (float -> float) -> unit
 (** [map_row m i f] applies [f] in place to row [i]. *)
 

@@ -14,7 +14,9 @@ module Memo = Nmcache_engine.Memo
 module Task = Nmcache_engine.Task
 module Sweep = Nmcache_engine.Sweep
 module Executor = Nmcache_engine.Executor
-module Lm = Nmcache_numerics.Lm
+module Fitter = Nmcache_fit.Fitter
+module Metrics = Nmcache_engine.Metrics
+module Minimize = Nmcache_numerics.Minimize
 module Component = Nmcache_geometry.Component
 module Config = Nmcache_geometry.Config
 module Cache_model = Nmcache_geometry.Cache_model
@@ -366,57 +368,131 @@ let test_run_many_fail_fast_raises () =
     Alcotest.(check bool) "aborting fault is the injected one" true
       (f.Fault.kind = Fault.Injected && f.Fault.detail = "syn-b")
 
-(* --- Lm numeric guards ---------------------------------------------------- *)
+(* --- fitter guards ---------------------------------------------------------- *)
 
-let line theta x = theta.(0) +. (theta.(1) *. x.(0))
-let line_xs = Array.init 12 (fun i -> [| float_of_int i |])
-let line_ys = Array.map (fun x -> 3.0 +. (2.0 *. x.(0))) line_xs
+(* one real 35-sample component: the 16 KB L1's array + sense *)
+let fit_samples =
+  lazy
+    (let tech = Tech.bptm65 in
+     let circuit =
+       Cache_model.make tech (Config.make ~size_bytes:(16 * 1024) ~assoc:4 ~block_bytes:64 ())
+     in
+     let vths = Minimize.linspace ~lo:tech.Tech.vth_min ~hi:tech.Tech.vth_max ~steps:6 in
+     let toxs = Minimize.linspace ~lo:tech.Tech.tox_min ~hi:tech.Tech.tox_max ~steps:4 in
+     Cache_model.characterize circuit Component.Array_sense ~vths ~toxs)
 
-let test_lm_rejects_non_finite_inputs () =
-  let poisoned = Array.copy line_ys in
-  poisoned.(4) <- Float.nan;
-  Alcotest.(check bool) "NaN sample raises Non_finite" true
-    (match Lm.fit ~f:line ~xs:line_xs ~ys:poisoned ~init:[| 0.0; 0.0 |] () with
-    | _ -> false
-    | exception Lm.Non_finite _ -> true);
-  Alcotest.(check bool) "Inf initial parameter raises Non_finite" true
-    (match Lm.fit ~f:line ~xs:line_xs ~ys:line_ys ~init:[| Float.infinity; 0.0 |] () with
-    | _ -> false
-    | exception Lm.Non_finite _ -> true)
+(* each fit: its stage, the summary field it fits, and a setter for it *)
+let fits =
+  [
+    ( "fit.leak",
+      "leak_w",
+      (fun (s : Component.summary) v -> { s with Component.leak_w = v }),
+      fun samples -> ignore (Fitter.fit_leak samples) );
+    ( "fit.delay",
+      "delay",
+      (fun (s : Component.summary) v -> { s with Component.delay = v }),
+      fun samples -> ignore (Fitter.fit_delay samples) );
+    ( "fit.energy",
+      "dyn_energy",
+      (fun (s : Component.summary) v -> { s with Component.dyn_energy = v }),
+      fun samples -> ignore (Fitter.fit_energy samples) );
+  ]
 
-let test_fit_robust_healthy_unchanged () =
-  let plain = Lm.fit ~f:line ~xs:line_xs ~ys:line_ys ~init:[| 0.0; 0.0 |] () in
-  let robust = Lm.fit_robust ~f:line ~xs:line_xs ~ys:line_ys ~init:[| 0.0; 0.0 |] () in
-  Alcotest.(check bool) "healthy fit converges" true plain.Lm.converged;
-  Alcotest.(check bool) "fit_robust returns the first fit byte-for-byte" true
-    (plain = robust)
+let has_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
-let test_fit_robust_recovers_from_bad_start () =
-  (* the model is poisoned above |theta0| > 3.2, and the initial guess
-     starts inside the poisoned region: the plain fit returns a
-     non-finite result, and only a perturbed restart can escape *)
-  let f theta x = if Float.abs theta.(0) > 3.2 then Float.nan else theta.(0) *. x.(0) in
-  let xs = Array.init 8 (fun i -> [| float_of_int (i + 1) |]) in
-  let ys = Array.map (fun x -> 2.0 *. x.(0)) xs in
-  let init = [| 4.0 |] in
-  let plain = Lm.fit ~f ~xs ~ys ~init () in
-  Alcotest.(check bool) "plain fit is stuck with a non-finite residual" false
-    (Float.is_finite plain.Lm.residual);
-  let robust = Lm.fit_robust ~restarts:20 ~f ~xs ~ys ~init () in
-  Alcotest.(check bool) "restart found a finite fit" true (Float.is_finite robust.Lm.residual);
-  Alcotest.(check bool) "and it is the true slope" true
-    (Float.abs (robust.Lm.params.(0) -. 2.0) < 1e-6);
-  let again = Lm.fit_robust ~restarts:20 ~f ~xs ~ys ~init () in
-  Alcotest.(check bool) "restarts are seed-deterministic" true (robust = again)
+let expect_fault ~kind ~stage label f =
+  match f () with
+  | () -> Alcotest.fail (label ^ ": no fault raised")
+  | exception Fault.Fault fault ->
+    Alcotest.(check (pair string string))
+      (label ^ ": kind and stage")
+      (Fault.kind_name kind, stage)
+      (Fault.kind_name fault.Fault.kind, fault.Fault.stage);
+    fault.Fault.detail
 
-let test_fit_robust_all_starts_non_finite () =
-  let f _ _ = Float.nan in
-  let xs = Array.init 4 (fun i -> [| float_of_int i |]) in
-  let ys = Array.make 4 1.0 in
-  Alcotest.(check bool) "hopeless model raises Non_finite" true
-    (match Lm.fit_robust ~restarts:2 ~f ~xs ~ys ~init:[| 1.0 |] () with
-    | _ -> false
-    | exception Lm.Non_finite _ -> true)
+(* counters moved by [f]: (fit attempts, converged attempts, retries) *)
+let attempts f =
+  let c = Metrics.counter_value in
+  let fits0 = c "lm.fits" and conv0 = c "lm.converged" and retry0 = c "retry.attempts" in
+  let result = f () in
+  (result, (c "lm.fits" - fits0, c "lm.converged" - conv0, c "retry.attempts" - retry0))
+
+let test_fit_rejects_non_finite () =
+  let base = Lazy.force fit_samples in
+  let poison i set = Array.mapi (fun j sample -> if j = i then set sample else sample) base in
+  List.iter
+    (fun (stage, field, set_value, fit) ->
+      List.iter
+        (fun (i, name, v, set) ->
+          let label = Printf.sprintf "%s, sample %d %s = %g" stage i name v in
+          let detail =
+            expect_fault ~kind:Fault.Non_finite ~stage label (fun () -> fit (poison i set))
+          in
+          Alcotest.(check bool)
+            (label ^ ": detail names the sample and field")
+            true
+            (has_sub detail (Printf.sprintf "sample %d %s is" i name)))
+        [
+          (4, field, Float.nan, fun (k, s) -> (k, set_value s Float.nan));
+          (17, field, Float.infinity, fun (k, s) -> (k, set_value s Float.infinity));
+          ( 0,
+            "vth",
+            Float.nan,
+            fun ((k : Component.knob), s) -> ({ k with Component.vth = Float.nan }, s) );
+          ( 34,
+            "tox",
+            Float.neg_infinity,
+            fun ((k : Component.knob), s) -> ({ k with Component.tox = Float.neg_infinity }, s) );
+        ])
+    fits
+
+let test_fit_singular_design () =
+  (* ToxÅ = 0 everywhere: the delay and energy designs get an all-zero
+     Tox column, and the leakage design's exp(a2·Tox) column repeats
+     the constant one *)
+  let flat =
+    Array.map
+      (fun ((k : Component.knob), s) -> ({ k with Component.tox = 0.0 }, s))
+      (Lazy.force fit_samples)
+  in
+  List.iter
+    (fun (stage, _, _, fit) ->
+      ignore (expect_fault ~kind:Fault.Singular_system ~stage stage (fun () -> fit flat)))
+    fits
+
+let test_fit_healthy_one_attempt () =
+  let samples = Lazy.force fit_samples in
+  List.iter
+    (fun (stage, _, _, fit) ->
+      (* the energy fit is linear: no attempt to count *)
+      if stage <> "fit.energy" then begin
+        let (), counts = attempts (fun () -> fit samples) in
+        Alcotest.(check (triple int int int)) (stage ^ ": attempts, converged, retries") (1, 1, 0)
+          counts
+      end)
+    fits
+
+let test_fit_retry_next_start () =
+  let samples = Lazy.force fit_samples in
+  let healthy = Fitter.fit_delay samples in
+  (* a point=KEY arm fires on attempt 1 only: attempt 2 starts from the
+     next-best grid point and still converges *)
+  with_injection ("fit.delay=" ^ Fitter.samples_key samples) @@ fun () ->
+  let faults0 = List.length (Fault.recorded ()) in
+  let (m, _), counts = attempts (fun () -> Fitter.fit_delay samples) in
+  Alcotest.(check (triple int int int)) "one fit attempt ran, converged, after one retry"
+    (1, 1, 1) counts;
+  let close a b = Float.abs (a -. b) <= 1e-6 *. Float.abs b in
+  let (h : Nmcache_fit.Model.delay), _ = healthy in
+  Alcotest.(check bool) "the next start reaches the same optimum" true
+    (close m.Nmcache_fit.Model.k0 h.Nmcache_fit.Model.k0
+    && close m.Nmcache_fit.Model.k1 h.Nmcache_fit.Model.k1
+    && close m.Nmcache_fit.Model.kappa_v h.Nmcache_fit.Model.kappa_v
+    && close m.Nmcache_fit.Model.k2 h.Nmcache_fit.Model.k2);
+  Alcotest.(check int) "no fault recorded" faults0 (List.length (Fault.recorded ()))
 
 (* --- fitted-model domain enforcement -------------------------------------- *)
 
@@ -481,12 +557,9 @@ let suite =
     Alcotest.test_case "run_many_result partial + byte-identical" `Quick
       test_run_many_result_partial;
     Alcotest.test_case "run_many fail-fast re-raises" `Quick test_run_many_fail_fast_raises;
-    Alcotest.test_case "lm rejects non-finite inputs" `Quick test_lm_rejects_non_finite_inputs;
-    Alcotest.test_case "fit_robust healthy fit unchanged" `Quick
-      test_fit_robust_healthy_unchanged;
-    Alcotest.test_case "fit_robust recovers from a bad start" `Quick
-      test_fit_robust_recovers_from_bad_start;
-    Alcotest.test_case "fit_robust hopeless model raises" `Quick
-      test_fit_robust_all_starts_non_finite;
+    Alcotest.test_case "fit rejects non-finite samples" `Quick test_fit_rejects_non_finite;
+    Alcotest.test_case "fit healthy fit takes one attempt" `Quick test_fit_healthy_one_attempt;
+    Alcotest.test_case "fit retry recovers from the next start" `Quick test_fit_retry_next_start;
+    Alcotest.test_case "fit singular design raises" `Quick test_fit_singular_design;
     Alcotest.test_case "fitted models enforce their domain" `Slow test_out_of_domain;
   ]

@@ -166,31 +166,152 @@ let test_estimate_is_component_sum () =
   Alcotest.(check bool) "leak sum" true
     (Float.abs (est.Fitted_cache.leak_w -. leak_sum) < 1e-12 *. leak_sum)
 
-(* Every leakage fit converges on its first attempt: one attempt per
-   fit, converged, and no retry. *)
-let test_leak_converges_first_attempt () =
-  let module Metrics = Nmcache_engine.Metrics in
+let pin_grid () =
   let module Minimize = Nmcache_numerics.Minimize in
-  let vths = Minimize.linspace ~lo:tech.Tech.vth_min ~hi:tech.Tech.vth_max ~steps:6 in
-  let toxs = Minimize.linspace ~lo:tech.Tech.tox_min ~hi:tech.Tech.tox_max ~steps:4 in
+  ( Minimize.linspace ~lo:tech.Tech.vth_min ~hi:tech.Tech.vth_max ~steps:6,
+    Minimize.linspace ~lo:tech.Tech.tox_min ~hi:tech.Tech.tox_max ~steps:4 )
+
+let five_caches = [ (4, 1, 32); (16, 4, 64); (128, 2, 32); (1024, 8, 64); (8192, 8, 64) ]
+
+let circuit_of (size_kb, assoc, block_bytes) =
+  Cache_model.make tech (Config.make ~size_bytes:(size_kb * 1024) ~assoc ~block_bytes ())
+
+(* Every fit of the given model converges on its first attempt: one
+   attempt per fit, converged, and no retry. *)
+let converges_first_attempt fit () =
+  let module Metrics = Nmcache_engine.Metrics in
+  let vths, toxs = pin_grid () in
   List.iter
-    (fun (size_kb, assoc, block_bytes) ->
-      let circuit =
-        Cache_model.make tech (Config.make ~size_bytes:(size_kb * 1024) ~assoc ~block_bytes ())
-      in
+    (fun ((size_kb, assoc, block_bytes) as cache) ->
+      let circuit = circuit_of cache in
       List.iter
         (fun kind ->
           let samples = Cache_model.characterize circuit kind ~vths ~toxs in
           let c = Metrics.counter_value in
           let fits0 = c "lm.fits" and conv0 = c "lm.converged" and retry0 = c "retry.attempts" in
-          ignore (Fitter.fit_leak samples);
+          fit samples;
           Alcotest.(check (triple int int int))
             (Printf.sprintf "%dKB/%d-way/%dB %s: attempts, converged, retries" size_kb assoc
                block_bytes (Component.kind_name kind))
             (1, 1, 0)
             (c "lm.fits" - fits0, c "lm.converged" - conv0, c "retry.attempts" - retry0))
         Component.all_kinds)
-    [ (4, 1, 32); (16, 4, 64); (128, 2, 32); (1024, 8, 64); (8192, 8, 64) ]
+    five_caches
+
+(* The five caches above plus the quick context's L1 and L2: 28
+   component sample sets, the known answers below were computed on. *)
+let pin_samples () =
+  let ctx = Core.Context.quick () in
+  let vths, toxs = pin_grid () in
+  List.concat_map
+    (fun circuit ->
+      List.map (fun kind -> Cache_model.characterize circuit kind ~vths ~toxs) Component.all_kinds)
+    (List.map circuit_of five_caches
+    @ [
+        Cache_model.make tech (Core.Context.l1_config ctx ());
+        Cache_model.make tech (Core.Context.l2_config ctx ());
+      ])
+
+(* MD5 of the hex-float leakage models of [pin_samples], as fitted
+   before the two fits shared one variable-projection implementation.
+   The leakage fit's arithmetic is unchanged, so this holds bit for
+   bit. *)
+let leak_known_md5 = "929bb9d0eea4ddbe0e29660c8dd60529"
+
+let test_leak_models_pinned () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun samples ->
+      let (m : Model.leak), _ = Fitter.fit_leak samples in
+      Buffer.add_string buf
+        (Printf.sprintf "%h %h %h %h %h\n" m.Model.a0 m.Model.a1 m.Model.alpha_v m.Model.a2
+           m.Model.alpha_t))
+    (pin_samples ());
+  Alcotest.(check string) "leak models" leak_known_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* (k0, k1, k3, k2, rms_rel) of [pin_samples]' delay models as the
+   four-parameter Levenberg–Marquardt refinement fitted them. *)
+let delay_known =
+  [
+    ((-0x1.ff44e322653b9p-35), (0x1.53098ff0afe03p-37), (0x1.0b3e91a5198d3p+2), (0x1.00b1789e680f9p-37), (0x1.45617c23a1147p-5));
+    ((-0x1.2d2ca73311fefp-34), (0x1.07f0557a1b9b5p-36), (0x1.0b888459efdeap+2), (0x1.318c4fa23bc22p-37), (0x1.1e9c35dc051fap-5));
+    ((-0x1.c43b35d9dc497p-40), (0x1.8268dd50a0907p-39), (0x1.c2d332c2a429dp+1), (0x1.488b166da451ap-40), (0x1.0e5e80fb410f7p-6));
+    ((-0x1.625119e70a63bp-36), (0x1.fdd806cbd946cp-38), (0x1.feadd0d9216ecp+1), (0x1.fdfd2c5ad5ff7p-39), (0x1.a47d1b4921bdap-6));
+    ((-0x1.ffe88074bec6ep-35), (0x1.52e5a1f135a27p-37), (0x1.0b44a9318407p+2), (0x1.fe6a8fac8f958p-38), (0x1.47e4c431470f4p-5));
+    ((-0x1.29fd0fccaa54cp-34), (0x1.04f1289bbb8d4p-36), (0x1.0b888459caa2p+2), (0x1.2e3eaa1d5556cp-37), (0x1.1ec25fda4831ap-5));
+    ((-0x1.4dd8cb817d847p-37), (0x1.95bf7c3ed598fp-37), (0x1.2cf75bccd0156p+1), (0x1.2be2e0267b0d7p-39), (0x1.97a02b86e9c47p-7));
+    ((-0x1.b3e2874e67374p-36), (0x1.bce7da0bfc099p-37), (0x1.b9b7fe1e9abe7p+1), (0x1.460d766ba3832p-38), (0x1.30c2bb2bae909p-6));
+    ((-0x1.e944f142e9592p-35), (0x1.5566c046759e7p-37), (0x1.0af5e462a0cfdp+2), (0x1.28433d5893432p-37), (0x1.0d328439db5ap-5));
+    ((-0x1.458753ad92128p-34), (0x1.194cc5bf4c3p-36), (0x1.0b88845c9cce4p+2), (0x1.48df96d2e48b6p-37), (0x1.214c8f2422db9p-5));
+    ((-0x1.463a059153349p-37), (0x1.b3e2a6f37536cp-36), (0x1.705581d09fd13p+1), (0x1.e7e67e9edfbb2p-38), (0x1.5274cd5314fafp-7));
+    ((-0x1.cfd2da0cb33f7p-36), (0x1.de318f71bb66bp-36), (0x1.a2ce229e824f2p+1), (0x1.4cdd06098b6d3p-37), (0x1.cae3c30f7e199p-7));
+    ((-0x1.67005ed9b1b97p-33), (0x1.dc1398ded6335p-36), (0x1.0aaa2ded95a78p+2), (0x1.c3b91115adbb2p-36), (0x1.08a58a7d75ac1p-5));
+    ((-0x1.855357ec49067p-33), (0x1.5f3f526e470bbp-35), (0x1.0b888458a6565p+2), (0x1.8e7a45d38d50bp-36), (0x1.192b50b220394p-5));
+    ((-0x1.0cf8f07911677p-35), (0x1.1fbe03fe6b5adp-34), (0x1.5a8dc7d7a9a2fp+1), (0x1.1e7bc7a4509a6p-36), (0x1.5c3eda8f29b39p-7));
+    ((-0x1.9090ce7fccb45p-35), (0x1.21550d47468edp-34), (0x1.7864f8e28a507p+1), (0x1.4b15a47ce61a3p-36), (0x1.999c61225886ep-7));
+    ((-0x1.45e7c9c989e6fp-31), (0x1.a87c8cb5d63eep-34), (0x1.0a88fbad554b4p+2), (0x1.a1f20a74c653dp-34), (0x1.05c06aa9c270dp-5));
+    ((-0x1.3c9257f95e55ap-31), (0x1.224f27a50d8f2p-33), (0x1.0b888458e50f7p+2), (0x1.45a6dce60e9aap-34), (0x1.162db7ac091e4p-5));
+    ((-0x1.337e588b29e45p-34), (0x1.705ac4030b6bep-33), (0x1.65e256b067955p+1), (0x1.8610e44a763ep-35), (0x1.33525079ff532p-7));
+    ((-0x1.76605fcec186ap-34), (0x1.71599af3a0803p-33), (0x1.715d84b469c6fp+1), (0x1.9c7a8e701657bp-35), (0x1.4ce1ffba18956p-7));
+    ((-0x1.ffe88074bec6ep-35), (0x1.52e5a1f135a27p-37), (0x1.0b44a9318407p+2), (0x1.fe6a8fac8f958p-38), (0x1.47e4c431470f4p-5));
+    ((-0x1.29fd0fccaa54cp-34), (0x1.04f1289bbb8d4p-36), (0x1.0b888459caa2p+2), (0x1.2e3eaa1d5556cp-37), (0x1.1ec25fda4831ap-5));
+    ((-0x1.4dd8cb817d847p-37), (0x1.95bf7c3ed598fp-37), (0x1.2cf75bccd0156p+1), (0x1.2be2e0267b0d7p-39), (0x1.97a02b86e9c47p-7));
+    ((-0x1.b3e2874e67374p-36), (0x1.bce7da0bfc099p-37), (0x1.b9b7fe1e9abe7p+1), (0x1.460d766ba3832p-38), (0x1.30c2bb2bae909p-6));
+    ((-0x1.67005ed9b1b97p-33), (0x1.dc1398ded6335p-36), (0x1.0aaa2ded95a78p+2), (0x1.c3b91115adbb2p-36), (0x1.08a58a7d75ac1p-5));
+    ((-0x1.855357ec49067p-33), (0x1.5f3f526e470bbp-35), (0x1.0b888458a6565p+2), (0x1.8e7a45d38d50bp-36), (0x1.192b50b220394p-5));
+    ((-0x1.0cf8f07911677p-35), (0x1.1fbe03fe6b5adp-34), (0x1.5a8dc7d7a9a2fp+1), (0x1.1e7bc7a4509a6p-36), (0x1.5c3eda8f29b39p-7));
+    ((-0x1.9090ce7fccb45p-35), (0x1.21550d47468edp-34), (0x1.7864f8e28a507p+1), (0x1.4b15a47ce61a3p-36), (0x1.999c61225886ep-7));
+  ]
+
+(* Projection over k3 reaches the same minimum as the LM refinement
+   did: every parameter within 1e-5 relative, and no rms_rel larger
+   than the LM fit's beyond rounding (a few ulps, where both sit at the
+   same minimum). *)
+let test_delay_models_match_lm () =
+  List.iteri
+    (fun i (samples, (k0, k1, kappa_v, k2, rms_rel)) ->
+      let (m : Model.delay), q = Fitter.fit_delay samples in
+      List.iter
+        (fun (name, lm, vp) ->
+          let rel = Float.abs (vp -. lm) /. Float.abs lm in
+          Alcotest.(check bool)
+            (Printf.sprintf "fit %d %s: %h vs LM %h (rel %.1e)" i name vp lm rel)
+            true (rel <= 1e-5))
+        [
+          ("k0", k0, m.Model.k0);
+          ("k1", k1, m.Model.k1);
+          ("k3", kappa_v, m.Model.kappa_v);
+          ("k2", k2, m.Model.k2);
+        ];
+      Alcotest.(check bool)
+        (Printf.sprintf "fit %d rms_rel %h vs LM %h" i q.Model.rms_rel rms_rel)
+        true
+        (q.Model.rms_rel <= rms_rel *. (1.0 +. 1e-14)))
+    (List.combine (pin_samples ()) delay_known)
+
+(* A warm fit of a real 35-sample component allocates at most 20 k
+   minor words: designs, factorisations and Jacobian columns live in
+   per-fit workspaces. *)
+let test_fit_allocation () =
+  let vths, toxs = pin_grid () in
+  List.iter
+    (fun kind ->
+      let samples = Cache_model.characterize circuit kind ~vths ~toxs in
+      List.iter
+        (fun (name, fit) ->
+          fit samples;
+          let w0 = Gc.minor_words () in
+          fit samples;
+          let words = Gc.minor_words () -. w0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: %.0f words <= 20000" (Component.kind_name kind) name words)
+            true (words <= 20_000.0))
+        [
+          ("fit_leak", fun s -> ignore (Fitter.fit_leak s));
+          ("fit_delay", fun s -> ignore (Fitter.fit_delay s));
+        ])
+    Component.all_kinds
 
 let test_worst_quality () =
   let f = Lazy.force fitted in
@@ -209,5 +330,11 @@ let suite =
     Alcotest.test_case "estimate is component sum" `Quick test_estimate_is_component_sum;
     Alcotest.test_case "worst quality" `Quick test_worst_quality;
     Alcotest.test_case "leak fit converges on attempt 1" `Quick
-      test_leak_converges_first_attempt;
+      (converges_first_attempt (fun s -> ignore (Fitter.fit_leak s)));
+    Alcotest.test_case "delay fit converges on attempt 1" `Quick
+      (converges_first_attempt (fun s -> ignore (Fitter.fit_delay s)));
+    Alcotest.test_case "leak models pinned bit for bit" `Quick test_leak_models_pinned;
+    Alcotest.test_case "delay models match the LM fits" `Quick test_delay_models_match_lm;
+    Alcotest.test_case "alloc gate: warm fit <= 20k words" `Quick
+      test_fit_allocation;
   ]

@@ -2,7 +2,6 @@
 
 module Matrix = Nmcache_numerics.Matrix
 module Linsolve = Nmcache_numerics.Linsolve
-module Lm = Nmcache_numerics.Lm
 module Minimize = Nmcache_numerics.Minimize
 module Stats = Nmcache_numerics.Stats
 module Rng = Nmcache_numerics.Rng
@@ -118,6 +117,95 @@ let test_lstsq_weighted_singular () =
   Alcotest.check_raises "zero column" Linsolve.Singular (fun () ->
       ignore (Linsolve.lstsq z [| 1.0; 2.0 |]))
 
+(* Seeded weighted designs: even ones have columns scaled up to 24
+   decades apart, odd ones are shaped like the leakage design
+   [1; exp(a·Vth); exp(b·ToxÅ)].  Each carries three right-hand sides. *)
+let random_weighted_designs () =
+  let rng = Rng.create ~seed:2005L in
+  List.init 240 (fun d ->
+      let nc, nr =
+        if d mod 2 = 0 then
+          let nc = 1 + Rng.int rng ~bound:5 in
+          (nc, nc + Rng.int rng ~bound:36)
+        else (3, 6 + Rng.int rng ~bound:30)
+      in
+      let a = Matrix.create ~rows:nr ~cols:nc in
+      if d mod 2 = 0 then begin
+        let decade = Array.init nc (fun _ -> 10.0 ** Rng.float_range rng ~lo:(-12.0) ~hi:12.0) in
+        for i = 0 to nr - 1 do
+          for j = 0 to nc - 1 do
+            Matrix.set a i j (decade.(j) *. Rng.float_range rng ~lo:(-1.0) ~hi:1.0)
+          done
+        done
+      end
+      else begin
+        let alpha_v = Rng.float_range rng ~lo:(-40.0) ~hi:(-5.0) in
+        let alpha_t = Rng.float_range rng ~lo:(-2.4) ~hi:(-0.3) in
+        for i = 0 to nr - 1 do
+          Matrix.set a i 0 1.0;
+          Matrix.set a i 1 (Float.exp (alpha_v *. Rng.float_range rng ~lo:0.2 ~hi:0.5));
+          Matrix.set a i 2 (Float.exp (alpha_t *. Rng.float_range rng ~lo:10.0 ~hi:14.0))
+        done
+      end;
+      let weights = Array.init nr (fun _ -> Rng.float_range rng ~lo:0.0 ~hi:4.0) in
+      let rhs =
+        List.init 3 (fun _ -> Array.init nr (fun _ -> Rng.float_range rng ~lo:(-1e3) ~hi:1e3))
+      in
+      (a, weights, rhs))
+
+(* MD5 of the hex-float solutions of [random_weighted_designs] as
+   computed by the one-shot lstsq_weighted before it was split into
+   factor + solve. *)
+let qr_known_md5 = "a82756ef78bb47c448e225e0f65e4d72"
+
+let test_qr_factor_solve_pinned () =
+  let hex = Buffer.create 65536 and one_shot = Buffer.create 65536 in
+  let add buf x = Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf "%h " v)) x in
+  List.iter
+    (fun (a, weights, rhs) ->
+      let nr = Matrix.rows a and nc = Matrix.cols a in
+      (* one factorisation, every right-hand side solved against it *)
+      let f = Linsolve.qr ~rows:nr ~cols:nc in
+      Linsolve.factor_weighted f
+        (Array.init (nr * nc) (fun k -> Matrix.get a (k mod nr) (k / nr)))
+        ~weights;
+      List.iter
+        (fun b ->
+          let x = Array.make nc Float.nan in
+          Linsolve.solve_into f b x;
+          add hex x;
+          Buffer.add_char hex '\n';
+          add one_shot (Linsolve.lstsq_weighted a b ~weights);
+          Buffer.add_char one_shot '\n')
+        rhs)
+    (random_weighted_designs ());
+  let md5 buf = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  Alcotest.(check string) "factor + solve = pinned lstsq_weighted" qr_known_md5 (md5 hex);
+  Alcotest.(check string) "lstsq_weighted = pinned lstsq_weighted" qr_known_md5 (md5 one_shot)
+
+let test_qr_reuse_and_validation () =
+  let f = Linsolve.qr ~rows:3 ~cols:2 in
+  Alcotest.check_raises "design size"
+    (Invalid_argument "Linsolve.factor_weighted: design size mismatch") (fun () ->
+      Linsolve.factor_weighted f (Array.make 5 1.0) ~weights:(Array.make 3 1.0));
+  Alcotest.check_raises "underdetermined"
+    (Invalid_argument "Linsolve.lstsq: underdetermined system") (fun () ->
+      ignore (Linsolve.qr ~rows:2 ~cols:3));
+  (* y = 2x + 1, column-major [1 1 1 | 0 1 2] *)
+  let design = [| 1.0; 1.0; 1.0; 0.0; 1.0; 2.0 |] and weights = [| 1.0; 2.0; 0.5 |] in
+  let b = [| 1.0; 3.0; 5.0 |] and x = Array.make 2 0.0 in
+  Linsolve.factor_weighted f design ~weights;
+  Linsolve.solve_into f b x;
+  close "intercept" 1.0 x.(0);
+  close "slope" 2.0 x.(1);
+  Alcotest.check_raises "rhs length" (Invalid_argument "Linsolve.lstsq: rhs length mismatch")
+    (fun () -> Linsolve.solve_into f [| 1.0 |] x);
+  let w0 = Gc.minor_words () in
+  Linsolve.factor_weighted f design ~weights;
+  Linsolve.solve_into f b x;
+  let words = Gc.minor_words () -. w0 in
+  if words > 0.0 then Alcotest.failf "a warm factor + solve allocated %.0f minor words" words
+
 let prop_solve_recovers =
   QCheck.Test.make ~count:100 ~name:"solve recovers random well-conditioned systems"
     Generators.linsys_seed_arb
@@ -136,24 +224,6 @@ let prop_solve_recovers =
       let b = Matrix.mul_vec a x in
       let x' = Linsolve.solve a b in
       Array.for_all2 (fun u v -> Float.abs (u -. v) < 1e-6) x x')
-
-(* --- lm -------------------------------------------------------------- *)
-
-let test_lm_exponential_recovery () =
-  (* recover y = 2 + 3 exp(-4 x) *)
-  let f theta (x : float array) = theta.(0) +. (theta.(1) *. Float.exp (theta.(2) *. x.(0))) in
-  let xs = Array.init 40 (fun i -> [| float_of_int i /. 20.0 |]) in
-  let ys = Array.map (fun x -> 2.0 +. (3.0 *. Float.exp (-4.0 *. x.(0)))) xs in
-  let r = Lm.fit ~f ~xs ~ys ~init:[| 1.0; 1.0; -1.0 |] () in
-  close "theta0" 2.0 r.Lm.params.(0) ~eps:1e-3;
-  close "theta1" 3.0 r.Lm.params.(1) ~eps:1e-3;
-  close "theta2" (-4.0) r.Lm.params.(2) ~eps:1e-3;
-  Alcotest.(check bool) "small residual" true (r.Lm.residual < 1e-5)
-
-let test_lm_validation () =
-  let f theta (_ : float array) = theta.(0) in
-  Alcotest.check_raises "no samples" (Invalid_argument "Lm.fit: no samples") (fun () ->
-      ignore (Lm.fit ~f ~xs:[||] ~ys:[||] ~init:[| 0.0 |] ()))
 
 (* --- minimize --------------------------------------------------------- *)
 
@@ -426,8 +496,9 @@ let suite =
     Alcotest.test_case "weighted least squares on the leak design" `Quick
       test_lstsq_weighted_leak_design;
     Alcotest.test_case "weighted least squares singular" `Quick test_lstsq_weighted_singular;
-    Alcotest.test_case "LM recovers exponential" `Quick test_lm_exponential_recovery;
-    Alcotest.test_case "LM validation" `Quick test_lm_validation;
+    Alcotest.test_case "weighted QR pinned bit for bit" `Quick
+      test_qr_factor_solve_pinned;
+    Alcotest.test_case "weighted QR reuse and validation" `Quick test_qr_reuse_and_validation;
     Alcotest.test_case "golden section" `Quick test_golden_section;
     Alcotest.test_case "grid minimum" `Quick test_grid_min;
     Alcotest.test_case "argmin" `Quick test_argmin;
