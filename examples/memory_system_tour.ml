@@ -49,9 +49,9 @@ let () =
     let demand_miss = ref 0 and demand = ref 0 in
     Trace.iter trace (fun e ->
         let o = Prefetch.access p e.Trace.addr ~write:e.Trace.write in
-        if not o.Prefetch.l1_hit then begin
+        if not (Prefetch.l1_hit o) then begin
           incr demand;
-          if not o.Prefetch.l2_hit then incr demand_miss
+          if not (Prefetch.l2_hit o) then incr demand_miss
         end);
     ( float_of_int !demand_miss /. float_of_int (max 1 !demand),
       Prefetch.accuracy p )

@@ -6,6 +6,7 @@
 type t = {
   block_bytes : int;
   block_shift : int;            (* log2 block_bytes *)
+  min_capacity : int;           (* floor of the timestamp space after compaction *)
   mutable tree : int array;     (* 1-based Fenwick array *)
   mutable capacity : int;
   mutable time : int;           (* next timestamp, 0-based *)
@@ -28,6 +29,7 @@ let create ?(initial_capacity = 1 lsl 16) ~block_bytes () =
   {
     block_bytes;
     block_shift = log2 block_bytes;
+    min_capacity = max 1 initial_capacity;
     tree = Array.make (initial_capacity + 1) 0;
     capacity = initial_capacity;
     time = 0;
@@ -59,24 +61,43 @@ let fen_prefix t idx =
   !acc
 
 (* Renumber timestamps 0..live-1 preserving order, rebuilding the tree.
-   Triggered when the timestamp space fills; amortised O(B log B). *)
+   Triggered when the timestamp space fills; amortised O(capacity) per
+   compaction, so O(1) per access.  Timestamps are unique and below the
+   capacity, so dropping each block into the tree array at its
+   timestamp sorts the blocks without a list or a comparison sort; the
+   tree is then refilled in place unless the timestamp space grows. *)
 let compact t =
-  let entries = Intmap.fold (fun block time acc -> (time, block) :: acc) t.last_access [] in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-  let n = List.length sorted in
-  let new_capacity = max (1 lsl 16) (4 * n) in
-  t.tree <- Array.make (new_capacity + 1) 0;
-  t.capacity <- new_capacity;
-  t.time <- 0;
-  t.live <- 0;
+  let live = Intmap.length t.last_access in
+  let slots = t.tree in
+  (* slots.(time + 1) holds block + 1, 0 when no block was last
+     accessed at [time] *)
+  Array.fill slots 0 (Array.length slots) 0;
+  Intmap.fold (fun block time () -> slots.(time + 1) <- block + 1) t.last_access ();
   Intmap.clear t.last_access;
-  List.iter
-    (fun (_, block) ->
-      Intmap.replace t.last_access block t.time;
-      fen_add t t.time 1;
-      t.live <- t.live + 1;
-      t.time <- t.time + 1)
-    sorted
+  let next = ref 0 in
+  for i = 1 to t.capacity do
+    let b = slots.(i) in
+    if b > 0 then begin
+      Intmap.replace t.last_access (b - 1) !next;
+      incr next
+    end
+  done;
+  let capacity = max t.min_capacity (4 * live) in
+  if capacity > t.capacity then begin
+    t.tree <- Array.make (capacity + 1) 0;
+    t.capacity <- capacity
+  end;
+  (* markers at timestamps 0..live-1: node i covers the timestamps
+     (lo, i] (1-based), lo = i - lowbit i, and counts the live ones.
+     Plain int tests, not [min]/[max]: those compare polymorphically
+     through a C call, which made this loop the profiler's hot spot. *)
+  let tree = t.tree in
+  for i = 1 to t.capacity do
+    let lo = i - (i land -i) in
+    tree.(i) <- (if i <= live then i - lo else if lo < live then live - lo else 0)
+  done;
+  t.time <- live;
+  t.live <- live
 
 let bump_hist t dist =
   if dist >= Array.length t.hist then begin

@@ -7,11 +7,14 @@ type t = {
   pending : (int, unit) Hashtbl.t; (* prefetched blocks not yet demanded *)
 }
 
-type outcome = {
-  l1_hit : bool;
-  l2_hit : bool;
-  prefetches_issued : int;
-}
+(* An access outcome is one immediate int, so [access] allocates
+   nothing: bit 0 is the L1 hit, bit 1 the L2 hit, and the bits above
+   count the prefetches the access issued. *)
+type outcome = int
+
+let l1_hit o = o land 1 <> 0
+let l2_hit o = o land 2 <> 0
+let prefetches_issued o = o lsr 2
 
 let create ?(degree = 1) ~l1 ~l2 () =
   if degree < 0 then invalid_arg "Prefetch.create: degree < 0";
@@ -52,4 +55,6 @@ let access t addr ~write =
       end
     done
   end;
-  { l1_hit = o.Hierarchy.l1_hit; l2_hit = o.Hierarchy.l2_hit; prefetches_issued = !issued }
+  (!issued lsl 2)
+  lor (if o.Hierarchy.l2_hit then 2 else 0)
+  lor if o.Hierarchy.l1_hit then 1 else 0

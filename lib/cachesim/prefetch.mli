@@ -10,11 +10,9 @@
 
 type t
 
-type outcome = {
-  l1_hit : bool;
-  l2_hit : bool;
-  prefetches_issued : int;
-}
+type outcome = private int
+(** One immediate int per access (nothing is allocated); read it with
+    {!l1_hit}, {!l2_hit} and {!prefetches_issued}. *)
 
 val create : ?degree:int -> l1:Cache.t -> l2:Cache.t -> unit -> t
 (** Wrap a hierarchy with a prefetcher of the given [degree] (default 1,
@@ -22,6 +20,15 @@ val create : ?degree:int -> l1:Cache.t -> l2:Cache.t -> unit -> t
     caches are incompatible (see {!Hierarchy.create}). *)
 
 val access : t -> int -> write:bool -> outcome
+
+val l1_hit : outcome -> bool
+(** The demand access hit in L1. *)
+
+val l2_hit : outcome -> bool
+(** The demand access missed L1 and hit in L2 (false when L1 hit). *)
+
+val prefetches_issued : outcome -> int
+(** Prefetch fills this access issued into L2. *)
 
 val hierarchy : t -> Hierarchy.t
 val prefetches : t -> int

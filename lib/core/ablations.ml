@@ -102,23 +102,39 @@ let policy_ablation ctx =
   let policies = [ Replacement.Lru; Replacement.Fifo; Replacement.Random 17; Replacement.Plru ] in
   let workload = "spec2000-mix" in
   let n = ctx.Context.n_sim in
+  let seed = ctx.Context.seed in
+  let l1_sizes = Array.to_list Context.l1_sizes in
+  let two_level policy =
+    Missrate.config ~policy ~l1_size:ctx.Context.l1_size ~l2_size:ctx.Context.l2_size ()
+  in
+  (* the LRU row's L1 misses are derived from one raw-trace profile (all
+     sizes, one walk); the other policies fall outside the stack model,
+     so their L1 sizes and every policy's two-level point are simulated
+     directly, all in one more walk *)
+  let lru_l1 = Missrate.l1_sweep ~seed ~workload ~l1_sizes:Context.l1_sizes ~n () in
+  let configs =
+    List.concat_map
+      (fun policy ->
+        (if policy = Replacement.Lru then []
+         else List.map (fun l1_size -> Missrate.config ~policy ~l1_size ()) l1_sizes)
+        @ [ two_level policy ])
+      policies
+  in
+  let simulated = List.combine configs (Missrate.simulate_many ~seed ~workload ~n configs) in
   let rows =
     List.map
       (fun policy ->
-        (* the LRU row is derived from one raw-trace profile (all sizes,
-           one traversal); the other policies fall outside the stack
-           model and keep per-size direct simulation *)
         let l1_misses =
-          Missrate.l1_sweep ~policy ~seed:ctx.Context.seed ~workload
-            ~l1_sizes:Context.l1_sizes ~n ()
+          if policy = Replacement.Lru then Array.to_list lru_l1
+          else
+            List.map
+              (fun l1_size ->
+                (List.assoc (Missrate.config ~policy ~l1_size ()) simulated).Missrate.l1_miss)
+              l1_sizes
         in
-        let point =
-          Missrate.simulate ~policy ~seed:ctx.Context.seed ~workload
-            ~l1_size:ctx.Context.l1_size ~l2_size:ctx.Context.l2_size ~n ()
-        in
+        let point = List.assoc (two_level policy) simulated in
         Replacement.name policy
-        :: (Array.to_list (Array.map Report.fmt_pct l1_misses)
-           @ [ Report.fmt_pct point.Missrate.l2_local ]))
+        :: (List.map Report.fmt_pct l1_misses @ [ Report.fmt_pct point.Missrate.l2_local ]))
       policies
   in
   [

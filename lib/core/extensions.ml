@@ -237,9 +237,18 @@ let geometry_sweeps ctx =
   let workload = "spec2000-mix" in
   let n = ctx.Context.n_sim in
   let ref_knob = Context.reference_knob ctx in
-  (* one raw-trace profile serves every associativity row: the ways
-     only enter through the binomial set-associative correction *)
-  let assoc_profile = Profile.raw ~seed:ctx.Context.seed ~workload ~n () in
+  (* block size changes the profiled stream itself, so each block size
+     has its own raw-trace profile, independent of the L1 capacity
+     queried; one walk builds all three *)
+  let blocks = [ 32; 64; 128 ] in
+  let profiles =
+    List.combine blocks
+      (Profile.build_many ~seed:ctx.Context.seed ~workload ~n
+         (List.map (fun block -> (Profile.Raw, block)) blocks))
+  in
+  (* the 64 B profile serves every associativity row: the ways only
+     enter through the binomial set-associative correction *)
+  let assoc_profile = List.assoc 64 profiles in
   let assoc_rows =
     List.map
       (fun assoc ->
@@ -258,15 +267,12 @@ let geometry_sweeps ctx =
         ])
       [ 1; 2; 4; 8; 16 ]
   in
-  (* block size changes the profiled stream itself: one traversal per
-     block size, still independent of the L1 capacity being queried *)
   let block_rows =
     List.map
-      (fun block ->
+      (fun (block, prof) ->
         let cfg = Config.make ~size_bytes:ctx.Context.l1_size ~assoc:4 ~block_bytes:block () in
         let model = Cache_model.make ctx.Context.tech cfg in
         let r = Cache_model.evaluate model (Component.uniform ref_knob) in
-        let prof = Profile.raw ~block ~seed:ctx.Context.seed ~workload ~n () in
         let miss =
           Profile.setassoc_miss_rate prof
             ~capacity_blocks:(max 1 (ctx.Context.l1_size / block)) ~assoc:4
@@ -277,7 +283,7 @@ let geometry_sweeps ctx =
           Printf.sprintf "%.0f" (Units.to_ps r.Cache_model.access_time);
           Printf.sprintf "%.3f" (Units.to_mw r.Cache_model.leak_w);
         ])
-      [ 32; 64; 128 ]
+      profiles
   in
   [
     Report.table ~title:"X10a: L1 associativity sweep (16KB, 64B blocks, reference knobs)"
@@ -297,7 +303,9 @@ let geometry_sweeps ctx =
 let prefetch_study ctx =
   let workload = "spec2000-mix" in
   let n = ctx.Context.n_sim / 2 in
-  let run ~l2_size ~degree =
+  (* one prefetcher per (L2 size, degree), all fed by one walk: warm
+     half, measure half; count demand L2 behaviour only *)
+  let prefetcher ~l2_size ~degree =
     let l1 =
       Cache.create ~size_bytes:ctx.Context.l1_size ~assoc:ctx.Context.l1_assoc
         ~block_bytes:ctx.Context.block_bytes ~policy:Replacement.Lru ()
@@ -307,32 +315,46 @@ let prefetch_study ctx =
         ~block_bytes:ctx.Context.block_bytes ~policy:Replacement.Lru ()
     in
     let p = Prefetch.create ~degree ~l1 ~l2 () in
-    let gen = Nmcache_workload.Registry.build ~seed:ctx.Context.seed workload in
-    (* warm half, measure half; count demand L2 behaviour only *)
-    let warm = n / 2 in
-    Gen.iter ~stage:"simulate" gen warm (fun addr write ->
-        ignore (Prefetch.access p addr ~write));
+    let measuring = ref false in
     let demand_misses = ref 0 and demand_accesses = ref 0 in
-    Gen.iter ~stage:"simulate" gen (n - warm) (fun addr write ->
-        let o = Prefetch.access p addr ~write in
-        if not o.Prefetch.l1_hit then begin
-          incr demand_accesses;
-          if not o.Prefetch.l2_hit then incr demand_misses
-        end);
-    let m2 =
-      if !demand_accesses = 0 then 0.0
-      else float_of_int !demand_misses /. float_of_int !demand_accesses
+    let consumer =
+      {
+        Gen.feed =
+          (fun addr write ->
+            let o = Prefetch.access p addr ~write in
+            if !measuring && not (Prefetch.l1_hit o) then begin
+              incr demand_accesses;
+              if not (Prefetch.l2_hit o) then incr demand_misses
+            end);
+        measure = (fun () -> measuring := true);
+      }
     in
-    (m2, Prefetch.accuracy p)
+    let result () =
+      let m2 =
+        if !demand_accesses = 0 then 0.0
+        else float_of_int !demand_misses /. float_of_int !demand_accesses
+      in
+      (m2, Prefetch.accuracy p)
+    in
+    (consumer, result)
   in
   let sizes = [| 256 * 1024; 1024 * 1024; 4 * 1024 * 1024 |] in
+  let runs =
+    Array.map
+      (fun l2_size -> Array.map (fun degree -> prefetcher ~l2_size ~degree) [| 0; 1; 2 |])
+      sizes
+  in
+  Gen.walk ~stage:"simulate"
+    (Nmcache_workload.Registry.build ~seed:ctx.Context.seed workload)
+    n
+    (Array.map fst (Array.concat (Array.to_list runs)));
   let rows =
     Array.to_list
-      (Array.map
-         (fun l2_size ->
-           let m0, _ = run ~l2_size ~degree:0 in
-           let m1, acc1 = run ~l2_size ~degree:1 in
-           let m2, _ = run ~l2_size ~degree:2 in
+      (Array.map2
+         (fun l2_size run ->
+           let m0, _ = snd run.(0) () in
+           let m1, acc1 = snd run.(1) () in
+           let m2, _ = snd run.(2) () in
            [
              (if l2_size >= 1 lsl 20 then Printf.sprintf "%dMB" (l2_size lsr 20)
               else Printf.sprintf "%dKB" (l2_size lsr 10));
@@ -341,7 +363,7 @@ let prefetch_study ctx =
              Report.fmt_pct m2;
              Report.fmt_pct acc1;
            ])
-         sizes)
+         sizes runs)
   in
   [
     Report.table

@@ -415,10 +415,10 @@ let profile ctx =
         exact @ corrected @ curve_equiv)
       Registry.headline
   in
-  (* traversal accounting: an L1×L2 grid must cost exactly one measured
-     traversal per (workload, L1 size) and zero per-point simulations.
-     A seed distinct from every other caller keeps the memo tables cold
-     regardless of check ordering. *)
+  (* traversal accounting: an L1×L2 grid must build exactly one profile
+     per (workload, L1 size), in one walk per workload, and run zero
+     per-point simulations.  A seed distinct from every other caller
+     keeps the memo tables cold regardless of check ordering. *)
   let accounting =
     let seed = Int64.add seed 7919L in
     let workloads = [ "spec2000-mix"; "tpcc" ] in
@@ -426,6 +426,7 @@ let profile ctx =
     let l2_sizes = [| 256 * 1024; 1024 * 1024; 4 * 1024 * 1024 |] in
     let sims0 = Metrics.counter_value "cachesim.simulations" in
     let profs0 = Metrics.counter_value "cachesim.mattson_curves" in
+    let walks0 = Metrics.counter_value "workload.walks" in
     let _ = Missrate.grid ~seed ~workloads ~l1_sizes ~l2_sizes ~n () in
     (* re-deriving at different L2 capacities must not traverse again *)
     let _ =
@@ -434,6 +435,7 @@ let profile ctx =
     in
     let sims = Metrics.counter_value "cachesim.simulations" - sims0 in
     let profs = Metrics.counter_value "cachesim.mattson_curves" - profs0 in
+    let walks = Metrics.counter_value "workload.walks" - walks0 in
     let expected = List.length workloads * Array.length l1_sizes in
     [
       Check.check ~name:"oracle.profile.grid-traversals"
@@ -442,6 +444,10 @@ let profile ctx =
                          (expected %d, L2 re-query free)"
            (List.length workloads) (Array.length l1_sizes) (Array.length l2_sizes) profs
            expected);
+      Check.check ~name:"oracle.profile.grid-walks"
+        (walks = List.length workloads)
+        (Printf.sprintf "%d walks for %d workloads (expected one per workload)" walks
+           (List.length workloads));
       Check.check ~name:"oracle.profile.grid-no-pointwise-sims" (sims = 0)
         (Printf.sprintf "%d per-point simulations during the grid (expected 0)" sims);
     ]

@@ -1,5 +1,11 @@
 module Rng = Nmcache_numerics.Rng
 module Deadline = Nmcache_engine.Deadline
+module Faultpoint = Nmcache_engine.Faultpoint
+module Json = Nmcache_engine.Json
+module Memo = Nmcache_engine.Memo
+module Metrics = Nmcache_engine.Metrics
+module Retry = Nmcache_engine.Retry
+module Span = Nmcache_engine.Span
 module Stream_trace = Nmcache_cachesim.Stream_trace
 
 (* [next] returns packed entries (Stream_trace.pack), so drawing an
@@ -31,6 +37,75 @@ let iter ~stage t n f =
     let e = next () in
     f (Stream_trace.addr e) (Stream_trace.is_write e)
   done
+
+(* A warm-up prefix of half the trace fills caches and LRU stacks
+   before counters start, so every consumer measures steady state
+   rather than cold start. *)
+let warmup_fraction = 0.5
+
+type consumer = {
+  feed : int -> bool -> unit;
+  measure : unit -> unit;
+}
+
+(* Each access is drawn once and handed to every consumer in turn;
+   the split into an unmeasured prefix and a measured rest is made
+   here, once, for all of them. *)
+let walk ~stage t n consumers =
+  Metrics.incr "workload.walks";
+  let k = Array.length consumers in
+  let feed =
+    if k = 1 then consumers.(0).feed
+    else fun addr write ->
+      for j = 0 to k - 1 do
+        (Array.unsafe_get consumers j).feed addr write
+      done
+  in
+  Span.with_span
+    ~attrs:
+      [ ("workload", Json.String t.name); ("n", Json.Int n); ("consumers", Json.Int k) ]
+    "workload:walk"
+    (fun () ->
+      let warm = int_of_float (warmup_fraction *. float_of_int n) in
+      iter ~stage t warm feed;
+      Array.iter (fun c -> c.measure ()) consumers;
+      iter ~stage t (n - warm) feed)
+
+let walk_memoised ~stage ~gen ~n members =
+  let results =
+    Memo.find_or_compute_many
+      (Array.map (fun (table, key, _) -> (table, key)) members)
+      (fun claimed ->
+        (* every member passes its own fault point and retry boundary,
+           under its own key, before the walk: an injected fault fails
+           that member alone *)
+        let started =
+          Array.map
+            (fun i ->
+              let _, key, start = members.(i) in
+              match
+                Retry.run ~stage ~key (fun ~attempt ~last:_ ->
+                    Faultpoint.hit ~attempt ~point:stage ~key ());
+                start ()
+              with
+              | s -> Ok s
+              | exception e -> Error e)
+            claimed
+        in
+        let live =
+          Array.of_list
+            (List.filter_map
+               (function Ok (c, _) -> Some c | Error _ -> None)
+               (Array.to_list started))
+        in
+        if Array.length live > 0 then walk ~stage (gen ()) n live;
+        Array.map
+          (function
+            | Ok (_, finish) -> ( try Ok (finish ()) with e -> Error e)
+            | Error e -> Error e)
+          started)
+  in
+  Array.map (function Ok v -> v | Error e -> raise e) results
 
 let mix ~name ~rng parts =
   if parts = [] then invalid_arg "Gen.mix: empty";

@@ -35,6 +35,42 @@ val iter : stage:string -> t -> int -> (int -> bool -> unit) -> unit
     accesses without materialising or boxing them, and polls
     {!Nmcache_engine.Deadline.poll} [~stage] every 4096 accesses. *)
 
+(** {1 Fan-out walks} *)
+
+val warmup_fraction : float
+(** Fraction of a walk fed as an unmeasured warm-up prefix (0.5). *)
+
+type consumer = {
+  feed : int -> bool -> unit;  (** [feed addr write]: one access *)
+  measure : unit -> unit;
+      (** called once, at the warm-up boundary: reset statistics and
+          start counting *)
+}
+
+val walk : stage:string -> t -> int -> consumer array -> unit
+(** [walk ~stage t n consumers] draws the next [n] accesses once each
+    and feeds every access to every consumer in turn.  After the first
+    [warmup_fraction] of [n], it calls each consumer's [measure].  It
+    polls the deadline as {!iter} does, counts one [workload.walks],
+    and runs in a [workload:walk] span. *)
+
+val walk_memoised :
+  stage:string ->
+  gen:(unit -> t) ->
+  n:int ->
+  ('v Nmcache_engine.Memo.t * string * (unit -> consumer * (unit -> 'v))) array ->
+  'v array
+(** One memoised {!walk} for a batch of members [(table, key, start)]
+    that share a trace.  Members already in their table are served
+    from it ({!Nmcache_engine.Memo.find_or_compute_many}).  Each
+    claimed member first passes the [stage] fault point and retry
+    boundary under its own key.  Then [start ()] builds its consumer
+    and the [finish] that reads its value after the walk.  The walk
+    over [gen ()] runs once, for every member that started.  A member
+    that fails is not memoised, and the others still are.  Returns
+    the values in member order, or raises the first member's failure
+    in that order. *)
+
 (** {1 Combinators} *)
 
 val mix : name:string -> rng:Nmcache_numerics.Rng.t -> (float * t) list -> t

@@ -5,8 +5,6 @@ module Stats = Nmcache_cachesim.Stats
 module Memo = Nmcache_engine.Memo
 module Task = Nmcache_engine.Task
 module Sweep = Nmcache_engine.Sweep
-module Retry = Nmcache_engine.Retry
-module Faultpoint = Nmcache_engine.Faultpoint
 
 type point = {
   l1_miss : float;
@@ -17,10 +15,12 @@ type point = {
 (* process-wide, domain-safe memo tables; keys stringified for
    simplicity (they name every input the result depends on).  Whole
    miss-rate curves are derived from the stack-distance profiles in
-   {!Profile}; only [simulate] and non-LRU L1 sweeps still walk the
-   trace per configuration. *)
+   {!Profile}; only direct simulations still walk the trace per
+   configuration, and one walk serves every configuration of a call.
+   An L1-only configuration is memoised in [l1_cache] as a point whose
+   L2 rates are nan. *)
 let point_cache : point Memo.t = Memo.create ~name:"missrate.points" ()
-let l1_cache : float Memo.t = Memo.create ~name:"missrate.l1" ()
+let l1_cache : point Memo.t = Memo.create ~name:"missrate.l1" ()
 
 let policy_key = function
   | Replacement.Lru -> "lru"
@@ -30,17 +30,18 @@ let policy_key = function
 
 (* The memo keys double as checkpoint slot keys for the sweep tasks
    below, so they must (and do) name every input the result depends
-   on.  Prefixes are versioned ("curve2", "l1d") where this PR changed
-   what a slot means, so stale journals from the per-point era can
-   never alias a derived result. *)
+   on.  Prefixes are versioned ("curve2", "l1d", "grid3", "walk1")
+   where a slot's meaning changed, so a stale journal can never alias
+   a result of another shape. *)
 let sim_key ~workload ~l1_size ~l2_size ~l1_assoc ~l2_assoc ~block ~policy ~seed ~n =
   Printf.sprintf "sim:%s:%d:%d:%d:%d:%d:%s:%Ld:%d" workload l1_size l2_size l1_assoc
     l2_assoc block (policy_key policy) seed n
 
+let sizes_key sizes = String.concat "," (Array.to_list (Array.map string_of_int sizes))
+
 let curve_key ~workload ~l1_size ~l1_assoc ~block ~seed ~n ~l2_sizes =
-  let sizes_key = String.concat "," (Array.to_list (Array.map string_of_int l2_sizes)) in
   Printf.sprintf "curve2:%s:%d:%d:%d:%Ld:%d:%s" workload l1_size l1_assoc block seed n
-    sizes_key
+    (sizes_key l2_sizes)
 
 let l1_key ~workload ~l1_size ~l1_assoc ~block ~policy ~seed ~n =
   Printf.sprintf "l1:%s:%d:%d:%d:%s:%Ld:%d" workload l1_size l1_assoc block
@@ -56,35 +57,91 @@ let combined_workloads_key workloads =
 
 let warmup_fraction = Profile.warmup_fraction
 
-let simulate ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64) ?(policy = Replacement.Lru)
-    ?(seed = Registry.default_seed) ~workload ~l1_size ~l2_size ~n () =
-  let key = sim_key ~workload ~l1_size ~l2_size ~l1_assoc ~l2_assoc ~block ~policy ~seed ~n in
-  Memo.find_or_compute point_cache key (fun () ->
-      (* inside the memoised compute: an injected fault exercises the
-         Pending-cleanup path (waiters retry, hit the same key-
-         deterministic fault, and fail identically at any --jobs).
-         The retry boundary sits inside the memo too, so a transient
-         injection is recovered before any waiter sees it. *)
-      Retry.run ~stage:"simulate" ~key (fun ~attempt ~last:_ ->
-          Faultpoint.hit ~attempt ~point:"simulate" ~key ();
-          let gen = Registry.build ~seed workload in
-          let l1 = Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block ~policy () in
-          let l2 = Cache.create ~size_bytes:l2_size ~assoc:l2_assoc ~block_bytes:block ~policy () in
-          let h = Hierarchy.create ~l1 ~l2 in
-          let warm = int_of_float (warmup_fraction *. float_of_int n) in
-          let feed addr write = ignore (Hierarchy.access h addr ~write) in
-          Gen.iter ~stage:"simulate" gen warm feed;
-          Cache.reset_stats l1;
-          Cache.reset_stats l2;
-          Gen.iter ~stage:"simulate" gen (n - warm) feed;
-          Nmcache_engine.Metrics.incr "cachesim.simulations";
-          Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
-          Stats.flush_to_metrics ~prefix:"cachesim.l2" (Cache.stats l2);
-          {
-            l1_miss = Hierarchy.l1_miss_rate h;
-            l2_local = Hierarchy.l2_local_miss_rate h;
-            l2_global = Hierarchy.l2_global_miss_rate h;
-          }))
+type config = {
+  l1_size : int;
+  l1_assoc : int;
+  l2 : (int * int) option;
+  block : int;
+  policy : Replacement.t;
+}
+
+let config ?(l1_assoc = 4) ?l2_size ?(l2_assoc = 8) ?(block = 64)
+    ?(policy = Replacement.Lru) ~l1_size () =
+  { l1_size; l1_assoc; l2 = Option.map (fun s -> (s, l2_assoc)) l2_size; block; policy }
+
+let config_slot ~workload ~seed ~n c =
+  match c.l2 with
+  | None ->
+    ( l1_cache,
+      l1_key ~workload ~l1_size:c.l1_size ~l1_assoc:c.l1_assoc ~block:c.block
+        ~policy:c.policy ~seed ~n )
+  | Some (l2_size, l2_assoc) ->
+    ( point_cache,
+      sim_key ~workload ~l1_size:c.l1_size ~l2_size ~l1_assoc:c.l1_assoc ~l2_assoc
+        ~block:c.block ~policy:c.policy ~seed ~n )
+
+(* a configuration's walk consumer, and the point it reads off its
+   caches once the walk is done *)
+let start c () =
+  let cache (size, assoc) =
+    Cache.create ~size_bytes:size ~assoc ~block_bytes:c.block ~policy:c.policy ()
+  in
+  let l1 = cache (c.l1_size, c.l1_assoc) in
+  let l2 = Option.map cache c.l2 in
+  let feed, l2_rates =
+    match l2 with
+    | None -> ((fun addr write -> ignore (Cache.access l1 addr ~write)), fun () -> (nan, nan))
+    | Some l2 ->
+      let h = Hierarchy.create ~l1 ~l2 in
+      ( (fun addr write -> ignore (Hierarchy.access h addr ~write)),
+        fun () -> (Hierarchy.l2_local_miss_rate h, Hierarchy.l2_global_miss_rate h) )
+  in
+  let measure () =
+    Cache.reset_stats l1;
+    Option.iter Cache.reset_stats l2
+  in
+  ( { Gen.feed; measure },
+    fun () ->
+      Nmcache_engine.Metrics.incr "cachesim.simulations";
+      Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
+      Option.iter (fun l2 -> Stats.flush_to_metrics ~prefix:"cachesim.l2" (Cache.stats l2)) l2;
+      let l2_local, l2_global = l2_rates () in
+      { l1_miss = Stats.miss_rate (Cache.stats l1); l2_local; l2_global } )
+
+(* every configuration of one trace in one memoised walk; each one is
+   an independent member with its own fault point and retry boundary *)
+let simulate_configs ~seed ~workload ~n configs =
+  Gen.walk_memoised ~stage:"simulate"
+    ~gen:(fun () -> Registry.build ~seed workload)
+    ~n
+    (Array.map
+       (fun c ->
+         let table, key = config_slot ~workload ~seed ~n c in
+         (table, key, start c))
+       configs)
+
+let simulate ?l1_assoc ?l2_assoc ?block ?policy ?(seed = Registry.default_seed) ~workload
+    ~l1_size ~l2_size ~n () =
+  (simulate_configs ~seed ~workload ~n
+     [| config ?l1_assoc ?l2_assoc ?block ?policy ~l1_size ~l2_size () |]).(0)
+
+(* The direct-simulation stage: the whole batch is one checkpoint slot
+   of the [missrate.l1-sweep] task, since it is one walk. *)
+let simulate_many ?(seed = Registry.default_seed) ~workload ~n configs =
+  let configs = Array.of_list configs in
+  let slot_key () =
+    "walk1:"
+    ^ String.concat ";"
+        (Array.to_list
+           (Array.map (fun c -> snd (config_slot ~workload ~seed ~n c)) configs))
+  in
+  let points =
+    Sweep.map_array
+      (Task.make ~name:"missrate.l1-sweep" ~key:slot_key (fun () ->
+           simulate_configs ~seed ~workload ~n configs))
+      [| () |]
+  in
+  Array.to_list points.(0)
 
 module Stream_trace = Nmcache_cachesim.Stream_trace
 
@@ -150,23 +207,26 @@ type l2_curve = {
   l2_local_rates : float array;
 }
 
-(* Derive the whole curve from the memoised L1-filtered profile: the
+(* Derive the whole curve from a memoised L1-filtered profile: the
    first query per (workload, L1 config) performs the one measured
    traversal; every capacity — and any later change of [l2_sizes] — is
    pure arithmetic on the profile's suffix CDF.  The L2s the paper
    studies are ≥ 8-way, so the fully-associative stack condition is the
    same excellent approximation the per-point era used. *)
-let l2_curve ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~workload
-    ~l1_size ~l2_sizes ~n () =
-  let p = Profile.l1_filtered ~l1_assoc ~block ~seed ~workload ~l1_size ~n () in
-  let caps = Array.map (fun s -> max 1 (s / block)) l2_sizes in
+let curve_of_profile (p : Profile.t) ~l1_size ~l2_sizes =
+  let caps = Array.map (fun s -> max 1 (s / p.Profile.block)) l2_sizes in
   {
-    workload;
+    workload = p.Profile.workload;
     l1_size;
     l1_miss_rate = p.Profile.l1_miss_rate;
     l2_sizes = Array.copy l2_sizes;
     l2_local_rates = Profile.curve p ~capacities:caps;
   }
+
+let l2_curve ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~workload
+    ~l1_size ~l2_sizes ~n () =
+  curve_of_profile ~l1_size ~l2_sizes
+    (Profile.l1_filtered ~l1_assoc ~block ~seed ~workload ~l1_size ~n ())
 
 let avg_cache : l2_curve Memo.t = Memo.create ~name:"missrate.averaged" ()
 
@@ -179,10 +239,9 @@ let clear_cache () =
 let averaged_l2_curve ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed)
     ~workloads ~l1_size ~l2_sizes ~n () =
   if workloads = [] then invalid_arg "Missrate.averaged_l2_curve: no workloads";
-  let sizes_key = String.concat "," (Array.to_list (Array.map string_of_int l2_sizes)) in
   let key =
     Printf.sprintf "avg:%s:%d:%d:%d:%Ld:%d:%s" (combined_workloads_key workloads) l1_size
-      l1_assoc block seed n sizes_key
+      l1_assoc block seed n (sizes_key l2_sizes)
   in
   Memo.find_or_compute avg_cache key (fun () ->
       (* one independent profile build per workload — the engine fans
@@ -221,28 +280,28 @@ type grid = {
 let grid ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~workloads
     ~l1_sizes ~l2_sizes ~n () =
   if workloads = [] then invalid_arg "Missrate.grid: no workloads";
-  let wl = Array.of_list workloads in
-  let pairs =
-    Array.concat
-      (Array.to_list
-         (Array.map (fun l1_size -> Array.map (fun w -> (w, l1_size)) wl) l1_sizes))
-  in
-  (* exactly one measured traversal per (workload, L1 size): the whole
-     workload × L1 plane fans out at once, and every L2 capacity is
-     derived from the resulting profiles *)
-  let curves =
-    Sweep.map_array
+  (* one slot and one measured walk per workload: the walk builds the
+     L1-filtered profile of every L1 size at once, and every L2
+     capacity is derived from those profiles *)
+  let rows =
+    Sweep.map_list
       (Task.make ~name:"missrate.grid"
-         ~key:(fun (workload, l1_size) ->
-           curve_key ~workload ~l1_size ~l1_assoc ~block ~seed ~n ~l2_sizes)
-         (fun (workload, l1_size) ->
-           l2_curve ~l1_assoc ~block ~seed ~workload ~l1_size ~l2_sizes ~n ()))
-      pairs
+         ~key:(fun workload ->
+           Printf.sprintf "grid3:%s:%s:%d:%d:%Ld:%d:%s" workload (sizes_key l1_sizes)
+             l1_assoc block seed n (sizes_key l2_sizes))
+         (fun workload ->
+           Profile.build_many ~seed ~workload ~n
+             (Array.to_list
+                (Array.map
+                   (fun l1_size -> (Profile.L1_filtered { l1_size; l1_assoc }, block))
+                   l1_sizes))
+           |> List.map2 (fun l1_size p -> curve_of_profile p ~l1_size ~l2_sizes)
+                (Array.to_list l1_sizes)
+           |> Array.of_list))
+      workloads
+    |> Array.of_list
   in
-  let w_count = Array.length wl in
-  let g_per_workload =
-    Array.init (Array.length l1_sizes) (fun i -> Array.sub curves (i * w_count) w_count)
-  in
+  let g_per_workload = Array.mapi (fun i _ -> Array.map (fun row -> row.(i)) rows) l1_sizes in
   (* the averaged curves reuse the memoised profiles built above, so
      this adds no traversals and agrees bit-for-bit with direct
      [averaged_l2_curve] calls *)
@@ -277,22 +336,10 @@ let l1_sweep ?(l1_assoc = 4) ?(block = 64) ?(policy = Replacement.Lru)
           ~assoc:l1_assoc)
       l1_sizes
   | _ ->
-    (* stack distances model LRU only: other policies keep the direct
-       per-size simulation *)
-    let slot_key l1_size = l1_key ~workload ~l1_size ~l1_assoc ~block ~policy ~seed ~n in
-    Sweep.map_array
-      (Task.make ~name:"missrate.l1-sweep" ~key:slot_key (fun l1_size ->
-           Memo.find_or_compute l1_cache (slot_key l1_size) (fun () ->
-               let gen = Registry.build ~seed workload in
-               let l1 =
-                 Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block ~policy ()
-               in
-               let feed addr write = ignore (Cache.access l1 addr ~write) in
-               let warm = int_of_float (warmup_fraction *. float_of_int n) in
-               Gen.iter ~stage:"simulate" gen warm feed;
-               Cache.reset_stats l1;
-               Gen.iter ~stage:"simulate" gen (n - warm) feed;
-               Nmcache_engine.Metrics.incr "cachesim.simulations";
-               Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
-               Stats.miss_rate (Cache.stats l1))))
-      l1_sizes
+    (* stack distances model LRU only: other policies simulate every
+       size directly, all in one walk *)
+    simulate_many ~seed ~workload ~n
+      (Array.to_list
+         (Array.map (fun l1_size -> config ~l1_assoc ~block ~policy ~l1_size ()) l1_sizes))
+    |> List.map (fun p -> p.l1_miss)
+    |> Array.of_list

@@ -2,8 +2,9 @@
     the energy/optimisation layers.
 
     Two paths are provided:
-    - {!simulate}: exact two-level set-associative simulation of one
-      (L1 size, L2 size) pair;
+    - {!simulate} and {!simulate_many}: exact set-associative
+      simulation of L1-only or two-level configurations, every
+      configuration of a call fed by one walk of the trace;
     - everything else is {e derived} from the stack-distance profiles in
       {!Profile}: one measured trace traversal per (workload, L1 config)
       yields the miss rate for every capacity at once — exact for
@@ -34,8 +35,41 @@ val simulate :
   unit ->
   point
 (** Exact simulation of [n] accesses (defaults: L1 4-way, L2 8-way,
-    64 B blocks, LRU).  Raises [Invalid_argument] for unknown workloads
+    64 B blocks, LRU): a one-member {!simulate_many}, without its
+    checkpoint slot.  Raises [Invalid_argument] for unknown workloads
     or invalid cache shapes. *)
+
+type config = {
+  l1_size : int;
+  l1_assoc : int;
+  l2 : (int * int) option;  (** [(size, assoc)], or [None] for an L1-only cache *)
+  block : int;
+  policy : Nmcache_cachesim.Replacement.t;
+}
+(** One cache configuration of a {!simulate_many} batch. *)
+
+val config :
+  ?l1_assoc:int ->
+  ?l2_size:int ->
+  ?l2_assoc:int ->
+  ?block:int ->
+  ?policy:Nmcache_cachesim.Replacement.t ->
+  l1_size:int ->
+  unit ->
+  config
+(** Defaults as {!simulate}; L1-only without [l2_size]. *)
+
+val simulate_many : ?seed:int64 -> workload:string -> n:int -> config list -> point list
+(** Simulate every configuration over one trace, in order, with one
+    walk for all that are not memoised yet.  Each two-level
+    configuration is memoised as {!simulate} memoises it.  An L1-only
+    one is memoised per (workload, L1 shape, policy, seed, n), and its
+    point reports [l2_local] and [l2_global] as [nan].  Each
+    configuration passes the [simulate] fault point and retry boundary
+    under its own key, so a fault fails that configuration alone and
+    the others are still memoised; the call raises the first failure in
+    order.  The batch is one checkpoint slot of the
+    [missrate.l1-sweep] sweep task. *)
 
 val simulate_stream :
   ?l1_assoc:int ->
@@ -110,10 +144,10 @@ val grid :
   n:int ->
   unit ->
   grid
-(** The whole L1×L2 design-space plane from exactly one measured trace
-    traversal per (workload, L1 size): profile builds fan out across
-    the plane at once, and every L2 capacity is derived from the
-    profiles' suffix CDFs.  The averaged curves agree bit-for-bit with
+(** The whole L1×L2 design-space plane from one measured walk per
+    workload: each walk builds the L1-filtered profile of every L1 size
+    ({!Profile.build_many}), workloads fan out as one sweep slot each,
+    and every L2 capacity is derived from the profiles' suffix CDFs.  The averaged curves agree bit-for-bit with
     {!averaged_l2_curve} on the same inputs.  Raises
     [Invalid_argument] on an empty workload list. *)
 
@@ -130,7 +164,8 @@ val l1_sweep :
 (** Local L1 miss rate per size (L1 miss rates don't depend on L2).
     For LRU the sweep is derived from one raw-trace profile with the
     {!Profile.setassoc_miss_rate} correction; other policies simulate
-    each size directly (stack distances model LRU only). *)
+    every size directly in one {!simulate_many} walk (stack distances
+    model LRU only). *)
 
 val combined_workloads_key : string list -> string
 (** Collision-free rendering of a workload list for memo/checkpoint

@@ -3,8 +3,6 @@ module Mattson = Nmcache_cachesim.Mattson
 module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Memo = Nmcache_engine.Memo
-module Retry = Nmcache_engine.Retry
-module Faultpoint = Nmcache_engine.Faultpoint
 module Span = Nmcache_engine.Span
 module Metrics = Nmcache_engine.Metrics
 module Json = Nmcache_engine.Json
@@ -27,10 +25,7 @@ type t = {
   l1_miss_rate : float;
 }
 
-(* A warmup prefix of half the trace fills caches and the LRU stack
-   before counters start, so profiles reflect steady state rather than
-   cold-start — the same convention as direct simulation. *)
-let warmup_fraction = 0.5
+let warmup_fraction = Gen.warmup_fraction
 
 (* drain the per-map probe-length counts accumulated over a traversal
    into one registry histogram: bucket index is the probe length
@@ -50,13 +45,21 @@ let key ~workload ~kind ~block ~seed ~n =
   | L1_filtered { l1_size; l1_assoc } ->
     Printf.sprintf "prof:l1:%s:%d:%d:%d:%Ld:%d" workload l1_size l1_assoc block seed n
 
-(* The traversal kit shared by [build] and [of_stream]: a profiler, the
-   optional L1 filter in front of it, and the feed that runs one access
-   through both. *)
-let traversal ~block kind =
+(* One profile under construction, shared by [build_many] and
+   [of_stream]: a profiler, the optional L1 filter in front of it, and
+   the walk consumer that runs each access through both.  Measuring
+   starts at the consumer's warm-up boundary. *)
+let start ~block kind =
   let profiler = Mattson.create ~block_bytes:block () in
+  Mattson.set_measuring profiler false;
   match kind with
-  | Raw -> (profiler, None, fun addr _ -> Mattson.access profiler addr)
+  | Raw ->
+    ( profiler,
+      None,
+      {
+        Gen.feed = (fun addr _ -> Mattson.access profiler addr);
+        measure = (fun () -> Mattson.set_measuring profiler true);
+      } )
   | L1_filtered { l1_size; l1_assoc } ->
     let l1 =
       Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block
@@ -64,9 +67,16 @@ let traversal ~block kind =
     in
     ( profiler,
       Some l1,
-      fun addr write ->
-        if not (Cache.hit (Cache.access l1 addr ~write)) then
-          Mattson.access profiler addr )
+      {
+        Gen.feed =
+          (fun addr write ->
+            if not (Cache.hit (Cache.access l1 addr ~write)) then
+              Mattson.access profiler addr);
+        measure =
+          (fun () ->
+            Cache.reset_stats l1;
+            Mattson.set_measuring profiler true);
+      } )
 
 (* close a traversal: flush its counters and reduce the profiler to the
    suffix CDF *)
@@ -103,35 +113,27 @@ let finish ~workload ~kind ~block ~seed ~n profiler l1_opt =
 
 let kind_name = function Raw -> "raw" | L1_filtered _ -> "l1-filtered"
 
-(* One measured traversal of the trace: build the stack-distance CDF
-   (raw trace, or the L1 miss stream when [kind] filters).  This is the
-   only place in the derivation layer that touches the generator. *)
+(* One measured walk of the trace builds every requested profile that
+   is not memoised yet: the raw stream's CDF, or the miss stream's
+   behind an L1 filter.  This is the only place in the derivation
+   layer that touches the generator. *)
+let build_many ?(seed = Registry.default_seed) ~workload ~n members =
+  Gen.walk_memoised ~stage:"simulate"
+    ~gen:(fun () -> Registry.build ~seed workload)
+    ~n
+    (Array.of_list
+       (List.map
+          (fun (kind, block) ->
+            ( cache,
+              key ~workload ~kind ~block ~seed ~n,
+              fun () ->
+                let profiler, l1_opt, consumer = start ~block kind in
+                (consumer, fun () -> finish ~workload ~kind ~block ~seed ~n profiler l1_opt) ))
+          members))
+  |> Array.to_list
+
 let build ~workload ~kind ~block ~seed ~n =
-  let key = key ~workload ~kind ~block ~seed ~n in
-  Memo.find_or_compute cache key (fun () ->
-      (* the retry boundary sits inside the memo, so a transient
-         injected fault is recovered before any waiter sees it; the
-         fault point stays key-deterministic at any --jobs *)
-      Retry.run ~stage:"simulate" ~key (fun ~attempt ~last:_ ->
-          Faultpoint.hit ~attempt ~point:"simulate" ~key ();
-          Span.with_span
-            ~attrs:
-              [
-                ("workload", Json.String workload);
-                ("kind", Json.String (kind_name kind));
-                ("n", Json.Int n);
-              ]
-            "profile:build"
-            (fun () ->
-              let gen = Registry.build ~seed workload in
-              let profiler, l1_opt, feed = traversal ~block kind in
-              let warm = int_of_float (warmup_fraction *. float_of_int n) in
-              Mattson.set_measuring profiler false;
-              Gen.iter ~stage:"simulate" gen warm feed;
-              Option.iter Cache.reset_stats l1_opt;
-              Mattson.set_measuring profiler true;
-              Gen.iter ~stage:"simulate" gen (n - warm) feed;
-              finish ~workload ~kind ~block ~seed ~n profiler l1_opt)))
+  List.hd (build_many ~seed ~workload ~n [ (kind, block) ])
 
 let raw ?(block = 64) ?(seed = Registry.default_seed) ~workload ~n () =
   build ~workload ~kind:Raw ~block ~seed ~n
@@ -142,13 +144,11 @@ let l1_filtered ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~w
 
 module Stream_trace = Nmcache_cachesim.Stream_trace
 
-(* The streamed twin of [build]: same profiler, same L1 filter, same
-   warmup discipline — measuring off until [warmup_fraction] of the
-   stream's declared length has been fed, then reset the filter's
-   statistics and measure the rest — so a stream wrapping a registry
-   workload yields a profile equal to [build]'s field for field.  Not
-   memoised (a stream is consumed, not named); deadline polling rides
-   the stream's own chunk boundaries. *)
+(* The streamed twin of [build_many]: the same consumer, measuring
+   from [warmup_fraction] of the stream's declared length, so a stream
+   wrapping a registry workload yields a profile equal to [build]'s
+   field for field.  Not memoised (a stream is consumed, not named);
+   deadline polling rides the stream's own chunk boundaries. *)
 let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
   Span.with_span
     ~attrs:
@@ -158,22 +158,18 @@ let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
       ]
     "profile:stream"
     (fun () ->
-      let profiler, l1_opt, feed = traversal ~block kind in
+      let profiler, l1_opt, consumer = start ~block kind in
       let warm =
         match Stream_trace.declared_length stream with
         | Some n -> int_of_float (warmup_fraction *. float_of_int n)
         | None -> 0
       in
-      Mattson.set_measuring profiler false;
       let fed = ref 0 in
       let n_fed =
         Stream_trace.iter stream (fun addr write ->
-            if !fed = warm then begin
-              Option.iter Cache.reset_stats l1_opt;
-              Mattson.set_measuring profiler true
-            end;
+            if !fed = warm then consumer.Gen.measure ();
             incr fed;
-            feed addr write)
+            consumer.Gen.feed addr write)
       in
       finish ~workload:(Stream_trace.name stream) ~kind ~block ~seed ~n:n_fed
         profiler l1_opt)

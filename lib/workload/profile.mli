@@ -37,10 +37,20 @@ val key : workload:string -> kind:kind -> block:int -> seed:int64 -> n:int -> st
 (** The memo key; names every input the profile depends on, so it also
     serves as a checkpoint slot key. *)
 
+val build_many :
+  ?seed:int64 -> workload:string -> n:int -> (kind * int) list -> t list
+(** [build_many ~workload ~n members] profiles each [(kind, block)]
+    member of one trace, in order (default seed: the registry's).
+    Each member is memoised under {!key}.  The members not memoised
+    yet are built together in one {!Gen.walk}.  Each built profile
+    counts one [cachesim.mattson_curves].  Each member passes the
+    [simulate] fault point and retry boundary under its own key, so a
+    fault fails that member alone: the others are still memoised, and
+    the call raises the first member's failure in order. *)
+
 val raw : ?block:int -> ?seed:int64 -> workload:string -> n:int -> unit -> t
 (** Profile the raw access stream (defaults: 64 B blocks, registry
-    seed).  Memoised; the first call per key performs the traversal
-    (counted in the [cachesim.mattson_curves] metric). *)
+    seed): a one-member {!build_many}. *)
 
 val l1_filtered :
   ?l1_assoc:int -> ?block:int -> ?seed:int64 -> workload:string -> l1_size:int ->
@@ -79,9 +89,9 @@ val setassoc_miss_rate : t -> capacity_blocks:int -> assoc:int -> float
     exact there and monotone non-increasing in capacity everywhere. *)
 
 val warmup_fraction : float
-(** Fraction of the trace used as an unmeasured warmup prefix (0.5),
-    shared with direct simulation so derived and simulated rates see
-    the same steady-state window. *)
+(** {!Gen.warmup_fraction}: the unmeasured warm-up prefix (0.5) that
+    profiles share with direct simulation, so derived and simulated
+    rates see the same steady-state window. *)
 
 val clear_cache : unit -> unit
 (** Drop all memoised profiles (tests use this to bound memory). *)

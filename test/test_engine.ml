@@ -174,6 +174,107 @@ let test_memo_exception_clears_pending () =
   Alcotest.(check int) "retry's value settled" 42
     (Memo.find_or_compute memo "k" (fun () -> 0))
 
+(* --- memo batches ---------------------------------------------------------- *)
+
+let batch table keys = Array.map (fun k -> (table, k)) keys
+let values rs = Array.map (function Ok v -> v | Error e -> raise e) rs
+
+let test_memo_many_hits () =
+  Trace.reset ();
+  let memo : int Memo.t = Memo.create ~name:"test.memo-many" () in
+  let other : int Memo.t = Memo.create ~name:"test.memo-many-other" () in
+  ignore (Memo.find_or_compute memo "a" (fun () -> 1));
+  let calls = ref [] in
+  let members = Array.append (batch memo [| "a"; "b"; "c" |]) (batch other [| "a" |]) in
+  let got =
+    Memo.find_or_compute_many members (fun claimed ->
+        calls := claimed :: !calls;
+        Array.map (fun i -> Ok (10 * i)) claimed)
+  in
+  Alcotest.(check (array int)) "values in member order" [| 1; 10; 20; 30 |] (values got);
+  Alcotest.(check (list (array int))) "one compute, memoised member skipped"
+    [ [| 1; 2; 3 |] ] !calls;
+  Alcotest.(check (pair int int)) "one hit, two misses" (1, 3) (Memo.stats memo);
+  Alcotest.(check (pair int int)) "other table keeps its own entry" (0, 1) (Memo.stats other);
+  let again = Memo.find_or_compute_many members (fun _ -> Alcotest.fail "recomputed") in
+  Alcotest.(check (array int)) "all hits now" [| 1; 10; 20; 30 |] (values again);
+  Alcotest.(check (pair int int)) "each member counts as a hit" (4, 3) (Memo.stats memo);
+  Alcotest.(check int) "other table" 1 (Memo.length other)
+
+let test_memo_many_overlap_across_domains () =
+  (* two domains ask at once for key sets that share k3..k5: each key
+     is computed exactly once, and both callers see every value *)
+  let memo : int Memo.t = Memo.create ~name:"test.memo-many-par" () in
+  let computed = Array.init 9 (fun _ -> Atomic.make 0) in
+  let go = Atomic.make false in
+  let ask lo hi =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        let keys = Array.init (hi - lo + 1) (fun i -> string_of_int (lo + i)) in
+        Memo.find_or_compute_many (batch memo keys) (fun claimed ->
+            Unix.sleepf 0.02;
+            Array.map
+              (fun i ->
+                let k = int_of_string keys.(i) in
+                Atomic.incr computed.(k);
+                Ok (k * k))
+              claimed)
+        |> values)
+  in
+  let a = ask 0 5 and b = ask 3 8 in
+  Atomic.set go true;
+  Alcotest.(check (array int)) "first caller" (Array.init 6 (fun i -> i * i)) (Domain.join a);
+  Alcotest.(check (array int)) "second caller"
+    (Array.init 6 (fun i -> (i + 3) * (i + 3)))
+    (Domain.join b);
+  Array.iteri
+    (fun k c -> Alcotest.(check int) (Printf.sprintf "key %d computed once" k) 1 (Atomic.get c))
+    computed
+
+let test_memo_many_failures () =
+  let memo : int Memo.t = Memo.create ~name:"test.memo-many-exn" () in
+  (* an Error fails its member alone: the rest are published *)
+  let got =
+    Memo.find_or_compute_many (batch memo [| "x"; "y" |]) (fun claimed ->
+        Array.map (fun i -> if i = 0 then Error Exit else Ok 7) claimed)
+  in
+  Alcotest.(check bool) "x failed" true (got.(0) = Error Exit);
+  Alcotest.(check bool) "y published" true (got.(1) = Ok 7);
+  Alcotest.(check int) "only y memoised" 1 (Memo.length memo);
+  (* a raising compute drops exactly the markers it claimed: "held" is
+     pending in another domain and stays so until its owner settles *)
+  let owned = Atomic.make false and release = Atomic.make false in
+  let owner =
+    Domain.spawn (fun () ->
+        Memo.find_or_compute memo "held" (fun () ->
+            Atomic.set owned true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done;
+            5))
+  in
+  while not (Atomic.get owned) do
+    Domain.cpu_relax ()
+  done;
+  let claimed = ref [||] in
+  Alcotest.check_raises "compute raises through" (Failure "walk died") (fun () ->
+      ignore
+        (Memo.find_or_compute_many (batch memo [| "held"; "p"; "q"; "y" |]) (fun c ->
+             claimed := c;
+             failwith "walk died")));
+  Alcotest.(check (array int)) "claimed p and q only" [| 1; 2 |] !claimed;
+  (* "held" is still pending: a new asker waits for its owner *)
+  let asker = Domain.spawn (fun () -> Memo.find_or_compute memo "held" (fun () -> 99)) in
+  Unix.sleepf 0.02;
+  Atomic.set release true;
+  Alcotest.(check int) "owner settled its key" 5 (Domain.join owner);
+  Alcotest.(check int) "the asker waited for the owner" 5 (Domain.join asker);
+  Alcotest.(check int) "p and q recompute" 9
+    (Memo.find_or_compute memo "p" (fun () -> 4) + Memo.find_or_compute memo "q" (fun () -> 5));
+  Alcotest.(check int) "held, y, p and q memoised" 4 (Memo.length memo)
+
 (* --- trace --------------------------------------------------------------- *)
 
 let test_trace_summary_smoke () =
@@ -237,6 +338,11 @@ let suite =
     Alcotest.test_case "memo dedups in-flight computes" `Quick test_memo_inflight_dedup;
     Alcotest.test_case "memo exception clears pending" `Quick
       test_memo_exception_clears_pending;
+    Alcotest.test_case "memo batch: hits are not recomputed" `Quick test_memo_many_hits;
+    Alcotest.test_case "memo batch: overlapping domains compute once" `Quick
+      test_memo_many_overlap_across_domains;
+    Alcotest.test_case "memo batch: failures drop only their markers" `Quick
+      test_memo_many_failures;
     Alcotest.test_case "trace summary smoke" `Quick test_trace_summary_smoke;
     Alcotest.test_case "crc32: IEEE 802.3 check vector" `Quick test_crc32_vector;
     Generators.to_alcotest crc32_chaining_prop;

@@ -98,7 +98,7 @@ let test_prefetch_streams_into_l2 () =
   let l1, l2 = fresh_pair () in
   let p = Prefetch.create ~degree:2 ~l1 ~l2 () in
   let o = Prefetch.access p 0 ~write:false in
-  Alcotest.(check int) "two prefetches on the miss" 2 o.Prefetch.prefetches_issued;
+  Alcotest.(check int) "two prefetches on the miss" 2 (Prefetch.prefetches_issued o);
   Alcotest.(check bool) "next lines resident in L2" true
     (Cache.contains l2 64 && Cache.contains l2 128);
   Alcotest.(check bool) "but not in L1" false (Cache.contains l1 64)
@@ -111,9 +111,9 @@ let test_prefetch_improves_sequential_l2_hits () =
     let l2_hits = ref 0 and l1_misses = ref 0 in
     Gen.iter ~stage:"test" g 2000 (fun addr _ ->
         let o = Prefetch.access p addr ~write:false in
-        if not o.Prefetch.l1_hit then begin
+        if not (Prefetch.l1_hit o) then begin
           incr l1_misses;
-          if o.Prefetch.l2_hit then incr l2_hits
+          if Prefetch.l2_hit o then incr l2_hits
         end);
     float_of_int !l2_hits /. float_of_int (max 1 !l1_misses)
   in

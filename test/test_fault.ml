@@ -315,6 +315,62 @@ let test_injected_fault_never_poisons_memo () =
   Alcotest.(check int) "key recovers after disarming" 8 (get "poisoned");
   Alcotest.(check int) "one cached entry now" 1 (Memo.length memo)
 
+(* --- fused walks: faults stay per member ---------------------------------- *)
+
+module Profile = Nmcache_workload.Profile
+module Missrate = Nmcache_workload.Missrate
+module Replacement = Nmcache_cachesim.Replacement
+module Retry = Nmcache_engine.Retry
+
+(* Arm the simulate fault point on the middle member of a fused batch.
+   A [point=KEY] arm fires on the first attempt only, so that member's
+   own retry boundary recovers it and the batch equals an unarmed one.
+   With retries off, that member alone fails the call, the walk still
+   builds the other two, and they are memoised — asking for them again
+   walks nothing — while the failed member is not. *)
+let check_fault_fails_one_member ~label ~bad ~counter ~clear build members =
+  let c = Metrics.counter_value in
+  let reference = build members in
+  clear ();
+  with_injection ("simulate=" ^ bad) @@ fun () ->
+  let r0 = c "retry.recovered.simulate" and a0 = c "retry.attempts.simulate" in
+  Alcotest.(check bool) (label ^ ": recovered batch equals an unarmed one") true
+    (Marshal.to_string (build members) [] = Marshal.to_string reference []);
+  Alcotest.(check (pair int int)) (label ^ ": one retry, of the armed member") (1, 1)
+    (c "retry.attempts.simulate" - a0, c "retry.recovered.simulate" - r0);
+  clear ();
+  let policy = Retry.policy () in
+  Retry.set_max_attempts 1;
+  Fun.protect ~finally:(fun () -> Retry.set_policy policy) @@ fun () ->
+  let w0 = c "workload.walks" and k0 = c counter in
+  (match build members with
+  | _ -> Alcotest.fail (label ^ ": the armed member succeeded")
+  | exception Fault.Fault f ->
+    Alcotest.(check (pair string string)) (label ^ ": its fault") ("injected", bad)
+      (Fault.kind_name f.Fault.kind, f.Fault.detail));
+  Alcotest.(check (pair int int)) (label ^ ": one walk, two results") (1, 2)
+    (c "workload.walks" - w0, c counter - k0);
+  List.iteri (fun i m -> if i <> 1 then ignore (build [ m ])) members;
+  Alcotest.(check int) (label ^ ": the others are memoised") 1 (c "workload.walks" - w0);
+  Alcotest.(check bool) (label ^ ": the failed one is not") true
+    (match build [ List.nth members 1 ] with _ -> false | exception Fault.Fault _ -> true)
+
+let test_fault_fails_one_walk_member () =
+  let n = 20_000 and seed = 1_234_591L and workload = "tpcc" in
+  check_fault_fails_one_member ~label:"profiles" ~counter:"cachesim.mattson_curves"
+    ~clear:Profile.clear_cache
+    ~bad:(Profile.key ~workload ~kind:Profile.Raw ~block:64 ~seed ~n)
+    (Profile.build_many ~seed ~workload ~n)
+    [ (Profile.Raw, 32); (Profile.Raw, 64); (Profile.Raw, 128) ];
+  (* L1-only configurations gained the fault point with fusion *)
+  check_fault_fails_one_member ~label:"simulations" ~counter:"cachesim.simulations"
+    ~clear:Missrate.clear_cache
+    ~bad:(Printf.sprintf "l1:%s:8192:4:64:fifo:%Ld:%d" workload seed n)
+    (Missrate.simulate_many ~seed ~workload ~n)
+    (List.map
+       (fun kb -> Missrate.config ~policy:Replacement.Fifo ~l1_size:(kb * 1024) ())
+       [ 4; 8; 16 ])
+
 (* --- run_many_result: per-experiment status, byte-identical renders ------ *)
 
 let synthetic_experiments =
@@ -554,6 +610,8 @@ let suite =
       test_injected_faults_never_hang_pool;
     Alcotest.test_case "injected fault never poisons the memo" `Quick
       test_injected_fault_never_poisons_memo;
+    Alcotest.test_case "fault fails one walk member alone" `Quick
+      test_fault_fails_one_walk_member;
     Alcotest.test_case "run_many_result partial + byte-identical" `Quick
       test_run_many_result_partial;
     Alcotest.test_case "run_many fail-fast re-raises" `Quick test_run_many_fail_fast_raises;

@@ -87,6 +87,44 @@ let test_compaction () =
   Alcotest.(check (list (pair int int))) "compaction preserves histogram"
     (Mattson.histogram reference) (Mattson.histogram m)
 
+(* A 64-entry timestamp floor makes the profiler compact every time its
+   timestamps reach 4x the footprint: every ~3 footprints of accesses
+   once grown, and at each doubling while it grows.  The CDFs are known
+   answers computed with the list-sorting compaction this one replaced:
+   an MD5 over "dist:suffix;" pairs of the measured second half of
+   200 000 accesses at seed 42, plus the counts beside it.  A 100-block
+   loop (compacting every 300 accesses, over 600 times) has every warm
+   access at distance 99. *)
+let test_compaction_known_answers () =
+  let profile ~warm ~n g =
+    let m = Mattson.create ~initial_capacity:64 ~block_bytes:64 () in
+    Mattson.set_measuring m false;
+    Gen.iter ~stage:"test" g warm (fun a _ -> Mattson.access m a);
+    Mattson.set_measuring m true;
+    Gen.iter ~stage:"test" g (n - warm) (fun a _ -> Mattson.access m a);
+    m
+  in
+  List.iter
+    (fun (workload, distinct, cold, k, md5) ->
+      let m = profile ~warm:100_000 ~n:200_000 (Registry.build ~seed:42L workload) in
+      let dists, suffix = Mattson.cdf m in
+      let b = Buffer.create 4096 in
+      Array.iteri (fun i d -> Buffer.add_string b (Printf.sprintf "%d:%d;" d suffix.(i))) dists;
+      Alcotest.(check (list int))
+        (workload ^ ": distinct, measured, cold, distances")
+        [ distinct; 100_000; cold; k ]
+        [ Mattson.distinct_blocks m; Mattson.accesses m; Mattson.cold_misses m; Array.length dists ];
+      Alcotest.(check string) (workload ^ ": CDF digest") md5
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [
+      ("spec2000-gcc", 6459, 2760, 1914, "b5f8ca229b2c23b8a50bcf6f972b0cd2");
+      ("tpcc", 10930, 5183, 1303, "b2ffdebeb1e26c6f1f94c93036ebcf3e");
+      ("spec2000-mix", 7814, 3430, 1989, "a77ab11bdf7cc7ca4587cb6c50b02a8f");
+    ];
+  let m = profile ~warm:100 ~n:200_000 (Gen.cyclic ~name:"loop" ~length:100 ()) in
+  Alcotest.(check (pair (array int) (array int))) "loop CDF" ([| 99 |], [| 199_900 |])
+    (Mattson.cdf m)
+
 (* Property: Mattson misses = direct fully-associative LRU simulation. *)
 let prop_matches_fullassoc_lru =
   QCheck.Test.make ~count:25 ~name:"Mattson = fully-associative LRU simulation"
@@ -190,6 +228,7 @@ let suite =
     Alcotest.test_case "miss curve monotone" `Quick test_curve_monotone;
     Alcotest.test_case "measuring flag" `Quick test_measuring_flag;
     Alcotest.test_case "timestamp compaction" `Quick test_compaction;
+    Alcotest.test_case "compaction known answers" `Quick test_compaction_known_answers;
     Alcotest.test_case "suffix CDF = per-capacity fold" `Quick test_cdf_equals_fold;
     Alcotest.test_case "validation" `Quick test_validation;
   ]

@@ -1,6 +1,7 @@
 (* Tests for the profile-once derivation layer: pinned seed-suite stats
    for the flat-array simulator, exactness and monotonicity of derived
-   curves, grid traversal accounting, and memo-key hygiene. *)
+   curves, grid traversal accounting, fused-walk equivalence, and
+   memo-key hygiene. *)
 
 module Cache = Nmcache_cachesim.Cache
 module Hierarchy = Nmcache_cachesim.Hierarchy
@@ -16,6 +17,7 @@ module Profile = Nmcache_workload.Profile
 module Rng = Nmcache_numerics.Rng
 
 let kb n = n * 1024
+let walks () = Metrics.counter_value "workload.walks"
 
 (* --- flat-array simulator: pinned seed-suite stats ---------------------- *)
 
@@ -167,9 +169,9 @@ let prop_derived_monotone =
       in
       List.for_all (fun r -> r >= 0.0 && r <= 1.0) rates && mono rates)
 
-(* An L1×L2 grid costs exactly one measured traversal per
-   (workload, L1 size) and no per-point simulations; re-querying new
-   L2 capacities is free. *)
+(* An L1×L2 grid builds exactly one profile per (workload, L1 size) in
+   one walk per workload, and no per-point simulations; re-querying
+   new L2 capacities is free. *)
 let test_grid_traversal_accounting () =
   let seed = 1_234_577L in
   let workloads = [ "spec2000-mix"; "specweb" ] in
@@ -178,13 +180,15 @@ let test_grid_traversal_accounting () =
   let n = 20_000 in
   let sims0 = Metrics.counter_value "cachesim.simulations" in
   let profs0 = Metrics.counter_value "cachesim.mattson_curves" in
+  let walks0 = walks () in
   let g = Missrate.grid ~seed ~workloads ~l1_sizes ~l2_sizes ~n () in
   let g2 = Missrate.grid ~seed ~workloads ~l1_sizes ~l2_sizes:[| kb 512; kb 2048 |] ~n () in
   let sims = Metrics.counter_value "cachesim.simulations" - sims0 in
   let profs = Metrics.counter_value "cachesim.mattson_curves" - profs0 in
-  Alcotest.(check int) "one traversal per (workload, L1 size)"
+  Alcotest.(check int) "one profile per (workload, L1 size)"
     (List.length workloads * Array.length l1_sizes)
     profs;
+  Alcotest.(check int) "one walk per workload" (List.length workloads) (walks () - walks0);
   Alcotest.(check int) "no per-point simulations" 0 sims;
   (* the grid's averaged curves are bitwise those of averaged_l2_curve *)
   Array.iteri
@@ -222,6 +226,80 @@ let test_l1_sweep_derived () =
     sizes;
   Alcotest.(check bool) "bigger L1 misses less" true (sweep.(2) < sweep.(0))
 
+(* --- fan-out walks --------------------------------------------------------- *)
+
+module Prefetch = Nmcache_cachesim.Prefetch
+
+(* bit-for-bit, nan included *)
+let same_bytes label a b =
+  Alcotest.(check string) label (Marshal.to_string a []) (Marshal.to_string b [])
+
+(* a prefetcher's demand counts over the measured half, plus its
+   lifetime prefetch counts *)
+let prefetcher degree =
+  let l1 = Cache.create ~size_bytes:(kb 16) ~assoc:4 ~block_bytes:64 ~policy:Replacement.Lru () in
+  let l2 = Cache.create ~size_bytes:(kb 256) ~assoc:8 ~block_bytes:64 ~policy:Replacement.Lru () in
+  let p = Prefetch.create ~degree ~l1 ~l2 () in
+  let measuring = ref false and demand = ref 0 and misses = ref 0 in
+  ( {
+      Gen.feed =
+        (fun addr write ->
+          let o = Prefetch.access p addr ~write in
+          if !measuring && not (Prefetch.l1_hit o) then begin
+            incr demand;
+            if not (Prefetch.l2_hit o) then incr misses
+          end);
+      measure = (fun () -> measuring := true);
+    },
+    fun () -> (!demand, !misses, Prefetch.prefetches p, Prefetch.useful_prefetches p) )
+
+(* One fused walk gives every consumer exactly what a walk of its own
+   gives it, for every consumer kind the batch fuses. *)
+let test_fused_walk_equivalence () =
+  let n = 20_000 and workload = "spec2000-mix" in
+  let profiles =
+    List.map (fun block -> (Profile.Raw, block)) [ 32; 64; 128 ]
+    @ List.map
+        (fun s -> (Profile.L1_filtered { l1_size = kb s; l1_assoc = 4 }, 64))
+        [ 4; 8; 16; 32; 64 ]
+  in
+  let policies = [ Replacement.Lru; Replacement.Fifo; Replacement.Random 17; Replacement.Plru ] in
+  let configs =
+    List.concat_map
+      (fun policy -> List.map (fun s -> Missrate.config ~policy ~l1_size:(kb s) ()) [ 4; 16; 64 ])
+      (List.tl policies)
+    @ List.map
+        (fun policy -> Missrate.config ~policy ~l1_size:(kb 16) ~l2_size:(kb 1024) ())
+        policies
+  in
+  List.iter
+    (fun seed ->
+      let fused_then_single label build members =
+        Missrate.clear_cache ();
+        let w0 = walks () in
+        let fused = build members in
+        Alcotest.(check int) (label ^ ": one walk") 1 (walks () - w0);
+        Missrate.clear_cache ();
+        List.iteri
+          (fun i (m, r) ->
+            same_bytes (Printf.sprintf "%s %d, seed %Ld" label i seed) (List.hd (build [ m ])) r)
+          (List.combine members fused);
+        Alcotest.(check int) (label ^ ": one walk each") (1 + List.length members) (walks () - w0)
+      in
+      fused_then_single "profile" (Profile.build_many ~seed ~workload ~n) profiles;
+      fused_then_single "simulation" (Missrate.simulate_many ~seed ~workload ~n) configs;
+      let walk degrees =
+        let runs = List.map prefetcher degrees in
+        Gen.walk ~stage:"test" (Registry.build ~seed workload) n
+          (Array.of_list (List.map fst runs));
+        List.map (fun (_, result) -> result ()) runs
+      in
+      let fused = walk [ 0; 1; 2 ] in
+      List.iteri
+        (fun d r -> same_bytes (Printf.sprintf "prefetch degree %d" d) (List.hd (walk [ d ])) r)
+        fused)
+    [ 5L; 6L ]
+
 (* --- memo-key hygiene ----------------------------------------------------- *)
 
 let test_combined_key_no_alias () =
@@ -245,5 +323,6 @@ let suite =
     Alcotest.test_case "grid traversal accounting" `Quick test_grid_traversal_accounting;
     Alcotest.test_case "l1 sweep is profile-derived" `Quick test_l1_sweep_derived;
     Alcotest.test_case "combined key cannot alias" `Quick test_combined_key_no_alias;
+    Alcotest.test_case "fused walk = one walk per consumer" `Quick test_fused_walk_equivalence;
   ]
   @ List.map Generators.to_alcotest [ prop_fullassoc_exact; prop_derived_monotone ]
