@@ -70,7 +70,7 @@ type opt_params = {
   p_budget_ps : float;
 }
 
-type index_entry = { e_params : opt_params; e_body : Json.t }
+type index_entry = { e_params : opt_params; e_result : string }
 
 type t = {
   ctx : Context.t;
@@ -109,7 +109,7 @@ let note t outcome =
 let family p =
   Printf.sprintf "%s|a=%d|b=%d|o=%d" p.p_scheme p.p_assoc p.p_block p.p_out
 
-let index_add t p body =
+let index_add t p result =
   Mutex.protect t.index_lock (fun () ->
       let cell =
         match Hashtbl.find_opt t.index (family p) with
@@ -124,7 +124,7 @@ let index_add t p body =
         && e.e_params.p_budget_ps = p.p_budget_ps
       in
       if not (List.exists same !cell) then
-        cell := { e_params = p; e_body = body } :: !cell)
+        cell := { e_params = p; e_result = result } :: !cell)
 
 (* distance: capacity first (log scale), then budget; ties broken by
    (size, budget) so the winner is unique and deterministic *)
@@ -150,6 +150,15 @@ let nearest t p =
 
 (* --- store keys ------------------------------------------------------ *)
 
+(* Optimize and miss-curve records hold the rendered bytes of their
+   answer's [result] object: an [optimize.r1] value is an
+   [opt_params * string], a [curve.r1] value a [string].
+   [Store.lookup] unmarshals at whatever type it is asked for, so a new
+   value format takes a new namespace name, and the ["optimize"] and
+   ["curve"] records of older stores are never read. *)
+let optimize_ns = "optimize.r1"
+let curve_ns = "curve.r1"
+
 let model_key t config =
   Printf.sprintf "%s|%s|out%d" t.fingerprint (Config.describe config)
     config.Config.output_bits
@@ -166,18 +175,13 @@ let curve_key t ~workload ~l1_kb ~assoc ~block ~n ~seed ~l2_kb =
 
 (* --- lifecycle ------------------------------------------------------- *)
 
+(* a read that counts no store hit: seeding is not serving *)
 let seed_index t =
-  match t.store with
-  | None -> ()
-  | Some store ->
-    List.iter
-      (fun key ->
-        match
-          (Store.lookup store ~ns:"optimize" ~key : (opt_params * Json.t) option)
-        with
-        | Some (p, body) -> index_add t p body
-        | None -> ())
-      (Store.keys store ~ns:"optimize")
+  Option.iter
+    (fun store ->
+      Store.iter store ~ns:optimize_ns (fun ((p, result) : opt_params * string) ->
+          index_add t p result))
+    t.store
 
 let create ?(max_points = 64) ?(max_n = 100_000_000) ?breaker ?store ~ctx ~queue
     ~jobs () =
@@ -208,30 +212,40 @@ let create ?(max_points = 64) ?(max_n = 100_000_000) ?breaker ?store ~ctx ~queue
 
 (* --- rendering ------------------------------------------------------- *)
 
-let render_line fields = Json.to_string (Json.Obj fields)
+let response_head =
+  Printf.sprintf {|{"serve_schema_version":%d,"id":|} serve_schema_version
 
-let respond ~id ?degraded_from body =
-  render_line
-    ([ ("serve_schema_version", Json.Int serve_schema_version); ("id", id) ]
-    @ (match degraded_from with
-      | None -> []
-      | Some from ->
-        [ ("degraded", Json.Bool true); ("degraded_from", Json.String from) ])
-    @ [ ("result", body) ])
+(* The one response writer: the schema version, the echoed id, then
+   [field] set to [body], an object already rendered to bytes — a
+   stored result is spliced in as it is. *)
+let splice ~id ?degraded_from ~field body =
+  let b = Buffer.create (String.length response_head + String.length body + 64) in
+  Buffer.add_string b response_head;
+  Json.to_buffer b id;
+  (match degraded_from with
+  | None -> ()
+  | Some from ->
+    Buffer.add_string b {|,"degraded":true,"degraded_from":|};
+    Json.to_buffer b (Json.String from));
+  Buffer.add_string b ",\"";
+  Buffer.add_string b field;
+  Buffer.add_string b "\":";
+  Buffer.add_string b body;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+let respond ~id ?degraded_from result =
+  splice ~id ?degraded_from ~field:"result" result
 
 let error_line ~id e =
-  render_line
-    [
-      ("serve_schema_version", Json.Int serve_schema_version);
-      ("id", id);
-      ( "error",
-        Json.Obj
+  splice ~id ~field:"error"
+    (Json.to_string
+       (Json.Obj
           [
             ("kind", Json.String e.e_kind);
             ("stage", Json.String e.e_stage);
             ("detail", Json.String e.e_detail);
-          ] );
-    ]
+          ]))
 
 let crash_response ~line:_ fault = error_line ~id:Json.Null (of_fault fault)
 
@@ -416,19 +430,18 @@ let handle_optimize t ~t0 ~id j =
     match t.store with
     | None -> None
     | Some store ->
-      (Store.lookup store ~ns:"optimize" ~key:skey
-        : (opt_params * Json.t) option)
+      (Store.lookup store ~ns:optimize_ns ~key:skey : (opt_params * string) option)
   in
   match warm with
-  | Some (_, body) ->
+  | Some (_, result) ->
     observe_elapsed "serve.warm_us" t0;
-    (respond ~id body, fun () -> note t `Ok)
+    (respond ~id result, fun () -> note t `Ok)
   | None ->
     let bkey = "opt|" ^ family p ^ Printf.sprintf "|s=%d" p.p_size_kb in
     if not (Breaker.admit t.brk ~key:bkey) then (
       match nearest t p with
       | Some e ->
-        ( respond ~id ~degraded_from:(degraded_from e.e_params) e.e_body,
+        ( respond ~id ~degraded_from:(degraded_from e.e_params) e.e_result,
           fun () ->
             Breaker.record t.brk ~key:bkey ~ok:false;
             note t `Degraded )
@@ -447,14 +460,15 @@ let handle_optimize t ~t0 ~id j =
     else
       match with_deadline (fun () -> compute_optimize t p scheme config) with
       | body ->
+        let result = Json.to_string body in
         Option.iter
-          (fun store -> Store.add store ~ns:"optimize" ~key:skey (p, body))
+          (fun store -> Store.add store ~ns:optimize_ns ~key:skey (p, result))
           t.store;
         observe_elapsed "serve.cold_us" t0;
-        ( respond ~id body,
+        ( respond ~id result,
           fun () ->
             Breaker.record t.brk ~key:bkey ~ok:true;
-            index_add t p body;
+            index_add t p result;
             note t `Ok )
       | exception Fault.Fault f ->
         Fault.record f;
@@ -535,12 +549,12 @@ let handle_miss_curve t ~t0 ~id j =
     match t.store with
     | None -> None
     | Some store ->
-      (Store.lookup store ~ns:"curve" ~key:skey : Missrate.l2_curve option)
+      (Store.lookup store ~ns:curve_ns ~key:skey : string option)
   in
   match warm with
-  | Some c ->
+  | Some result ->
     observe_elapsed "serve.warm_us" t0;
-    (respond ~id (render c), fun () -> note t `Ok)
+    (respond ~id result, fun () -> note t `Ok)
   | None ->
     let bkey = Printf.sprintf "curve|%s|l1=%d|a=%d|b=%d" workload l1_kb assoc block in
     if not (Breaker.admit t.brk ~key:bkey) then
@@ -563,9 +577,10 @@ let handle_miss_curve t ~t0 ~id j =
       in
       match with_deadline compute with
       | c ->
-        Option.iter (fun store -> Store.add store ~ns:"curve" ~key:skey c) t.store;
+        let result = Json.to_string (render c) in
+        Option.iter (fun store -> Store.add store ~ns:curve_ns ~key:skey result) t.store;
         observe_elapsed "serve.cold_us" t0;
-        ( respond ~id (render c),
+        ( respond ~id result,
           fun () ->
             Breaker.record t.brk ~key:bkey ~ok:true;
             note t `Ok )
@@ -589,7 +604,7 @@ let handle_amat ~id j =
     try Amat.two_level ~t_l1 ~t_l2 ~t_mem ~m1 ~m2
     with Invalid_argument msg -> bad_request ~stage:"serve.amat" "%s" msg
   in
-  (respond ~id (Json.Obj [ ("amat_ps", Json.Float amat) ]), `Ok)
+  (respond ~id (Json.to_string (Json.Obj [ ("amat_ps", Json.Float amat) ])), `Ok)
 
 let state_json (st : Breaker.state) =
   match st with
@@ -675,7 +690,7 @@ let handle_request t ~t0 ~id j =
     | "amat" ->
       let line, outcome = handle_amat ~id j in
       (line, fun () -> note t outcome)
-    | "health" -> (respond ~id (health_json t), fun () -> note t `Ok)
+    | "health" -> (respond ~id (Json.to_string (health_json t)), fun () -> note t `Ok)
     | other ->
       bad_request ~stage:"serve.validate"
         "unknown op %S (want optimize, miss_curve, amat or health)" other

@@ -50,12 +50,16 @@
     only the exception constructor, never raw exception text that
     could carry local paths.
 
-    Caching: fitted models (namespace ["model"]), miss-rate curves
-    (["curve"]) and optimisation results (["optimize"]) persist in the
-    {!Nmcache_engine.Store} across runs, keyed by canonical request
-    parameters plus {!Context.fingerprint} — a store written under one
-    context is never served into another.  The [id]/[tag] fields are
-    {e not} part of the key, so replays and renamed requests hit.
+    Caching: fitted models (namespace ["model"]) persist in the
+    {!Nmcache_engine.Store} across runs, and so do the rendered bytes of
+    every miss-curve and optimisation [result] object (["curve.r1"],
+    ["optimize.r1"]), keyed by canonical request parameters plus
+    {!Context.fingerprint} — a store written under one context is never
+    served into another.  A warm hit splices the stored bytes into the
+    response without rendering anything.  The [id]/[tag] fields are
+    {e not} part of the key, so replays and renamed requests hit.  The
+    ["curve"] and ["optimize"] namespaces of older stores held other
+    value types and are never read.
 
     Determinism: responses never contain timings, store hit/miss
     markers or clocks; breaker updates and nearest-model index growth
@@ -83,8 +87,8 @@ val create :
     trace length — both reject with [overloaded] before any work
     happens.  [breaker] defaults to a fresh breaker (threshold 3,
     cooldown 8).  When [store] is given, the nearest-optimum index is
-    seeded from its ["optimize"] namespace, so degraded answers
-    survive restarts. *)
+    seeded from its ["optimize.r1"] namespace, so degraded answers
+    survive restarts; seeding counts no store hit. *)
 
 val handler : t -> Nmcache_engine.Server.handler
 (** The per-line handler for {!Nmcache_engine.Server.serve}.  Total:

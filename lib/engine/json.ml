@@ -76,9 +76,11 @@ let rec render buf ~indent ~level v =
     nl level;
     Buffer.add_char buf '}'
 
+let to_buffer buf v = render buf ~indent:None ~level:0 v
+
 let to_string v =
   let buf = Buffer.create 256 in
-  render buf ~indent:None ~level:0 v;
+  to_buffer buf v;
   Buffer.contents buf
 
 let to_string_pretty v =

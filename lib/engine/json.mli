@@ -20,6 +20,9 @@ type t =
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace). *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** {!to_string}, appended to a buffer. *)
+
 val to_string_pretty : t -> string
 (** Two-space indented rendering — the format written to report
     files, so they are diffable and humane to open. *)

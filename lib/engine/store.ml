@@ -261,17 +261,21 @@ let mem t ~ns ~key =
   let k = full_key ~ns ~key in
   Mutex.protect t.lock (fun () -> Hashtbl.mem t.table k)
 
-let keys t ~ns =
+(* (key, marshalled value) of every record under [ns], sorted by key *)
+let bindings t ~ns =
   let prefix = ns ^ "\x00" in
   let plen = String.length prefix in
   Mutex.protect t.lock (fun () ->
       Hashtbl.fold
-        (fun k _ acc ->
-          if String.length k >= plen && String.sub k 0 plen = prefix then
-            String.sub k plen (String.length k - plen) :: acc
+        (fun k v acc ->
+          if String.starts_with ~prefix k then
+            (String.sub k plen (String.length k - plen), v) :: acc
           else acc)
         t.table [])
-  |> List.sort String.compare
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let keys t ~ns = List.map fst (bindings t ~ns)
+let iter t ~ns f = List.iter (fun (_, v) -> f (Marshal.from_string v 0)) (bindings t ~ns)
 
 let entries t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
 let replayed t = t.replayed

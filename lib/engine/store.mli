@@ -21,22 +21,26 @@
     Namespaces in use (the first three keyed by
     {!Core.Context.fingerprint}-derived strings):
 
-    - ["model"]    — fitted cache models ({!Nmcache_fit.Fitted_cache.t}),
-                     so a restarted server never re-characterises a
-                     cache it has seen under any budget;
-    - ["curve"]    — memoised miss-rate curves;
-    - ["optimize"] — scheme optima with their rendered responses, so a
-                     warm query answers in microseconds without touching
-                     the numeric stack;
-    - ["slot"]     — checkpointed sweep slots ([<task>\x00<slot key>])
-                     and stream chunks ([stream\x00...]) of
-                     [ppcache run|verify|simulate --checkpoint DIR],
-                     journaled through {!Sweep.journaled}.
+    - ["model"]       — fitted cache models ({!Nmcache_fit.Fitted_cache.t}),
+                        so a restarted server never re-characterises a
+                        cache it has seen under any budget;
+    - ["curve.r1"]    — the rendered [result] bytes of miss-curve
+                        answers;
+    - ["optimize.r1"] — scheme optima: their parameters and rendered
+                        [result] bytes, so a warm query is a lookup and
+                        a splice, without touching the numeric stack;
+    - ["slot"]        — checkpointed sweep slots ([<task>\x00<slot key>])
+                        and stream chunks ([stream\x00...]) of
+                        [ppcache run|verify|simulate --checkpoint DIR],
+                        journaled through {!Sweep.journaled}.
 
     Values travel through [Marshal]: a lookup must deserialise at the
     type that was stored, which the namespace discipline guarantees —
     one namespace, one value type (the ["slot"] keys carry their task
-    name for the same reason).  All operations are domain-safe. *)
+    name for the same reason).  A new value format therefore takes a
+    new namespace name: the ["curve"] and ["optimize"] records of older
+    stores held other types, stay on disk unread, and compaction keeps
+    them.  All operations are domain-safe. *)
 
 type t
 
@@ -77,9 +81,14 @@ val add_new : t -> ns:string -> key:string -> 'a -> bool
 val mem : t -> ns:string -> key:string -> bool
 
 val keys : t -> ns:string -> string list
-(** Every key stored under [ns], sorted — the nearest-neighbour index
-    the degraded-answer path scans.  Deterministic for a deterministic
-    request history. *)
+(** Every key stored under [ns], sorted.  Deterministic for a
+    deterministic request history. *)
+
+val iter : t -> ns:string -> ('a -> unit) -> unit
+(** [iter t ~ns f] calls [f] on the value of every record under [ns],
+    in key order — one pass that, unlike {!lookup}, counts nothing: a
+    restart seeding its nearest-optimum index from the store is not
+    serving it.  Unsafe at the wrong type, like {!lookup}. *)
 
 val entries : t -> int
 val replayed : t -> int

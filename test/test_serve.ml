@@ -15,6 +15,7 @@ module Store = Nmcache_engine.Store
 module Breaker = Nmcache_engine.Breaker
 module Server = Nmcache_engine.Server
 module Pool = Nmcache_engine.Pool
+module Metrics = Nmcache_engine.Metrics
 module Service = Core.Service
 
 let tmp_counter = ref 0
@@ -483,28 +484,159 @@ let test_breaker_degrades_and_recovers () =
     (Breaker.tripped_keys (Service.breaker s) = []);
   Alcotest.(check int) "degraded answers counted" 8 (Service.requests_degraded s)
 
+(* MD5 of [degraded_answer]'s bytes, taken when answers were rendered
+   from stored JSON trees: splicing stored bytes must not move a byte *)
+let degraded_answer_md5 = "4bf0fa0cec995c1e1fbf7ea82845b61f"
+
+(* A degraded answer after a restart: the optimum for 4 KB under
+   Scheme III comes back from the reopened store's index once three
+   injected fit faults on the 8 KB neighbour trip its breaker. *)
+let degraded_answer service =
+  let q = {|{"id":"d","op":"optimize","scheme":"III","size_kb":8,"delay_budget_ps":2500}|} in
+  (* the 8 KB model must be fitted, so that the fault fires *)
+  Core.Context.clear_memo ();
+  Fun.protect ~finally:Faultpoint.clear (fun () ->
+      (match Faultpoint.configure "context.fit" with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "bad spec: %s" e);
+      for _ = 1 to 3 do
+        Alcotest.(check (option string))
+          "fit fault" (Some "injected") (error_kind (ask service q))
+      done;
+      ask service q)
+
 let test_store_serves_warm_and_restart () =
-  (* the same query answered cold, warm (same process) and warm after a
+  (* each query answered cold, warm (same process) and warm after a
      restart (new service, same directory) must be byte-identical *)
   let dir = tmpdir () in
-  let q =
-    {|{"id":"w","op":"miss_curve","workload":"spec2000-mix","l1_kb":4,"l2_kb":[64,128],"n":50000}|}
+  let queries =
+    [
+      {|{"id":"w","op":"miss_curve","workload":"spec2000-mix","l1_kb":4,"l2_kb":[64,128],"n":50000}|};
+      {|{"id":"o","op":"optimize","scheme":"III","size_kb":4,"delay_budget_ps":2500}|};
+    ]
   in
   let store = Store.open_ ~dir in
   let s = make_service ~store () in
-  let cold = ask s q in
-  let appended_after_cold = Store.appended store in
-  let warm = ask s q in
-  Alcotest.(check string) "warm hit byte-identical" cold warm;
-  Alcotest.(check int) "warm hit did not re-append" appended_after_cold
-    (Store.appended store);
+  let colds =
+    List.map
+      (fun q ->
+        let cold = ask s q in
+        let appended_after_cold = Store.appended store in
+        let warm = ask s q in
+        Alcotest.(check string) "warm hit byte-identical" cold warm;
+        Alcotest.(check int) "warm hit did not re-append" appended_after_cold
+          (Store.appended store);
+        cold)
+      queries
+  in
   Store.close store;
   let store2 = Store.open_ ~dir in
   Alcotest.(check bool) "restart replays the curve" true (Store.replayed store2 > 0);
   let s2 = make_service ~store:store2 () in
-  let restarted = ask s2 q in
-  Alcotest.(check string) "restart replay byte-identical" cold restarted;
+  List.iter2
+    (fun q cold ->
+      Alcotest.(check string) "restart replay byte-identical" cold (ask s2 q))
+    queries colds;
+  let degraded = degraded_answer s2 in
+  Alcotest.(check (option string)) "degraded, not failed" None (error_kind degraded);
+  Alcotest.(check string) "degraded answer bytes pinned" degraded_answer_md5
+    (Digest.to_hex (Digest.string degraded));
   Store.close store2
+
+(* Restarting seeds the nearest-optimum index from every stored optimum;
+   that read must count neither as serving nor as store hits. *)
+let test_store_restart_serves_nothing () =
+  let dir = tmpdir () in
+  let opt kb =
+    Printf.sprintf
+      {|{"id":"r%d","op":"optimize","scheme":"II","size_kb":%d,"delay_budget_ps":2500}|}
+      kb kb
+  in
+  let store = Store.open_ ~dir in
+  let s = make_service ~store () in
+  List.iter (fun kb -> ignore (ask s (opt kb))) [ 4; 8 ];
+  Store.close store;
+  let hits () = Metrics.counter_value "store.hits" in
+  let hits0 = hits () in
+  let store = Store.open_ ~dir in
+  let s = make_service ~store () in
+  let health = Result.get_ok (Json.parse (ask s {|{"id":"h","op":"health"}|})) in
+  let reported =
+    Option.bind (Json.member "result" health) (fun r ->
+        Option.bind (Json.member "store" r) (fun st ->
+            Option.bind (Json.member "served" st) Json.to_int))
+  in
+  Alcotest.(check (option int)) "health: nothing served" (Some 0) reported;
+  Alcotest.(check int) "nothing served" 0 (Store.served store);
+  Alcotest.(check int) "no store hit" 0 (hits () - hits0);
+  ignore (ask s (opt 4));
+  Alcotest.(check int) "one warm query serves one record" 1 (Store.served store);
+  Alcotest.(check int) "one store hit" 1 (hits () - hits0);
+  Store.close store
+
+(* Earlier stores kept JSON trees under "optimize" and curves under
+   "curve".  Here those names hold values of yet another type, under the
+   very keys the queries use: served at the current types they would
+   crash or garble, so the answers must equal a fresh store's and land
+   under the current names. *)
+let test_store_old_formats_unread () =
+  let queries =
+    [
+      {|{"id":"o","op":"optimize","scheme":"I","size_kb":4,"delay_budget_ps":2500}|};
+      {|{"id":"c","op":"miss_curve","workload":"tpcc","l1_kb":4,"l2_kb":[64,128],"n":20000}|};
+    ]
+  in
+  let renamed = [ ("optimize", "optimize.r1"); ("curve", "curve.r1") ] in
+  let fresh = Store.open_ ~dir:(tmpdir ()) in
+  let expected = List.map (ask (make_service ~store:fresh ())) queries in
+  let old = Store.open_ ~dir:(tmpdir ()) in
+  List.iter
+    (fun (old_ns, ns) ->
+      let keys = Store.keys fresh ~ns in
+      Alcotest.(check int) ("one answer stored under " ^ ns) 1 (List.length keys);
+      List.iter (fun key -> Store.add old ~ns:old_ns ~key (key, [| 1.5; -2.0 |])) keys)
+    renamed;
+  let got = List.map (ask (make_service ~store:old ())) queries in
+  Alcotest.(check (list string)) "answers equal a fresh store's" expected got;
+  List.iter
+    (fun (old_ns, ns) ->
+      Alcotest.(check (list string))
+        (ns ^ " appended as in a fresh store")
+        (Store.keys fresh ~ns) (Store.keys old ~ns);
+      Alcotest.(check int) (old_ns ^ " left as it was") 1
+        (List.length (Store.keys old ~ns:old_ns)))
+    renamed;
+  Store.close fresh;
+  Store.close old
+
+(* A warm hit is a parse, a key, one store probe and a splice.  Each
+   query is answered cold and warm once before the measured hit. *)
+let test_warm_hit_allocation () =
+  let store = Store.open_ ~dir:(tmpdir ()) in
+  let s = make_service ~store () in
+  let over =
+    List.filter_map
+      (fun (what, q) ->
+        ignore (ask s q);
+        ignore (ask s q);
+        let w0 = Gc.minor_words () in
+        let response, settle = Service.handle_line s q in
+        let words = Gc.minor_words () -. w0 in
+        settle ();
+        Alcotest.(check (option string)) (what ^ " answered") None (error_kind response);
+        if words > 1500. then Some (Printf.sprintf "%s %.0f" what words) else None)
+      [
+        ( "warm optimize hit",
+          {|{"id":7,"op":"optimize","scheme":"II","size_kb":32,"assoc":4,"delay_budget_ps":2500}|}
+        );
+        ( "warm miss_curve hit",
+          {|{"id":8,"op":"miss_curve","workload":"tpcc","l1_kb":16,"l2_kb":[256,512,1024,2048],"n":100000}|}
+        );
+      ]
+  in
+  Store.close store;
+  if over <> [] then
+    Alcotest.failf "minor words over the gate (1500): %s" (String.concat ", " over)
 
 let replace_all ~sub ~by s =
   let n = String.length sub and m = String.length s in
@@ -549,7 +681,7 @@ let test_store_stale_numerics_misses () =
             | Some v -> Store.add store ~ns ~key:(rekey key) v
             | None -> ())
           (Store.keys source ~ns))
-      [ "model"; "optimize" ];
+      [ "model"; "optimize.r1" ];
     store
   in
   let answer store =
@@ -722,6 +854,11 @@ let suite =
       `Quick test_store_serves_warm_and_restart;
     Alcotest.test_case "store: records of an older numerics tag miss" `Quick
       test_store_stale_numerics_misses;
+    Alcotest.test_case "store: a restart's index seeding serves nothing" `Quick
+      test_store_restart_serves_nothing;
+    Alcotest.test_case "store: records of an older value format are never read"
+      `Quick test_store_old_formats_unread;
+    Alcotest.test_case "alloc gate: warm serve hit" `Quick test_warm_hit_allocation;
     Alcotest.test_case "chaos: SIGKILL mid-serve, restart replays identically"
       `Quick test_kill_and_restart_serving;
   ]
