@@ -2,8 +2,11 @@
 
    Subcommands: run (any experiment by id), list, characterize (fit the
    compact models of one cache and print them), simulate (miss rates of
-   one workload on one hierarchy), verify (differential oracles, paper
-   anchors and golden snapshot gates), workloads. *)
+   one workload or recorded trace on one hierarchy), trace (record and
+   inspect PPTRC01 trace files), verify (differential oracles, paper
+   anchors, golden snapshot gates and the chaos campaign), workloads,
+   store (inspect and compact a store journal), serve (answer NDJSON
+   design queries from stdin or a Unix socket). *)
 
 module Units = Nmcache_physics.Units
 module Config = Nmcache_geometry.Config
@@ -36,7 +39,11 @@ let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let trace_arg =
-  let doc = "Print the engine trace summary (per-stage wall time, task counts, memo hit rates) after the run." in
+  let doc =
+    "Print the engine trace summary (per-stage wall time, task counts, memo hit \
+     rates) after the run; $(b,serve) prints it to stderr, so its stdout \
+     stays one response line per request."
+  in
   Arg.(value & flag & info [ "trace" ] ~doc)
 
 let trace_json_arg =
@@ -224,19 +231,28 @@ let validate_out_path ~flag path =
    enabled only when a trace file was requested (spans carry
    timestamps, so they stay out of the byte-compared experiment
    output); report files are written even if the command fails partway,
-   so a crashed run still leaves its trace behind.  Event sinks are
-   armed before the body runs — and before any checkpoint journal
-   opens, so a resume's checkpoint_replayed event is captured. *)
+   so a crashed run still leaves its trace behind.  Every report path
+   is validated and the event sinks are armed before the body runs —
+   and before any checkpoint journal opens, so a resume's
+   checkpoint_replayed event is captured.  The --trace table goes to
+   [trace_out]. *)
 let with_observability ?(faults_json = None) ?(metrics_prom = None) ?(events = None)
-    ?(progress = false) ~trace ~trace_json ~metrics_json f =
-  Option.iter (fun path -> validate_out_path ~flag:"events" path) events;
-  Option.iter (fun path -> validate_out_path ~flag:"metrics-prom" path) metrics_prom;
+    ?(progress = false) ?(trace_out = stdout) ~trace ~trace_json ~metrics_json f =
+  List.iter
+    (fun (flag, path) -> Option.iter (validate_out_path ~flag) path)
+    [
+      ("trace-json", trace_json);
+      ("metrics-json", metrics_json);
+      ("faults-json", faults_json);
+      ("events", events);
+      ("metrics-prom", metrics_prom);
+    ];
   Option.iter (fun path -> Nmcache_engine.Events.set_file path) events;
   if progress then Nmcache_engine.Events.set_progress true;
   if trace_json <> None then Nmcache_engine.Span.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      if trace then print_string (Nmcache_engine.Trace.summary ());
+      if trace then output_string trace_out (Nmcache_engine.Trace.summary ());
       Option.iter (fun path -> Nmcache_engine.Obs.write_trace ~path) trace_json;
       Option.iter (fun path -> Nmcache_engine.Obs.write_metrics ~path) metrics_json;
       Option.iter (fun path -> Nmcache_engine.Obs.write_faults ~path) faults_json;
@@ -551,6 +567,15 @@ let simulate workload l1_kb l2_kb n stream chunk trace_file trace_stdin jobs
     Printf.eprintf "ppcache: --trace-file and --trace-stdin are mutually exclusive\n";
     exit 2
   end;
+  (* a missing trace file is a usage error naming the file, like
+     `trace info`, not a crash once the run is armed *)
+  Option.iter
+    (fun path ->
+      try close_in (open_in_bin path)
+      with Sys_error msg ->
+        Printf.eprintf "ppcache: --trace-file %s\n" msg;
+        exit 2)
+    trace_file;
   let source =
     match (trace_file, trace_stdin) with
     | Some path, _ -> Some (`File path)
@@ -795,6 +820,7 @@ let verify sections quick golden_dir update_golden report_json seeds jobs checkp
         exit 2
       end)
     sections;
+  Option.iter (validate_out_path ~flag:"report-json") report_json;
   let selected = match sections with [] -> [ "oracles"; "anchors" ] | s -> s in
   let on = List.mem in
   let ctx = context quick in
@@ -882,53 +908,6 @@ let verify_cmd =
       $ seeds $ jobs_arg $ checkpoint_arg $ resume_arg $ retries_arg $ deadline_arg
       $ trace_arg $ trace_json_arg $ metrics_json_arg $ faults_json_arg
       $ metrics_prom_arg $ events_arg $ progress_arg)
-
-(* --- bench diff -------------------------------------------------------- *)
-
-module Bench_diff = Nmcache_engine.Bench_diff
-
-let bench_diff a_path b_path gate =
-  let load path =
-    try Bench_diff.load path
-    with Failure msg | Sys_error msg ->
-      Printf.eprintf "ppcache: bench diff: %s\n" msg;
-      exit 2
-  in
-  (match gate with
-  | Some r when r <= 0.0 ->
-    Printf.eprintf "ppcache: --gate must be > 0, got %g\n" r;
-    exit 2
-  | _ -> ());
-  let a = load a_path and b = load b_path in
-  print_string (Bench_diff.render a b);
-  match gate with
-  | None -> ()
-  | Some ratio ->
-    print_endline (Bench_diff.gate_verdict ~ratio a b);
-    if Bench_diff.gate_exceeded ~ratio a b then exit 1
-
-let bench_diff_cmd =
-  let a = Arg.(required & pos 0 (some string) None & info [] ~docv:"A.json" ~doc:"Baseline bench report.") in
-  let b = Arg.(required & pos 1 (some string) None & info [] ~docv:"B.json" ~doc:"Candidate bench report.") in
-  let gate =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "gate" ] ~docv:"RATIO"
-          ~doc:
-            "Fail (exit 1) when B's wall time exceeds $(docv) times A's.  The \
-             CI regression policy is 1.5.")
-  in
-  let doc =
-    "Compare two BENCH_<label>.json trajectory reports (bench schema v2 or \
-     v3): wall time, per-experiment and per-stage walls, memo hit rates, \
-     digests and resource counters, as a per-metric delta table."
-  in
-  Cmd.v (Cmd.info "diff" ~doc) Term.(const bench_diff $ a $ b $ gate)
-
-let bench_cmd =
-  let doc = "Bench-trajectory tools (see $(b,ppcache bench diff --help))." in
-  Cmd.group (Cmd.info "bench" ~doc) [ bench_diff_cmd ]
 
 (* --- workloads --------------------------------------------------------- *)
 
@@ -1030,9 +1009,15 @@ let serve store_dir socket queue max_conns global_queue write_timeout
     Printf.eprintf "ppcache: --compact-ratio must be > 0\n";
     exit 2
   end;
+  (* a socket path lives where a report file would: its directory must
+     exist before the store opens; a non-socket file already there is
+     refused by the server (Invalid_argument, exit 2) *)
+  Option.iter (validate_out_path ~flag:"socket") socket;
   usage_guard @@ fun () ->
-  with_observability ~faults_json ~metrics_prom ~events ~progress ~trace
-    ~trace_json ~metrics_json
+  (* stdout carries one response line per request, so the --trace
+     table goes to stderr *)
+  with_observability ~faults_json ~metrics_prom ~events ~progress
+    ~trace_out:stderr ~trace ~trace_json ~metrics_json
   @@ fun () ->
   let module S = Nmcache_engine.Store in
   let module Server = Nmcache_engine.Server in
@@ -1164,7 +1149,6 @@ let main =
       simulate_cmd;
       trace_cmd;
       verify_cmd;
-      bench_cmd;
       workloads_cmd;
       store_cmd;
       serve_cmd;

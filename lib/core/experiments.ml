@@ -125,10 +125,10 @@ let all = paper @ extensions
 let find id = List.find_opt (fun e -> e.id = id) all
 let ids = List.map (fun e -> e.id) all
 
-(* a named span per experiment so trace viewers and the bench report
-   get per-experiment wall time without re-timing; the fault point is
-   keyed by experiment id, so chaos harnesses can fail one experiment
-   by name while its siblings complete *)
+(* a named span per experiment so trace viewers and perfbench's
+   experiment shares get per-experiment wall time without re-timing;
+   the fault point is keyed by experiment id, so chaos harnesses can
+   fail one experiment by name while its siblings complete *)
 let kernel ctx (e : t) =
   Nmcache_engine.Faultpoint.hit ~point:"experiment" ~key:e.id ();
   let artefacts =

@@ -1,5 +1,5 @@
 (** Experiment registry: every table and figure the reproduction
-    regenerates, addressable by id for the CLI and the bench harness. *)
+    regenerates, addressable by id for the CLI and perfbench. *)
 
 type t = {
   id : string;          (** e.g. ["fig1"] *)

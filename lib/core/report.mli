@@ -1,5 +1,5 @@
 (** Result artefacts: the tables and figure series experiments produce,
-    with plain-text rendering for the CLI and bench harness. *)
+    with plain-text rendering for the CLI and CSV for the goldens. *)
 
 type table = {
   title : string;

@@ -95,7 +95,7 @@ val handler : t -> Nmcache_engine.Server.handler
     every failure becomes a structured error response. *)
 
 val handle_line : t -> string -> string * (unit -> unit)
-(** [handler] uncurried for tests and the bench replay loop. *)
+(** [handler] uncurried for tests and perfbench's layer ledger. *)
 
 val crash_response : line:string -> Nmcache_engine.Fault.t -> string
 (** Response for a handler that raised anyway (the serve loop's outer

@@ -12,7 +12,7 @@ val get_jobs : unit -> int
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what a "use the hardware"
-    caller (the bench harness) should pass. *)
+    caller ([--jobs 0]) should pass. *)
 
 val pool : unit -> Pool.t
 (** A pool of the current [jobs] width. *)

@@ -2,9 +2,9 @@
 
     Kernels declare where they can fail — [hit ~point ~key] at the top
     of a fit, a simulation, an anneal — and a chaos harness arms a
-    subset of those points via a spec string ([PPCACHE_FAULTS], bench
-    [--inject]).  An armed hit raises {!Fault.Fault} with kind
-    [Injected], [stage = point] and [detail = key].
+    subset of those points via a spec string ([PPCACHE_FAULTS]).  An
+    armed hit raises {!Fault.Fault} with kind [Injected],
+    [stage = point] and [detail = key].
 
     Determinism is the design constraint: whether a hit fires is a pure
     function of [(seed, point, key)] — a hash draw, never global hit

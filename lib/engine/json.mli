@@ -1,8 +1,8 @@
 (** A deliberately small JSON value type, printer and parser.
 
-    The observability layer (span traces, metrics reports, bench
-    reports) needs machine-readable output and the test suite needs to
-    parse it back; the project has no JSON dependency, so this module
+    The observability layer (span traces, metrics and fault reports)
+    and the serve protocol need machine-readable output and the test
+    suite needs to parse it back; the project has no JSON dependency, so this module
     carries the ~200 lines it actually uses.  The printer emits
     compact, valid JSON (non-finite floats become [null]); the parser
     accepts anything the printer emits plus ordinary interchange JSON

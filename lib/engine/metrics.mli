@@ -2,8 +2,8 @@
     histograms, keyed by name.
 
     Instrumented hot paths (model fits, anneal moves, cache simulations,
-    pool fan-outs) report here; [ppcache --metrics-json] and the bench
-    report serialise a snapshot.  All operations are domain-safe — a
+    pool fan-outs) report here; [ppcache --metrics-json] serialises a
+    snapshot and perfbench reads its counters.  All operations are domain-safe — a
     single mutex guards the registry, which is fine because every call
     site is coarse (one update per fit / simulation / fan-out, never
     per cache access).

@@ -4,8 +4,8 @@
     Pulls the three collectors together — {!Span} (span tree),
     {!Metrics} (counters / gauges / histograms) and {!Trace} (flat
     stage table + memo counters) — into versioned JSON documents.
-    [ppcache … --trace-json F --metrics-json F] and the bench
-    [BENCH_<label>.json] report are thin wrappers over this module. *)
+    [ppcache … --trace-json F --metrics-json F --faults-json F] are
+    thin wrappers over this module. *)
 
 val metrics_schema_version : int
 (** Bumped whenever a field is added or reshaped (policy in README
@@ -38,9 +38,6 @@ val verify_report : checks:Json.t -> Json.t
     fault log, so a crashed check's typed fault travels in the same
     document as its [crashed] status. *)
 
-val stages_json : unit -> Json.t
-val memo_json : unit -> Json.t
-
 val faults_json : unit -> Json.t
 (** Recorded faults sorted by {!Fault.compare}, so the report bytes do
     not depend on domain scheduling. *)
@@ -49,7 +46,7 @@ val resilience_json : unit -> Json.t
 (** [{ "retries": {attempts,recovered,exhausted}; "checkpoint":
     {replayed,served,appended,dropped_tails}; "deadline": {fired} }] —
     the resilience layer's counters, embedded in both the metrics and
-    fault reports and in the bench report. *)
+    fault reports. *)
 
 val write_text : path:string -> string -> unit
 (** Atomic file write: the document goes to [path ^ ".tmp"], then a

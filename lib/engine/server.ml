@@ -301,14 +301,23 @@ let serve_unix_socket ?(queue = 64) ?(max_conns = 4) ?global_queue
   in
   let limiter = make_limiter ~capacity:global_queue in
   let dispatch_lock = Mutex.create () in
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  (* a stale socket left by a dead server is replaced; anything else at
+     the path is not the server's to delete *)
+  (match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "Server.serve_unix_socket: %s exists and is not a socket" path)
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let bound = ref false in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
-      try Unix.unlink path with Unix.Unix_error _ -> ())
+      if !bound then try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
+      bound := true;
       Unix.listen sock (max_conns + 8);
       let agg = Mutex.create () in
       let requests = ref 0 in

@@ -143,15 +143,14 @@ val serve_unix_socket :
   path:string ->
   unit ->
   stats
-(** Listen on a Unix domain socket at [path] (replacing any stale
-    socket file) and serve up to [max_conns] (default 4, >= 1)
-    connections {e concurrently} — one thread per connection, each
-    running {!serve} over its own bounded reader and queue — until a
-    drain is requested.  A connection accepted at capacity is shed:
-    one [shed_response] line, then close (counted under
-    [serve.shed_conns], evented as [conn_shed]).  [global_queue]
-    (default [max_conns * queue]) caps total in-flight lines across
-    connections via the shared limiter.  [write_timeout] (default 10 s;
+(** Listen on a Unix domain socket at [path] and serve up to
+    [max_conns] (default 4, >= 1) connections {e concurrently} — one
+    thread per connection, each running {!serve} over its own bounded
+    reader and queue — until a drain is requested.  A connection
+    accepted at capacity is shed: one [shed_response] line, then close
+    (counted under [serve.shed_conns], evented as [conn_shed]).
+    [global_queue] (default [max_conns * queue]) caps total in-flight
+    lines across connections via the shared limiter.  [write_timeout] (default 10 s;
     [<= 0.] disables) arms SO_SNDTIMEO on each client socket so a
     stalled reader drops only its own connection (counted under
     [serve.conn_dropped]); every client also carries a short
@@ -160,4 +159,8 @@ val serve_unix_socket :
     streams are byte-identical to a solo run of the same request lines
     (the settle seam stays ordered within a connection); the gauge
     [serve.active_connections] and [conn_opened]/[conn_closed] events
-    track the connection lifecycle.  Aggregated stats. *)
+    track the connection lifecycle.  Aggregated stats.
+
+    A stale socket at [path] is replaced; any other file there raises
+    [Invalid_argument] and is left in place.  On exit the socket is
+    unlinked only if this call bound it. *)

@@ -11,8 +11,8 @@
     Recording is off by default — a disabled [with_span] is one atomic
     load and a direct call of [f], so instrumentation can stay in hot
     paths permanently.  [set_enabled true] stamps the trace epoch and
-    starts collecting; the CLI's [--trace-json] and the bench harness
-    turn it on.
+    starts collecting; the CLI's [--trace-json] and perfbench's traced
+    runs turn it on.
 
     Span output is inherently timing-dependent, so it is written to a
     side file and deliberately excluded from the byte-identical

@@ -4,7 +4,7 @@
     call count, task count, busy time (summed kernel wall time) and
     elapsed wall time.  Memo caches record hit/miss counters.  The
     collected numbers render as a plain-text summary table — the data
-    behind [ppcache run --trace] and the bench report.
+    behind [ppcache run --trace] and perfbench's stage shares.
 
     Recording is always on (a mutex-protected table update per
     fan-out, nanoseconds against kernels that run for milliseconds);

@@ -450,6 +450,52 @@ let test_socket_concurrent_streams () =
         results.(c))
     slices
 
+(* a socket path naming a regular file is refused, and the file is left
+   alone; a drain is requested up front so a server that wrongly took
+   the path over returns at once instead of serving forever *)
+let test_socket_keeps_foreign_file () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "notes.txt" in
+  write_file path "not a socket\n";
+  let service = make_service () in
+  Server.request_drain ();
+  let outcome =
+    Fun.protect ~finally:Server.reset_drain (fun () ->
+        match
+          Server.serve_unix_socket ~queue:4 ~max_conns:1 ~pool:Pool.sequential
+            ~handler:(Service.handler service)
+            ~crash_response:Service.crash_response
+            ~overlong_response:Service.overlong_response
+            ~shed_response:Service.shed_response ~path ()
+        with
+        | _ -> "served"
+        | exception Invalid_argument _ -> "refused")
+  in
+  Alcotest.(check string) "a regular file at the path is refused" "refused" outcome;
+  Alcotest.(check bool) "the file survives" true (Sys.file_exists path);
+  Alcotest.(check string) "its bytes are untouched" "not a socket\n" (read_file path)
+
+(* a socket left behind by a dead server is replaced, and the server
+   removes the socket it bound when it exits *)
+let test_socket_replaces_stale_socket () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "s.sock" in
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX path);
+  Unix.close stale;
+  let service = make_service () in
+  Server.request_drain ();
+  let stats =
+    Fun.protect ~finally:Server.reset_drain (fun () ->
+        Server.serve_unix_socket ~queue:4 ~max_conns:1 ~pool:Pool.sequential
+          ~handler:(Service.handler service)
+          ~crash_response:Service.crash_response
+          ~overlong_response:Service.overlong_response
+          ~shed_response:Service.shed_response ~path ())
+  in
+  Alcotest.(check bool) "drained without serving" true stats.Server.drained;
+  Alcotest.(check bool) "its own socket removed on exit" false (Sys.file_exists path)
+
 (* --- NDJSON trace recording --------------------------------------------- *)
 
 let pipe_of_lines lines =
@@ -531,6 +577,10 @@ let suite =
       test_socket_shed_connection;
     Alcotest.test_case "server: concurrent client streams match solo runs"
       `Quick test_socket_concurrent_streams;
+    Alcotest.test_case "server: a non-socket file at the path survives" `Quick
+      test_socket_keeps_foreign_file;
+    Alcotest.test_case "server: a stale socket at the path is replaced" `Quick
+      test_socket_replaces_stale_socket;
     Alcotest.test_case "stream: NDJSON pipe recorded to PPTRC01 losslessly"
       `Quick test_record_stream_roundtrip;
     Alcotest.test_case "stream: malformed NDJSON recording leaves no partials"

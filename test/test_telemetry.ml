@@ -1,8 +1,7 @@
 (* Telemetry v2 suite: live progress events (NDJSON stream shape,
    sequence numbers, sweep/checkpoint/experiment hooks), resource
    accounting (sample deltas, span attributes, process summary in the
-   v4 metrics report), atomic report writes, and the bench-trajectory
-   analyzer's parsing and gate semantics.
+   v4 metrics report) and atomic report writes.
 
    The event sink is process-wide, so every test that arms it closes
    it in a [Fun.protect] finally. *)
@@ -14,7 +13,6 @@ module Obs = Nmcache_engine.Obs
 module Trace = Nmcache_engine.Trace
 module Events = Nmcache_engine.Events
 module Resource = Nmcache_engine.Resource
-module Bench_diff = Nmcache_engine.Bench_diff
 module Store = Nmcache_engine.Store
 module Fault = Nmcache_engine.Fault
 module Pool = Nmcache_engine.Pool
@@ -226,74 +224,6 @@ let test_write_json_atomic () =
               (Option.bind (Json.member "x" j) Json.to_int)
   | Error e -> Alcotest.fail e
 
-(* --- bench diff ------------------------------------------------------- *)
-
-let v2_report ~label ~wall =
-  Printf.sprintf
-    {|{"schema_version": 2, "label": %S, "jobs": 1, "quick": true,
-       "scenario": "sweep", "wall_s": %g,
-       "experiments": [],
-       "stages": [{"name": "missrate.grid", "calls": 1, "tasks": 4,
-                   "busy_s": %g, "wall_s": %g}],
-       "memo": [{"name": "workload.profiles", "hits": 6, "misses": 6,
-                 "hit_rate": 0.5}]}|}
-    label wall wall wall
-
-let v3_report ~label ~wall ~digest =
-  Printf.sprintf
-    {|{"schema_version": 3, "label": %S, "jobs": 4, "quick": true,
-       "scenario": "sweep", "digest": %g, "wall_s": %g,
-       "experiments": [], "stages": [], "memo": [],
-       "resource": {"allocated_words": 1e9, "peak_heap_words": 5000000,
-                    "major_collections": 12}}|}
-    label digest wall
-
-let parse_report ~path s = Bench_diff.of_json ~path (Json.parse_exn s)
-
-let test_bench_diff_parses_both_schemas () =
-  let a = parse_report ~path:"a.json" (v2_report ~label:"old" ~wall:30.0) in
-  let b = parse_report ~path:"b.json" (v3_report ~label:"new" ~wall:4.0 ~digest:1.25) in
-  Alcotest.(check int) "v2 schema" 2 a.Bench_diff.schema_version;
-  Alcotest.(check int) "v3 schema" 3 b.Bench_diff.schema_version;
-  Alcotest.(check bool) "v2 has no digest" true (a.Bench_diff.digest = None);
-  Alcotest.(check bool) "v3 digest parsed" true (b.Bench_diff.digest = Some 1.25);
-  Alcotest.(check int) "v2 stages" 1 (List.length a.Bench_diff.stages);
-  Alcotest.(check int) "v2 memos" 1 (List.length a.Bench_diff.memos);
-  Alcotest.(check bool) "v3 resource present" true (b.Bench_diff.resource <> None);
-  (* the rendered table survives mixed versions and names both files *)
-  let table = Bench_diff.render a b in
-  List.iter
-    (fun needle ->
-      let ln = String.length needle and lt = String.length table in
-      let rec go i = i + ln <= lt && (String.sub table i ln = needle || go (i + 1)) in
-      Alcotest.(check bool) (Printf.sprintf "table mentions %S" needle) true (go 0))
-    [ "a.json"; "b.json"; "wall_s"; "stage missrate.grid"; "memo workload.profiles";
-      "resource allocated_words" ]
-
-let test_bench_diff_gate () =
-  let baseline = parse_report ~path:"base.json" (v2_report ~label:"base" ~wall:10.0) in
-  let faster = parse_report ~path:"fast.json" (v2_report ~label:"fast" ~wall:5.0) in
-  (* artificially regressed: 2x the baseline wall, past the 1.5 gate *)
-  let regressed = parse_report ~path:"slow.json" (v2_report ~label:"slow" ~wall:20.0) in
-  Alcotest.(check bool) "speedup passes" false
-    (Bench_diff.gate_exceeded ~ratio:1.5 baseline faster);
-  Alcotest.(check bool) "regression fails" true
-    (Bench_diff.gate_exceeded ~ratio:1.5 baseline regressed);
-  Alcotest.(check bool) "equal walls pass" false
-    (Bench_diff.gate_exceeded ~ratio:1.5 baseline baseline);
-  Alcotest.(check bool) "boundary is inclusive" false
-    (Bench_diff.gate_exceeded ~ratio:2.0 baseline regressed)
-
-let test_bench_diff_rejects_malformed () =
-  List.iter
-    (fun s ->
-      match Bench_diff.of_json ~path:"bad.json" (Json.parse_exn s) with
-      | exception Failure msg ->
-        Alcotest.(check bool) "error names the file" true
-          (String.length msg >= 8 && String.sub msg 0 8 = "bad.json")
-      | _ -> Alcotest.failf "accepted %s" s)
-    [ {|{"label": "x", "wall_s": 1.0}|}; {|{"schema_version": 2, "label": "x"}|}; {|[]|} ]
-
 let suite =
   [
     Alcotest.test_case "events disabled by default" `Quick test_events_disabled_by_default;
@@ -309,9 +239,4 @@ let suite =
     Alcotest.test_case "spans carry resource attrs" `Quick
       test_span_carries_resource_attrs;
     Alcotest.test_case "report writes are atomic" `Quick test_write_json_atomic;
-    Alcotest.test_case "bench diff parses schema v2 and v3" `Quick
-      test_bench_diff_parses_both_schemas;
-    Alcotest.test_case "bench diff gate semantics" `Quick test_bench_diff_gate;
-    Alcotest.test_case "bench diff rejects malformed reports" `Quick
-      test_bench_diff_rejects_malformed;
   ]
