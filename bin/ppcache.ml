@@ -538,12 +538,34 @@ let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb =
         done;
         (h, a, count + Array.length chunk))
   in
+  (* a file whose tail was torn off or cut at a record boundary yields
+     fewer accesses than its header declares: say so on stderr, leaving
+     stdout to the accesses that were read *)
+  let short =
+    match (source, Stream_trace.declared_length s) with
+    | `File path, Some total when count < total -> Some (path, total)
+    | _ -> None
+  in
   if count = 0 then begin
-    Printf.eprintf "ppcache: trace %s is empty (0 accesses); nothing to simulate\n"
-      (Stream_trace.name s);
+    (match short with
+    | None ->
+      Printf.eprintf "ppcache: trace %s is empty (0 accesses); nothing to simulate\n"
+        (Stream_trace.name s)
+    | Some (path, total) ->
+      Printf.eprintf
+        "ppcache: trace %s is empty (0 of the %d accesses %s declares; tail \
+         dropped); nothing to simulate\n"
+        (Stream_trace.name s) total path);
     false
   end
   else begin
+    Option.iter
+      (fun (path, total) ->
+        Printf.eprintf
+          "ppcache: short read: %s yielded %d of the %d accesses its header \
+           declares (tail dropped)\n"
+          path count total)
+      short;
     Printf.printf "trace %s (%d accesses, L1 %dKB, L2 %dKB):\n" (Stream_trace.name s)
       count l1_kb l2_kb;
     Format.printf "  %a@." Trace_rec.pp_stats (Trace_rec.analyzer_stats analyzer);
@@ -656,7 +678,9 @@ let simulate_cmd =
             "Simulate a recorded PPTRC01 trace (see $(b,ppcache trace record)) \
              instead of a generator workload; no warmup is applied and the trace \
              statistics are printed alongside the miss rates.  An empty trace \
-             exits 2.")
+             exits 2.  A file that yields fewer accesses than its header \
+             declares (its tail was torn off or cut) is simulated as read, with \
+             one stderr line giving both counts.")
   in
   let trace_stdin =
     Arg.(

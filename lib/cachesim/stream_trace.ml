@@ -64,25 +64,54 @@ let encode_entry buf prev addr write =
 (* The one decoder: a record's [count] entries, packed, into
    [dst.(0 .. count-1)].  [false] on any overrun, garbage or
    out-of-domain address — the caller treats the record as a corrupt
-   tail, mirroring a CRC mismatch. *)
+   tail, mirroring a CRC mismatch.
+
+   While 8 payload bytes remain, a varint of up to 7 bytes decodes
+   from one 64-bit load [w], whose bytes 0-6 are exact ([Int64.to_int]
+   drops only bit 63).  [stop] holds the clear continuation bits of
+   those bytes, and its lowest one ends the varint; masking below it
+   keeps the varint's bytes, and three mask-and-shift steps pack their
+   7-bit groups (7 -> 14 -> 28 -> 56 bits).  Anything else — an 8- or
+   9-byte varint, or one that starts in the payload's last 7 bytes —
+   takes the byte loop, the only place an overrun or an overlong
+   varint is rejected. *)
 let decode_into payload count dst =
   let len = String.length payload in
   let pos = ref 0 and prev = ref 0 in
   match
     for i = 0 to count - 1 do
-      let v = ref 0 and shift = ref 0 and continue = ref true in
-      while !continue do
-        if !pos >= len || !shift > 62 then raise Exit;
-        let b = Char.code (String.unsafe_get payload !pos) in
-        incr pos;
-        v := !v lor ((b land 0x7f) lsl !shift);
-        shift := !shift + 7;
-        continue := b land 0x80 <> 0
-      done;
-      let a = !prev + unzigzag (!v lsr 1) in
+      let p = !pos in
+      (* -1 has every continuation bit set: the byte loop's case *)
+      let w =
+        if p + 8 <= len then Int64.to_int (String.get_int64_le payload p) else -1
+      in
+      let stop = lnot w land 0x0080808080808080 in
+      let v =
+        if stop <> 0 then begin
+          let low = stop land (-stop) in
+          pos := p + ((((low lsr 7) * 0x0001020304050607) lsr 48) land 0xff);
+          let x = w land ((low lsl 1) - 1) in
+          let x = (x land 0x007f007f007f007f) lor ((x land 0x00007f007f007f00) lsr 1) in
+          let x = (x land 0x00003fff00003fff) lor ((x land 0x3fff00003fff0000) lsr 2) in
+          (x land 0x0fffffff) lor ((x land 0x0fffffff00000000) lsr 4)
+        end
+        else begin
+          let v = ref 0 and shift = ref 0 and continue = ref true in
+          while !continue do
+            if !pos >= len || !shift > 62 then raise Exit;
+            let b = Char.code (String.unsafe_get payload !pos) in
+            incr pos;
+            v := !v lor ((b land 0x7f) lsl !shift);
+            shift := !shift + 7;
+            continue := b land 0x80 <> 0
+          done;
+          !v
+        end
+      in
+      let a = !prev + unzigzag (v lsr 1) in
       if not (in_domain a) then raise Exit;
       prev := a;
-      dst.(i) <- pack a (!v land 1 = 1)
+      dst.(i) <- pack a (v land 1 = 1)
     done
   with
   | () -> !pos = len

@@ -4,7 +4,10 @@
     which also holds run checkpoints, and trace files ([PPTRC01]).
 
     Values are native ints in [\[0, 2^32)], the unsigned little-endian
-    [u32] the formats store; nothing is boxed. *)
+    [u32] the formats store; nothing is boxed.  {!update} is
+    slice-by-8: each step folds eight bytes through eight 256-entry
+    tables (about 1 ns per byte against 3.5 byte at a time, on a 2-vCPU
+    Xeon VM). *)
 
 val init : int
 (** The CRC of the empty string, [0]: the seed of a chain of

@@ -30,6 +30,41 @@ let crc32_chaining_prop =
       let c = Crc32.update (Crc32.update Crc32.init a) b in
       c = Crc32.crc (a ^ b) && c >= 0 && c <= 0xFFFFFFFF)
 
+(* the CRC's definition, one bit at a time and table-free, so a wrong
+   slice table cannot agree with it *)
+let crc32_bitwise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+(* strings of 0-300 bytes cut at random points: lengths fall on both
+   sides of every multiple of 8, and chained updates start unaligned *)
+let crc32_reference_prop =
+  QCheck.Test.make ~name:"crc32: chained update equals a bit-at-a-time reference"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (s, cuts) ->
+         Printf.sprintf "%S cut at [%s]" s
+           (String.concat "; " (List.map string_of_int cuts)))
+       QCheck.Gen.(
+         let* s = string_size (int_range 0 300) in
+         let+ cuts = list_size (int_range 0 4) (int_bound (String.length s)) in
+         (s, List.sort compare cuts)))
+    (fun (s, cuts) ->
+      let crc, last =
+        List.fold_left
+          (fun (crc, from) cut -> (Crc32.update crc (String.sub s from (cut - from)), cut))
+          (Crc32.init, 0) cuts
+      in
+      let crc = Crc32.update crc (String.sub s last (String.length s - last)) in
+      crc = crc32_bitwise s && Crc32.crc s = crc)
+
 (* --- pool --------------------------------------------------------------- *)
 
 let test_pool_matches_sequential () =
@@ -346,6 +381,7 @@ let suite =
     Alcotest.test_case "trace summary smoke" `Quick test_trace_summary_smoke;
     Alcotest.test_case "crc32: IEEE 802.3 check vector" `Quick test_crc32_vector;
     Generators.to_alcotest crc32_chaining_prop;
+    Generators.to_alcotest crc32_reference_prop;
     Alcotest.test_case "executor with_jobs" `Quick test_executor_with_jobs;
     Alcotest.test_case "schemes parallel == sequential" `Slow
       (test_parallel_byte_identical "schemes");

@@ -8,7 +8,10 @@
    {1, 7, 4096, whole}, and a QCheck property re-samples (workload,
    chunk) pairs.  The PPTRC01 chaos set mirrors the store journal
    tests in test_serve: round-trip, torn tail, mid-file corruption,
-   foreign files, the address domain.  The kill-and-resume gate
+   foreign files, the address domain.  A file pinned byte for byte and
+   a property against a byte-at-a-time reference decoder hold the
+   word-at-a-time decoder to the format, and the built CLI must report
+   a short read.  The kill-and-resume gate
    SIGKILLs a checkpointed streamed simulation mid-chunk in a
    re-exec'd child and requires the resumed run to finish
    byte-identically.  The allocation gate pins the packed, reused
@@ -346,6 +349,326 @@ let test_pptrc_foreign_files () =
   Alcotest.(check bool) "corrupt header rejected" true
     (raises_invalid (fun () -> Stream_trace.of_file path))
 
+(* --- PPTRC01 decoding through the public reader ------------------------- *)
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let to_hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* the format's little-endian word *)
+let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
+let u32_at s pos =
+  Char.code s.[pos]
+  lor (Char.code s.[pos + 1] lsl 8)
+  lor (Char.code s.[pos + 2] lsl 16)
+  lor (Char.code s.[pos + 3] lsl 24)
+
+(* magic, length-prefixed header and its CRC: the bytes before the
+   first record *)
+let head_length file = String.length Stream_trace.magic + 8 + u32_at file 8
+
+(* A PPTRC01 file pinned byte for byte, derived from the format's
+   description alone: the header {"name":"ka","total":19,"chunk":12},
+   then records of 12 and 7 entries.  The first record's varints are
+   1, 9, 8, 7, 6, 5, 4, 3, 2, 1, 3 and 5 bytes long: its 3-byte varint
+   starts exactly 8 bytes before the record's end, and the 5-byte one
+   after it.  The second's are 9, 9, 8, 1, 1, 7 and 1 bytes: a 7-byte
+   varint starts 8 bytes before the end, a 1-byte one ends it.  Each
+   record holds addresses 0 and 2^61 - 1 and both write bits. *)
+let known_answer_file =
+  of_hex
+    "5050545243303100230000007b226e616d65223a226b61222c22746f74616c22\
+     3a31392c226368756e6b223a31327d62b889540c0000003600000000fdffffff\
+     ffffffff7ffeffffffffffff0781808080808010feffffffff0f8180808010fe\
+     ffff0f818010fe0f15808010818080801064b497080700000024000000fdffff\
+     ffffffffff7ffaffffffffffffff7f81808080808080010403808080808080100b\
+     eb281b03"
+
+let known_answer_entries =
+  Array.map
+    (fun (addr, write) -> { Trace.addr; write })
+    [|
+      (0x0, false);
+      (0x1fffffffffffffff, true);
+      (0x1ffbffffffffffff, false);
+      (0x1ffc0fffffffffff, true);
+      (0x1ffc0fdfffffffff, false);
+      (0x1ffc0fe03fffffff, true);
+      (0x1ffc0fe03f7fffff, false);
+      (0x1ffc0fe03f80ffff, true);
+      (0x1ffc0fe03f80fdff, false);
+      (0x1ffc0fe03f80fe04, true);
+      (0x1ffc0fe03f81fe04, false);
+      (0x1ffc0fe07f81fe04, true);
+      (0x1fffffffffffffff, true);
+      (0x0, false);
+      (0x800000000000, true);
+      (0x800000000001, false);
+      (0x800000000000, true);
+      (0x900000000000, false);
+      (0x8ffffffffffd, true);
+    |]
+
+let test_pptrc_known_answer () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "ka.pptrc" in
+  write_file path known_answer_file;
+  List.iter
+    (fun chunk_size ->
+      let got =
+        Stream_trace.fold_chunks (Stream_trace.of_file ~chunk_size path) ~init:[]
+          ~f:(fun acc ~index:_ chunk ->
+            Array.fold_left
+              (fun acc e ->
+                { Trace.addr = Stream_trace.addr e; write = Stream_trace.is_write e }
+                :: acc)
+              acc chunk)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "chunk %d: fold_chunks yields the listed entries" chunk_size)
+        true
+        (Array.of_list (List.rev got) = known_answer_entries))
+    [ 1; 5; 4096 ];
+  let info = Stream_trace.file_info path in
+  Alcotest.(check (triple int int bool))
+    "file_info: 19 entries in 2 records, nothing dropped" (19, 2, false)
+    (info.Stream_trace.fi_entries, info.Stream_trace.fi_chunks,
+     info.Stream_trace.fi_dropped_tail);
+  let again = Filename.concat dir "again.pptrc" in
+  record_to ~path:again ~name:"ka" ~chunk_size:12 known_answer_entries;
+  Alcotest.(check string) "write_file reproduces the bytes" (to_hex known_answer_file)
+    (to_hex (read_file again))
+
+(* The format's decoder, one byte at a time, written from its
+   description: [Some entries] when [count] varints of at most 9 bytes
+   fill [payload] exactly and every address lies in [0, 2^61); [None]
+   when a reader must drop the record. *)
+let reference_decode payload count =
+  let len = String.length payload in
+  let rec varint pos shift v =
+    if pos >= len || shift > 56 then None
+    else
+      let b = Char.code payload.[pos] in
+      let v = v lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then Some (v, pos + 1) else varint (pos + 1) (shift + 7) v
+  in
+  let rec entries i pos prev acc =
+    if i = count then if pos = len then Some (Array.of_list (List.rev acc)) else None
+    else
+      match varint pos 0 0 with
+      | None -> None
+      | Some (v, pos) ->
+        let z = v lsr 1 in
+        let addr = prev + ((z lsr 1) lxor (- (z land 1))) in
+        if addr < 0 || addr > Stream_trace.max_addr then None
+        else entries (i + 1) pos addr ({ Trace.addr; write = v land 1 = 1 } :: acc)
+  in
+  entries 0 0 0 []
+
+(* [v]'s 63 bits as a varint of exactly [len] bytes: LEB128, padded
+   with zero groups past its shortest form *)
+let varint_of len v =
+  String.init len (fun i ->
+      let group = if 7 * i > 62 then 0 else (v lsr (7 * i)) land 0x7f in
+      Char.chr (if i < len - 1 then group lor 0x80 else group))
+
+let varint_length v =
+  let rec go v n = if v lsr 7 = 0 then n else go (v lsr 7) (n + 1) in
+  go v 1
+
+type mutation =
+  | Clean
+  | Overlong
+  | Truncated
+  | Trailing
+  | Out_of_domain
+  | Count_off
+  | Noise
+
+let mutation_name = function
+  | Clean -> "clean"
+  | Overlong -> "a 10-12 byte varint"
+  | Truncated -> "a truncated last varint"
+  | Trailing -> "trailing bytes"
+  | Out_of_domain -> "an address outside [0, 2^61)"
+  | Count_off -> "a wrong count"
+  | Noise -> "random bytes"
+
+(* one record's (count, payload): entries whose deltas span every
+   varint length, some padded past their shortest form (to at most 9
+   bytes), then at most one defect *)
+let pptrc_record_gen =
+  let open QCheck.Gen in
+  let addr =
+    let* bits = int_range 0 61 in
+    map (fun x -> x land ((1 lsl bits) - 1)) int
+  in
+  let entry = triple addr bool (frequency [ (6, return 0); (1, int_range 1 2) ]) in
+  let* m =
+    frequency
+      [
+        (4, return Clean);
+        (1, return Overlong);
+        (1, return Truncated);
+        (1, return Trailing);
+        (1, return Out_of_domain);
+        (1, return Count_off);
+        (1, return Noise);
+      ]
+  in
+  let* entries = list_size (int_range (if m = Clean then 0 else 1) 40) entry in
+  let n = List.length entries in
+  let* victim = int_bound (max 0 (n - 1))
+  and* small = int_bound 0xffff
+  and* extra = int_range 0 2
+  and* junk = string_size (int_range 1 8)
+  and* cut = int_range 1 9
+  and* off = oneofl [ -2; -1; 1; 2 ]
+  and* noise = string_size (int_range 0 24)
+  and* noise_count = int_range 0 8 in
+  let prev = ref 0 in
+  let varints =
+    List.mapi
+      (fun i (target, write, pad) ->
+        (* a delta below 2^61 in magnitude, so the address decodes as
+           written, just outside the domain *)
+        let target =
+          if m = Out_of_domain && i = victim then
+            if !prev >= 1 lsl 60 then Stream_trace.max_addr + 1 + small else -1 - small
+          else target
+        in
+        let d = target - !prev in
+        let v = (((d lsl 1) lxor (d asr 62)) lsl 1) lor Bool.to_int write in
+        prev := target;
+        let len =
+          if m = Overlong && i = victim then 10 + extra
+          else min 9 (varint_length v + pad)
+        in
+        varint_of len v)
+      entries
+  in
+  let payload = String.concat "" varints in
+  return
+    (match m with
+    | Clean | Overlong | Out_of_domain -> (m, n, payload)
+    | Truncated ->
+      let len = String.length payload in
+      (m, n, String.sub payload 0 (len - min cut len))
+    | Trailing -> (m, n, payload ^ junk)
+    | Count_off -> (m, max 0 (n + off), payload)
+    | Noise -> (m, noise_count, noise))
+
+let pptrc_reference_decode_prop =
+  let dir = lazy (tmpdir ()) in
+  QCheck.Test.make
+    ~name:"pptrc: a record is read or dropped as a byte-at-a-time decoder decides"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (m, count, payload) ->
+         Printf.sprintf "%s: count %d, payload %s" (mutation_name m) count
+           (to_hex payload))
+       pptrc_record_gen)
+    (fun (_, count, payload) ->
+      let path = Filename.concat (Lazy.force dir) "reference.pptrc" in
+      let header =
+        Printf.sprintf {|{"name":"ref","total":%d,"chunk":%d}|} count (max 1 count)
+      in
+      write_file path
+        (String.concat ""
+           [
+             Stream_trace.magic; u32 (String.length header); header;
+             u32 (Nmcache_engine.Crc32.crc header); u32 count;
+             u32 (String.length payload); payload;
+             u32 (Nmcache_engine.Crc32.crc payload);
+           ]);
+      let info = Stream_trace.file_info path in
+      let streamed = collect (Stream_trace.of_file path) in
+      match reference_decode payload count with
+      | Some want ->
+        (not info.Stream_trace.fi_dropped_tail)
+        && info.Stream_trace.fi_entries = count
+        && streamed = want
+      | None ->
+        info.Stream_trace.fi_dropped_tail
+        && info.Stream_trace.fi_entries = 0
+        && streamed = [||])
+
+(* --- simulate --trace-file on a short file ------------------------------ *)
+
+(* the CLI, built beside this suite: _build/default/{test,bin} *)
+let ppcache_exe =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "ppcache.exe")
+
+(* [ppcache args]: exit status, stdout and stderr *)
+let run_ppcache ~dir args =
+  let out = Filename.concat dir "stdout" and err = Filename.concat dir "stderr" in
+  let open_out path =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let o = open_out out and e = open_out err in
+  let pid =
+    Unix.create_process ppcache_exe (Array.of_list (ppcache_exe :: args)) null o e
+  in
+  List.iter Unix.close [ null; o; e ];
+  let _, status = Unix.waitpid [] pid in
+  (status, read_file out, read_file err)
+
+let test_simulate_reports_short_read () =
+  let dir = tmpdir () in
+  let file name = Filename.concat dir name in
+  let simulate name = run_ppcache ~dir [ "simulate"; "--trace-file"; file name ] in
+  let entries = entries_of "tpcc" 1_000 in
+  record_to ~path:(file "full.pptrc") ~name:"tpcc" ~chunk_size:100 entries;
+  let full = read_file (file "full.pptrc") in
+  (* cut in half: the fifth record is torn *)
+  write_file (file "torn.pptrc") (String.sub full 0 (String.length full / 2));
+  Alcotest.(check int) "the torn file keeps four records" 400
+    (Stream_trace.file_info (file "torn.pptrc")).Stream_trace.fi_entries;
+  record_to ~path:(file "clean.pptrc") ~name:"tpcc" ~chunk_size:100
+    (Array.sub entries 0 400);
+  (* the full file's header, then the clean file's four records: cut at
+     a record boundary, so nothing is torn and no drop is flagged *)
+  let clean = read_file (file "clean.pptrc") in
+  let records =
+    String.sub clean (head_length clean) (String.length clean - head_length clean)
+  in
+  write_file (file "cut.pptrc") (String.sub full 0 (head_length full) ^ records);
+  Alcotest.(check bool) "the cut file raises no drop flag" false
+    (Stream_trace.file_info (file "cut.pptrc")).Stream_trace.fi_dropped_tail;
+  let status, want, err = simulate "clean.pptrc" in
+  Alcotest.(check bool) "clean: exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check string) "clean: nothing on stderr" "" err;
+  List.iter
+    (fun name ->
+      let status, out, err = simulate name in
+      Alcotest.(check bool) (name ^ ": exit 0") true (status = Unix.WEXITED 0);
+      Alcotest.(check string) (name ^ ": stdout equals the clean recording's") want out;
+      Alcotest.(check string) (name ^ ": one stderr line with the file and both counts")
+        (Printf.sprintf
+           "ppcache: short read: %s yielded 400 of the 1000 accesses its header \
+            declares (tail dropped)\n"
+           (file name))
+        err)
+    [ "torn.pptrc"; "cut.pptrc" ];
+  (* torn inside its first record: nothing to simulate *)
+  write_file (file "first.pptrc") (String.sub full 0 (head_length full + 20));
+  let status, out, err = simulate "first.pptrc" in
+  Alcotest.(check bool) "fully torn: exit 2" true (status = Unix.WEXITED 2);
+  Alcotest.(check string) "fully torn: no stdout" "" out;
+  Alcotest.(check string) "fully torn: empty, and says the tail was dropped"
+    (Printf.sprintf
+       "ppcache: trace tpcc is empty (0 of the 1000 accesses %s declares; tail \
+        dropped); nothing to simulate\n"
+       (file "first.pptrc"))
+    err
+
 (* --- defined empty-stream behaviour ------------------------------------- *)
 
 let test_empty_stream () =
@@ -669,6 +992,11 @@ let suite =
       `Quick test_pptrc_corrupt_middle;
     Alcotest.test_case "pptrc: foreign and corrupt-headered files are rejected"
       `Quick test_pptrc_foreign_files;
+    Alcotest.test_case "pptrc: a pinned file decodes to its entries and back" `Quick
+      test_pptrc_known_answer;
+    Generators.to_alcotest pptrc_reference_decode_prop;
+    Alcotest.test_case "simulate --trace-file reports a short read on stderr" `Quick
+      test_simulate_reports_short_read;
     Alcotest.test_case "empty stream: defined zero stats, f never called" `Quick
       test_empty_stream;
     Alcotest.test_case "ndjson: pipe source parses, skips blanks, rejects garbage"
