@@ -613,7 +613,7 @@ let simulate workload l1_kb l2_kb n stream chunk trace_file trace_stdin jobs
         (String.concat ", " Registry.names);
       exit 2
     end;
-    require_positive "n" n
+    require_positive "accesses" n
   | Some _ -> ());
   let ok = ref true in
   usage_guard (fun () ->
@@ -727,7 +727,7 @@ let trace_record workload n out chunk seed from_ndjson =
       exit 2
     end;
     if n < 0 then begin
-      Printf.eprintf "ppcache: --n must be >= 0, got %d\n" n;
+      Printf.eprintf "ppcache: --accesses must be >= 0, got %d\n" n;
       exit 2
     end;
     usage_guard @@ fun () ->
@@ -790,7 +790,7 @@ let trace_record_cmd =
              {\"addr\":N,\"write\":bool} object per line on stdin, read \
              through the bounded-memory line reader) into the recording, in \
              O(chunk) memory.  --workload then only names the recording; \
-             --n and --seed are ignored.  A malformed or overlong line \
+             --accesses and --seed are ignored.  A malformed or overlong line \
              exits 2.")
   in
   let doc =
@@ -1026,7 +1026,7 @@ let serve store_dir socket queue max_conns global_queue write_timeout
     exit 2
   end;
   if global_queue < 0 then begin
-    Printf.eprintf "ppcache: --global-queue must be >= 1 (0 = max-conns*queue)\n";
+    Printf.eprintf "ppcache: --global-queue must be >= 0 (0 = max-conns*queue)\n";
     exit 2
   end;
   if not (compact_ratio > 0.) then begin

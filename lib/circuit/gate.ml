@@ -135,7 +135,3 @@ let nor tech ~vth ~tox ~size ~inputs =
 let delay g ~c_load = 0.69 *. g.r_drive *. (g.c_self +. c_load)
 
 let switch_energy (tech : Tech.t) g ~c_load = (g.c_self +. c_load) *. tech.vdd *. tech.vdd
-
-let tau tech ~vth ~tox =
-  let inv = inverter tech ~vth ~tox ~size:1.0 in
-  inv.r_drive *. inv.c_in

@@ -40,9 +40,5 @@ val switch_energy : Nmcache_device.Tech.t -> t -> c_load:float -> float
 (** Energy of one output transition: (c_self + c_load) · Vdd² [J]
     (both edges; halve for a single edge). *)
 
-val tau : Nmcache_device.Tech.t -> vth:float -> tox:float -> float
-(** Technology time constant at these knobs: r · c_in of the unit
-    inverter — the delay unit of the logical-effort method [s]. *)
-
 val stack_factor : float
 (** Subthreshold reduction factor applied to a 2-high off stack. *)

@@ -3,9 +3,11 @@
     Fixed-timestep nodal analysis with trapezoidal integration over
     linear R/C networks driven by (time-varying) current sources and
     Norton-equivalent voltage drives.  This is the closest thing in the
-    repository to an actual SPICE engine: the closed-form delay models
-    (Elmore, current-source bitline discharge) are validated against
-    waveforms computed here, node by node, step by step.
+    repository to an actual SPICE engine.  No program path runs it: the
+    tests use it as the detailed reference for the array's wordline
+    (distributed RC) and bitline (current-source discharge) closed
+    forms, driving it with the R, C and currents that
+    [Nmcache_geometry.Cache_model.array_timing] reports.
 
     The network is linear, so each step solves the constant system
     (C/Δt + G/2)·v' = (C/Δt − G/2)·v + (i + i')/2 with a single

@@ -42,7 +42,5 @@ let off_state_total (tech : Tech.t) d =
      oxide voltage; 1/3 of Vdd captures the usual EDP-style estimate. *)
   subthreshold_off tech d +. gate tech d ~vox:(tech.vdd /. 3.0) +. junction tech d
 
-let off_state_power (tech : Tech.t) d = off_state_total tech d *. tech.vdd
-
 let subthreshold_swing (tech : Tech.t) =
   tech.n_swing *. Tech.thermal_voltage tech *. Float.log 10.0

@@ -35,9 +35,6 @@ val off_state_total : Tech.t -> Mosfet.t -> float
     off-state gate term uses a reduced oxide voltage (≈ Vdd/3, the
     gate-to-drain overlap condition). *)
 
-val off_state_power : Tech.t -> Mosfet.t -> float
-(** [off_state_total] · Vdd [W]. *)
-
 val subthreshold_swing : Tech.t -> float
 (** n · v_T · ln 10 — mV of Vth per decade of subthreshold current;
     exposed because tests verify the model's slope against it. *)

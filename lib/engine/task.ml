@@ -8,5 +8,3 @@ let make ~name ?key f = { name; f; key }
 let name t = t.name
 let kernel t = t.f
 let slot_key t x = Option.map (fun k -> k x) t.key
-let run t x =
-  Trace.with_stage t.name (fun () -> Span.with_span t.name (fun () -> t.f x))

@@ -25,6 +25,3 @@ val kernel : ('a, 'b) t -> 'a -> 'b
 
 val slot_key : ('a, 'b) t -> 'a -> string option
 (** The checkpoint key for one slot input, if the task is keyed. *)
-
-val run : ('a, 'b) t -> 'a -> 'b
-(** One traced evaluation (a single-task stage sample). *)

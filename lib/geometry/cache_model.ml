@@ -65,28 +65,62 @@ let log2_ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
   go 0 1
 
+type array_timing = {
+  wordline_r : float;
+  wordline_c : float;
+  wordline_delay : float;
+  bitline_c : float;
+  sense_c_in : float;
+  sense_swing : float;
+  read_current : float;
+  bitline_delay : float;
+  sense_delay : float;
+}
+
+(* The array's timing closed forms, from a cell and sense amp already
+   built at the knob [k]. *)
+let array_timing_of t (k : Component.knob) cell (sa : Sense_amp.t) =
+  let tech = t.tech in
+  let rs = float_of_int (Org.rows_sub t.config t.org) in
+  (* wordline propagation across the selected subarray (driver delay is
+     accounted in the decoder component) *)
+  let wordline_r = wordline_res t k in
+  let wordline_c = wordline_cap t k in
+  (* bitline: current-source discharge to the sense threshold *)
+  let bitline_c =
+    rs
+    *. (Sram_cell.drain_load tech cell
+       +. (tech.Tech.wire_c_per_m *. cell.Sram_cell.height))
+  in
+  let sense_c_in = sa.Sense_amp.c_input in
+  let sense_swing = Sense_amp.sense_swing *. tech.Tech.vdd in
+  let read_current = Sram_cell.read_current tech cell in
+  {
+    wordline_r;
+    wordline_c;
+    wordline_delay = 0.38 *. wordline_r *. wordline_c;
+    bitline_c;
+    sense_c_in;
+    sense_swing;
+    read_current;
+    bitline_delay = (bitline_c +. sense_c_in) *. sense_swing /. read_current;
+    sense_delay = sa.Sense_amp.delay;
+  }
+
+let array_timing t (k : Component.knob) =
+  Tech.check_knobs t.tech ~vth:k.vth ~tox:k.tox;
+  array_timing_of t k (cell_at t k) (Sense_amp.make t.tech ~vth:k.vth ~tox:k.tox)
+
 (* Memory-cell array + sense amplifiers. *)
 let eval_array t (k : Component.knob) =
   Tech.check_knobs t.tech ~vth:k.vth ~tox:k.tox;
   let tech = t.tech in
   let cell = cell_at t k in
-  let rs = float_of_int (Org.rows_sub t.config t.org) in
   let cs = Org.cols_sub t.config t.org in
   let n_cells = float_of_int (Config.total_cells t.config) in
-  (* wordline propagation across the selected subarray (driver delay is
-     accounted in the decoder component) *)
-  let wl_delay = 0.38 *. wordline_res t k *. wordline_cap t k in
-  (* bitline: current-source discharge to the sense threshold *)
-  let c_bitline =
-    rs
-    *. (Sram_cell.drain_load tech cell
-       +. (tech.Tech.wire_c_per_m *. cell.Sram_cell.height))
-  in
   let sa = Sense_amp.make tech ~vth:k.vth ~tox:k.tox in
-  let c_bitline = c_bitline +. sa.Sense_amp.c_input in
-  let swing = Sense_amp.sense_swing *. tech.Tech.vdd in
-  let bl_delay = c_bitline *. swing /. Sram_cell.read_current tech cell in
-  let delay = wl_delay +. bl_delay +. sa.Sense_amp.delay in
+  let at = array_timing_of t k cell sa in
+  let delay = at.wordline_delay +. at.bitline_delay +. at.sense_delay in
   (* leakage: every cell, every sense amp *)
   let leak =
     (n_cells *. Sram_cell.leakage_power tech cell)
@@ -96,8 +130,8 @@ let eval_array t (k : Component.knob) =
      subarray's bitlines through the sense swing (precharge + evaluate),
      and the active sense amps *)
   let vdd = tech.Tech.vdd in
-  let e_wordline = wordline_cap t k *. vdd *. vdd in
-  let e_bitlines = 2.0 *. cs *. c_bitline *. vdd *. swing in
+  let e_wordline = at.wordline_c *. vdd *. vdd in
+  let e_bitlines = 2.0 *. cs *. (at.bitline_c +. at.sense_c_in) *. vdd *. at.sense_swing in
   let e_sense = cs /. bitline_mux *. sa.Sense_amp.energy in
   let area =
     (1.25 *. n_cells *. Sram_cell.area cell) +. (sense_amp_count t *. sa.Sense_amp.area)

@@ -35,6 +35,29 @@ val evaluate_component : t -> Component.kind -> Component.knob -> Component.summ
     knob.  Raises [Invalid_argument] if the knob is outside the
     technology's legal range. *)
 
+type array_timing = {
+  wordline_r : float;     (** wire resistance of one subarray wordline [Ω] *)
+  wordline_c : float;     (** its capacitance: cell gate loads + wire [F] *)
+  wordline_delay : float; (** 0.38 · [wordline_r] · [wordline_c] [s] *)
+  bitline_c : float;      (** one bitline: cell drain loads + wire [F] *)
+  sense_c_in : float;     (** the sense amplifier's input capacitance [F] *)
+  sense_swing : float;    (** bitline swing the sense amplifier resolves [V] *)
+  read_current : float;   (** the accessed cell's read current [A] *)
+  bitline_delay : float;
+      (** ([bitline_c] + [sense_c_in]) · [sense_swing] / [read_current]:
+          the cell current discharging the whole line, wire resistance
+          left out [s] *)
+  sense_delay : float;    (** the sense amplifier's regeneration delay [s] *)
+}
+(** The closed forms behind the {!Component.Array_sense} delay.  That
+    delay is exactly [wordline_delay +. bitline_delay +. sense_delay]. *)
+
+val array_timing : t -> Component.knob -> array_timing
+(** The quantities {!evaluate_component} combines into the array's
+    delay at this knob, for checking the closed forms against a
+    detailed circuit.  Raises [Invalid_argument] if the knob is outside
+    the technology's legal range. *)
+
 type report = {
   components : (Component.kind * Component.summary) list;
       (** in {!Component.all_kinds} order *)

@@ -1,13 +1,11 @@
-(* Tests for the circuit layer: RC/Elmore, gates, wires, SRAM cell,
-   sense amp, buffer chains. *)
+(* Tests for the circuit layer: gates, wires, SRAM cell, sense amp,
+   buffer chains. *)
 
 module Units = Nmcache_physics.Units
 module Tech = Nmcache_device.Tech
-module Rc = Nmcache_circuit.Rc
 module Gate = Nmcache_circuit.Gate
 module Wire = Nmcache_circuit.Wire
 module Chain = Nmcache_circuit.Chain
-module Horowitz = Nmcache_circuit.Horowitz
 module Sram_cell = Nmcache_circuit.Sram_cell
 module Sense_amp = Nmcache_circuit.Sense_amp
 
@@ -19,43 +17,6 @@ let close ?(eps = 1e-9) msg expected actual =
     (Printf.sprintf "%s: %.6g vs %.6g" msg expected actual)
     true
     (Float.abs (expected -. actual) <= eps *. Float.max 1e-30 (Float.abs expected))
-
-(* --- rc ---------------------------------------------------------------- *)
-
-let test_elmore_two_stage () =
-  (* R1=1k C1=1f, then R2=2k C2=3f: delay to leaf = R1 (C1+C2) + R2 C2 *)
-  let leaf = Rc.leaf ~r:2e3 ~c:3e-15 in
-  let root = Rc.node ~r:1e3 ~c:1e-15 [ leaf ] in
-  (match Rc.elmore_to root leaf with
-  | None -> Alcotest.fail "leaf not found"
-  | Some d -> close "two-stage elmore" ((1e3 *. 4e-15) +. (2e3 *. 3e-15)) d ~eps:1e-12);
-  close "total cap" 4e-15 (Rc.total_capacitance root) ~eps:1e-12
-
-let test_elmore_branching () =
-  (* at a branch, the side branch's cap loads the common resistance *)
-  let l1 = Rc.leaf ~r:1e3 ~c:1e-15 in
-  let l2 = Rc.leaf ~r:1e3 ~c:2e-15 in
-  let root = Rc.node ~r:1e3 ~c:0.0 [ l1; l2 ] in
-  (match Rc.elmore_to root l1 with
-  | None -> Alcotest.fail "missing leaf"
-  | Some d -> close "branch elmore" ((1e3 *. 3e-15) +. (1e3 *. 1e-15)) d ~eps:1e-12);
-  close "worst" ((1e3 *. 3e-15) +. (1e3 *. 2e-15)) (Rc.elmore_worst root) ~eps:1e-12
-
-let test_elmore_missing_node () =
-  let stray = Rc.leaf ~r:1.0 ~c:1.0 in
-  let root = Rc.leaf ~r:1.0 ~c:1.0 in
-  Alcotest.(check bool) "missing target" true (Rc.elmore_to root stray = None)
-
-let test_ladder_closed_form () =
-  (* uniform ladder formula = n R Cl + R C n^2 / 2 *)
-  let d = Rc.ladder ~stages:10 ~r_stage:100.0 ~c_stage:1e-15 ~c_load:5e-15 in
-  close "ladder" ((10.0 *. 100.0 *. 5e-15) +. (100.0 *. 1e-15 *. 50.0)) d ~eps:1e-12
-
-let test_rc_validation () =
-  Alcotest.check_raises "negative r" (Invalid_argument "Rc.node: negative r or c")
-    (fun () -> ignore (Rc.leaf ~r:(-1.0) ~c:0.0));
-  Alcotest.check_raises "bad stages" (Invalid_argument "Rc.ladder: stages < 1") (fun () ->
-      ignore (Rc.ladder ~stages:0 ~r_stage:1.0 ~c_stage:1.0 ~c_load:0.0))
 
 (* --- gates -------------------------------------------------------------- *)
 
@@ -97,23 +58,6 @@ let test_gate_validation () =
        ignore (Gate.nand tech ~vth:0.3 ~tox:(a 12.0) ~size:1.0 ~inputs:1);
        false
      with Invalid_argument _ -> true)
-
-(* --- horowitz ------------------------------------------------------------ *)
-
-let test_horowitz_step_input () =
-  (* with a step input (t_rise = 0) the delay reduces to tf |ln v| *)
-  let d = Horowitz.delay ~tf:10e-12 ~t_rise_in:0.0 ~v_threshold:0.5 ~rising:true in
-  close "step input" (10e-12 *. Float.log 2.0) d ~eps:1e-9
-
-let test_horowitz_slope_penalty () =
-  let fast = Horowitz.delay ~tf:10e-12 ~t_rise_in:5e-12 ~v_threshold:0.5 ~rising:true in
-  let slow = Horowitz.delay ~tf:10e-12 ~t_rise_in:50e-12 ~v_threshold:0.5 ~rising:true in
-  Alcotest.(check bool) "slower input, longer delay" true (slow > fast)
-
-let test_horowitz_validation () =
-  Alcotest.check_raises "bad threshold"
-    (Invalid_argument "Horowitz.delay: v_threshold outside (0,1)") (fun () ->
-      ignore (Horowitz.delay ~tf:1.0 ~t_rise_in:0.0 ~v_threshold:1.5 ~rising:true))
 
 (* --- wire ----------------------------------------------------------------- *)
 
@@ -209,19 +153,11 @@ let test_chain_validation () =
 
 let suite =
   [
-    Alcotest.test_case "elmore two-stage" `Quick test_elmore_two_stage;
-    Alcotest.test_case "elmore branching" `Quick test_elmore_branching;
-    Alcotest.test_case "elmore missing node" `Quick test_elmore_missing_node;
-    Alcotest.test_case "ladder closed form" `Quick test_ladder_closed_form;
-    Alcotest.test_case "rc validation" `Quick test_rc_validation;
     Alcotest.test_case "inverter sizing" `Quick test_inverter_sizing;
     Alcotest.test_case "gate delay monotone in load" `Quick test_gate_delay_monotone_in_load;
     Alcotest.test_case "nand/nor logical effort" `Quick test_nand_nor_efforts;
     Alcotest.test_case "stack effect" `Quick test_stack_effect;
     Alcotest.test_case "gate validation" `Quick test_gate_validation;
-    Alcotest.test_case "horowitz step input" `Quick test_horowitz_step_input;
-    Alcotest.test_case "horowitz slope penalty" `Quick test_horowitz_slope_penalty;
-    Alcotest.test_case "horowitz validation" `Quick test_horowitz_validation;
     Alcotest.test_case "wire scaling" `Quick test_wire_scaling;
     Alcotest.test_case "repeaters beat bare wire" `Quick
       test_repeaters_beat_unrepeated_long_wire;

@@ -7,7 +7,6 @@ module Tech = Nmcache_device.Tech
 module Mosfet = Nmcache_device.Mosfet
 module Leakage = Nmcache_device.Leakage
 module Drive = Nmcache_device.Drive
-module Corner = Nmcache_device.Corner
 
 let tech = Tech.bptm65
 let w = Units.um 1.0
@@ -105,14 +104,6 @@ let test_fo4_range () =
   Alcotest.(check bool) "FO4 in 3..60 ps" true (fast > Units.ps 3.0 && slow < Units.ps 60.0);
   Alcotest.(check bool) "slow corner slower" true (slow > fast)
 
-let test_corners () =
-  Alcotest.(check (option string)) "parse ff" (Some "FF")
-    (Option.map Corner.name (Corner.of_name "ff"));
-  let v, t = Corner.apply Corner.Slow ~vth:0.3 ~tox:(Units.angstrom 12.0) in
-  Alcotest.(check bool) "slow corner shifts up" true (v > 0.3 && t > Units.angstrom 12.0);
-  let v', t' = Corner.apply Corner.Typical ~vth:0.3 ~tox:(Units.angstrom 12.0) in
-  Alcotest.(check bool) "typical is identity" true (v' = 0.3 && t' = Units.angstrom 12.0)
-
 (* --- monotonicity properties ----------------------------------------- *)
 
 let prop_sub_decreasing_in_vth =
@@ -174,6 +165,5 @@ let suite =
     Alcotest.test_case "Tox scaling rule" `Quick test_scaling_rule;
     Alcotest.test_case "knob range validation" `Quick test_knob_validation;
     Alcotest.test_case "FO4 sanity" `Quick test_fo4_range;
-    Alcotest.test_case "process corners" `Quick test_corners;
   ]
   @ qcheck

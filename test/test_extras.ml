@@ -1,11 +1,6 @@
-(* Tests for the second-wave substrates: detailed netlists, prefetching,
-   phased workloads. *)
+(* Tests for the second-wave substrates: prefetching and phased
+   workloads. *)
 
-module Units = Nmcache_physics.Units
-module Tech = Nmcache_device.Tech
-module Netlist = Nmcache_circuit.Netlist
-module Sram_cell = Nmcache_circuit.Sram_cell
-module Gate = Nmcache_circuit.Gate
 module Prefetch = Nmcache_cachesim.Prefetch
 module Cache = Nmcache_cachesim.Cache
 module Hierarchy = Nmcache_cachesim.Hierarchy
@@ -16,77 +11,7 @@ module Phased = Nmcache_workload.Phased
 module Registry = Nmcache_workload.Registry
 module Rng = Nmcache_numerics.Rng
 
-let tech = Tech.bptm65
-let a = Units.angstrom
 let kb n = n * 1024
-
-(* --- netlist ------------------------------------------------------------ *)
-
-let cell = Sram_cell.make tech ~vth:0.3 ~tox:(a 12.0)
-
-let test_wordline_tree_capacitance () =
-  (* the tree must carry exactly the wire + gate load of all columns *)
-  let cols = 128 in
-  let tree = Netlist.wordline_tree tech ~cell ~cols ~segment_cells:16 in
-  let expected =
-    (tech.Tech.wire_c_per_m *. (float_of_int cols *. cell.Sram_cell.width))
-    +. (float_of_int cols *. Sram_cell.gate_load tech cell)
-  in
-  let got = Nmcache_circuit.Rc.total_capacitance tree in
-  Alcotest.(check bool)
-    (Printf.sprintf "cap %.3g vs %.3g" got expected)
-    true
-    (Float.abs (got -. expected) /. expected < 1e-9)
-
-let test_wordline_detailed_vs_lumped () =
-  (* detailed Elmore of the segmented line vs the 0.38 R C lump: same
-     order, detailed >= half and <= 3x the lump across sizes *)
-  let inv = Gate.inverter tech ~vth:0.3 ~tox:(a 12.0) ~size:16.0 in
-  List.iter
-    (fun cols ->
-      let detailed =
-        Netlist.wordline_delay tech ~cell ~cols ~r_driver:inv.Gate.r_drive
-          ~t_rise_in:20e-12
-      in
-      let len = float_of_int cols *. cell.Sram_cell.width in
-      let r_w = tech.Tech.wire_r_per_m *. len in
-      let c_w =
-        (tech.Tech.wire_c_per_m *. len)
-        +. (float_of_int cols *. Sram_cell.gate_load tech cell)
-      in
-      let lumped = (0.38 *. r_w *. c_w) +. (inv.Gate.r_drive *. c_w) in
-      Alcotest.(check bool)
-        (Printf.sprintf "cols=%d detailed %.3g vs lumped %.3g" cols detailed lumped)
-        true
-        (detailed > 0.5 *. lumped && detailed < 3.0 *. lumped))
-    [ 32; 128; 512 ]
-
-let test_wordline_monotone_in_cols () =
-  let inv = Gate.inverter tech ~vth:0.3 ~tox:(a 12.0) ~size:16.0 in
-  let d cols =
-    Netlist.wordline_delay tech ~cell ~cols ~r_driver:inv.Gate.r_drive ~t_rise_in:0.0
-  in
-  Alcotest.(check bool) "monotone" true (d 64 < d 128 && d 128 < d 256)
-
-let test_bitline_discharge () =
-  let t = Netlist.bitline_discharge tech ~cell ~rows:128 ~sense_swing:0.1 in
-  Alcotest.(check bool) "positive, sub-ns" true (t > 0.0 && t < 1e-9);
-  let t2 = Netlist.bitline_discharge tech ~cell ~rows:256 ~sense_swing:0.1 in
-  Alcotest.(check bool) "more rows, slower" true (t2 > t);
-  let t3 = Netlist.bitline_discharge tech ~cell ~rows:128 ~sense_swing:0.2 in
-  Alcotest.(check bool) "bigger swing, slower" true (t3 > t)
-
-let test_netlist_validation () =
-  Alcotest.(check bool) "cols < 1" true
-    (try
-       ignore (Netlist.wordline_tree tech ~cell ~cols:0 ~segment_cells:8);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad swing" true
-    (try
-       ignore (Netlist.bitline_discharge tech ~cell ~rows:8 ~sense_swing:1.5);
-       false
-     with Invalid_argument _ -> true)
 
 (* --- prefetch -------------------------------------------------------------- *)
 
@@ -184,11 +109,6 @@ let test_phased_validation () =
 
 let suite =
   [
-    Alcotest.test_case "wordline tree capacitance" `Quick test_wordline_tree_capacitance;
-    Alcotest.test_case "wordline detailed vs lumped" `Quick test_wordline_detailed_vs_lumped;
-    Alcotest.test_case "wordline monotone" `Quick test_wordline_monotone_in_cols;
-    Alcotest.test_case "bitline discharge" `Quick test_bitline_discharge;
-    Alcotest.test_case "netlist validation" `Quick test_netlist_validation;
     Alcotest.test_case "prefetch streams into L2" `Quick test_prefetch_streams_into_l2;
     Alcotest.test_case "prefetch improves stream hits" `Quick
       test_prefetch_improves_sequential_l2_hits;
