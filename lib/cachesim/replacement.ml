@@ -17,5 +17,3 @@ let of_name ?(seed = 17) s =
   | "random" -> Some (Random seed)
   | "plru" -> Some Plru
   | _ -> None
-
-let all_names = [ "lru"; "fifo"; "random"; "plru" ]

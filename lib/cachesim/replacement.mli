@@ -14,5 +14,3 @@ val name : t -> string
 val of_name : ?seed:int -> string -> t option
 (** ["lru"], ["fifo"], ["random"], ["plru"]; [seed] (default 17) feeds
     [Random]. *)
-
-val all_names : string list

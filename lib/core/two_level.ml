@@ -106,6 +106,14 @@ let best_l2_size sweep =
     None sweep.rows
   |> Option.map fst
 
+let two_pair_gain ~single ~split =
+  List.fold_left2
+    (fun acc (r3 : l2_row) (r2 : l2_row) ->
+      match (acc, r3.total_leak, r2.total_leak) with
+      | None, Some a, Some b when b < a *. 0.999 -> Some (r2.l2_size, 1.0 -. (b /. a))
+      | _ -> acc)
+    None single.rows split.rows
+
 let size_label bytes =
   if bytes >= 1 lsl 20 then Printf.sprintf "%dMB" (bytes lsr 20)
   else Printf.sprintf "%dKB" (bytes lsr 10)
@@ -198,16 +206,6 @@ let l2_two_pair ctx =
       sweep3.rows sweep2.rows
   in
   let best_of sweep = Option.value (Option.map size_label (best_l2_size sweep)) ~default:"-" in
-  (* quantify the gain at the smallest feasible size, where the budget bites *)
-  let small_gain =
-    List.fold_left2
-      (fun acc (r3 : l2_row) (r2 : l2_row) ->
-        match (acc, r3.total_leak, r2.total_leak) with
-        | None, Some a, Some b when b < a ->
-          Some (r2.l2_size, 100.0 *. (1.0 -. (b /. a)))
-        | _ -> acc)
-      None sweep3.rows sweep2.rows
-  in
   [
     Report.note
       (Printf.sprintf "AMAT target %.0f ps (baseline x %.2f)"
@@ -221,11 +219,12 @@ let l2_two_pair ctx =
     Report.note
       (Printf.sprintf "optimal L2: single pair -> %s, per-component pairs -> %s%s"
          (best_of sweep3) (best_of sweep2)
-         (match small_gain with
+         (match two_pair_gain ~single:sweep3 ~split:sweep2 with
          | None -> ""
-         | Some (size, pct) ->
-           Printf.sprintf "; at %s the two-pair design leaks %.0f%%%% less, extending \
-                           the competitive range to smaller L2s" (size_label size) pct));
+         | Some (size, gain) ->
+           Printf.sprintf "; at %s the two-pair design leaks %.0f%% less, extending \
+                           the competitive range to smaller L2s" (size_label size)
+             (100.0 *. gain)));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -47,6 +47,12 @@ val l2_two_pair : Context.t -> Report.artefact list
 val best_l2_size : l2_sweep -> int option
 (** Size with the smallest total leakage among feasible rows. *)
 
+val two_pair_gain : single:l2_sweep -> split:l2_sweep -> (int * float) option
+(** The smallest L2 size at which the per-component-pair sweep [split]
+    leaks over 0.1 % less in total than the single-pair sweep [single]
+    (both over the same sizes), with that fractional saving; [None]
+    when no size gains that much. *)
+
 type l1_row = {
   l1_size : int;
   m1 : float;

@@ -27,12 +27,6 @@ type group = L1_cell | L1_periph | L2_cell | L2_periph
 
 let groups = [ L1_cell; L1_periph; L2_cell; L2_periph ]
 
-let group_name = function
-  | L1_cell -> "L1-cell"
-  | L1_periph -> "L1-periph"
-  | L2_cell -> "L2-cell"
-  | L2_periph -> "L2-periph"
-
 let group_index = function L1_cell -> 0 | L1_periph -> 1 | L2_cell -> 2 | L2_periph -> 3
 
 let periph_kinds = [ Component.Decoder; Component.Addr_drivers; Component.Data_drivers ]

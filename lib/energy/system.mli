@@ -38,7 +38,6 @@ val m2 : t -> float
 type group = L1_cell | L1_periph | L2_cell | L2_periph
 
 val groups : group list
-val group_name : group -> string
 val group_index : group -> int
 (** 0..3 in [groups] order. *)
 

@@ -41,13 +41,6 @@ let add_summary a b =
     area = a.area +. b.area;
   }
 
-let pp_summary fmt s =
-  Format.fprintf fmt "delay=%s leak=%s dyn=%s area=%.4fmm2"
-    (Units.to_engineering_string ~unit:"s" s.delay)
-    (Units.to_engineering_string ~unit:"W" s.leak_w)
-    (Units.to_engineering_string ~unit:"J" s.dyn_energy)
-    (s.area *. 1e6)
-
 type knob = {
   vth : float;
   tox : float;

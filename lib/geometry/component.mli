@@ -29,8 +29,6 @@ val add_summary : summary -> summary -> summary
 (** Component-wise sum (delays add because the access path is serial —
     the paper's model). *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type knob = {
   vth : float;  (** [V] *)
   tox : float;  (** [m] *)

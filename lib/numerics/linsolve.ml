@@ -197,9 +197,3 @@ let invert a =
     done
   done;
   inv
-
-let residual_norm a x b =
-  let ax = Matrix.mul_vec a x in
-  let acc = ref 0.0 in
-  Array.iteri (fun i v -> acc := !acc +. ((v -. b.(i)) ** 2.0)) ax;
-  Float.sqrt !acc

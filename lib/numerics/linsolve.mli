@@ -48,6 +48,3 @@ val solve_into : qr -> float array -> float array -> unit
 val invert : Matrix.t -> Matrix.t
 (** [invert a] is the inverse of square matrix [a].  Raises {!Singular}
     when [a] is not invertible. *)
-
-val residual_norm : Matrix.t -> float array -> float array -> float
-(** [residual_norm a x b] is ‖a·x − b‖₂. *)

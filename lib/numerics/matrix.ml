@@ -88,12 +88,6 @@ let add a b =
 
 let scale k m = { m with data = Array.map (fun v -> k *. v) m.data }
 
-let map_row m i f =
-  if i < 0 || i >= m.rows then invalid_arg "Matrix.map_row: row out of bounds";
-  for j = 0 to m.cols - 1 do
-    unsafe_set m i j (f (unsafe_get m i j))
-  done
-
 let pp fmt m =
   Format.fprintf fmt "@[<v>";
   for i = 0 to m.rows - 1 do

@@ -48,9 +48,6 @@ val add : t -> t -> t
 val scale : float -> t -> t
 (** [scale k m] is [k · m] (new matrix). *)
 
-val map_row : t -> int -> (float -> float) -> unit
-(** [map_row m i f] applies [f] in place to row [i]. *)
-
 val pp : Format.formatter -> t -> unit
 (** Debug printer. *)
 

@@ -1,33 +1,3 @@
-let inv_phi = (Float.sqrt 5.0 -. 1.0) /. 2.0
-
-(* Maintain bracket [a, c] with interior probes b < d; shrink toward the
-   smaller probe each iteration. *)
-let golden_section ?(tol = 1e-9) ?(max_iter = 200) ~f ~lo ~hi () =
-  if lo >= hi then invalid_arg "Minimize.golden_section: lo >= hi";
-  let a = ref lo and c = ref hi in
-  let b = ref (!c -. (inv_phi *. (!c -. !a))) in
-  let d = ref (!a +. (inv_phi *. (!c -. !a))) in
-  let fb = ref (f !b) and fd = ref (f !d) in
-  let iter = ref 0 in
-  while !iter < max_iter && !c -. !a > tol *. (Float.abs !a +. Float.abs !c +. 1.0) do
-    incr iter;
-    if !fb < !fd then begin
-      c := !d;
-      d := !b;
-      fd := !fb;
-      b := !c -. (inv_phi *. (!c -. !a));
-      fb := f !b
-    end
-    else begin
-      a := !b;
-      b := !d;
-      fb := !fd;
-      d := !a +. (inv_phi *. (!c -. !a));
-      fd := f !d
-    end
-  done;
-  (!a +. !c) /. 2.0
-
 let linspace ~lo ~hi ~steps =
   if steps < 0 then invalid_arg "Minimize.linspace: negative steps";
   if lo > hi then invalid_arg "Minimize.linspace: lo > hi";
@@ -38,59 +8,3 @@ let linspace ~lo ~hi ~steps =
   else
     Array.init (steps + 1) (fun i ->
         lo +. ((hi -. lo) *. float_of_int i /. float_of_int steps))
-
-let grid_min ~f ~lo ~hi ~steps =
-  if steps < 1 then invalid_arg "Minimize.grid_min: steps < 1";
-  let xs = linspace ~lo ~hi ~steps in
-  let best_x = ref xs.(0) and best_f = ref (f xs.(0)) in
-  Array.iter
-    (fun x ->
-      let v = f x in
-      if v < !best_f then begin
-        best_f := v;
-        best_x := x
-      end)
-    xs;
-  (!best_x, !best_f)
-
-let argmin f = function
-  | [] -> None
-  | x :: rest ->
-    let best = ref x and best_v = ref (f x) in
-    List.iter
-      (fun y ->
-        let v = f y in
-        if v < !best_v then begin
-          best := y;
-          best_v := v
-        end)
-      rest;
-    Some !best
-
-let argmin_array f a = argmin f (Array.to_list a)
-
-let bisect ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
-  if lo > hi then invalid_arg "Minimize.bisect: lo > hi";
-  let flo = f lo and fhi = f hi in
-  if flo = 0.0 then lo
-  else if fhi = 0.0 then hi
-  else if flo *. fhi > 0.0 then invalid_arg "Minimize.bisect: no sign change"
-  else begin
-    let a = ref lo and b = ref hi and fa = ref flo in
-    let iter = ref 0 in
-    while !iter < max_iter && !b -. !a > tol *. (Float.abs !a +. Float.abs !b +. 1.0) do
-      incr iter;
-      let m = (!a +. !b) /. 2.0 in
-      let fm = f m in
-      if fm = 0.0 then begin
-        a := m;
-        b := m
-      end
-      else if !fa *. fm < 0.0 then b := m
-      else begin
-        a := m;
-        fa := fm
-      end
-    done;
-    (!a +. !b) /. 2.0
-  end

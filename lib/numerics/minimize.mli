@@ -1,31 +1,7 @@
-(** One-dimensional minimisation and discrete search helpers. *)
-
-val golden_section :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float -> unit -> float
-(** [golden_section ~f ~lo ~hi ()] returns an abscissa minimising a
-    unimodal [f] on [lo, hi] to tolerance [tol] (default 1e-9 of the
-    interval width).  Raises [Invalid_argument] if [lo >= hi]. *)
-
-val grid_min : f:(float -> float) -> lo:float -> hi:float -> steps:int -> float * float
-(** [grid_min ~f ~lo ~hi ~steps] evaluates [f] at [steps + 1] equally
-    spaced points and returns the minimising pair [(x, f x)].  Raises
-    [Invalid_argument] if [steps < 1] or [lo > hi]. *)
-
-val argmin : ('a -> float) -> 'a list -> 'a option
-(** [argmin f xs] is the element minimising [f], or [None] on an empty
-    list.  Ties resolve to the earliest element. *)
-
-val argmin_array : ('a -> float) -> 'a array -> 'a option
-(** Array counterpart of {!argmin}. *)
+(** Evenly spaced sample points for the knob grids. *)
 
 val linspace : lo:float -> hi:float -> steps:int -> float array
 (** [linspace ~lo ~hi ~steps] is [steps + 1] equally spaced values from
     [lo] to [hi] inclusive.  [steps = 0] yields [[| lo |]] (requires
     [lo = hi]).  Raises [Invalid_argument] on a negative [steps] or
     [lo > hi]. *)
-
-val bisect :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float -> unit -> float
-(** [bisect ~f ~lo ~hi ()] finds a root of [f] on [lo, hi] by bisection;
-    [f lo] and [f hi] must have opposite signs (or one of them be zero).
-    Raises [Invalid_argument] otherwise. *)

@@ -57,9 +57,5 @@ val geometric : t -> p:float -> int
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array.  Raises [Invalid_argument] on
-    an empty array. *)
-
 val splitmix64 : int64 -> int64
 (** The raw splitmix64 mixing function (exposed for tests). *)

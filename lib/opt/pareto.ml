@@ -18,8 +18,6 @@ let front ~key items =
   in
   sweep Float.infinity [] sorted
 
-let merge ~key fronts = front ~key (List.concat fronts)
-
 let is_front ~key items =
   let rec check = function
     | [] | [ _ ] -> true

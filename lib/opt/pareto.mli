@@ -11,9 +11,6 @@ val dominates : float * float -> float * float -> bool
 (** [dominates a b] — a is at least as good in both and strictly better
     in one. *)
 
-val merge : key:('a -> float * float) -> 'a list list -> 'a list
-(** Front of the union of several fronts. *)
-
 val is_front : key:('a -> float * float) -> 'a list -> bool
 (** Whether the list is sorted by x with strictly decreasing y and no
     dominated element — the invariant property tests check. *)

@@ -8,11 +8,6 @@ type t = Independent | Split | Uniform
 let all = [ Independent; Split; Uniform ]
 let name = function Independent -> "I" | Split -> "II" | Uniform -> "III"
 
-let long_name = function
-  | Independent -> "Scheme I (independent pairs)"
-  | Split -> "Scheme II (cell pair + peripheral pair)"
-  | Uniform -> "Scheme III (single pair)"
-
 let of_name s =
   match String.lowercase_ascii s with
   | "i" | "1" | "independent" -> Some Independent

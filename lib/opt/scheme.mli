@@ -22,7 +22,6 @@ val all : t list
 val name : t -> string
 (** "I" / "II" / "III". *)
 
-val long_name : t -> string
 val of_name : string -> t option
 
 type result = {

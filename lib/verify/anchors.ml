@@ -1,204 +1,10 @@
-module Scheme = Nmcache_opt.Scheme
-module Context = Core.Context
-module Single_cache = Core.Single_cache
-module Two_level = Core.Two_level
+module Summary = Core.Summary
 
-let ps s = s *. 1e12
-let mw w = w *. 1e3
+let section ctx (s : Summary.section) =
+  Check.group ~name:("anchor." ^ s.Summary.name) @@ fun () ->
+  List.map
+    (fun (v : Summary.verdict) ->
+      Check.check ~name:("anchor." ^ v.Summary.id) v.Summary.holds v.Summary.evidence)
+    (s.Summary.judge ctx)
 
-(* T1 thresholds, with headroom over the measured values in
-   EXPERIMENTS.md (II/I peaks at 1.12; III/II reaches 2.24 at mid
-   budgets): "slightly behind" must stay under 1.25x, "well above"
-   means at least 1.3x somewhere. *)
-let ii_near_i_max = 1.25
-let iii_above_ii_min = 1.3
-let order_tol = 1e-9
-
-(* the conservative-array observation needs a budget with slack to
-   allocate: at the forced-fastest corner (every component pinned to
-   its fastest knob) the optimum is degenerate and grid tie-breaks can
-   order equal-delay knobs either way, so require >= 5% headroom over
-   the all-fastest assignment before holding the claim *)
-let conservative_min_slack = 1.05
-
-let lookup results s = Option.join (List.assoc_opt s results)
-
-let schemes ctx =
-  Check.group ~name:"anchor.schemes" @@ fun () ->
-  let fitted = Context.fitted ctx (Context.l1_config ctx ()) in
-  let fastest = Scheme.fastest_access_time fitted ~grid:ctx.Context.grid in
-  let rows = Single_cache.scheme_rows ctx () in
-  let complete =
-    List.filter_map
-      (fun (r : Single_cache.scheme_row) ->
-        match
-          ( lookup r.Single_cache.results Scheme.Independent,
-            lookup r.Single_cache.results Scheme.Split,
-            lookup r.Single_cache.results Scheme.Uniform )
-        with
-        | Some i, Some ii, Some iii -> Some (r.Single_cache.budget, i, ii, iii)
-        | _ -> None)
-      rows
-  in
-  let some_rows =
-    Check.check ~name:"anchor.schemes.feasible-budgets"
-      (List.length complete >= 3)
-      (Printf.sprintf "%d of %d budgets feasible under all three schemes"
-         (List.length complete) (List.length rows))
-  in
-  let per (budget, i, ii, iii) =
-    let name what = Printf.sprintf "anchor.schemes.%s@%.0fps" what (ps budget) in
-    let li = i.Scheme.leak_w and lii = ii.Scheme.leak_w and liii = iii.Scheme.leak_w in
-    [
-      Check.check ~name:(name "ordering")
-        (li <= lii *. (1.0 +. order_tol) && lii <= liii *. (1.0 +. order_tol))
-        (Printf.sprintf "I %.3f <= II %.3f <= III %.3f mW" (mw li) (mw lii) (mw liii));
-      Check.check ~name:(name "ii-near-i")
-        (lii <= li *. ii_near_i_max)
-        (Printf.sprintf "II/I = %.3f <= %.2f" (lii /. li) ii_near_i_max);
-    ]
-    @
-    if budget < fastest *. conservative_min_slack then []
-    else
-      [
-        Check.check ~name:(name "array-conservative")
-          (Single_cache.array_is_conservative i.Scheme.assignment
-          && Single_cache.array_is_conservative ii.Scheme.assignment)
-          "cell array at least as conservative as every peripheral (I and II)";
-      ]
-  in
-  let iii_gap =
-    let best =
-      List.fold_left
-        (fun acc (_, _, ii, iii) ->
-          Float.max acc (iii.Scheme.leak_w /. ii.Scheme.leak_w))
-        0.0 complete
-    in
-    Check.check ~name:"anchor.schemes.iii-well-above-ii"
-      (best >= iii_above_ii_min)
-      (Printf.sprintf "max III/II over budgets = %.2f >= %.2f" best iii_above_ii_min)
-  in
-  (some_rows :: List.concat_map per complete) @ [ iii_gap ]
-
-(* ------------------------------------------------------------------ *)
-
-let span series = List.fold_left (fun (lo, hi) (x, _) -> (Float.min lo x, Float.max hi x))
-    (Float.infinity, Float.neg_infinity) series
-
-let leak_ratio series =
-  let lo, hi =
-    List.fold_left
-      (fun (lo, hi) (_, y) -> (Float.min lo y, Float.max hi y))
-      (Float.infinity, Float.neg_infinity) series
-  in
-  hi /. lo
-
-let sensitivity ctx =
-  Check.group ~name:"anchor.sensitivity" @@ fun () ->
-  match Single_cache.figure1_series ctx with
-  | [ (_, tox10); (_, tox14); (_, vth200); (_, vth400) ] ->
-    (* first two series sweep Vth at fixed Tox, last two sweep Tox at
-       fixed Vth — the paper's Figure 1 layout *)
-    let vth_sweep_ratio = Float.max (leak_ratio tox10) (leak_ratio tox14) in
-    let tox_sweep_ratio = Float.max (leak_ratio vth200) (leak_ratio vth400) in
-    let delay_span s = let lo, hi = span s in hi -. lo in
-    let vth_delay = Float.max (delay_span tox10) (delay_span tox14) in
-    let tox_delay = Float.max (delay_span vth200) (delay_span vth400) in
-    [
-      Check.check ~name:"anchor.sensitivity.tox-dominates-leakage"
-        (tox_sweep_ratio > vth_sweep_ratio)
-        (Printf.sprintf "max Tox-sweep leak ratio %.1fx > max Vth-sweep %.1fx"
-           tox_sweep_ratio vth_sweep_ratio);
-      Check.check ~name:"anchor.sensitivity.vth-wider-delay-range"
-        (vth_delay > tox_delay)
-        (Printf.sprintf "Vth sweep spans %.0f ps of delay vs %.0f ps for Tox" vth_delay
-           tox_delay);
-    ]
-  | series ->
-    [
-      Check.fail ~name:"anchor.sensitivity.series-shape"
-        (Printf.sprintf "expected 4 Figure-1 series, got %d" (List.length series));
-    ]
-
-(* ------------------------------------------------------------------ *)
-
-let rec pairwise_ok f = function
-  | a :: (b :: _ as rest) -> f a b && pairwise_ok f rest
-  | [ _ ] | [] -> true
-
-let l2_sizing ctx =
-  Check.group ~name:"anchor.l2-sizing" @@ fun () ->
-  let sweep = Two_level.l2_sweep ctx ~scheme:Scheme.Uniform () in
-  let rows = sweep.Two_level.rows in
-  let feasible =
-    List.filter (fun (r : Two_level.l2_row) -> r.Two_level.result <> None) rows
-  in
-  let budgets =
-    List.filter_map (fun (r : Two_level.l2_row) -> r.Two_level.t_l2_budget) rows
-  in
-  let m2_mono =
-    Check.check ~name:"anchor.l2-sizing.m2-non-increasing"
-      (pairwise_ok
-         (fun (a : Two_level.l2_row) b -> a.Two_level.m2 >= b.Two_level.m2 -. 1e-12)
-         rows)
-      (Printf.sprintf "local L2 miss rate falls %.1f%% -> %.1f%% over %d sizes"
-         (100. *. (List.hd rows).Two_level.m2)
-         (100. *. (List.nth rows (List.length rows - 1)).Two_level.m2)
-         (List.length rows))
-  in
-  let budget_mono =
-    Check.check ~name:"anchor.l2-sizing.budget-non-decreasing"
-      (pairwise_ok (fun a b -> a <= b +. 1e-15) budgets)
-      (Printf.sprintf "implied L2 hit-time budget grows %.0f -> %.0f ps"
-         (ps (List.hd budgets))
-         (ps (List.nth budgets (List.length budgets - 1))))
-  in
-  let turnover =
-    let max_size =
-      List.fold_left (fun acc (r : Two_level.l2_row) -> max acc r.Two_level.l2_size) 0 rows
-    in
-    match Two_level.best_l2_size sweep with
-    | None -> Check.fail ~name:"anchor.l2-sizing.turnover" "no feasible L2 size"
-    | Some best ->
-      Check.check ~name:"anchor.l2-sizing.turnover" (best < max_size)
-        (Printf.sprintf "best L2 = %d KB, strictly below the %d KB sweep ceiling"
-           (best / 1024) (max_size / 1024))
-  in
-  let some_feasible =
-    Check.check ~name:"anchor.l2-sizing.feasible-sizes"
-      (List.length feasible >= 2)
-      (Printf.sprintf "%d of %d sizes meet the AMAT target" (List.length feasible)
-         (List.length rows))
-  in
-  [ some_feasible; m2_mono; budget_mono; turnover ]
-
-let l1_sizing ctx =
-  Check.group ~name:"anchor.l1-sizing" @@ fun () ->
-  let sweep = Two_level.l1_sweep_rows ctx () in
-  let rows = sweep.Two_level.l1_rows in
-  let min_size =
-    List.fold_left
-      (fun acc (r : Two_level.l1_row) -> min acc r.Two_level.l1_size)
-      max_int rows
-  in
-  let m1_mono =
-    Check.check ~name:"anchor.l1-sizing.m1-non-increasing"
-      (pairwise_ok
-         (fun (a : Two_level.l1_row) b -> a.Two_level.m1 >= b.Two_level.m1 -. 1e-12)
-         rows)
-      (Printf.sprintf "local L1 miss rate falls %.1f%% -> %.1f%% over %d sizes"
-         (100. *. (List.hd rows).Two_level.m1)
-         (100. *. (List.nth rows (List.length rows - 1)).Two_level.m1)
-         (List.length rows))
-  in
-  let smallest_wins =
-    match Two_level.best_l1_size sweep with
-    | None -> Check.fail ~name:"anchor.l1-sizing.smallest-wins" "no feasible L1 size"
-    | Some best ->
-      Check.check ~name:"anchor.l1-sizing.smallest-wins" (best = min_size)
-        (Printf.sprintf "best L1 = %d KB (smallest swept = %d KB)" (best / 1024)
-           (min_size / 1024))
-  in
-  [ m1_mono; smallest_wins ]
-
-let all ctx = schemes ctx @ sensitivity ctx @ l2_sizing ctx @ l1_sizing ctx
+let all ctx = List.concat_map (section ctx) Summary.sections

@@ -1,29 +1,12 @@
-(** Executable paper anchors: the qualitative claims of Bai et al.
-    (DATE 2005) the reproduction must keep reproducing, rendered as a
-    declarative checklist over the experiment layer.
+(** Executable paper anchors: the claims of {!Core.Summary} as verify
+    checks.  Each claim section runs behind its own {!Check.group} fault
+    boundary named [anchor.<section>], and each verdict becomes one
+    check named [anchor.<id>] that passes exactly when the verdict
+    holds, with the verdict's evidence as its detail.  The claims, their
+    conditions and their tolerances are defined in {!Core.Summary} only.
+    Deterministic for a fixed context. *)
 
-    - {!schemes} (§4, T1): leakage ordering I ≤ II ≤ III at every
-      feasible budget, II within a small factor of I everywhere
-      ("only slightly behind"), III well above II at some mid budget,
-      and every optimal Scheme I/II assignment keeps the cell array at
-      least as conservative as the peripherals;
-    - {!sensitivity} (§4, Figure 1): leakage responds more strongly to
-      Tox than to Vth (largest Tox-sweep leak ratio beats the largest
-      Vth-sweep ratio) while Vth buys the wider delay range — the
-      paper's "fix Tox conservatively, tune Vth" rule;
-    - {!l2_sizing} (§5, T2): the local L2 miss rate is non-increasing
-      and the implied L2 hit-time budget non-decreasing in L2 size, and
-      total leakage turns over — the best L2 sits strictly inside the
-      swept range;
-    - {!l1_sizing} (§5, T4): the smallest L1 minimises total leakage.
-
-    Each anchor runs behind its own {!Check.group} fault boundary and
-    is deterministic for a fixed context. *)
-
-val schemes : Core.Context.t -> Check.t list
-val sensitivity : Core.Context.t -> Check.t list
-val l2_sizing : Core.Context.t -> Check.t list
-val l1_sizing : Core.Context.t -> Check.t list
+val section : Core.Context.t -> Core.Summary.section -> Check.t list
 
 val all : Core.Context.t -> Check.t list
-(** The four anchors, in the order above. *)
+(** Every section of {!Core.Summary.sections}, in order. *)

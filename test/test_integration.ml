@@ -321,6 +321,43 @@ let test_summary_claims_hold () =
         true v.Core.Summary.holds)
     vs
 
+(* "Bigger L2s leak less" must be able to fail: a hand-built sweep whose
+   smallest size is feasible and whose total leakage rises with size
+   shows neither case of the claim. *)
+let test_bigger_l2_verdict_can_fail () =
+  let row (size_kb, m2, budget_ps, leak_mw) =
+    let leak = Option.map (fun l -> l *. 1e-3) leak_mw in
+    {
+      Core.Two_level.l2_size = size_kb * 1024;
+      m2;
+      t_l2_budget = Option.map (fun b -> b *. 1e-12) budget_ps;
+      result = None;
+      l2_leak = leak;
+      total_leak = leak;
+    }
+  in
+  (* m2 falls and the budget grows with size in every sweep, so only the
+     smallest row and the leakage trend decide *)
+  let check what expected smallest leak_256 =
+    let sweep =
+      {
+        Core.Two_level.target_amat = 2e-9;
+        m1 = 0.08;
+        t_l1 = 2.5e-10;
+        l1_leak = 1e-3;
+        rows =
+          List.map row
+            [ (256, 0.6, smallest, leak_256); (512, 0.55, Some 2000., Some 50.);
+              (1024, 0.5, Some 3000., Some 90.) ];
+      }
+    in
+    let v = Core.Summary.bigger_l2_leaks_less sweep in
+    Alcotest.(check bool) (what ^ ": " ^ v.Core.Summary.evidence) expected v.Core.Summary.holds
+  in
+  check "leakage rising from a feasible smallest size fails" false (Some 1000.) (Some 30.);
+  check "an infeasible smallest size holds" true None None;
+  check "a size leaking more than the next holds" true (Some 1000.) (Some 60.)
+
 let test_experiment_determinism () =
   (* full pipeline determinism: drop every memoised characterisation and
      re-run; the rendered tables must be byte-identical *)
@@ -376,5 +413,7 @@ let suite =
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
     Alcotest.test_case "experiment determinism" `Slow test_experiment_determinism;
     Alcotest.test_case "summary claims hold" `Slow test_summary_claims_hold;
+    Alcotest.test_case "bigger-L2 verdict can fail (T2)" `Quick
+      test_bigger_l2_verdict_can_fail;
     Alcotest.test_case "all experiments run" `Slow test_all_experiments_produce_output;
   ]

@@ -227,37 +227,12 @@ let prop_solve_recovers =
 
 (* --- minimize --------------------------------------------------------- *)
 
-let test_golden_section () =
-  let x = Minimize.golden_section ~f:(fun x -> (x -. 1.7) ** 2.0) ~lo:(-10.0) ~hi:10.0 () in
-  close "quadratic minimum" 1.7 x ~eps:1e-5
-
-let test_grid_min () =
-  let x, v = Minimize.grid_min ~f:(fun x -> Float.abs (x -. 0.5)) ~lo:0.0 ~hi:1.0 ~steps:10 in
-  close "argmin" 0.5 x ~eps:1e-9;
-  close "min value" 0.0 v ~eps:1e-9
-
-let test_argmin () =
-  Alcotest.(check (option int)) "argmin list" (Some 3)
-    (Minimize.argmin (fun x -> Float.abs (float_of_int (x - 3))) [ 1; 5; 3; 9 ]);
-  Alcotest.(check (option int)) "argmin empty" None (Minimize.argmin float_of_int [])
-
 let test_linspace () =
   let xs = Minimize.linspace ~lo:0.0 ~hi:1.0 ~steps:4 in
   Alcotest.(check int) "length" 5 (Array.length xs);
   close "first" 0.0 xs.(0);
   close "middle" 0.5 xs.(2);
   close "last" 1.0 xs.(4)
-
-let test_bisect () =
-  let root = Minimize.bisect ~f:(fun x -> (x *. x) -. 2.0) ~lo:0.0 ~hi:2.0 () in
-  close "sqrt 2" (Float.sqrt 2.0) root ~eps:1e-9
-
-let prop_golden_unimodal =
-  QCheck.Test.make ~count:100 ~name:"golden section on shifted quadratics"
-    QCheck.(float_range (-50.0) 50.0)
-    (fun c ->
-      let x = Minimize.golden_section ~f:(fun x -> (x -. c) ** 2.0) ~lo:(-100.0) ~hi:100.0 () in
-      Float.abs (x -. c) < 1e-4)
 
 (* --- stats ------------------------------------------------------------ *)
 
@@ -480,7 +455,7 @@ let test_zipf_sampling_matches_pmf () =
       (Float.abs (float_of_int counts.(k) -. expected) < 0.05 *. expected)
   done
 
-let qcheck = List.map Generators.to_alcotest [ prop_solve_recovers; prop_golden_unimodal ]
+let qcheck = List.map Generators.to_alcotest [ prop_solve_recovers ]
 
 let suite =
   [
@@ -499,11 +474,7 @@ let suite =
     Alcotest.test_case "weighted QR pinned bit for bit" `Quick
       test_qr_factor_solve_pinned;
     Alcotest.test_case "weighted QR reuse and validation" `Quick test_qr_reuse_and_validation;
-    Alcotest.test_case "golden section" `Quick test_golden_section;
-    Alcotest.test_case "grid minimum" `Quick test_grid_min;
-    Alcotest.test_case "argmin" `Quick test_argmin;
     Alcotest.test_case "linspace" `Quick test_linspace;
-    Alcotest.test_case "bisection root" `Quick test_bisect;
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
     Alcotest.test_case "percentiles" `Quick test_percentile;
     Alcotest.test_case "r squared" `Quick test_r_squared;

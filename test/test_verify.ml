@@ -160,13 +160,35 @@ let test_quick_semantic_smoke () =
       Alcotest.(check bool) ("fit oracle: " ^ c.Check.name ^ " — " ^ c.Check.detail)
         true (Check.passed c))
     fit_checks;
-  let sens = Anchors.sensitivity ctx in
+  let sens =
+    Anchors.section ctx
+      (List.find
+         (fun (s : Core.Summary.section) -> s.Core.Summary.name = "sensitivity")
+         Core.Summary.sections)
+  in
   Alcotest.(check int) "two sensitivity anchors" 2 (List.length sens);
   List.iter
     (fun (c : Check.t) ->
       Alcotest.(check bool) ("anchor: " ^ c.Check.name ^ " — " ^ c.Check.detail) true
         (Check.passed c))
     sens
+
+(* One list of paper claims: the anchors are the summary's verdicts,
+   one [anchor.<id>] check per verdict, passing exactly when it holds. *)
+let test_anchors_are_summary_verdicts () =
+  let ctx = Core.Context.quick () in
+  let verdicts = Core.Summary.verdicts ctx in
+  let checks = Anchors.all ctx in
+  Alcotest.(check (list string))
+    "anchor names"
+    (List.map (fun (v : Core.Summary.verdict) -> "anchor." ^ v.Core.Summary.id) verdicts)
+    (List.map (fun (c : Check.t) -> c.Check.name) checks);
+  List.iter2
+    (fun (v : Core.Summary.verdict) (c : Check.t) ->
+      Alcotest.(check bool)
+        (c.Check.name ^ " passes iff the verdict holds")
+        v.Core.Summary.holds (Check.passed c))
+    verdicts checks
 
 let suite =
   [
@@ -182,4 +204,6 @@ let suite =
       test_golden_divergence_diagnostic;
     Alcotest.test_case "golden: canonical cases" `Quick test_golden_cases_registered;
     Alcotest.test_case "quick semantic smoke" `Slow test_quick_semantic_smoke;
+    Alcotest.test_case "anchors are the summary verdicts" `Slow
+      test_anchors_are_summary_verdicts;
   ]
