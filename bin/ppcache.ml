@@ -27,9 +27,20 @@ module Replacement = Nmcache_cachesim.Replacement
 
 open Cmdliner
 
+(* A usage error: the message on stderr, then exit 2, the status of
+   every bad-argument path. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
 let quick_arg =
   let doc = "Use the reduced context (shorter traces, coarser grids)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
+
+(* --- the shared flags --------------------------------------------------- *)
 
 let jobs_arg =
   let doc =
@@ -61,13 +72,6 @@ let metrics_json_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"FILE" ~doc)
 
-let faults_json_arg =
-  let doc =
-    "Write the typed fault log (kind, stage, detail per fault, in canonical \
-     order) as JSON to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "faults-json" ] ~docv:"FILE" ~doc)
-
 let metrics_prom_arg =
   let doc =
     "Write the metrics registry in the OpenMetrics/Prometheus text exposition \
@@ -92,13 +96,6 @@ let progress_arg =
      Never touches stdout, so piped output stays byte-identical."
   in
   Arg.(value & flag & info [ "progress" ] ~doc)
-
-let fail_fast_arg =
-  let doc =
-    "Abort on the first experiment fault instead of completing the remaining \
-     experiments and reporting per-experiment status."
-  in
-  Arg.(value & flag & info [ "fail-fast" ] ~doc)
 
 let checkpoint_arg =
   let doc =
@@ -135,68 +132,70 @@ let deadline_arg =
   in
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
-let set_resilience ~retries ~deadline =
-  if retries < 1 then begin
-    Printf.eprintf "ppcache: --retries must be >= 1\n";
-    exit 2
-  end;
-  Nmcache_engine.Retry.set_max_attempts retries;
-  match deadline with
-  | Some d when d < 0.0 ->
-    Printf.eprintf "ppcache: --deadline must be >= 0\n";
-    exit 2
-  | d -> Nmcache_engine.Deadline.set_default d
+(* The engine, resilience and report flags, parsed once for every
+   subcommand into one value. *)
+type session = {
+  jobs : int;
+  retries : int;
+  deadline : float option;
+  checkpoint : string option;
+  resume : bool;
+  trace : bool;
+  trace_json : string option;
+  metrics_json : string option;
+  metrics_prom : string option;
+  events : string option;
+  progress : bool;
+}
 
-(* The journal directory behind --checkpoint, --store and `store DIR`:
-   open its store ([fresh]: start it over), run [f], close it.  A
-   directory that cannot hold a journal, or one held by a live writer,
-   is a usage error (exit 2).  With [summary] the replay counts go to
-   stderr on the way out — stdout is byte-compared against
-   uninterrupted runs — and the store is closed before any exit-code
-   decision runs (exit does not unwind Fun.protect). *)
-let with_journal_dir ?(fresh = false) ?summary ~flag dir f =
+(* All eleven flags by default.  [~engine:false] leaves out --jobs,
+   --retries, --deadline, --events and --progress, [~checkpoint:false]
+   --checkpoint and --resume, [~prom:false] --metrics-prom; a flag left
+   out takes its default. *)
+let session_term ?(engine = true) ?(checkpoint = true) ?(prom = true) () =
+  let offer on arg default = if on then arg else Term.const default in
+  let session jobs retries deadline checkpoint resume trace trace_json metrics_json
+      metrics_prom events progress =
+    {
+      jobs;
+      retries;
+      deadline;
+      checkpoint;
+      resume;
+      trace;
+      trace_json;
+      metrics_json;
+      metrics_prom;
+      events;
+      progress;
+    }
+  in
+  Term.(
+    const session
+    $ offer engine jobs_arg 1
+    $ offer engine retries_arg 3
+    $ offer engine deadline_arg None
+    $ offer checkpoint checkpoint_arg None
+    $ offer checkpoint resume_arg false
+    $ trace_arg $ trace_json_arg $ metrics_json_arg
+    $ offer prom metrics_prom_arg None
+    $ offer engine events_arg None
+    $ offer engine progress_arg false)
+
+(* The journal in [dir] behind --checkpoint, --store and `store DIR`
+   ([fresh]: start it over).  A directory that cannot hold a journal,
+   or one held by a live writer, is a usage error (exit 2). *)
+let open_store ?(fresh = false) ~flag dir =
   let module S = Nmcache_engine.Store in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "ppcache: %s %s%s\n" flag dir msg;
-        exit 2)
-      fmt
-  in
-  let s =
-    try if fresh then S.open_fresh ~dir else S.open_ ~dir with
-    | Nmcache_engine.Lockfile.Locked { path; pid } ->
-      fail
-        " is locked by running pid %d (%s); two writers on one journal would \
-         interleave records"
-        pid path
-    | Unix.Unix_error (e, _, _) -> fail ": %s" (Unix.error_message e)
-    | Sys_error msg -> fail ": %s" msg
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter
-        (fun label ->
-          Printf.eprintf "ppcache: %s %s: %d replayed, %d served, %d appended%s\n%!"
-            label (S.path s) (S.replayed s) (S.served s) (S.appended s)
-            (if S.dropped_tail s then " (corrupt tail dropped)" else ""))
-        summary;
-      S.close s)
-    (fun () -> f s)
-
-(* Arm the checkpoint journal around a command body; without --resume
-   an existing journal is discarded. *)
-let with_checkpoint ~checkpoint ~resume f =
-  match (checkpoint, resume) with
-  | None, true ->
-    Printf.eprintf "ppcache: --resume requires --checkpoint DIR\n";
-    exit 2
-  | None, false -> f ()
-  | Some dir, resume ->
-    with_journal_dir ~fresh:(not resume) ~summary:"checkpoint" ~flag:"--checkpoint"
-      dir (fun s ->
-        Nmcache_engine.Sweep.set_journal (Some s);
-        Fun.protect ~finally:(fun () -> Nmcache_engine.Sweep.set_journal None) f)
+  let fail fmt = fail ("ppcache: %s %s" ^^ fmt) flag dir in
+  try if fresh then S.open_fresh ~dir else S.open_ ~dir with
+  | Nmcache_engine.Lockfile.Locked { path; pid } ->
+    fail
+      " is locked by running pid %d (%s); two writers on one journal would \
+       interleave records"
+      pid path
+  | Unix.Unix_error (e, _, _) -> fail ": %s" (Unix.error_message e)
+  | Sys_error msg -> fail ": %s" msg
 
 (* Usage-error boundary: bad geometry/arguments surface as
    Invalid_argument from the constructors — render the message with a
@@ -204,21 +203,14 @@ let with_checkpoint ~checkpoint ~resume f =
 let usage_guard f =
   try f ()
   with Invalid_argument msg ->
-    Printf.eprintf "ppcache: %s\nppcache: exiting 2 (usage); see --help\n" msg;
-    exit 2
+    fail "ppcache: %s\nppcache: exiting 2 (usage); see --help" msg
 
 (* Report-file arguments must be plainly writable before the run
    starts: an empty path, a missing parent directory or an existing
    directory at the target is a usage error (exit 2), not a crash
    after minutes of sweeping. *)
 let validate_out_path ~flag path =
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "ppcache: --%s: %s\n" flag msg;
-        exit 2)
-      fmt
-  in
+  let fail fmt = fail ("ppcache: --%s: " ^^ fmt) flag in
   if path = "" then fail "path is empty";
   if path.[String.length path - 1] = '/' then fail "%S is a directory path" path;
   (try if Sys.is_directory path then fail "%S is a directory" path
@@ -227,51 +219,69 @@ let validate_out_path ~flag path =
   if not (try Sys.is_directory dir with Sys_error _ -> false) then
     fail "parent directory %S does not exist" dir
 
-(* Observability wrapper shared by the subcommands: span collection is
-   enabled only when a trace file was requested (spans carry
-   timestamps, so they stay out of the byte-compared experiment
-   output); report files are written even if the command fails partway,
-   so a crashed run still leaves its trace behind.  Every report path
-   is validated and the event sinks are armed before the body runs —
-   and before any checkpoint journal opens, so a resume's
-   checkpoint_replayed event is captured.  The --trace table goes to
-   [trace_out]. *)
-let with_observability ?(faults_json = None) ?(metrics_prom = None) ?(events = None)
-    ?(progress = false) ?(trace_out = stdout) ~trace ~trace_json ~metrics_json f =
+(* Run [f] under the shared flags, in this order:
+   - check every flag, then open the --checkpoint journal (a fresh one
+     without --resume) or serve's [store], so that a usage error exits
+     2 before any file is touched;
+   - arm the engine knobs, the event sink and span collection (spans
+     carry timestamps, so only --trace-json collects them), then hand
+     the checkpoint to Sweep, whose checkpoint_replayed event the sink
+     now records;
+   - run [f] on the open journal;
+   - on the way out, even when [f] raises, close the journal with its
+     counts on stderr (stdout is byte-compared against uninterrupted
+     runs) and write the reports, so a crashed run still leaves its
+     trace behind.  The --trace table goes to [trace_out]. *)
+let with_session ?(trace_out = stdout) ?store s f =
+  let module E = Nmcache_engine in
+  if s.jobs < 0 then fail "ppcache: --jobs must be >= 0";
+  if s.retries < 1 then fail "ppcache: --retries must be >= 1";
+  (match s.deadline with
+  | Some d when d < 0.0 -> fail "ppcache: --deadline must be >= 0"
+  | _ -> ());
+  if s.resume && s.checkpoint = None then
+    fail "ppcache: --resume requires --checkpoint DIR";
   List.iter
     (fun (flag, path) -> Option.iter (validate_out_path ~flag) path)
     [
-      ("trace-json", trace_json);
-      ("metrics-json", metrics_json);
-      ("faults-json", faults_json);
-      ("events", events);
-      ("metrics-prom", metrics_prom);
+      ("trace-json", s.trace_json);
+      ("metrics-json", s.metrics_json);
+      ("events", s.events);
+      ("metrics-prom", s.metrics_prom);
     ];
-  Option.iter (fun path -> Nmcache_engine.Events.set_file path) events;
-  if progress then Nmcache_engine.Events.set_progress true;
-  if trace_json <> None then Nmcache_engine.Span.set_enabled true;
+  let label, journal =
+    match (s.checkpoint, store) with
+    | Some dir, _ ->
+      ("checkpoint", Some (open_store ~fresh:(not s.resume) ~flag:"--checkpoint" dir))
+    | None, Some dir -> ("store", Some (open_store ~flag:"--store" dir))
+    | None, None -> ("", None)
+  in
+  E.Executor.set_jobs (if s.jobs = 0 then E.Executor.default_jobs () else s.jobs);
+  E.Retry.set_max_attempts s.retries;
+  E.Deadline.set_default s.deadline;
+  Option.iter E.Events.set_file s.events;
+  if s.progress then E.Events.set_progress true;
+  if s.trace_json <> None then E.Span.set_enabled true;
+  if s.checkpoint <> None then E.Sweep.set_journal journal;
   Fun.protect
     ~finally:(fun () ->
-      if trace then output_string trace_out (Nmcache_engine.Trace.summary ());
-      Option.iter (fun path -> Nmcache_engine.Obs.write_trace ~path) trace_json;
-      Option.iter (fun path -> Nmcache_engine.Obs.write_metrics ~path) metrics_json;
-      Option.iter (fun path -> Nmcache_engine.Obs.write_faults ~path) faults_json;
-      Option.iter (fun path -> Nmcache_engine.Obs.write_openmetrics ~path) metrics_prom;
-      Nmcache_engine.Events.close ())
-    f
+      E.Sweep.set_journal None;
+      Option.iter
+        (fun j ->
+          let module S = E.Store in
+          Printf.eprintf "ppcache: %s %s: %d replayed, %d served, %d appended%s\n%!"
+            label (S.path j) (S.replayed j) (S.served j) (S.appended j)
+            (if S.dropped_tail j then " (corrupt tail dropped)" else "");
+          S.close j)
+        journal;
+      if s.trace then output_string trace_out (E.Trace.summary ());
+      Option.iter (fun path -> E.Obs.write_trace ~path) s.trace_json;
+      Option.iter (fun path -> E.Obs.write_metrics ~path) s.metrics_json;
+      Option.iter (fun path -> E.Obs.write_openmetrics ~path) s.metrics_prom;
+      E.Events.close ())
+    (fun () -> f journal)
 
 let context quick = if quick then Core.Context.quick () else Core.Context.default ()
-
-let set_jobs jobs =
-  let jobs =
-    if jobs = 0 then Nmcache_engine.Executor.default_jobs ()
-    else if jobs < 0 then begin
-      Printf.eprintf "ppcache: --jobs must be >= 0\n";
-      exit 2
-    end
-    else jobs
-  in
-  Nmcache_engine.Executor.set_jobs jobs
 
 (* --- run ------------------------------------------------------------ *)
 
@@ -279,10 +289,7 @@ let print_heading (e : Core.Experiments.t) =
   Printf.printf "### %s — %s (%s)\n\n" e.Core.Experiments.id e.Core.Experiments.title
     e.Core.Experiments.paper_ref
 
-let run_experiment ids quick csv jobs fail_fast checkpoint resume retries deadline
-    trace trace_json metrics_json faults_json metrics_prom events progress =
-  set_jobs jobs;
-  set_resilience ~retries ~deadline;
+let run_experiment ids quick csv fail_fast session =
   let ctx = context quick in
   let targets =
     match ids with
@@ -292,18 +299,12 @@ let run_experiment ids quick csv jobs fail_fast checkpoint resume retries deadli
         (fun id ->
           match Core.Experiments.find id with
           | Some e -> e
-          | None ->
-            Printf.eprintf "unknown experiment %S; try `ppcache list`\n" id;
-            exit 2)
+          | None -> fail "unknown experiment %S; try `ppcache list`" id)
         ids
   in
   let faulted = ref 0 in
   let aborted = ref None in
-  (* observability outside the checkpoint: event sinks must be armed
-     before the journal replays so checkpoint_replayed is captured *)
-  with_observability ~faults_json ~metrics_prom ~events ~progress ~trace ~trace_json
-    ~metrics_json (fun () ->
-  with_checkpoint ~checkpoint ~resume (fun () ->
+  with_session session (fun _ ->
       (* kernels run (possibly in parallel) first; output prints in
          registry order afterwards, so the bytes never depend on
          --jobs.  Fault-injection decisions are key-deterministic, so
@@ -314,8 +315,8 @@ let run_experiment ids quick csv jobs fail_fast checkpoint resume retries deadli
         else Core.Experiments.run_many_result ctx targets
       with
       | exception Nmcache_engine.Fault.Fault f when fail_fast ->
-        (* caught inside the observability wrapper so the report files
-           still record the aborted run *)
+        (* caught inside the session so the report files still record
+           the aborted run *)
         aborted := Some f
       | results ->
       List.iter
@@ -335,7 +336,7 @@ let run_experiment ids quick csv jobs fail_fast checkpoint resume retries deadli
               print_heading e;
               Printf.printf "FAULT %s\n\n" line
             end)
-        results));
+        results);
   (match !aborted with
   | Some f ->
     Printf.eprintf "ppcache: aborted on FAULT %s\n" (Nmcache_engine.Fault.to_string f);
@@ -354,18 +355,21 @@ let run_cmd =
   let csv =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of formatted tables.")
   in
+  let fail_fast =
+    let doc =
+      "Abort on the first experiment fault instead of completing the remaining \
+       experiments and reporting per-experiment status."
+    in
+    Arg.(value & flag & info [ "fail-fast" ] ~doc)
+  in
   let doc =
     "Run one or more experiments and print their tables/series.  A faulting \
-     experiment is reported in place (and in the --faults-json report) while \
-     the rest complete; the exit status is 1 if anything faulted.  Set \
-     $(b,PPCACHE_FAULTS) to inject deterministic faults."
+     experiment is reported in place (and in the faults section of the \
+     --metrics-json report) while the rest complete; the exit status is 1 if \
+     anything faulted.  Set $(b,PPCACHE_FAULTS) to inject deterministic faults."
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      const run_experiment $ ids $ quick_arg $ csv $ jobs_arg $ fail_fast_arg
-      $ checkpoint_arg $ resume_arg $ retries_arg $ deadline_arg
-      $ trace_arg $ trace_json_arg $ metrics_json_arg $ faults_json_arg
-      $ metrics_prom_arg $ events_arg $ progress_arg)
+    Term.(const run_experiment $ ids $ quick_arg $ csv $ fail_fast $ session_term ())
 
 (* --- list ------------------------------------------------------------ *)
 
@@ -389,12 +393,8 @@ let parse_range ~what ~unit s =
   | [ lo; hi ] -> (
     match (float_of_string_opt lo, float_of_string_opt hi) with
     | Some lo, Some hi -> (lo, hi)
-    | _ ->
-      Printf.eprintf "ppcache: --%s wants LO:HI in %s, got %S\n" what unit s;
-      exit 2)
-  | _ ->
-    Printf.eprintf "ppcache: --%s wants LO:HI in %s, got %S\n" what unit s;
-    exit 2
+    | _ -> fail "ppcache: --%s wants LO:HI in %s, got %S" what unit s)
+  | _ -> fail "ppcache: --%s wants LO:HI in %s, got %S" what unit s
 
 (* Characterisation bounds must stay inside the paper's knob grid —
    the compact models are only calibrated there, and a fit over
@@ -402,17 +402,12 @@ let parse_range ~what ~unit s =
    (usage error), not a fault: the run never started. *)
 let validate_knob_ranges (tech : Nmcache_device.Tech.t) ~vth ~tox =
   let check what unit lo hi t_lo t_hi =
-    if hi <= lo then begin
-      Printf.eprintf "ppcache: --%s range is empty (%g:%g)\n" what lo hi;
-      exit 2
-    end;
-    if lo < t_lo || hi > t_hi then begin
-      Printf.eprintf
+    if hi <= lo then fail "ppcache: --%s range is empty (%g:%g)" what lo hi;
+    if lo < t_lo || hi > t_hi then
+      fail
         "ppcache: --%s %g:%g %s is outside the paper's %s grid (%g-%g %s); \
-         the compact models are only calibrated there\n"
-        what lo hi unit what t_lo t_hi unit;
-      exit 2
-    end
+         the compact models are only calibrated there"
+        what lo hi unit what t_lo t_hi unit
   in
   Option.iter (fun (lo, hi) -> check "vth" "V" lo hi tech.Nmcache_device.Tech.vth_min
                  tech.Nmcache_device.Tech.vth_max) vth;
@@ -424,12 +419,9 @@ let validate_knob_ranges (tech : Nmcache_device.Tech.t) ~vth ~tox =
     tox
 
 let require_positive what v =
-  if v <= 0 then begin
-    Printf.eprintf "ppcache: --%s must be > 0, got %d\n" what v;
-    exit 2
-  end
+  if v <= 0 then fail "ppcache: --%s must be > 0, got %d" what v
 
-let characterize size_kb assoc block vth tox trace trace_json metrics_json =
+let characterize size_kb assoc block vth tox session =
   let tech = Nmcache_device.Tech.bptm65 in
   require_positive "size" size_kb;
   require_positive "assoc" assoc;
@@ -438,7 +430,7 @@ let characterize size_kb assoc block vth tox trace trace_json metrics_json =
   let tox = Option.map (parse_range ~what:"tox" ~unit:"angstrom") tox in
   validate_knob_ranges tech ~vth ~tox;
   usage_guard @@ fun () ->
-  with_observability ~trace ~trace_json ~metrics_json (fun () ->
+  with_session session (fun _ ->
       let config = Config.make ~size_bytes:(size_kb * 1024) ~assoc ~block_bytes:block () in
       let model = Cache_model.make tech config in
       let fitted =
@@ -490,8 +482,8 @@ let characterize_cmd =
   let doc = "Characterise a cache over the knob grid and print the fitted compact models." in
   Cmd.v (Cmd.info "characterize" ~doc)
     Term.(
-      const characterize $ size $ assoc $ block $ vth $ tox $ trace_arg
-      $ trace_json_arg $ metrics_json_arg)
+      const characterize $ size $ assoc $ block $ vth $ tox
+      $ session_term ~engine:false ~checkpoint:false ~prom:false ())
 
 (* --- simulate --------------------------------------------------------- *)
 
@@ -506,8 +498,9 @@ let print_point ~header p =
    a single traversal, because a pipe cannot be re-read.  When a
    checkpoint journal is armed and the source is a trace file, chunk
    boundaries are resumable slots.  Returns false for an empty trace:
-   there is no defined miss rate, so the caller exits 2 (the exit runs
-   outside the journal/report Fun.protect wrappers). *)
+   there is no defined miss rate, so the caller exits 2 (after the
+   session has closed the journal and written the reports: exit does
+   not unwind Fun.protect). *)
 let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb =
   let s =
     match source with
@@ -578,25 +571,18 @@ let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb =
     true
   end
 
-let simulate workload l1_kb l2_kb n stream chunk trace_file trace_stdin jobs
-    checkpoint resume retries deadline trace trace_json metrics_json events progress =
-  set_jobs jobs;
-  set_resilience ~retries ~deadline;
+let simulate workload l1_kb l2_kb n stream chunk trace_file trace_stdin session =
   require_positive "l1" l1_kb;
   require_positive "l2" l2_kb;
   require_positive "chunk" chunk;
-  if trace_file <> None && trace_stdin then begin
-    Printf.eprintf "ppcache: --trace-file and --trace-stdin are mutually exclusive\n";
-    exit 2
-  end;
+  if trace_file <> None && trace_stdin then
+    fail "ppcache: --trace-file and --trace-stdin are mutually exclusive";
   (* a missing trace file is a usage error naming the file, like
      `trace info`, not a crash once the run is armed *)
   Option.iter
     (fun path ->
       try close_in (open_in_bin path)
-      with Sys_error msg ->
-        Printf.eprintf "ppcache: --trace-file %s\n" msg;
-        exit 2)
+      with Sys_error msg -> fail "ppcache: --trace-file %s" msg)
     trace_file;
   let source =
     match (trace_file, trace_stdin) with
@@ -608,41 +594,37 @@ let simulate workload l1_kb l2_kb n stream chunk trace_file trace_stdin jobs
   | None ->
     (* validate upfront so a typo'd name is a usage error with the menu
        of valid names, not a raw Invalid_argument from Registry.build *)
-    if Registry.find workload = None then begin
-      Printf.eprintf "unknown workload %S; available: %s\n" workload
+    if Registry.find workload = None then
+      fail "unknown workload %S; available: %s" workload
         (String.concat ", " Registry.names);
-      exit 2
-    end;
     require_positive "accesses" n
   | Some _ -> ());
   let ok = ref true in
   usage_guard (fun () ->
-      with_observability ~events ~progress ~trace ~trace_json ~metrics_json (fun () ->
-          with_checkpoint ~checkpoint ~resume (fun () ->
-              match source with
-              | None ->
-                (* the workload path: --stream must not change a byte of
-                   the output (the stream gate diffs the two stdouts) *)
-                let p =
-                  Nmcache_engine.Span.with_span
-                    ~attrs:[ ("workload", Nmcache_engine.Json.String workload) ]
-                    "simulate"
-                    (fun () ->
-                      if stream then
-                        Missrate.simulate_stream
-                          ~stream:(Wstream.of_workload ~chunk_size:chunk ~workload ~n ())
-                          ~l1_size:(l1_kb * 1024) ~l2_size:(l2_kb * 1024) ()
-                      else
-                        Missrate.simulate ~workload ~l1_size:(l1_kb * 1024)
-                          ~l2_size:(l2_kb * 1024) ~n ())
-                in
-                print_point
-                  ~header:
-                    (Printf.sprintf "%s over %d accesses (L1 %dKB, L2 %dKB):\n"
-                       workload n l1_kb l2_kb)
-                  p
-              | Some source ->
-                ok := simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb)));
+      with_session session (fun _ ->
+          match source with
+          | None ->
+            (* the workload path: --stream must not change a byte of
+               the output (the stream gate diffs the two stdouts) *)
+            let p =
+              Nmcache_engine.Span.with_span
+                ~attrs:[ ("workload", Nmcache_engine.Json.String workload) ]
+                "simulate"
+                (fun () ->
+                  if stream then
+                    Missrate.simulate_stream
+                      ~stream:(Wstream.of_workload ~chunk_size:chunk ~workload ~n ())
+                      ~l1_size:(l1_kb * 1024) ~l2_size:(l2_kb * 1024) ()
+                  else
+                    Missrate.simulate ~workload ~l1_size:(l1_kb * 1024)
+                      ~l2_size:(l2_kb * 1024) ~n ())
+            in
+            print_point
+              ~header:
+                (Printf.sprintf "%s over %d accesses (L1 %dKB, L2 %dKB):\n" workload n
+                   l1_kb l2_kb)
+              p
+          | Some source -> ok := simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb));
   if not !ok then exit 2
 
 let simulate_cmd =
@@ -699,9 +681,7 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       const simulate $ workload $ l1 $ l2 $ n $ stream $ chunk $ trace_file
-      $ trace_stdin $ jobs_arg $ checkpoint_arg $ resume_arg $ retries_arg
-      $ deadline_arg $ trace_arg $ trace_json_arg $ metrics_json_arg $ events_arg
-      $ progress_arg)
+      $ trace_stdin $ session_term ~prom:false ())
 
 (* --- trace ------------------------------------------------------------- *)
 
@@ -721,15 +701,10 @@ let trace_record workload n out chunk seed from_ndjson =
       workload total out chunk
   end
   else begin
-    if Registry.find workload = None then begin
-      Printf.eprintf "unknown workload %S; available: %s\n" workload
+    if Registry.find workload = None then
+      fail "unknown workload %S; available: %s" workload
         (String.concat ", " Registry.names);
-      exit 2
-    end;
-    if n < 0 then begin
-      Printf.eprintf "ppcache: --accesses must be >= 0, got %d\n" n;
-      exit 2
-    end;
+    if n < 0 then fail "ppcache: --accesses must be >= 0, got %d" n;
     usage_guard @@ fun () ->
     let gen = Registry.build ~seed workload in
     Stream_trace.write_file ~path:out ~name:workload ~chunk_size:chunk
@@ -744,10 +719,7 @@ let trace_record workload n out chunk seed from_ndjson =
 let trace_info file =
   usage_guard @@ fun () ->
   let info =
-    try Stream_trace.file_info file
-    with Sys_error msg ->
-      Printf.eprintf "ppcache: %s\n" msg;
-      exit 2
+    try Stream_trace.file_info file with Sys_error msg -> fail "ppcache: %s" msg
   in
   Printf.printf "%s: workload %s, %d/%d accesses in %d chunks (on-disk chunk %d)%s\n"
     file info.Stream_trace.fi_name info.Stream_trace.fi_entries
@@ -827,31 +799,20 @@ module Verify = Nmcache_verify
    child processes. *)
 let verify_sections = [ "oracles"; "anchors"; "golden"; "chaos" ]
 
-let verify sections quick golden_dir update_golden report_json seeds jobs checkpoint
-    resume retries deadline trace trace_json metrics_json faults_json metrics_prom
-    events progress =
-  set_jobs jobs;
-  set_resilience ~retries ~deadline;
-  if seeds < 1 then begin
-    Printf.eprintf "ppcache: --seeds must be >= 1, got %d\n" seeds;
-    exit 2
-  end;
+let verify sections quick golden_dir update_golden report_json seeds session =
+  if seeds < 1 then fail "ppcache: --seeds must be >= 1, got %d" seeds;
   List.iter
     (fun s ->
-      if not (List.mem s verify_sections) then begin
-        Printf.eprintf "ppcache: unknown verify section %S; available: %s\n" s
-          (String.concat ", " verify_sections);
-        exit 2
-      end)
+      if not (List.mem s verify_sections) then
+        fail "ppcache: unknown verify section %S; available: %s" s
+          (String.concat ", " verify_sections))
     sections;
   Option.iter (validate_out_path ~flag:"report-json") report_json;
   let selected = match sections with [] -> [ "oracles"; "anchors" ] | s -> s in
   let on = List.mem in
   let ctx = context quick in
   let checks = ref [] in
-  with_observability ~faults_json ~metrics_prom ~events ~progress ~trace ~trace_json
-    ~metrics_json (fun () ->
-  with_checkpoint ~checkpoint ~resume (fun () ->
+  with_session session (fun _ ->
       (* a crashed section settles as one CRASH check via the group
          fault boundary, so later sections still run and the report
          stays complete *)
@@ -872,7 +833,7 @@ let verify sections quick golden_dir update_golden report_json seeds jobs checkp
           in
           Nmcache_engine.Obs.write_text ~path
             (Nmcache_engine.Json.to_string report ^ "\n"))
-        report_json));
+        report_json);
   if not (Verify.Check.all_passed !checks) then exit 1
 
 let verify_cmd =
@@ -929,9 +890,7 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
       const verify $ sections $ quick_arg $ golden_dir $ update_golden $ report_json
-      $ seeds $ jobs_arg $ checkpoint_arg $ resume_arg $ retries_arg $ deadline_arg
-      $ trace_arg $ trace_json_arg $ metrics_json_arg $ faults_json_arg
-      $ metrics_prom_arg $ events_arg $ progress_arg)
+      $ seeds $ session_term ())
 
 (* --- workloads --------------------------------------------------------- *)
 
@@ -950,11 +909,9 @@ let workloads_cmd =
 (* `store info|compact` inspect an existing journal, never create one *)
 let with_existing_store dir f =
   if not (Sys.file_exists (Filename.concat dir Nmcache_engine.Store.store_name))
-  then begin
-    Printf.eprintf "ppcache: no store at %s\n" dir;
-    exit 2
-  end;
-  with_journal_dir ~flag:"store" dir f
+  then fail "ppcache: no store at %s" dir;
+  let s = open_store ~flag:"store" dir in
+  Fun.protect ~finally:(fun () -> Nmcache_engine.Store.close s) (fun () -> f s)
 
 let store_info dir =
   usage_guard @@ fun () ->
@@ -1013,26 +970,12 @@ let store_cmd =
 (* --- serve ----------------------------------------------------------- *)
 
 let serve store_dir socket queue max_conns global_queue write_timeout
-    compact_ratio quick jobs retries deadline trace trace_json metrics_json
-    faults_json metrics_prom events progress =
-  set_jobs jobs;
-  set_resilience ~retries ~deadline;
-  if queue < 1 then begin
-    Printf.eprintf "ppcache: --queue must be >= 1\n";
-    exit 2
-  end;
-  if max_conns < 1 then begin
-    Printf.eprintf "ppcache: --max-conns must be >= 1\n";
-    exit 2
-  end;
-  if global_queue < 0 then begin
-    Printf.eprintf "ppcache: --global-queue must be >= 0 (0 = max-conns*queue)\n";
-    exit 2
-  end;
-  if not (compact_ratio > 0.) then begin
-    Printf.eprintf "ppcache: --compact-ratio must be > 0\n";
-    exit 2
-  end;
+    compact_ratio quick session =
+  if queue < 1 then fail "ppcache: --queue must be >= 1";
+  if max_conns < 1 then fail "ppcache: --max-conns must be >= 1";
+  if global_queue < 0 then
+    fail "ppcache: --global-queue must be >= 0 (0 = max-conns*queue)";
+  if not (compact_ratio > 0.) then fail "ppcache: --compact-ratio must be > 0";
   (* a socket path lives where a report file would: its directory must
      exist before the store opens; a non-socket file already there is
      refused by the server (Invalid_argument, exit 2) *)
@@ -1040,58 +983,47 @@ let serve store_dir socket queue max_conns global_queue write_timeout
   usage_guard @@ fun () ->
   (* stdout carries one response line per request, so the --trace
      table goes to stderr *)
-  with_observability ~faults_json ~metrics_prom ~events ~progress
-    ~trace_out:stderr ~trace ~trace_json ~metrics_json
-  @@ fun () ->
+  with_session ~trace_out:stderr ?store:store_dir session @@ fun store ->
   let module S = Nmcache_engine.Store in
   let module Server = Nmcache_engine.Server in
   let ctx = context quick in
-  let with_store f =
-    match store_dir with
-    | None -> f None
-    | Some dir ->
-      with_journal_dir ~summary:"store" ~flag:"--store" dir (fun s ->
-          (* startup auto-compaction: when the dead fraction of the
-             journal exceeds --compact-ratio, rewrite it before serving *)
-          let dead = S.dead_bytes s and live = S.live_bytes s in
-          let total = dead + live in
-          if total > 0 && float_of_int dead > compact_ratio *. float_of_int total
-          then begin
-            let r = S.compact s in
-            Printf.eprintf
-              "ppcache: store %s: compacted %d dead record(s), %d -> %d bytes\n%!"
-              (S.path s) r.S.reclaimed_records r.S.before_bytes r.S.after_bytes
-          end;
-          f (Some s))
+  (* startup auto-compaction: when the dead fraction of the journal
+     exceeds --compact-ratio, rewrite it before serving *)
+  Option.iter
+    (fun s ->
+      let dead = S.dead_bytes s and live = S.live_bytes s in
+      let total = dead + live in
+      if total > 0 && float_of_int dead > compact_ratio *. float_of_int total then begin
+        let r = S.compact s in
+        Printf.eprintf "ppcache: store %s: compacted %d dead record(s), %d -> %d bytes\n%!"
+          (S.path s) r.S.reclaimed_records r.S.before_bytes r.S.after_bytes
+      end)
+    store;
+  let pool = Nmcache_engine.Executor.pool () in
+  let service =
+    Core.Service.create ?store ~ctx ~queue ~jobs:(Nmcache_engine.Executor.get_jobs ()) ()
   in
-  with_store (fun store ->
-      let pool = Nmcache_engine.Executor.pool () in
-      let service =
-        Core.Service.create ?store ~ctx ~queue
-          ~jobs:(Nmcache_engine.Executor.get_jobs ())
-          ()
-      in
-      Server.reset_drain ();
-      Server.install_drain_signals ();
-      let handler = Core.Service.handler service in
-      let stats =
-        match socket with
-        | Some path ->
-          Server.serve_unix_socket ~queue ~max_conns
-            ?global_queue:(if global_queue = 0 then None else Some global_queue)
-            ~write_timeout ~pool ~handler
-            ~crash_response:Core.Service.crash_response
-            ~overlong_response:Core.Service.overlong_response
-            ~shed_response:Core.Service.shed_response ~path ()
-        | None ->
-          Server.serve ~queue ~pool ~handler
-            ~crash_response:Core.Service.crash_response
-            ~overlong_response:Core.Service.overlong_response ~input:Unix.stdin
-            ~output:stdout ()
-      in
-      Printf.eprintf "ppcache: serve: %d requests, %d responses%s\n%!"
-        stats.Server.requests stats.Server.responses
-        (if stats.Server.drained then " (drained)" else ""))
+  Server.reset_drain ();
+  Server.install_drain_signals ();
+  let handler = Core.Service.handler service in
+  let stats =
+    match socket with
+    | Some path ->
+      Server.serve_unix_socket ~queue ~max_conns
+        ?global_queue:(if global_queue = 0 then None else Some global_queue)
+        ~write_timeout ~pool ~handler
+        ~crash_response:Core.Service.crash_response
+        ~overlong_response:Core.Service.overlong_response
+        ~shed_response:Core.Service.shed_response ~path ()
+    | None ->
+      Server.serve ~queue ~pool ~handler
+        ~crash_response:Core.Service.crash_response
+        ~overlong_response:Core.Service.overlong_response ~input:Unix.stdin
+        ~output:stdout ()
+  in
+  Printf.eprintf "ppcache: serve: %d requests, %d responses%s\n%!"
+    stats.Server.requests stats.Server.responses
+    (if stats.Server.drained then " (drained)" else "")
 
 let serve_cmd =
   let store =
@@ -1159,9 +1091,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve $ store $ socket $ queue $ max_conns $ global_queue
-      $ write_timeout $ compact_ratio $ quick_arg $ jobs_arg $ retries_arg
-      $ deadline_arg $ trace_arg $ trace_json_arg $ metrics_json_arg
-      $ faults_json_arg $ metrics_prom_arg $ events_arg $ progress_arg)
+      $ write_timeout $ compact_ratio $ quick_arg $ session_term ~checkpoint:false ())
 
 let main =
   let doc = "power-performance trade-offs in nanometer-scale multi-level caches (DATE'05 reproduction)" in
@@ -1191,9 +1121,7 @@ let () =
      malformed spec is a usage error, not a silent no-op *)
   (match Nmcache_engine.Faultpoint.configure_from_env () with
   | Ok _ -> ()
-  | Error msg ->
-    Printf.eprintf "ppcache: bad %s spec: %s\n" Nmcache_engine.Faultpoint.env_var msg;
-    exit 2);
+  | Error msg -> fail "ppcache: bad %s spec: %s" Nmcache_engine.Faultpoint.env_var msg);
   (* every bad-argument path exits 2: cmdliner renders unknown flags /
      malformed options as its cli_error (124) — fold that onto the same
      code our own validators use *)

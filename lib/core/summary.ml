@@ -221,12 +221,12 @@ let l2_turnover sweep =
           n_feasible (kb largest) ))
 
 let l2_sizing ctx =
-  let sweep = Two_level.l2_sweep ctx ~scheme:Scheme.Uniform () in
+  let sweep = Two_level.l2_sweep ctx ~scheme:Scheme.Uniform in
   [ bigger_l2_leaks_less sweep; l2_turnover sweep ]
 
 let l2_two_pair ctx =
-  let single = Two_level.l2_sweep ctx ~scheme:Scheme.Uniform () in
-  let split = Two_level.l2_sweep ctx ~scheme:Scheme.Split () in
+  let single = Two_level.l2_sweep ctx ~scheme:Scheme.Uniform in
+  let split = Two_level.l2_sweep ctx ~scheme:Scheme.Split in
   [
     verdict "l2-two-pair.periphery-beats-array" "sec.5"
       "per-component pairs make aggressive peripheries beat growing the array"
@@ -240,7 +240,7 @@ let l2_two_pair ctx =
 (* --- L1 sizing (sec.5) ------------------------------------------------------ *)
 
 let l1_sizing ctx =
-  let sweep = Two_level.l1_sweep_rows ctx () in
+  let sweep = Two_level.l1_sweep_rows ctx in
   let rows = sweep.Two_level.l1_rows in
   let smallest = List.fold_left (fun acc r -> min acc r.Two_level.l1_size) max_int rows in
   let m1_mono = pairwise (fun a b -> a >= b -. 1e-12) (List.map (fun r -> r.Two_level.m1) rows) in

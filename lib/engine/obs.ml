@@ -3,9 +3,6 @@
    counters)
    v4: added the "resource" section (GC counters, heap sizes, wall) *)
 let metrics_schema_version = 4
-
-(* v2: added the "resilience" section *)
-let faults_schema_version = 2
 let verify_schema_version = 1
 
 let stages_json () =
@@ -68,14 +65,6 @@ let resilience_json () =
       ("deadline", Json.Obj [ ("fired", Json.Int (c "deadline.fired")) ]);
     ]
 
-let faults_report () =
-  Json.Obj
-    [
-      ("schema_version", Json.Int faults_schema_version);
-      ("faults", faults_json ());
-      ("resilience", resilience_json ());
-    ]
-
 let verify_report ~checks =
   Json.Obj
     [
@@ -116,6 +105,5 @@ let write_text ~path text =
 
 let write_json ~path json = write_text ~path (Json.to_string_pretty json)
 let write_metrics ~path = write_json ~path (metrics_report ())
-let write_faults ~path = write_json ~path (faults_report ())
 let write_trace ~path = write_json ~path (Span.to_chrome_json ())
 let write_openmetrics ~path = write_text ~path (Metrics.to_openmetrics ())

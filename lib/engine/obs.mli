@@ -4,16 +4,13 @@
     Pulls the three collectors together — {!Span} (span tree),
     {!Metrics} (counters / gauges / histograms) and {!Trace} (flat
     stage table + memo counters) — into versioned JSON documents.
-    [ppcache … --trace-json F --metrics-json F --faults-json F] are
-    thin wrappers over this module. *)
+    [ppcache … --trace-json F --metrics-json F] are thin wrappers over
+    this module. *)
 
 val metrics_schema_version : int
 (** Bumped whenever a field is added or reshaped (policy in README
     "Robustness & fault injection"); v2 added the ["faults"] list, v3
     the ["resilience"] section, v4 the ["resource"] section. *)
-
-val faults_schema_version : int
-(** v2 added the ["resilience"] section. *)
 
 val verify_schema_version : int
 (** Schema of the verification report written by [ppcache verify
@@ -28,10 +25,6 @@ val metrics_report : unit -> Json.t
     {!Trace.summary} in machine-readable form; faults are the {!Fault}
     log in canonical order; resource is {!Resource.summary_json}. *)
 
-val faults_report : unit -> Json.t
-(** [{ "schema_version"; "faults": [{kind,stage,detail}] }] — the
-    standalone fault report behind [ppcache run --faults-json]. *)
-
 val verify_report : checks:Json.t -> Json.t
 (** [{ "schema_version"; "checks"; "faults" }] — wraps a verification
     subsystem's rendered check list with the report version and the
@@ -45,8 +38,7 @@ val faults_json : unit -> Json.t
 val resilience_json : unit -> Json.t
 (** [{ "retries": {attempts,recovered,exhausted}; "checkpoint":
     {replayed,served,appended,dropped_tails}; "deadline": {fired} }] —
-    the resilience layer's counters, embedded in both the metrics and
-    fault reports. *)
+    the resilience layer's counters, embedded in the metrics report. *)
 
 val write_text : path:string -> string -> unit
 (** Atomic file write: the document goes to [path ^ ".tmp"], then a
@@ -58,9 +50,6 @@ val write_json : path:string -> Json.t -> unit
 
 val write_metrics : path:string -> unit
 (** {!metrics_report} to [path]. *)
-
-val write_faults : path:string -> unit
-(** {!faults_report} to [path]. *)
 
 val write_trace : path:string -> unit
 (** {!Span.to_chrome_json} to [path] — open in Perfetto

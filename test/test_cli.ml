@@ -1,0 +1,169 @@
+(* CLI suite: the built ppcache binary, driven as a user drives it.
+
+   A usage error must exit 2 with its message before it touches any
+   file: the shared flags are all checked, and the --checkpoint journal
+   or serve's --store opened, before the --events sink truncates its
+   file.  The flag surface of every subcommand is pinned, read from the
+   OPTIONS section of its --help=plain page, so a flag cannot be added
+   or dropped by accident. *)
+
+let tmp_counter = ref 0
+
+let tmpdir () =
+  incr tmp_counter;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ppcli-test-%d-%d" (Unix.getpid ()) !tmp_counter)
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  dir
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* the CLI, built beside this suite: _build/default/{test,bin} *)
+let ppcache_exe =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "ppcache.exe")
+
+(* [ppcache args] with stdin from /dev/null: exit status, stdout and
+   stderr (kept in [dir]) *)
+let run_ppcache ~dir args =
+  let out = Filename.concat dir "stdout" and err = Filename.concat dir "stderr" in
+  let open_out path =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let o = open_out out and e = open_out err in
+  let pid =
+    Unix.create_process ppcache_exe (Array.of_list (ppcache_exe :: args)) null o e
+  in
+  List.iter Unix.close [ null; o; e ];
+  let _, status = Unix.waitpid [] pid in
+  (status, read_file out, read_file err)
+
+(* --- usage errors ----------------------------------------------------- *)
+
+let test_usage_errors_leave_events_alone () =
+  let dir = tmpdir () in
+  let events = Filename.concat dir "events.ndjson" in
+  let plain = Filename.concat dir "plain-file" in
+  write_file plain "a regular file, not a journal directory\n";
+  let held = "fourteen bytes" in
+  let not_a_dir = Unix.error_message Unix.ENOTDIR in
+  List.iter
+    (fun (args, message) ->
+      write_file events held;
+      let status, _, err = run_ppcache ~dir (args @ [ "--events"; events ]) in
+      let cmd = String.concat " " args in
+      Alcotest.(check bool) (cmd ^ ": exit 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check string) (cmd ^ ": its usage message") message err;
+      Alcotest.(check string) (cmd ^ ": the --events file is untouched") held
+        (read_file events))
+    [
+      ( [ "run"; "schemes"; "--quick"; "--resume" ],
+        "ppcache: --resume requires --checkpoint DIR\n" );
+      ( [ "run"; "schemes"; "--quick"; "--checkpoint"; plain ],
+        Printf.sprintf "ppcache: --checkpoint %s: %s\n" plain not_a_dir );
+      ( [ "serve"; "--quick"; "--store"; plain ],
+        Printf.sprintf "ppcache: --store %s: %s\n" plain not_a_dir );
+    ]
+
+(* --- the flag surface ------------------------------------------------- *)
+
+(* Each subcommand's long flags, sorted. *)
+let pinned_flags =
+  [
+    ( [ "run" ],
+      [
+        "--checkpoint"; "--csv"; "--deadline"; "--events"; "--fail-fast"; "--jobs";
+        "--metrics-json"; "--metrics-prom"; "--progress"; "--quick"; "--resume";
+        "--retries"; "--trace"; "--trace-json";
+      ] );
+    ([ "list" ], []);
+    ( [ "characterize" ],
+      [
+        "--assoc"; "--block"; "--metrics-json"; "--size"; "--tox"; "--trace";
+        "--trace-json"; "--vth";
+      ] );
+    ( [ "simulate" ],
+      [
+        "--accesses"; "--checkpoint"; "--chunk"; "--deadline"; "--events"; "--jobs";
+        "--l1"; "--l2"; "--metrics-json"; "--progress"; "--resume"; "--retries";
+        "--stream"; "--trace"; "--trace-file"; "--trace-json"; "--trace-stdin";
+        "--workload";
+      ] );
+    ( [ "trace"; "record" ],
+      [ "--accesses"; "--chunk"; "--from-ndjson"; "--out"; "--seed"; "--workload" ] );
+    ([ "trace"; "info" ], []);
+    ( [ "verify" ],
+      [
+        "--checkpoint"; "--deadline"; "--events"; "--golden-dir"; "--jobs";
+        "--metrics-json"; "--metrics-prom"; "--progress"; "--quick"; "--report-json";
+        "--resume"; "--retries"; "--seeds"; "--trace"; "--trace-json";
+        "--update-golden";
+      ] );
+    ([ "workloads" ], []);
+    ([ "store"; "info" ], []);
+    ([ "store"; "compact" ], []);
+    ( [ "serve" ],
+      [
+        "--compact-ratio"; "--deadline"; "--events"; "--global-queue"; "--jobs";
+        "--max-conns"; "--metrics-json"; "--metrics-prom"; "--progress"; "--queue";
+        "--quick"; "--retries"; "--socket"; "--store"; "--trace"; "--trace-json";
+        "--write-timeout";
+      ] );
+  ]
+
+(* The long flags of a plain help page's OPTIONS section.  An option
+   entry is a line indented by exactly seven spaces that starts with a
+   dash, like "       -j N, --jobs=N (absent=1)"; description text is
+   indented further, and other sections (NAME, COMMON OPTIONS) are
+   skipped, so a flag named in prose is not read as offered. *)
+let long_flags help =
+  let entry line =
+    String.length line > 8 && String.sub line 0 8 = "       -"
+  in
+  let flags_of line =
+    String.split_on_char ' ' (String.map (fun c -> if c = ',' then ' ' else c) line)
+    |> List.filter (fun w -> String.length w > 2 && String.sub w 0 2 = "--")
+    |> List.map (fun w ->
+           match String.index_opt w '=' with Some i -> String.sub w 0 i | None -> w)
+  in
+  let _, flags =
+    List.fold_left
+      (fun (section, flags) line ->
+        if line <> "" && line.[0] <> ' ' then (line, flags)
+        else if section = "OPTIONS" && entry line then (section, flags_of line @ flags)
+        else (section, flags))
+      ("", []) (String.split_on_char '\n' help)
+  in
+  List.sort compare flags
+
+let test_flag_surface_pinned () =
+  let dir = tmpdir () in
+  List.iter
+    (fun (cmd, want) ->
+      let name = String.concat " " cmd in
+      let status, help, _ = run_ppcache ~dir (cmd @ [ "--help=plain" ]) in
+      Alcotest.(check bool) (name ^ " --help=plain: exit 0") true (status = Unix.WEXITED 0);
+      Alcotest.(check (list string)) (name ^ ": long flags") want (long_flags help))
+    pinned_flags
+
+let suite =
+  [
+    Alcotest.test_case "usage errors leave an existing --events file alone" `Quick
+      test_usage_errors_leave_events_alone;
+    Alcotest.test_case "every subcommand offers exactly its pinned flags" `Quick
+      test_flag_surface_pinned;
+  ]

@@ -94,8 +94,8 @@ let test_scheme_ii_close_to_i () =
 
 (* --- L2 sweeps (T2/T3) ----------------------------------------------------- *)
 
-let l2_sweep_uniform = lazy (Core.Two_level.l2_sweep (Lazy.force ctx) ~scheme:Scheme.Uniform ())
-let l2_sweep_split = lazy (Core.Two_level.l2_sweep (Lazy.force ctx) ~scheme:Scheme.Split ())
+let l2_sweep_uniform = lazy (Core.Two_level.l2_sweep (Lazy.force ctx) ~scheme:Scheme.Uniform)
+let l2_sweep_split = lazy (Core.Two_level.l2_sweep (Lazy.force ctx) ~scheme:Scheme.Split)
 
 let test_l2_sweep_feasibility_monotone () =
   (* bigger L2 => lower m2 => looser budget: once feasible, stays feasible *)
@@ -201,7 +201,7 @@ let test_l2_bigger_more_conservative () =
 (* --- L1 sweep (T4) ----------------------------------------------------------- *)
 
 let test_l1_small_is_optimal () =
-  let sweep = Core.Two_level.l1_sweep_rows (Lazy.force ctx) () in
+  let sweep = Core.Two_level.l1_sweep_rows (Lazy.force ctx) in
   match Core.Two_level.best_l1_size sweep with
   | None -> Alcotest.fail "no feasible L1"
   | Some best ->
@@ -211,7 +211,7 @@ let test_l1_small_is_optimal () =
       (best <= 16 * 1024)
 
 let test_l1_miss_rates_low_and_falling () =
-  let sweep = Core.Two_level.l1_sweep_rows (Lazy.force ctx) () in
+  let sweep = Core.Two_level.l1_sweep_rows (Lazy.force ctx) in
   let rates = List.map (fun (r : Core.Two_level.l1_row) -> r.Core.Two_level.m1) sweep.Core.Two_level.l1_rows in
   (match (rates, List.rev rates) with
   | first :: _, last :: _ ->

@@ -59,4 +59,5 @@ let () =
       ("extras", Test_extras.suite);
       ("verify", Test_verify.suite);
       ("integration", Test_integration.suite);
+      ("cli", Test_cli.suite);
     ]

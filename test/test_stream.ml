@@ -599,31 +599,10 @@ let pptrc_reference_decode_prop =
 
 (* --- simulate --trace-file on a short file ------------------------------ *)
 
-(* the CLI, built beside this suite: _build/default/{test,bin} *)
-let ppcache_exe =
-  Filename.concat
-    (Filename.dirname (Filename.dirname Sys.executable_name))
-    (Filename.concat "bin" "ppcache.exe")
-
-(* [ppcache args]: exit status, stdout and stderr *)
-let run_ppcache ~dir args =
-  let out = Filename.concat dir "stdout" and err = Filename.concat dir "stderr" in
-  let open_out path =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let o = open_out out and e = open_out err in
-  let pid =
-    Unix.create_process ppcache_exe (Array.of_list (ppcache_exe :: args)) null o e
-  in
-  List.iter Unix.close [ null; o; e ];
-  let _, status = Unix.waitpid [] pid in
-  (status, read_file out, read_file err)
-
 let test_simulate_reports_short_read () =
   let dir = tmpdir () in
   let file name = Filename.concat dir name in
-  let simulate name = run_ppcache ~dir [ "simulate"; "--trace-file"; file name ] in
+  let simulate name = Test_cli.run_ppcache ~dir [ "simulate"; "--trace-file"; file name ] in
   let entries = entries_of "tpcc" 1_000 in
   record_to ~path:(file "full.pptrc") ~name:"tpcc" ~chunk_size:100 entries;
   let full = read_file (file "full.pptrc") in
