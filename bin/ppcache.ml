@@ -430,8 +430,8 @@ let characterize size_kb assoc block vth tox session =
   let tox = Option.map (parse_range ~what:"tox" ~unit:"angstrom") tox in
   validate_knob_ranges tech ~vth ~tox;
   usage_guard @@ fun () ->
+  let config = Config.make ~size_bytes:(size_kb * 1024) ~assoc ~block_bytes:block () in
   with_session session (fun _ ->
-      let config = Config.make ~size_bytes:(size_kb * 1024) ~assoc ~block_bytes:block () in
       let model = Cache_model.make tech config in
       let fitted =
         Nmcache_engine.Span.with_span "characterize" (fun () ->
@@ -493,32 +493,31 @@ let print_point ~header p =
   Printf.printf "  L2 local miss rate %.3f%%\n" (100.0 *. p.Missrate.l2_local);
   Printf.printf "  L2 global miss     %.3f%%\n" (100.0 *. p.Missrate.l2_global)
 
-(* Simulate a recorded (or piped) trace: one streamed pass carries the
-   hierarchy, the running statistics analyzer and the access count —
-   a single traversal, because a pipe cannot be re-read.  When a
-   checkpoint journal is armed and the source is a trace file, chunk
-   boundaries are resumable slots.  Returns false for an empty trace:
-   there is no defined miss rate, so the caller exits 2 (after the
-   session has closed the journal and written the reports: exit does
-   not unwind Fun.protect). *)
-let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb =
+(* The L1/L2 hierarchy `simulate` models, as [Missrate.simulate] builds
+   it for a workload: 4-way L1, 8-way L2, 64-byte blocks, LRU. *)
+let hierarchy ~l1_kb ~l2_kb =
+  let cache kb assoc =
+    Cache.create ~size_bytes:(kb * 1024) ~assoc ~block_bytes:64 ~policy:Replacement.Lru ()
+  in
+  let l1 = cache l1_kb 4 in
+  let l2 = cache l2_kb 8 in
+  Hierarchy.create ~l1 ~l2
+
+(* Simulate a recorded (or piped) trace on the hierarchy [h]: one
+   streamed pass carries the hierarchy, the running statistics analyzer
+   and the access count — a single traversal, because a pipe cannot be
+   re-read.  When a checkpoint journal is armed and the source is a
+   trace file, chunk boundaries are resumable slots.  Returns false for
+   an empty trace: there is no defined miss rate, so the caller exits 2
+   (after the session has closed the journal and written the reports:
+   exit does not unwind Fun.protect). *)
+let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb h =
   let s =
     match source with
     | `File path -> Stream_trace.of_file ~chunk_size:chunk path
     | `Stdin -> Stream_trace.of_ndjson_fd ~chunk_size:chunk ~name:"stdin" Unix.stdin
   in
   let l1_size = l1_kb * 1024 and l2_size = l2_kb * 1024 in
-  let h =
-    let l1 =
-      Cache.create ~size_bytes:l1_size ~assoc:4 ~block_bytes:64
-        ~policy:Replacement.Lru ()
-    in
-    let l2 =
-      Cache.create ~size_bytes:l2_size ~assoc:8 ~block_bytes:64
-        ~policy:Replacement.Lru ()
-    in
-    Hierarchy.create ~l1 ~l2
-  in
   let salt = Printf.sprintf "simulate-trace:%d:%d" l1_size l2_size in
   let h, analyzer, count =
     Stream_trace.resumable_fold ~salt s ~init:(h, Trace_rec.analyzer (), 0)
@@ -601,6 +600,9 @@ let simulate workload l1_kb l2_kb n stream chunk trace_file trace_stdin session 
   | Some _ -> ());
   let ok = ref true in
   usage_guard (fun () ->
+      (* built before the session, so that a size the hierarchy refuses
+         exits 2 before any report file is touched *)
+      let h = hierarchy ~l1_kb ~l2_kb in
       with_session session (fun _ ->
           match source with
           | None ->
@@ -624,7 +626,7 @@ let simulate workload l1_kb l2_kb n stream chunk trace_file trace_stdin session 
                 (Printf.sprintf "%s over %d accesses (L1 %dKB, L2 %dKB):\n" workload n
                    l1_kb l2_kb)
               p
-          | Some source -> ok := simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb));
+          | Some source -> ok := simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb h));
   if not !ok then exit 2
 
 let simulate_cmd =
@@ -977,10 +979,11 @@ let serve store_dir socket queue max_conns global_queue write_timeout
     fail "ppcache: --global-queue must be >= 0 (0 = max-conns*queue)";
   if not (compact_ratio > 0.) then fail "ppcache: --compact-ratio must be > 0";
   (* a socket path lives where a report file would: its directory must
-     exist before the store opens; a non-socket file already there is
-     refused by the server (Invalid_argument, exit 2) *)
+     exist before the store opens, and a non-socket file already there
+     is refused (Invalid_argument, exit 2) before the session starts *)
   Option.iter (validate_out_path ~flag:"socket") socket;
   usage_guard @@ fun () ->
+  Option.iter (fun path -> ignore (Nmcache_engine.Server.check_socket_path path)) socket;
   (* stdout carries one response line per request, so the --trace
      table goes to stderr *)
   with_session ~trace_out:stderr ?store:store_dir session @@ fun store ->

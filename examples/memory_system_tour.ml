@@ -7,6 +7,8 @@
 
 module Units = Nmcache_physics.Units
 module Tech = Nmcache_device.Tech
+module Knob_state = Nmcache_device.Knob_state
+module Mosfet = Nmcache_device.Mosfet
 module Variation = Nmcache_device.Variation
 module Sram_cell = Nmcache_circuit.Sram_cell
 module Cache = Nmcache_cachesim.Cache
@@ -69,8 +71,10 @@ let () =
   let l2_fit = Core.Context.fitted ctx (Core.Context.l2_config ctx ()) in
   let quiet = Component.knob ~vth:0.5 ~tox:(Units.angstrom 14.0) in
   let nominal = Fitted_cache.leak_of l2_fit Component.Array_sense quiet in
-  let cell = Sram_cell.make tech ~vth:0.5 ~tox:(Units.angstrom 14.0) in
-  let sigma = Variation.sigma_vth tech ~w:cell.Sram_cell.w_pulldown ~tox:(Units.angstrom 14.0) in
+  let cell = Sram_cell.make (Knob_state.make tech ~vth:0.5 ~tox:(Units.angstrom 14.0)) in
+  let sigma =
+    Variation.sigma_vth tech ~w:cell.Sram_cell.pulldown.Mosfet.w ~tox:(Units.angstrom 14.0)
+  in
   let inflate =
     Variation.mean_inflation ~sigma ~n_swing:tech.Tech.n_swing ~temp_k:tech.Tech.temp_k
   in

@@ -11,7 +11,7 @@ type t = {
 
 (* Generic chain: [first] is the initial gate (logical effort g, input
    cap c_in); inverters are appended until per-stage effort is near 4. *)
-let build (tech : Tech.t) ~vth ~tox ~(first : Gate.t) ~c_load =
+let build (tech : Tech.t) knob ~(first : Gate.t) ~c_load =
   if first.Gate.c_in <= 0.0 then invalid_arg "Chain: c_in <= 0";
   if c_load < 0.0 then invalid_arg "Chain: c_load < 0";
   let path_effort =
@@ -24,7 +24,7 @@ let build (tech : Tech.t) ~vth ~tox ~(first : Gate.t) ~c_load =
   in
   let n_total = n_extra + 1 in
   let stage_effort = path_effort ** (1.0 /. float_of_int n_total) in
-  let unit = Gate.inverter tech ~vth ~tox ~size:1.0 in
+  let unit = Gate.inverter tech knob ~size:1.0 in
   (* walk the chain accumulating delay, leakage, energy, area *)
   let rec walk i prev_gate (size : float) acc_delay acc_leak acc_energy acc_area =
     if i > n_extra then begin
@@ -34,7 +34,7 @@ let build (tech : Tech.t) ~vth ~tox ~(first : Gate.t) ~c_load =
     end
     else begin
       let next_size = size *. stage_effort /. 1.0 in
-      let next = Gate.inverter tech ~vth ~tox ~size:(Float.max 1.0 next_size) in
+      let next = Gate.inverter tech knob ~size:(Float.max 1.0 next_size) in
       let d = Gate.delay prev_gate ~c_load:next.Gate.c_in in
       let e = Gate.switch_energy tech prev_gate ~c_load:next.Gate.c_in in
       walk (i + 1) next next_size (acc_delay +. d) (acc_leak +. next.Gate.leak_w)
@@ -47,11 +47,11 @@ let build (tech : Tech.t) ~vth ~tox ~(first : Gate.t) ~c_load =
   in
   { delay; leak_w = leak; energy; area; n_stages = n_total; stage_effort }
 
-let with_first_gate tech ~vth ~tox ~first ~c_load = build tech ~vth ~tox ~first ~c_load
+let with_first_gate tech knob ~first ~c_load = build tech knob ~first ~c_load
 
-let buffer tech ~vth ~tox ~c_in ~c_load =
+let buffer tech knob ~c_in ~c_load =
   if c_in <= 0.0 then invalid_arg "Chain.buffer: c_in <= 0";
-  let unit = Gate.inverter tech ~vth ~tox ~size:1.0 in
+  let unit = Gate.inverter tech knob ~size:1.0 in
   let size = Float.max 1.0 (c_in /. unit.Gate.c_in) in
-  let first = Gate.inverter tech ~vth ~tox ~size in
-  build tech ~vth ~tox ~first ~c_load
+  let first = Gate.inverter tech knob ~size in
+  build tech knob ~first ~c_load

@@ -15,25 +15,15 @@ type t = {
 }
 
 val buffer :
-  Nmcache_device.Tech.t ->
-  vth:float ->
-  tox:float ->
-  c_in:float ->
-  c_load:float ->
-  t
-(** [buffer tech ~vth ~tox ~c_in ~c_load] is an inverter chain whose
-    first stage presents ≈ [c_in] at its input and which drives
-    [c_load].  Stage count is chosen so the effort per stage is near 4
+  Nmcache_device.Tech.t -> Nmcache_device.Knob_state.t -> c_in:float -> c_load:float -> t
+(** [buffer tech knob ~c_in ~c_load] is an inverter chain, every stage
+    built on the device state [knob], whose first stage presents ≈
+    [c_in] at its input and which drives [c_load].  Stage count is chosen so the effort per stage is near 4
     (min 1 stage).  Raises [Invalid_argument] if [c_in <= 0] or
     [c_load < 0]. *)
 
 val with_first_gate :
-  Nmcache_device.Tech.t ->
-  vth:float ->
-  tox:float ->
-  first:Gate.t ->
-  c_load:float ->
-  t
+  Nmcache_device.Tech.t -> Nmcache_device.Knob_state.t -> first:Gate.t -> c_load:float -> t
 (** Like {!buffer} but the first stage is the given logic gate (e.g. a
     decoder NAND); its logical effort multiplies the path effort and its
     leakage/area are included. *)

@@ -1,4 +1,5 @@
 module Tech = Nmcache_device.Tech
+module Knob_state = Nmcache_device.Knob_state
 module Mosfet = Nmcache_device.Mosfet
 module Leakage = Nmcache_device.Leakage
 module Drive = Nmcache_device.Drive
@@ -10,24 +11,23 @@ type t = {
   leak_w : float;
   area : float;
   logical_effort : float;
-  n_inputs : int;
 }
 
 let stack_factor = 0.22
 
-let unit_nmos_width tech ~tox = 2.0 *. Tech.l_drawn tech ~tox
+let unit_nmos_width (knob : Knob_state.t) = 2.0 *. knob.l_drawn
 
 (* Layout area of a transistor pair column: width sum x (7.5 x L) pitch. *)
-let pair_area tech ~tox ~w_n ~w_p =
-  let pitch = 7.5 *. Tech.l_drawn tech ~tox in
+let pair_area (knob : Knob_state.t) ~w_n ~w_p =
+  let pitch = 7.5 *. knob.l_drawn in
   (w_n +. w_p) *. pitch
 
-let inverter tech ~vth ~tox ~size =
+let inverter tech knob ~size =
   if size <= 0.0 then invalid_arg "Gate.inverter: size <= 0";
-  let w_n = size *. unit_nmos_width tech ~tox in
+  let w_n = size *. unit_nmos_width knob in
   let w_p = 2.0 *. w_n in
-  let n = Mosfet.nmos tech ~w:w_n ~vth ~tox in
-  let p = Mosfet.pmos tech ~w:w_p ~vth ~tox in
+  let n = Mosfet.make knob ~channel:Nmos ~w:w_n in
+  let p = Mosfet.make knob ~channel:Pmos ~w:w_p in
   let r_drive =
     0.5 *. (Drive.effective_resistance tech n +. Drive.effective_resistance tech p)
   in
@@ -41,13 +41,13 @@ let inverter tech ~vth ~tox ~size =
     (* input low: NMOS off, PMOS on *)
     (Leakage.subthreshold_off tech n *. vdd)
     +. (Leakage.gate_on tech p *. vdd)
-    +. (Leakage.gate tech n ~vox:(vdd /. 3.0) *. vdd)
+    +. (Leakage.gate_off tech n *. vdd)
     +. (Leakage.junction tech n *. vdd)
   in
   let state1 =
     (Leakage.subthreshold_off tech p *. vdd)
     +. (Leakage.gate_on tech n *. vdd)
-    +. (Leakage.gate tech p ~vox:(vdd /. 3.0) *. vdd)
+    +. (Leakage.gate_off tech p *. vdd)
     +. (Leakage.junction tech p *. vdd)
   in
   {
@@ -55,25 +55,24 @@ let inverter tech ~vth ~tox ~size =
     c_in;
     c_self;
     leak_w = 0.5 *. (state0 +. state1);
-    area = pair_area tech ~tox ~w_n ~w_p;
+    area = pair_area knob ~w_n ~w_p;
     logical_effort = 1.0;
-    n_inputs = 1;
   }
 
 (* Series-stacked topologies: stack of [k] devices is sized k-up so the
    worst-case pull matches the unit inverter; leakage of the stacked-off
    state is reduced by [stack_factor]. *)
-let stacked_gate tech ~vth ~tox ~size ~inputs ~series_channel =
+let stacked_gate tech knob ~size ~inputs ~series_channel =
   if inputs < 2 then invalid_arg "Gate.stacked: inputs < 2";
   if size <= 0.0 then invalid_arg "Gate.stacked: size <= 0";
   let k = float_of_int inputs in
-  let w_unit_n = size *. unit_nmos_width tech ~tox in
+  let w_unit_n = size *. unit_nmos_width knob in
   let series_is_nmos = series_channel = Mosfet.Nmos in
   (* widths: series devices upsized by k; parallel devices at unit drive *)
   let w_n = if series_is_nmos then k *. w_unit_n else w_unit_n in
   let w_p = if series_is_nmos then 2.0 *. w_unit_n else k *. 2.0 *. w_unit_n in
-  let n = Mosfet.nmos tech ~w:w_n ~vth ~tox in
-  let p = Mosfet.pmos tech ~w:w_p ~vth ~tox in
+  let n = Mosfet.make knob ~channel:Nmos ~w:w_n in
+  let p = Mosfet.make knob ~channel:Pmos ~w:w_p in
   let r_series =
     if series_is_nmos then k *. Drive.effective_resistance tech n
     else k *. Drive.effective_resistance tech p
@@ -121,16 +120,12 @@ let stacked_gate tech ~vth ~tox ~size ~inputs ~series_channel =
     c_in;
     c_self;
     leak_w = 0.5 *. (sub_series +. sub_parallel) +. gate_terms +. junction_terms;
-    area = float_of_int inputs *. pair_area tech ~tox ~w_n ~w_p /. 2.0;
+    area = float_of_int inputs *. pair_area knob ~w_n ~w_p /. 2.0;
     logical_effort = g;
-    n_inputs = inputs;
   }
 
-let nand tech ~vth ~tox ~size ~inputs =
-  stacked_gate tech ~vth ~tox ~size ~inputs ~series_channel:Mosfet.Nmos
-
-let nor tech ~vth ~tox ~size ~inputs =
-  stacked_gate tech ~vth ~tox ~size ~inputs ~series_channel:Mosfet.Pmos
+let nand tech knob ~size ~inputs = stacked_gate tech knob ~size ~inputs ~series_channel:Mosfet.Nmos
+let nor tech knob ~size ~inputs = stacked_gate tech knob ~size ~inputs ~series_channel:Mosfet.Pmos
 
 let delay g ~c_load = 0.69 *. g.r_drive *. (g.c_self +. c_load)
 

@@ -4,6 +4,10 @@
     capacitance, state-averaged leakage power and layout area — all as
     functions of its (Vth, Tox) knob assignment and drive size.  These
     summaries are what the cache-component netlists are assembled from.
+    A gate is built on the device state of its knob
+    ({!Nmcache_device.Knob_state}), which every gate of a circuit at
+    that knob shares; [tech] is the technology that state was built
+    from.
 
     Sizing convention: [size] is the drive strength as a multiple of the
     unit inverter (NMOS width = 2·L_drawn, PMOS = 2× that); a [size]-X
@@ -16,21 +20,22 @@ type t = {
   leak_w : float;     (** state-averaged total leakage power [W] *)
   area : float;       (** layout-area estimate [m²] *)
   logical_effort : float; (** logical effort g of this topology *)
-  n_inputs : int;
 }
 
-val unit_nmos_width : Nmcache_device.Tech.t -> tox:float -> float
-(** NMOS width of the unit inverter at the given oxide (2·L_drawn). *)
+val unit_nmos_width : Nmcache_device.Knob_state.t -> float
+(** NMOS width of the unit inverter at the knob's oxide (2·L_drawn). *)
 
-val inverter : Nmcache_device.Tech.t -> vth:float -> tox:float -> size:float -> t
+val inverter : Nmcache_device.Tech.t -> Nmcache_device.Knob_state.t -> size:float -> t
 (** Unit-based inverter.  Raises [Invalid_argument] if [size <= 0]. *)
 
-val nand : Nmcache_device.Tech.t -> vth:float -> tox:float -> size:float -> inputs:int -> t
+val nand :
+  Nmcache_device.Tech.t -> Nmcache_device.Knob_state.t -> size:float -> inputs:int -> t
 (** [inputs]-input NAND (series NMOS stack); the stacked off-state gets
     the usual ~4–5× subthreshold reduction (stack effect).  Raises
     [Invalid_argument] if [inputs < 2] or [size <= 0]. *)
 
-val nor : Nmcache_device.Tech.t -> vth:float -> tox:float -> size:float -> inputs:int -> t
+val nor :
+  Nmcache_device.Tech.t -> Nmcache_device.Knob_state.t -> size:float -> inputs:int -> t
 (** [inputs]-input NOR (series PMOS stack).  Same validation as {!nand}. *)
 
 val delay : t -> c_load:float -> float

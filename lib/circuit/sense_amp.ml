@@ -1,8 +1,6 @@
 module Tech = Nmcache_device.Tech
 
 type t = {
-  vth : float;
-  tox : float;
   delay : float;
   leak_w : float;
   energy : float;
@@ -12,16 +10,13 @@ type t = {
 
 let sense_swing = 0.1
 
-let make (tech : Tech.t) ~vth ~tox =
-  Tech.check_knobs tech ~vth ~tox;
-  let inv = Gate.inverter tech ~vth ~tox ~size:2.0 in
+let make (tech : Tech.t) knob =
+  let inv = Gate.inverter tech knob ~size:2.0 in
   (* latch regeneration: ~3 time constants of the cross-coupled pair,
      resolving from the sense swing to half-rail *)
   let tau = inv.Gate.r_drive *. (inv.Gate.c_in +. inv.Gate.c_self) in
   let gain_stages = Float.log (0.5 /. sense_swing) in
   {
-    vth;
-    tox;
     delay = tau *. (1.0 +. gain_stages);
     (* cross-coupled pair + precharge + mux: ~2.5 inverter-equivalents *)
     leak_w = 2.5 *. inv.Gate.leak_w;

@@ -5,8 +5,6 @@
     bitline differential reaches [sense_swing · Vdd]. *)
 
 type t = {
-  vth : float;
-  tox : float;
   delay : float;       (** resolution delay after fire [s] *)
   leak_w : float;      (** standby leakage [W] *)
   energy : float;      (** energy per sensing operation [J] *)
@@ -17,6 +15,6 @@ type t = {
 val sense_swing : float
 (** Required bitline differential as a fraction of Vdd (0.1). *)
 
-val make : Nmcache_device.Tech.t -> vth:float -> tox:float -> t
-(** Sense amp built from ~6 unit devices at the given knobs; delay is a
-    few gate delays of the cross-coupled pair. *)
+val make : Nmcache_device.Tech.t -> Nmcache_device.Knob_state.t -> t
+(** Sense amp built from ~6 unit devices on the device state of its
+    knob; delay is a few gate delays of the cross-coupled pair. *)

@@ -1,14 +1,13 @@
 module Tech = Nmcache_device.Tech
+module Knob_state = Nmcache_device.Knob_state
 module Mosfet = Nmcache_device.Mosfet
 module Leakage = Nmcache_device.Leakage
 module Drive = Nmcache_device.Drive
 
 type t = {
-  vth : float;
-  tox : float;
-  w_access : float;
-  w_pulldown : float;
-  w_pullup : float;
+  access : Mosfet.t;
+  pulldown : Mosfet.t;
+  pullup : Mosfet.t;
   width : float;
   height : float;
 }
@@ -20,25 +19,17 @@ let pullup_ratio = 1.1
 let cell_width_f = 11.0
 let cell_height_f = 13.3
 
-let make tech ~vth ~tox =
-  Tech.check_knobs tech ~vth ~tox;
-  let l = Tech.l_drawn tech ~tox in
+let make (knob : Knob_state.t) =
+  let l = knob.l_drawn in
   {
-    vth;
-    tox;
-    w_access = access_ratio *. l;
-    w_pulldown = pulldown_ratio *. l;
-    w_pullup = pullup_ratio *. l;
+    access = Mosfet.make knob ~channel:Nmos ~w:(access_ratio *. l);
+    pulldown = Mosfet.make knob ~channel:Nmos ~w:(pulldown_ratio *. l);
+    pullup = Mosfet.make knob ~channel:Pmos ~w:(pullup_ratio *. l);
     width = cell_width_f *. l;
     height = cell_height_f *. l;
   }
 
 let area c = c.width *. c.height
-
-let devices tech c =
-  let n w = Mosfet.nmos tech ~w ~vth:c.vth ~tox:c.tox in
-  let p w = Mosfet.pmos tech ~w ~vth:c.vth ~tox:c.tox in
-  (n c.w_access, n c.w_pulldown, p c.w_pullup)
 
 (* Standby leakage of a cell holding a value, bitlines precharged high:
    - access transistor on the '0' node: subthreshold (BL high, node low);
@@ -48,7 +39,7 @@ let devices tech c =
    - off devices contribute the reduced overlap tunnelling term;
    - junctions everywhere (folded into the three counted devices). *)
 let leakage_power (tech : Tech.t) c =
-  let acc, pd, pu = devices tech c in
+  let acc = c.access and pd = c.pulldown and pu = c.pullup in
   let vdd = tech.vdd in
   let sub =
     Leakage.subthreshold_off tech acc
@@ -56,24 +47,12 @@ let leakage_power (tech : Tech.t) c =
     +. Leakage.subthreshold_off tech pu
   in
   let gate_on = Leakage.gate_on tech pd +. Leakage.gate_on tech pu in
-  let gate_off =
-    Leakage.gate tech acc ~vox:(vdd /. 3.0)
-    +. Leakage.gate tech pd ~vox:(vdd /. 3.0)
-    +. Leakage.gate tech pu ~vox:(vdd /. 3.0)
-  in
+  let gate_off = Leakage.gate_off tech acc +. Leakage.gate_off tech pd +. Leakage.gate_off tech pu in
   let junction =
     Leakage.junction tech acc +. Leakage.junction tech pd +. Leakage.junction tech pu
   in
   (sub +. gate_on +. gate_off +. junction) *. vdd
 
-let read_current tech c =
-  let acc, _, _ = devices tech c in
-  0.5 *. Drive.on_current tech acc
-
-let gate_load tech c =
-  let acc, _, _ = devices tech c in
-  2.0 *. Drive.gate_capacitance tech acc
-
-let drain_load tech c =
-  let acc, _, _ = devices tech c in
-  Drive.drain_capacitance tech acc
+let read_current tech c = 0.5 *. Drive.on_current tech c.access
+let gate_load tech c = 2.0 *. Drive.gate_capacitance tech c.access
+let drain_load tech c = Drive.drain_capacitance tech c.access

@@ -8,18 +8,16 @@
     on. *)
 
 type t = {
-  vth : float;          (** knob: cell threshold [V] *)
-  tox : float;          (** knob: cell oxide [m] *)
-  w_access : float;     (** access (pass) transistor width [m] *)
-  w_pulldown : float;   (** pull-down NMOS width [m] *)
-  w_pullup : float;     (** pull-up PMOS width [m] *)
+  access : Nmcache_device.Mosfet.t;   (** access (pass) transistor *)
+  pulldown : Nmcache_device.Mosfet.t; (** pull-down NMOS *)
+  pullup : Nmcache_device.Mosfet.t;   (** pull-up PMOS *)
   width : float;        (** cell layout width (bitline pitch) [m] *)
   height : float;       (** cell layout height (wordline pitch) [m] *)
 }
 
-val make : Nmcache_device.Tech.t -> vth:float -> tox:float -> t
-(** Builds a cell at the given knobs; validates ranges via
-    {!Nmcache_device.Tech.check_knobs}. *)
+val make : Nmcache_device.Knob_state.t -> t
+(** Builds a cell, and its three devices, on the device state of its
+    knob (which {!Nmcache_device.Knob_state.make} validated). *)
 
 val access_ratio : float
 (** Access-transistor width in units of drawn L (1.5). *)

@@ -24,9 +24,9 @@ type repeated = {
   area : float;
 }
 
-let repeated (tech : Tech.t) ~vth ~tox ~length =
+let repeated (tech : Tech.t) knob ~length =
   let w = make tech ~length in
-  let unit_inv = Gate.inverter tech ~vth ~tox ~size:1.0 in
+  let unit_inv = Gate.inverter tech knob ~size:1.0 in
   let r0 = unit_inv.Gate.r_drive and c0 = unit_inv.Gate.c_in in
   let k_opt =
     if w.r_total *. w.c_total <= 0.0 then 1.0
@@ -37,7 +37,7 @@ let repeated (tech : Tech.t) ~vth ~tox ~length =
     if w.r_total <= 0.0 then 1.0
     else Float.max 1.0 (Float.sqrt (r0 *. w.c_total /. (w.r_total *. c0)))
   in
-  let inv = Gate.inverter tech ~vth ~tox ~size in
+  let inv = Gate.inverter tech knob ~size in
   let seg = make tech ~length:(length /. float_of_int n) in
   (* each stage: repeater driving its wire segment into the next repeater *)
   let stage_delay = elmore seg ~r_driver:inv.Gate.r_drive ~c_load:inv.Gate.c_in in

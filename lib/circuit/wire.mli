@@ -27,9 +27,9 @@ type repeated = {
   area : float;         (** repeater area [m²] *)
 }
 
-val repeated :
-  Nmcache_device.Tech.t -> vth:float -> tox:float -> length:float -> repeated
-(** Classic optimal repeater insertion for a long wire at the given knob
-    assignment: stage count k ≈ √(0.4·R_w·C_w / (0.7·R₀·C₀)), repeater
-    size s ≈ √(R₀·C_w / (R_w·C₀)), evaluated with at least one stage.
+val repeated : Nmcache_device.Tech.t -> Nmcache_device.Knob_state.t -> length:float -> repeated
+(** Classic optimal repeater insertion for a long wire, its repeaters
+    built on the device state [knob]: stage count
+    k ≈ √(0.4·R_w·C_w / (0.7·R₀·C₀)), repeater size
+    s ≈ √(R₀·C_w / (R_w·C₀)), evaluated with at least one stage.
     The delay, leakage and energy include the repeaters and the wire. *)

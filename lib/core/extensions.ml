@@ -1,5 +1,7 @@
 module Units = Nmcache_physics.Units
 module Tech = Nmcache_device.Tech
+module Knob_state = Nmcache_device.Knob_state
+module Mosfet = Nmcache_device.Mosfet
 module Variation = Nmcache_device.Variation
 module Component = Nmcache_geometry.Component
 module Config = Nmcache_geometry.Config
@@ -58,8 +60,10 @@ let variation_study ctx =
   let fitted = Context.fitted ctx (Context.l1_config ctx ()) in
   let knob = Component.knob ~vth:0.45 ~tox:(Units.angstrom 14.0) in
   let nominal = Fitted_cache.leak_of fitted Component.Array_sense knob in
-  let cell = Sram_cell.make tech ~vth:0.45 ~tox:(Units.angstrom 14.0) in
-  let sigma_cell = Variation.sigma_vth tech ~w:cell.Sram_cell.w_pulldown ~tox:(Units.angstrom 14.0) in
+  let cell = Sram_cell.make (Knob_state.make tech ~vth:0.45 ~tox:(Units.angstrom 14.0)) in
+  let sigma_cell =
+    Variation.sigma_vth tech ~w:cell.Sram_cell.pulldown.Mosfet.w ~tox:(Units.angstrom 14.0)
+  in
   let inflation =
     Variation.mean_inflation ~sigma:sigma_cell ~n_swing:tech.Tech.n_swing
       ~temp_k:tech.Tech.temp_k

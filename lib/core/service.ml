@@ -152,12 +152,15 @@ let nearest t p =
 
 (* Optimize and miss-curve records hold the rendered bytes of their
    answer's [result] object: an [optimize.r1] value is an
-   [opt_params * string], a [curve.r1] value a [string].
-   [Store.lookup] unmarshals at whatever type it is asked for, so a new
-   value format takes a new namespace name, and the ["optimize"] and
-   ["curve"] records of older stores are never read. *)
+   [opt_params * string], a [curve.r1] value a [string].  A
+   [model.r2] value is a [Fitted_cache.t], which embeds the
+   [Cache_model.t] it was fitted on.  [Store.lookup] unmarshals at
+   whatever type it is asked for, so a new value format takes a new
+   namespace name, and the ["optimize"], ["curve"] and ["model"]
+   records of older stores are never read. *)
 let optimize_ns = "optimize.r1"
 let curve_ns = "curve.r1"
+let model_ns = "model.r2"
 
 let model_key t config =
   Printf.sprintf "%s|%s|out%d" t.fingerprint (Config.describe config)
@@ -327,12 +330,12 @@ let fitted_model t config =
   | Some store -> (
     let key = model_key t config in
     match
-      (Store.lookup store ~ns:"model" ~key : Nmcache_fit.Fitted_cache.t option)
+      (Store.lookup store ~ns:model_ns ~key : Nmcache_fit.Fitted_cache.t option)
     with
     | Some m -> m
     | None ->
       let m = Context.fitted t.ctx config in
-      Store.add store ~ns:"model" ~key m;
+      Store.add store ~ns:model_ns ~key m;
       m)
 
 let observe_elapsed name t0 =

@@ -1,7 +1,9 @@
 (** Drive strength: alpha-power-law on-current and effective switching
     resistance.  These set the delay side of the trade-off: higher Vth or
     thicker Tox (through the channel-length scaling rule) weakens the
-    device and slows the gate. *)
+    device and slows the gate.  Like {!Leakage}, each multiplies the
+    device's width into its {!Knob_state}; [tech] is the technology that
+    state was built from. *)
 
 val on_current : Tech.t -> Mosfet.t -> float
 (** Saturation drive current at V_gs = Vdd [A]:

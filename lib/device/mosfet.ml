@@ -5,33 +5,18 @@ type channel = Nmos | Pmos
 type t = {
   channel : channel;
   w : float;
-  vth0 : float;
-  tox : float;
+  knob : Knob_state.t;
 }
 
-let make (tech : Tech.t) ~channel ~w ~vth ~tox =
+let make knob ~channel ~w =
   if w <= 0.0 then invalid_arg "Mosfet.make: w <= 0";
-  Tech.check_knobs tech ~vth ~tox;
-  { channel; w; vth0 = vth; tox }
+  { channel; w; knob }
 
-let nmos tech ~w ~vth ~tox = make tech ~channel:Nmos ~w ~vth ~tox
-let pmos tech ~w ~vth ~tox = make tech ~channel:Pmos ~w ~vth ~tox
-
-let l_drawn tech d = Tech.l_drawn tech ~tox:d.tox
-let l_eff tech d = Tech.l_eff tech ~tox:d.tox
-
-let vth_eff (tech : Tech.t) d ~vds ~vsb =
-  d.vth0
-  +. (tech.vth_temp_coeff *. (tech.temp_k -. Nmcache_physics.Constants.room_temperature))
-  -. (tech.dibl *. vds)
-  +. (tech.body_gamma *. vsb)
-
-let gate_area tech d = d.w *. l_drawn tech d
-
-let mobility (tech : Tech.t) d =
-  match d.channel with Nmos -> tech.mu_n | Pmos -> tech.mu_n *. tech.mu_p_ratio
+let nmos tech ~w ~vth ~tox = make (Knob_state.make tech ~vth ~tox) ~channel:Nmos ~w
+let pmos tech ~w ~vth ~tox = make (Knob_state.make tech ~vth ~tox) ~channel:Pmos ~w
 
 let pp fmt d =
   Format.fprintf fmt "%s(W=%.0fnm, Vth0=%.2fV, Tox=%.1fA)"
     (match d.channel with Nmos -> "nmos" | Pmos -> "pmos")
-    (Units.to_nm d.w) d.vth0 (Units.to_angstrom d.tox)
+    (Units.to_nm d.w) d.knob.Knob_state.vth
+    (Units.to_angstrom d.knob.Knob_state.tox)

@@ -1,44 +1,30 @@
 (** MOSFET instances.
 
-    A device is a channel type, a width, and the two per-component design
-    knobs of the paper — nominal threshold voltage [vth0] (extracted at
-    room temperature, zero V_sb, low V_ds) and gate-oxide thickness
-    [tox].  The channel length is not free: it follows the technology's
-    Tox-scaling rule (see {!Tech.l_drawn}). *)
+    A device is a channel type, a width, and the device state of its
+    (Vth, Tox) knob ({!Knob_state}): the two per-component design knobs
+    of the paper — nominal threshold voltage (extracted at room
+    temperature, zero V_sb, low V_ds) and gate-oxide thickness — and the
+    width-independent factors of every device equation at them.  The
+    channel length is not free: it follows the technology's Tox-scaling
+    rule (see {!Tech.l_drawn}). *)
 
 type channel = Nmos | Pmos
 
 type t = {
   channel : channel;
-  w : float;     (** gate width [m] *)
-  vth0 : float;  (** nominal threshold at 300 K [V] *)
-  tox : float;   (** gate-oxide thickness [m] *)
+  w : float;            (** gate width [m] *)
+  knob : Knob_state.t;  (** the device state at the device's knob *)
 }
 
-val make : Tech.t -> channel:channel -> w:float -> vth:float -> tox:float -> t
-(** [make tech ~channel ~w ~vth ~tox] validates the knobs against the
-    technology's legal range ({!Tech.check_knobs}) and [w > 0], then
-    builds the device. *)
+val make : Knob_state.t -> channel:channel -> w:float -> t
+(** [make knob ~channel ~w] builds a device on a knob's state, which
+    all the devices of one circuit at one knob share.  Raises
+    [Invalid_argument] unless [w > 0]. *)
 
 val nmos : Tech.t -> w:float -> vth:float -> tox:float -> t
+(** A stand-alone NMOS device: builds the state of its knob
+    ({!Knob_state.make}, which validates the knobs) and the device. *)
+
 val pmos : Tech.t -> w:float -> vth:float -> tox:float -> t
-
-val l_drawn : Tech.t -> t -> float
-(** Drawn channel length implied by the device's oxide thickness. *)
-
-val l_eff : Tech.t -> t -> float
-(** Effective channel length. *)
-
-val vth_eff : Tech.t -> t -> vds:float -> vsb:float -> float
-(** Operating-point threshold: [vth0] corrected for temperature
-    (linear [vth_temp_coeff·(T − 300)]), DIBL ([−dibl·vds]) and the
-    linearised body effect ([+body_gamma·vsb]). *)
-
-val gate_area : Tech.t -> t -> float
-(** W · L_drawn [m²] — the tunnelling area. *)
-
-val mobility : Tech.t -> t -> float
-(** Channel carrier mobility: [mu_n] for NMOS, reduced by [mu_p_ratio]
-    for PMOS [m²/Vs]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -86,7 +86,6 @@ let cox _t ~tox =
   Constants.eps_sio2 /. tox
 
 let l_drawn t ~tox = t.l_drawn_ref *. ((tox /. t.tox_ref) ** t.l_scaling_exponent)
-let l_eff t ~tox = t.l_eff_ratio *. l_drawn t ~tox
 
 let check_knobs t ~vth ~tox =
   let eps = 1e-12 in

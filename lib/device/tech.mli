@@ -74,9 +74,6 @@ val l_drawn : t -> tox:float -> float
     widths track L, so the cell area grows in both dimensions with
     Tox. *)
 
-val l_eff : t -> tox:float -> float
-(** Effective channel length ([l_eff_ratio] · {!l_drawn}). *)
-
 val check_knobs : t -> vth:float -> tox:float -> unit
 (** Validates that a (Vth, Tox) assignment lies in the legal design
     range; raises [Invalid_argument] otherwise. *)

@@ -288,6 +288,16 @@ let serve ?(queue = 64) ?limiter ?(shed_response = fun () -> "")
 
 let conn_poll_interval = 0.25
 
+(* a stale socket left by a dead server is replaced; anything else at
+   the path is not the server's to delete *)
+let check_socket_path path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> true
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "Server.serve_unix_socket: %s exists and is not a socket" path)
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+
 let serve_unix_socket ?(queue = 64) ?(max_conns = 4) ?global_queue
     ?(write_timeout = 10.) ~pool ~handler ~crash_response ~overlong_response
     ~shed_response ~path () =
@@ -301,14 +311,7 @@ let serve_unix_socket ?(queue = 64) ?(max_conns = 4) ?global_queue
   in
   let limiter = make_limiter ~capacity:global_queue in
   let dispatch_lock = Mutex.create () in
-  (* a stale socket left by a dead server is replaced; anything else at
-     the path is not the server's to delete *)
-  (match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
-  | _ ->
-    invalid_arg
-      (Printf.sprintf "Server.serve_unix_socket: %s exists and is not a socket" path)
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+  if check_socket_path path then Unix.unlink path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let bound = ref false in
   Fun.protect

@@ -130,6 +130,12 @@ val serve :
     byte-identical to solo runs.  Counters: [serve.requests],
     [serve.responses], [serve.overlong], [serve.shed]. *)
 
+val check_socket_path : string -> bool
+(** Whether [path] holds a stale socket, left by a dead server, that
+    {!serve_unix_socket} replaces ([false]: nothing is there).  Raises
+    [Invalid_argument] when anything else is at [path], which is not the
+    server's to delete. *)
+
 val serve_unix_socket :
   ?queue:int ->
   ?max_conns:int ->

@@ -1,4 +1,5 @@
 module Tech = Nmcache_device.Tech
+module Knob_state = Nmcache_device.Knob_state
 module Units = Nmcache_physics.Units
 module Gate = Nmcache_circuit.Gate
 module Wire = Nmcache_circuit.Wire
@@ -11,6 +12,13 @@ type t = {
   config : Config.t;
   org : Org.t;
   reference : Component.knob;
+  (* what the knob being evaluated does not change, computed in [make] *)
+  factors : Knob_state.tech_factors;
+  rows_sub : int;
+  cols_sub : float;
+  reference_cell : Sram_cell.t;
+  reference_wordline_c : float;  (* the decoder's load *)
+  driver_length : float;         (* the bus drivers' wire *)
 }
 
 let default_reference = Component.knob ~vth:0.30 ~tox:(Units.angstrom 12.0)
@@ -23,40 +31,33 @@ let reference t = t.reference
 (* ------------------------------------------------------------------ *)
 (* Geometry helpers                                                    *)
 
-let cell_at t (k : Component.knob) = Sram_cell.make t.tech ~vth:k.vth ~tox:k.tox
+(* The device state every component built at knob [k] shares. *)
+let knob_state t (k : Component.knob) = Knob_state.at t.factors ~vth:k.vth ~tox:k.tox
 
-(* Floorplan dimensions at a given knob (cells set the pitch).  A 15%
-   routing/overhead factor is applied per dimension. *)
-let floorplan_at t (k : Component.knob) =
-  let cell = cell_at t k in
+(* Floorplan dimensions with cells of [cell] (cells set the pitch).  A
+   15% routing/overhead factor is applied per dimension. *)
+let floorplan_of t (cell : Sram_cell.t) =
   let gx, gy = Org.grid t.org in
-  let rs = float_of_int (Org.rows_sub t.config t.org) in
-  let cs = Org.cols_sub t.config t.org in
-  let width = 1.15 *. float_of_int gx *. cs *. cell.Sram_cell.width in
-  let height = 1.15 *. float_of_int gy *. rs *. cell.Sram_cell.height in
+  let rs = float_of_int t.rows_sub in
+  let width = 1.15 *. float_of_int gx *. t.cols_sub *. cell.width in
+  let height = 1.15 *. float_of_int gy *. rs *. cell.height in
   (width, height)
 
-let floorplan t = floorplan_at t t.reference
+let floorplan t = floorplan_of t t.reference_cell
 
-(* Wordline capacitance of one subarray with cells at knob [k]. *)
-let wordline_cap t (k : Component.knob) =
-  let cell = cell_at t k in
-  let cs = Org.cols_sub t.config t.org in
-  let wire_c = t.tech.Tech.wire_c_per_m *. (cs *. cell.Sram_cell.width) in
+(* Wordline capacitance of one subarray with cells of [cell]. *)
+let wordline_cap t (cell : Sram_cell.t) =
+  let cs = t.cols_sub in
+  let wire_c = t.tech.Tech.wire_c_per_m *. (cs *. cell.width) in
   (cs *. Sram_cell.gate_load t.tech cell) +. wire_c
 
-let wordline_res t (k : Component.knob) =
-  let cell = cell_at t k in
-  let cs = Org.cols_sub t.config t.org in
-  t.tech.Tech.wire_r_per_m *. (cs *. cell.Sram_cell.width)
+let wordline_res t (cell : Sram_cell.t) = t.tech.Tech.wire_r_per_m *. (t.cols_sub *. cell.width)
 
 (* Sense amplifiers: 4:1 column multiplexing, every subarray carries its
    own amps. *)
 let bitline_mux = 4.0
 
-let sense_amp_count t =
-  let cs = Org.cols_sub t.config t.org in
-  float_of_int (Org.n_subarrays t.org) *. cs /. bitline_mux
+let sense_amp_count t = float_of_int (Org.n_subarrays t.org) *. t.cols_sub /. bitline_mux
 
 (* ------------------------------------------------------------------ *)
 (* Component models                                                    *)
@@ -78,19 +79,19 @@ type array_timing = {
 }
 
 (* The array's timing closed forms, from a cell and sense amp already
-   built at the knob [k]. *)
-let array_timing_of t (k : Component.knob) cell (sa : Sense_amp.t) =
+   built at one knob. *)
+let array_timing_of t (cell : Sram_cell.t) (sa : Sense_amp.t) =
   let tech = t.tech in
-  let rs = float_of_int (Org.rows_sub t.config t.org) in
+  let rs = float_of_int t.rows_sub in
   (* wordline propagation across the selected subarray (driver delay is
      accounted in the decoder component) *)
-  let wordline_r = wordline_res t k in
-  let wordline_c = wordline_cap t k in
+  let wordline_r = wordline_res t cell in
+  let wordline_c = wordline_cap t cell in
   (* bitline: current-source discharge to the sense threshold *)
   let bitline_c =
     rs
     *. (Sram_cell.drain_load tech cell
-       +. (tech.Tech.wire_c_per_m *. cell.Sram_cell.height))
+       +. (tech.Tech.wire_c_per_m *. cell.height))
   in
   let sense_c_in = sa.Sense_amp.c_input in
   let sense_swing = Sense_amp.sense_swing *. tech.Tech.vdd in
@@ -107,19 +108,18 @@ let array_timing_of t (k : Component.knob) cell (sa : Sense_amp.t) =
     sense_delay = sa.Sense_amp.delay;
   }
 
-let array_timing t (k : Component.knob) =
-  Tech.check_knobs t.tech ~vth:k.vth ~tox:k.tox;
-  array_timing_of t k (cell_at t k) (Sense_amp.make t.tech ~vth:k.vth ~tox:k.tox)
+let array_timing t k =
+  let knob = knob_state t k in
+  array_timing_of t (Sram_cell.make knob) (Sense_amp.make t.tech knob)
 
 (* Memory-cell array + sense amplifiers. *)
-let eval_array t (k : Component.knob) =
-  Tech.check_knobs t.tech ~vth:k.vth ~tox:k.tox;
+let eval_array t knob =
   let tech = t.tech in
-  let cell = cell_at t k in
-  let cs = Org.cols_sub t.config t.org in
+  let cell = Sram_cell.make knob in
+  let cs = t.cols_sub in
   let n_cells = float_of_int (Config.total_cells t.config) in
-  let sa = Sense_amp.make tech ~vth:k.vth ~tox:k.tox in
-  let at = array_timing_of t k cell sa in
+  let sa = Sense_amp.make tech knob in
+  let at = array_timing_of t cell sa in
   let delay = at.wordline_delay +. at.bitline_delay +. at.sense_delay in
   (* leakage: every cell, every sense amp *)
   let leak =
@@ -145,10 +145,9 @@ let eval_array t (k : Component.knob) =
 
 (* Row decoder: predecoders (3-bit NAND groups), per-row combining gate,
    wordline driver chain sized for the reference wordline load. *)
-let eval_decoder t (k : Component.knob) =
-  Tech.check_knobs t.tech ~vth:k.vth ~tox:k.tox;
+let eval_decoder t knob =
   let tech = t.tech in
-  let rs = Org.rows_sub t.config t.org in
+  let rs = t.rows_sub in
   let n_idx = max 1 (log2_ceil rs) in
   let n_groups = (n_idx + 2) / 3 in
   let group_bits i =
@@ -156,17 +155,13 @@ let eval_decoder t (k : Component.knob) =
     let base = n_idx / n_groups and extra = n_idx mod n_groups in
     if i < extra then base + 1 else base
   in
-  let row_gate =
-    Gate.nand tech ~vth:k.vth ~tox:k.tox ~size:1.0 ~inputs:(max 2 n_groups)
-  in
-  let c_wl_ref = wordline_cap t t.reference in
+  let row_gate = Gate.nand tech knob ~size:1.0 ~inputs:(max 2 n_groups) in
   let wl_chain =
-    Chain.with_first_gate tech ~vth:k.vth ~tox:k.tox ~first:row_gate ~c_load:c_wl_ref
+    Chain.with_first_gate tech knob ~first:row_gate ~c_load:t.reference_wordline_c
   in
   (* predecode stage: each group is a bank of NAND(bits) gates; one
      output drives rows/2^bits row-gate pins plus wire down the
      subarray edge *)
-  let cell_ref = cell_at t t.reference in
   let predecode_delay = ref 0.0 in
   let predecode_leak = ref 0.0 in
   let predecode_area = ref 0.0 in
@@ -174,11 +169,11 @@ let eval_decoder t (k : Component.knob) =
   for i = 0 to n_groups - 1 do
     let bits = max 1 (group_bits i) in
     let fan_in = max 2 bits in
-    let bank = Gate.nand tech ~vth:k.vth ~tox:k.tox ~size:4.0 ~inputs:fan_in in
+    let bank = Gate.nand tech knob ~size:4.0 ~inputs:fan_in in
     let n_gates = 1 lsl bits in
     let loads = float_of_int rs /. float_of_int n_gates in
     let wire =
-      Wire.make tech ~length:(float_of_int rs *. cell_ref.Sram_cell.height)
+      Wire.make tech ~length:(float_of_int rs *. t.reference_cell.height)
     in
     let c_load = (loads *. row_gate.Gate.c_in) +. wire.Wire.c_total in
     let d = Gate.delay bank ~c_load in
@@ -198,16 +193,14 @@ let eval_decoder t (k : Component.knob) =
   { Component.delay; leak_w = leak; dyn_energy = dyn; area }
 
 (* Repeated-wire driver groups (address in, data out). *)
-let eval_drivers t (k : Component.knob) ~bits ~extra_load =
-  Tech.check_knobs t.tech ~vth:k.vth ~tox:k.tox;
+let eval_drivers t knob ~bits ~extra_load =
   let tech = t.tech in
-  let width, height = floorplan_at t t.reference in
-  let length = (width +. height) /. 2.0 in
-  let rep = Wire.repeated tech ~vth:k.vth ~tox:k.tox ~length in
+  let rep = Wire.repeated tech knob ~length:t.driver_length in
   let final =
     if extra_load > 0.0 then
-      let unit = Gate.inverter tech ~vth:k.vth ~tox:k.tox ~size:1.0 in
-      Some (Chain.buffer tech ~vth:k.vth ~tox:k.tox ~c_in:(4.0 *. unit.Gate.c_in) ~c_load:extra_load)
+      (* a buffer chain from a 4x inverter *)
+      let first = Gate.inverter tech knob ~size:4.0 in
+      Some (Chain.with_first_gate tech knob ~first ~c_load:extra_load)
     else None
   in
   let fdelay, fleak, fenergy, farea =
@@ -233,11 +226,12 @@ let eval_data_drivers t k =
   eval_drivers t k ~bits:t.config.Config.output_bits ~extra_load:(Units.ff 25.0)
 
 let evaluate_component t kind k =
+  let knob = knob_state t k in
   match (kind : Component.kind) with
-  | Component.Array_sense -> eval_array t k
-  | Component.Decoder -> eval_decoder t k
-  | Component.Addr_drivers -> eval_addr_drivers t k
-  | Component.Data_drivers -> eval_data_drivers t k
+  | Component.Array_sense -> eval_array t knob
+  | Component.Decoder -> eval_decoder t knob
+  | Component.Addr_drivers -> eval_addr_drivers t knob
+  | Component.Data_drivers -> eval_data_drivers t knob
 
 (* ------------------------------------------------------------------ *)
 
@@ -282,7 +276,31 @@ let characterize t kind ~vths ~toxs =
 
 (* ------------------------------------------------------------------ *)
 
-let make_with_org tech config org reference = { tech; config; org; reference }
+(* The reference quantities are computed by the helpers [eval_*] use, on
+   a model that does not hold them yet. *)
+let make_with_org tech config org reference =
+  let factors = Knob_state.tech_factors tech in
+  let t =
+    {
+      tech;
+      config;
+      org;
+      reference;
+      factors;
+      rows_sub = Org.rows_sub config org;
+      cols_sub = Org.cols_sub config org;
+      reference_cell =
+        Sram_cell.make (Knob_state.at factors ~vth:reference.vth ~tox:reference.tox);
+      reference_wordline_c = Float.nan;
+      driver_length = Float.nan;
+    }
+  in
+  let width, height = floorplan t in
+  {
+    t with
+    reference_wordline_c = wordline_cap t t.reference_cell;
+    driver_length = (width +. height) /. 2.0;
+  }
 
 let best_org ?(reference = default_reference) tech config =
   let candidates = Org.candidates config in

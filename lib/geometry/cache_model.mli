@@ -19,7 +19,11 @@ type t
 val make :
   ?reference:Component.knob -> ?org:Org.t -> Nmcache_device.Tech.t -> Config.t -> t
 (** [make tech config] builds the model.  [org] defaults to
-    {!best_org}'s choice; [reference] defaults to (0.30 V, 12 Å). *)
+    {!best_org}'s choice; [reference] defaults to (0.30 V, 12 Å).  It
+    computes once what no evaluated knob changes: the technology's
+    knob-independent device factors, the reference-knob cell, the
+    reference wordline load the decoder drives and the bus drivers'
+    wire length. *)
 
 val tech : t -> Nmcache_device.Tech.t
 val config : t -> Config.t
@@ -32,8 +36,10 @@ val floorplan : t -> float * float
 
 val evaluate_component : t -> Component.kind -> Component.knob -> Component.summary
 (** Delay / leakage / dynamic energy / area of one component at one
-    knob.  Raises [Invalid_argument] if the knob is outside the
-    technology's legal range. *)
+    knob, every device of it built on one device state of the knob
+    ({!Nmcache_device.Knob_state}).  Raises [Invalid_argument] with
+    {!Nmcache_device.Tech.check_knobs}'s message if the knob is outside
+    the technology's legal range. *)
 
 type array_timing = {
   wordline_r : float;     (** wire resistance of one subarray wordline [Ω] *)

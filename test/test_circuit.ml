@@ -3,6 +3,7 @@
 
 module Units = Nmcache_physics.Units
 module Tech = Nmcache_device.Tech
+module Knob_state = Nmcache_device.Knob_state
 module Gate = Nmcache_circuit.Gate
 module Wire = Nmcache_circuit.Wire
 module Chain = Nmcache_circuit.Chain
@@ -11,6 +12,10 @@ module Sense_amp = Nmcache_circuit.Sense_amp
 
 let tech = Tech.bptm65
 let a = Units.angstrom
+
+(* the device state every gate, wire, cell and sense amp of one knob
+   is built on *)
+let at ~vth ~tox = Knob_state.make tech ~vth ~tox
 
 let close ?(eps = 1e-9) msg expected actual =
   Alcotest.(check bool)
@@ -21,21 +26,21 @@ let close ?(eps = 1e-9) msg expected actual =
 (* --- gates -------------------------------------------------------------- *)
 
 let test_inverter_sizing () =
-  let g1 = Gate.inverter tech ~vth:0.3 ~tox:(a 12.0) ~size:1.0 in
-  let g4 = Gate.inverter tech ~vth:0.3 ~tox:(a 12.0) ~size:4.0 in
+  let g1 = Gate.inverter tech (at ~vth:0.3 ~tox:(a 12.0)) ~size:1.0 in
+  let g4 = Gate.inverter tech (at ~vth:0.3 ~tox:(a 12.0)) ~size:4.0 in
   close "4x input cap" 4.0 (g4.Gate.c_in /. g1.Gate.c_in) ~eps:1e-6;
   close "1/4 resistance" 0.25 (g4.Gate.r_drive /. g1.Gate.r_drive) ~eps:1e-6;
   Alcotest.(check bool) "4x leakage" true
     (Float.abs ((g4.Gate.leak_w /. g1.Gate.leak_w) -. 4.0) < 0.2)
 
 let test_gate_delay_monotone_in_load () =
-  let g = Gate.inverter tech ~vth:0.3 ~tox:(a 12.0) ~size:2.0 in
+  let g = Gate.inverter tech (at ~vth:0.3 ~tox:(a 12.0)) ~size:2.0 in
   Alcotest.(check bool) "more load, more delay" true
     (Gate.delay g ~c_load:(Units.ff 10.0) > Gate.delay g ~c_load:(Units.ff 1.0))
 
 let test_nand_nor_efforts () =
-  let nand2 = Gate.nand tech ~vth:0.3 ~tox:(a 12.0) ~size:1.0 ~inputs:2 in
-  let nor2 = Gate.nor tech ~vth:0.3 ~tox:(a 12.0) ~size:1.0 ~inputs:2 in
+  let nand2 = Gate.nand tech (at ~vth:0.3 ~tox:(a 12.0)) ~size:1.0 ~inputs:2 in
+  let nor2 = Gate.nor tech (at ~vth:0.3 ~tox:(a 12.0)) ~size:1.0 ~inputs:2 in
   close "nand2 logical effort" (4.0 /. 3.0) nand2.Gate.logical_effort ~eps:1e-9;
   close "nor2 logical effort" (5.0 /. 3.0) nor2.Gate.logical_effort ~eps:1e-9;
   Alcotest.(check bool) "nor worse than nand" true
@@ -45,8 +50,8 @@ let test_stack_effect () =
   (* a 2-stack leaks less per width than the same devices in an inverter;
      probe at the subthreshold-dominated corner (thick oxide) where the
      stack factor is the visible effect *)
-  let inv = Gate.inverter tech ~vth:0.25 ~tox:(a 14.0) ~size:1.0 in
-  let nand = Gate.nand tech ~vth:0.25 ~tox:(a 14.0) ~size:1.0 ~inputs:2 in
+  let inv = Gate.inverter tech (at ~vth:0.25 ~tox:(a 14.0)) ~size:1.0 in
+  let nand = Gate.nand tech (at ~vth:0.25 ~tox:(a 14.0)) ~size:1.0 ~inputs:2 in
   (* nand has ~2x the device width of the inverter; its leakage should be
      well under 2x thanks to the stack factor *)
   Alcotest.(check bool) "stack suppresses leakage" true
@@ -55,7 +60,7 @@ let test_stack_effect () =
 let test_gate_validation () =
   Alcotest.(check bool) "inputs < 2 rejected" true
     (try
-       ignore (Gate.nand tech ~vth:0.3 ~tox:(a 12.0) ~size:1.0 ~inputs:1);
+       ignore (Gate.nand tech (at ~vth:0.3 ~tox:(a 12.0)) ~size:1.0 ~inputs:1);
        false
      with Invalid_argument _ -> true)
 
@@ -70,23 +75,23 @@ let test_wire_scaling () =
 let test_repeaters_beat_unrepeated_long_wire () =
   let length = Units.mm 4.0 in
   let w = Wire.make tech ~length in
-  let inv = Gate.inverter tech ~vth:0.25 ~tox:(a 11.0) ~size:8.0 in
+  let inv = Gate.inverter tech (at ~vth:0.25 ~tox:(a 11.0)) ~size:8.0 in
   let unrepeated = Wire.elmore w ~r_driver:inv.Gate.r_drive ~c_load:(Units.ff 5.0) in
-  let rep = Wire.repeated tech ~vth:0.25 ~tox:(a 11.0) ~length in
+  let rep = Wire.repeated tech (at ~vth:0.25 ~tox:(a 11.0)) ~length in
   Alcotest.(check bool) "repeating helps on mm-scale wire" true
     (rep.Wire.delay < unrepeated);
   Alcotest.(check bool) "uses several repeaters" true (rep.Wire.n_repeaters >= 4)
 
 let test_repeated_wire_monotone_in_length () =
-  let d len = (Wire.repeated tech ~vth:0.3 ~tox:(a 12.0) ~length:len).Wire.delay in
+  let d len = (Wire.repeated tech (at ~vth:0.3 ~tox:(a 12.0)) ~length:len).Wire.delay in
   Alcotest.(check bool) "longer is slower" true
     (d (Units.um 200.0) < d (Units.um 400.0) && d (Units.um 400.0) < d (Units.um 800.0))
 
 (* --- sram cell -------------------------------------------------------------- *)
 
 let test_cell_area_scales_with_tox () =
-  let small = Sram_cell.make tech ~vth:0.3 ~tox:(a 10.0) in
-  let big = Sram_cell.make tech ~vth:0.3 ~tox:(a 14.0) in
+  let small = Sram_cell.make (at ~vth:0.3 ~tox:(a 10.0)) in
+  let big = Sram_cell.make (at ~vth:0.3 ~tox:(a 14.0)) in
   let expected = (14.0 /. 10.0) ** (2.0 *. tech.Tech.l_scaling_exponent) in
   close "area ratio follows scaling rule"
     expected
@@ -98,17 +103,17 @@ let test_cell_area_scales_with_tox () =
 
 let test_cell_area_magnitude () =
   (* 65nm 6T cell ~ 0.4..1 um2 *)
-  let c = Sram_cell.make tech ~vth:0.3 ~tox:(a 12.0) in
+  let c = Sram_cell.make (at ~vth:0.3 ~tox:(a 12.0)) in
   let um2 = Sram_cell.area c /. 1e-12 in
   Alcotest.(check bool) (Printf.sprintf "cell %.3f um2" um2) true (um2 > 0.2 && um2 < 1.5)
 
 let test_cell_leakage_monotone () =
-  let leak vth tox_a = Sram_cell.leakage_power tech (Sram_cell.make tech ~vth ~tox:(a tox_a)) in
+  let leak vth tox_a = Sram_cell.leakage_power tech (Sram_cell.make (at ~vth ~tox:(a tox_a))) in
   Alcotest.(check bool) "dec in vth" true (leak 0.45 12.0 < leak 0.25 12.0);
   Alcotest.(check bool) "dec in tox" true (leak 0.3 13.5 < leak 0.3 10.5)
 
 let test_cell_read_current () =
-  let c = Sram_cell.make tech ~vth:0.3 ~tox:(a 12.0) in
+  let c = Sram_cell.make (at ~vth:0.3 ~tox:(a 12.0)) in
   let i = Sram_cell.read_current tech c in
   (* tens of uA for a 65nm cell *)
   Alcotest.(check bool) "read current 5..500 uA" true (i > 5e-6 && i < 5e-4)
@@ -116,20 +121,20 @@ let test_cell_read_current () =
 (* --- sense amp ----------------------------------------------------------------- *)
 
 let test_sense_amp () =
-  let sa = Sense_amp.make tech ~vth:0.3 ~tox:(a 12.0) in
+  let sa = Sense_amp.make tech (at ~vth:0.3 ~tox:(a 12.0)) in
   Alcotest.(check bool) "positive delay" true (sa.Sense_amp.delay > 0.0);
   Alcotest.(check bool) "delay < 100 ps" true (sa.Sense_amp.delay < Units.ps 100.0);
   Alcotest.(check bool) "positive leakage" true (sa.Sense_amp.leak_w > 0.0);
-  let sa_hi = Sense_amp.make tech ~vth:0.45 ~tox:(a 14.0) in
+  let sa_hi = Sense_amp.make tech (at ~vth:0.45 ~tox:(a 14.0)) in
   Alcotest.(check bool) "conservative knobs leak less" true
     (sa_hi.Sense_amp.leak_w < sa.Sense_amp.leak_w)
 
 (* --- chain ------------------------------------------------------------------------ *)
 
 let test_chain_drives_large_load () =
-  let unit = Gate.inverter tech ~vth:0.3 ~tox:(a 12.0) ~size:1.0 in
+  let unit = Gate.inverter tech (at ~vth:0.3 ~tox:(a 12.0)) ~size:1.0 in
   let chain =
-    Chain.buffer tech ~vth:0.3 ~tox:(a 12.0) ~c_in:unit.Gate.c_in ~c_load:(Units.ff 200.0)
+    Chain.buffer tech (at ~vth:0.3 ~tox:(a 12.0)) ~c_in:unit.Gate.c_in ~c_load:(Units.ff 200.0)
   in
   Alcotest.(check bool) "several stages" true (chain.Chain.n_stages >= 3);
   (* a chain must beat the unit inverter driving the load directly *)
@@ -137,9 +142,9 @@ let test_chain_drives_large_load () =
   Alcotest.(check bool) "chain faster than direct drive" true (chain.Chain.delay < direct)
 
 let test_chain_stage_effort_reasonable () =
-  let unit = Gate.inverter tech ~vth:0.3 ~tox:(a 12.0) ~size:1.0 in
+  let unit = Gate.inverter tech (at ~vth:0.3 ~tox:(a 12.0)) ~size:1.0 in
   let chain =
-    Chain.buffer tech ~vth:0.3 ~tox:(a 12.0) ~c_in:unit.Gate.c_in ~c_load:(Units.ff 100.0)
+    Chain.buffer tech (at ~vth:0.3 ~tox:(a 12.0)) ~c_in:unit.Gate.c_in ~c_load:(Units.ff 100.0)
   in
   Alcotest.(check bool) "effort near 4" true
     (chain.Chain.stage_effort > 2.0 && chain.Chain.stage_effort < 8.0)
@@ -147,7 +152,7 @@ let test_chain_stage_effort_reasonable () =
 let test_chain_validation () =
   Alcotest.(check bool) "c_in <= 0 rejected" true
     (try
-       ignore (Chain.buffer tech ~vth:0.3 ~tox:(a 12.0) ~c_in:0.0 ~c_load:1e-15);
+       ignore (Chain.buffer tech (at ~vth:0.3 ~tox:(a 12.0)) ~c_in:0.0 ~c_load:1e-15);
        false
      with Invalid_argument _ -> true)
 

@@ -1,9 +1,10 @@
 (* CLI suite: the built ppcache binary, driven as a user drives it.
 
    A usage error must exit 2 with its message before it touches any
-   file: the shared flags are all checked, and the --checkpoint journal
-   or serve's --store opened, before the --events sink truncates its
-   file.  The flag surface of every subcommand is pinned, read from the
+   file: the shared flags are all checked, the --checkpoint journal or
+   serve's --store opened, and the cache sizes, the cache configuration
+   and serve's --socket path checked, before the --events sink
+   truncates its file or a report is written.  The flag surface of every subcommand is pinned, read from the
    OPTIONS section of its --help=plain page, so a flag cannot be added
    or dropped by accident. *)
 
@@ -54,6 +55,9 @@ let run_ppcache ~dir args =
 
 (* --- usage errors ----------------------------------------------------- *)
 
+(* the line an Invalid_argument found in an argument's value ends with *)
+let usage_hint = "ppcache: exiting 2 (usage); see --help\n"
+
 let test_usage_errors_leave_events_alone () =
   let dir = tmpdir () in
   let events = Filename.concat dir "events.ndjson" in
@@ -77,7 +81,27 @@ let test_usage_errors_leave_events_alone () =
         Printf.sprintf "ppcache: --checkpoint %s: %s\n" plain not_a_dir );
       ( [ "serve"; "--quick"; "--store"; plain ],
         Printf.sprintf "ppcache: --store %s: %s\n" plain not_a_dir );
-    ]
+      ( [ "simulate"; "--l1"; "3"; "--accesses"; "1000" ],
+        "ppcache: Cache.create: size not a power of two\n" ^ usage_hint );
+      ( [ "serve"; "--quick"; "--socket"; plain ],
+        Printf.sprintf "ppcache: Server.serve_unix_socket: %s exists and is not a socket\n"
+          plain
+        ^ usage_hint );
+    ];
+  Alcotest.(check string) "the file at --socket survives"
+    "a regular file, not a journal directory\n" (read_file plain)
+
+(* A cache configuration the model refuses exits 2 before the session
+   starts, so no report is written. *)
+let test_bad_config_writes_no_report () =
+  let dir = tmpdir () in
+  let metrics = Filename.concat dir "metrics.json" in
+  let status, _, err = run_ppcache ~dir [ "characterize"; "--size"; "3"; "--metrics-json"; metrics ] in
+  Alcotest.(check bool) "exit 2" true (status = Unix.WEXITED 2);
+  Alcotest.(check string) "its usage message"
+    ("ppcache: Config.make: size_bytes not a power of two\n" ^ usage_hint)
+    err;
+  Alcotest.(check bool) "no --metrics-json file" false (Sys.file_exists metrics)
 
 (* --- the flag surface ------------------------------------------------- *)
 
@@ -164,6 +188,8 @@ let suite =
   [
     Alcotest.test_case "usage errors leave an existing --events file alone" `Quick
       test_usage_errors_leave_events_alone;
+    Alcotest.test_case "a refused cache configuration writes no report" `Quick
+      test_bad_config_writes_no_report;
     Alcotest.test_case "every subcommand offers exactly its pinned flags" `Quick
       test_flag_surface_pinned;
   ]

@@ -72,10 +72,9 @@ let test_on_current_magnitude () =
 
 let test_temperature_raises_subthreshold () =
   let hot = Tech.with_temperature tech ~temp_k:358.0 in
-  let d = nmos ~vth:0.35 ~tox_a:12.0 in
+  let at tech = Mosfet.nmos tech ~w ~vth:0.35 ~tox:(Units.angstrom 12.0) in
   Alcotest.(check bool) "hotter leaks more" true
-    (Leakage.subthreshold tech d ~vgs:0.0 ~vds:1.0 ~vsb:0.0
-    < Leakage.subthreshold hot d ~vgs:0.0 ~vds:1.0 ~vsb:0.0)
+    (Leakage.subthreshold_off tech (at tech) < Leakage.subthreshold_off hot (at hot))
 
 let test_scaling_rule () =
   let l10 = Tech.l_drawn tech ~tox:(Units.angstrom 10.0) in

@@ -164,6 +164,103 @@ let test_characterize_shape () =
   Alcotest.(check bool) "vth-major" true
     (k0.Component.vth = k1.Component.vth && k0.Component.tox < k1.Component.tox)
 
+(* --- the evaluator, pinned bit for bit ---------------------------------- *)
+
+(* The five caches test_fit pins its models on, and the quick context's
+   L1 and L2. *)
+let pin_circuits () =
+  let ctx = Core.Context.quick () in
+  List.map
+    (fun (size_kb, assoc, block_bytes) ->
+      Cache_model.make tech (Config.make ~size_bytes:(kb size_kb) ~assoc ~block_bytes ()))
+    [ (4, 1, 32); (16, 4, 64); (128, 2, 32); (1024, 8, 64); (8192, 8, 64) ]
+  @ [
+      Cache_model.make tech (Core.Context.l1_config ctx ());
+      Cache_model.make tech (Core.Context.l2_config ctx ());
+    ]
+
+(* MD5 of the hex-float delay, leakage, energy and area of every
+   component of [pin_circuits] at every point of the default 13 x 9
+   grid, through [characterize], [evaluate_component] and [evaluate],
+   as the evaluator computed them when every device recomputed its own
+   knob factors.  A change that moves one bit of one output fails. *)
+let evaluator_known_md5 = "94bc9323a377de10e3f1cc0d64ff2cf3"
+
+let test_evaluator_pinned () =
+  let grid = Nmcache_opt.Grid.make tech in
+  let buf = Buffer.create (1 lsl 18) in
+  let add (s : Component.summary) =
+    Buffer.add_string buf
+      (Printf.sprintf "%h %h %h %h\n" s.Component.delay s.Component.leak_w
+         s.Component.dyn_energy s.Component.area)
+  in
+  List.iter
+    (fun circuit ->
+      List.iter
+        (fun kind ->
+          Array.iter
+            (fun (k, s) ->
+              add s;
+              add (Cache_model.evaluate_component circuit kind k))
+            (Cache_model.characterize circuit kind ~vths:grid.Nmcache_opt.Grid.vths
+               ~toxs:grid.Nmcache_opt.Grid.toxs))
+        Component.all_kinds;
+      Array.iter
+        (fun k ->
+          List.iter (fun (_, s) -> add s)
+            (Cache_model.evaluate circuit (Component.uniform k)).Cache_model.components)
+        (Nmcache_opt.Grid.knobs grid))
+    (pin_circuits ());
+  Alcotest.(check string) "evaluator outputs" evaluator_known_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* An out-of-range knob is refused with the technology's own message,
+   for every component. *)
+let test_evaluator_refuses_out_of_range () =
+  List.iter
+    (fun (k, message) ->
+      List.iter
+        (fun kind ->
+          Alcotest.check_raises (Component.kind_name kind) (Invalid_argument message) (fun () ->
+              ignore (Cache_model.evaluate_component model kind k)))
+        Component.all_kinds)
+    [
+      ( Component.knob ~vth:0.1 ~tox:(a 12.0),
+        "Tech.check_knobs: Vth 0.100 V outside [0.200, 0.500]" );
+      ( Component.knob ~vth:0.3 ~tox:(a 15.0),
+        "Tech.check_knobs: Tox 15.00 A outside [10.00, 14.00]" );
+    ]
+
+(* Minor words of one warm [evaluate_component] call on the 16 KB L1
+   at the reference knob, per kind.  Each call builds one device state
+   and no device recomputes a knob factor: 169 / 438 / 169 / 314 words
+   (505 / 1,012 / 352 / 964 when every device built its own).  What is
+   left is mostly floats boxed across module boundaries: each device
+   quantity is a call into Leakage or Drive. *)
+let evaluator_words kind =
+  let k = Cache_model.reference model in
+  ignore (Cache_model.evaluate_component model kind k);
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Cache_model.evaluate_component model kind k))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_evaluator_allocation () =
+  List.iter
+    (fun (kind, bound) ->
+      let words = evaluator_words kind in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words <= %.0f" (Component.kind_name kind) words bound)
+        true (words <= bound))
+    [
+      (Component.Array_sense, 185.0);
+      (Component.Decoder, 480.0);
+      (Component.Addr_drivers, 185.0);
+      (Component.Data_drivers, 345.0);
+    ]
+
 let knob_arb = Generators.interior_knob_arb
 
 (* Leakage is only *nearly* monotone in the knobs: past Vth ~0.42 with
@@ -224,5 +321,10 @@ let suite =
     Alcotest.test_case "characterize grid shape" `Quick test_characterize_shape;
     Alcotest.test_case "assignment accessors" `Quick test_assignment_accessors;
     Alcotest.test_case "kind name roundtrip" `Quick test_kind_roundtrip;
+    Alcotest.test_case "evaluator pinned bit for bit" `Quick test_evaluator_pinned;
+    Alcotest.test_case "evaluator refuses out-of-range knobs" `Quick
+      test_evaluator_refuses_out_of_range;
+    Alcotest.test_case "alloc gate: evaluate_component words per kind" `Quick
+      test_evaluator_allocation;
   ]
   @ List.map Generators.to_alcotest [ prop_model_monotone ]

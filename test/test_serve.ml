@@ -574,11 +574,12 @@ let test_store_restart_serves_nothing () =
   Alcotest.(check int) "one store hit" 1 (hits () - hits0);
   Store.close store
 
-(* Earlier stores kept JSON trees under "optimize" and curves under
-   "curve".  Here those names hold values of yet another type, under the
-   very keys the queries use: served at the current types they would
-   crash or garble, so the answers must equal a fresh store's and land
-   under the current names. *)
+(* Earlier stores kept JSON trees under "optimize", curves under "curve"
+   and fitted models, of a [Cache_model.t] without its reference
+   quantities, under "model".  Here those names hold values of yet
+   another type, under the very keys the queries use: served at the
+   current types they would crash or garble, so the answers must equal
+   a fresh store's and land under the current names. *)
 let test_store_old_formats_unread () =
   let queries =
     [
@@ -586,7 +587,7 @@ let test_store_old_formats_unread () =
       {|{"id":"c","op":"miss_curve","workload":"tpcc","l1_kb":4,"l2_kb":[64,128],"n":20000}|};
     ]
   in
-  let renamed = [ ("optimize", "optimize.r1"); ("curve", "curve.r1") ] in
+  let renamed = [ ("optimize", "optimize.r1"); ("curve", "curve.r1"); ("model", "model.r2") ] in
   let fresh = Store.open_ ~dir:(tmpdir ()) in
   let expected = List.map (ask (make_service ~store:fresh ())) queries in
   let old = Store.open_ ~dir:(tmpdir ()) in
@@ -681,7 +682,7 @@ let test_store_stale_numerics_misses () =
             | Some v -> Store.add store ~ns ~key:(rekey key) v
             | None -> ())
           (Store.keys source ~ns))
-      [ "model"; "optimize.r1" ];
+      [ "model.r2"; "optimize.r1" ];
     store
   in
   let answer store =

@@ -4,6 +4,7 @@
 
 module Units = Nmcache_physics.Units
 module Tech = Nmcache_device.Tech
+module Knob_state = Nmcache_device.Knob_state
 module Transient = Nmcache_circuit.Transient
 module Sram_cell = Nmcache_circuit.Sram_cell
 module Config = Nmcache_geometry.Config
@@ -169,7 +170,7 @@ let test_wordline_closed_form_vs_transient () =
    corner) to 1.04383 (L2, fast corner). *)
 let bitline_ratio m (k : Component.knob) (at : Cache_model.array_timing) =
   let n = 32 in
-  let cell = Sram_cell.make tech ~vth:k.vth ~tox:k.tox in
+  let cell = Sram_cell.make (Knob_state.make tech ~vth:k.vth ~tox:k.tox) in
   let rows = Org.rows_sub (Cache_model.config m) (Cache_model.org m) in
   let r_wire = float_of_int rows *. tech.Tech.wire_r_per_m *. cell.Sram_cell.height in
   let r = r_wire /. float_of_int n and c = at.bitline_c /. float_of_int n in
