@@ -1,5 +1,19 @@
 module Rng = Nmcache_numerics.Rng
 
+(* The first-touch set ([seen]) keeps one bit per block number, in pages
+   of [page_bits] blocks.  A page is [page_bytes] bytes at a fixed place
+   in a chunk of [chunk_pages] pages; a page directory maps a page
+   number ([block lsr page_shift]) to its page index, and the last page
+   a miss used is remembered, so a run of misses within one page skips
+   the directory.  A fully sparse trace, one block per page, costs a
+   32-byte page and one directory entry per block: at most 2.5x the
+   per-block [Intmap] entry of a set that keeps blocks one by one. *)
+let page_shift = 8
+let page_bits = 1 lsl page_shift
+let page_bytes = page_bits / 8
+let chunk_shift = 7
+let chunk_pages = 1 lsl chunk_shift
+
 type t = {
   size_bytes : int;
   assoc : int;
@@ -12,13 +26,19 @@ type t = {
   set_mask : int;          (* sets - 1 *)
   set_shift : int;         (* log2 sets *)
   tags : int array;        (* sets * assoc; -1 = invalid; holds tag *)
-  dirty : Bytes.t;         (* sets * assoc booleans *)
+  dirty : Bytes.t;         (* sets * assoc bytes, each 0 or 1 *)
   stamp : int array;       (* LRU recency / FIFO install order *)
   plru : int array;        (* per-set PLRU tree bits *)
   rng : Rng.t;
   mutable clock : int;
   stats : Stats.t;
-  seen : Intmap.t;         (* all-time first-touch set, consulted on misses only *)
+  (* [seen], the all-time first-touch set behind [cold_misses], probed
+     on misses only; [reset_stats] leaves it alone *)
+  pages : Intmap.t;                (* page number -> page index *)
+  mutable chunks : Bytes.t array;  (* page index lsr chunk_shift -> chunk *)
+  mutable page_count : int;
+  mutable page_no : int;           (* the remembered page; -1 before the first miss *)
+  mutable page_index : int;
 }
 
 (* An access outcome is one immediate int, so [access] never allocates:
@@ -69,7 +89,11 @@ let create ~size_bytes ~assoc ~block_bytes ~policy () =
     rng = Rng.create ~seed:(Int64.of_int seed);
     clock = 0;
     stats = Stats.create ();
-    seen = Intmap.create ~initial_capacity:4096 ();
+    pages = Intmap.create ();
+    chunks = [| Bytes.empty |];
+    page_count = 0;
+    page_no = -1;
+    page_index = 0;
   }
 
 let size_bytes t = t.size_bytes
@@ -80,43 +104,48 @@ let policy t = t.policy
 let stats t = t.stats
 let reset_stats t = Stats.reset t.stats
 
-(* Way holding [tag] in the set at [base], or -1.  Unrolled for the
-   associativities the experiments sweep (1/2/4/8); returning an int
-   keeps the hot path allocation-free. *)
+(* 1 when slot [i] holds [tag], else 0.  Every index below is
+   [set * assoc + w] with [set < sets] and [w < assoc], inside [tags]. *)
+let eq (tags : int array) i (tag : int) = Bool.to_int (Array.unsafe_get tags i = tag)
+
+(* Way holding [tag] in the set at [base], or -1.  A tag sits in a set at
+   most once, so [sum (w + 1) * eq w] is the way plus one, or 0: no
+   branch depends on which way holds it.  Unrolled for the
+   associativities the experiments sweep (1/2/4/8). *)
 let find_way t base tag =
   let tags = t.tags in
   match t.assoc with
-  | 1 -> if tags.(base) = tag then 0 else -1
-  | 2 -> if tags.(base) = tag then 0 else if tags.(base + 1) = tag then 1 else -1
+  | 1 -> eq tags base tag - 1
+  | 2 -> eq tags base tag + (2 * eq tags (base + 1) tag) - 1
   | 4 ->
-    if tags.(base) = tag then 0
-    else if tags.(base + 1) = tag then 1
-    else if tags.(base + 2) = tag then 2
-    else if tags.(base + 3) = tag then 3
-    else -1
+    eq tags base tag
+    + (2 * eq tags (base + 1) tag)
+    + (3 * eq tags (base + 2) tag)
+    + (4 * eq tags (base + 3) tag)
+    - 1
   | 8 ->
-    if tags.(base) = tag then 0
-    else if tags.(base + 1) = tag then 1
-    else if tags.(base + 2) = tag then 2
-    else if tags.(base + 3) = tag then 3
-    else if tags.(base + 4) = tag then 4
-    else if tags.(base + 5) = tag then 5
-    else if tags.(base + 6) = tag then 6
-    else if tags.(base + 7) = tag then 7
-    else -1
+    eq tags base tag
+    + (2 * eq tags (base + 1) tag)
+    + (3 * eq tags (base + 2) tag)
+    + (4 * eq tags (base + 3) tag)
+    + (5 * eq tags (base + 4) tag)
+    + (6 * eq tags (base + 5) tag)
+    + (7 * eq tags (base + 6) tag)
+    + (8 * eq tags (base + 7) tag)
+    - 1
   | a ->
-    let w = ref 0 in
-    while !w < a && tags.(base + !w) <> tag do
-      incr w
+    let sum = ref 0 in
+    for w = 0 to a - 1 do
+      sum := !sum + ((w + 1) * eq tags (base + w) tag)
     done;
-    if !w < a then !w else -1
+    !sum - 1
 
 (* PLRU: the tree bits of a set select a way; touching a way points the
-   bits away from it. *)
+   bits away from it.  Internal nodes are 0 .. assoc-2, leaves assoc-1
+   .. 2*assoc-2, and both walks are loops of log2 assoc steps (a loop
+   rather than a local closure keeps them allocation-free). *)
 let plru_victim t set =
   let bits = t.plru.(set) in
-  (* internal nodes are 0 .. assoc-2, leaves assoc-1 .. 2*assoc-2; a
-     loop rather than a local closure keeps the descent allocation-free *)
   let leaves = t.assoc - 1 in
   let node = ref 0 in
   while !node < leaves do
@@ -125,93 +154,136 @@ let plru_victim t set =
   !node - leaves
 
 let plru_touch t set way =
-  if t.assoc > 1 then begin
-    let bits = ref t.plru.(set) in
-    (* walk from the leaf up, setting each internal bit away from the
-       taken direction *)
-    let node = ref (way + t.assoc - 1) in
-    while !node > 0 do
-      let parent = (!node - 1) / 2 in
-      let went_right = !node = (2 * parent) + 2 in
-      let mask = 1 lsl parent in
-      if went_right then bits := !bits land lnot mask else bits := !bits lor mask;
-      node := parent
-    done;
-    t.plru.(set) <- !bits
+  let bits = ref t.plru.(set) in
+  (* walk from the leaf up: a left child is odd, so [node land 1] is
+     the parent's new bit, pointing at the other subtree *)
+  let node = ref (way + t.assoc - 1) in
+  while !node > 0 do
+    let parent = (!node - 1) lsr 1 in
+    bits := !bits land lnot (1 lsl parent) lor ((!node land 1) lsl parent);
+    node := parent
+  done;
+  t.plru.(set) <- !bits
+
+(* LRU/FIFO victim: the first invalid way, else the first way with the
+   least stamp.  Stamps are never negative, so an invalid way's key is
+   -1 ([stamp lor -1]) and one masked minimum applies both rules. *)
+let oldest t base =
+  let tags = t.tags and stamp = t.stamp in
+  let best = ref 0 in
+  let key = ref (Array.unsafe_get stamp base lor -eq tags base (-1)) in
+  for w = 1 to t.assoc - 1 do
+    let k = Array.unsafe_get stamp (base + w) lor -eq tags (base + w) (-1) in
+    let take = -Bool.to_int (k < !key) in
+    key := !key lxor ((!key lxor k) land take);
+    best := !best lxor ((!best lxor w) land take)
+  done;
+  !best
+
+(* The first invalid way of the set at [base], or [assoc] if all are
+   valid; the masked scan runs downwards so the lowest such way wins. *)
+let first_invalid t base =
+  let tags = t.tags in
+  let first = ref t.assoc in
+  for w = t.assoc - 1 downto 0 do
+    first := !first lxor ((!first lxor w) land -eq tags (base + w) (-1))
+  done;
+  !first
+
+let choose_victim t set base =
+  match t.policy with
+  | Replacement.Lru | Replacement.Fifo -> oldest t base
+  | Replacement.Random _ ->
+    let w = first_invalid t base in
+    if w < t.assoc then w else Rng.int t.rng ~bound:t.assoc
+  | Replacement.Plru ->
+    let w = first_invalid t base in
+    if w < t.assoc then w else plru_victim t set
+
+(* Page index of page [page_no], allocating a zeroed page the first
+   time the page is asked for. *)
+let page_of t page_no =
+  let known = Intmap.find t.pages page_no ~default:(-1) in
+  if known >= 0 then known
+  else begin
+    let index = t.page_count in
+    let c = index lsr chunk_shift in
+    if index land (chunk_pages - 1) = 0 then begin
+      if c = Array.length t.chunks then begin
+        let grown = Array.make (2 * c) Bytes.empty in
+        Array.blit t.chunks 0 grown 0 c;
+        t.chunks <- grown
+      end;
+      t.chunks.(c) <- Bytes.make (chunk_pages * page_bytes) '\000'
+    end;
+    Intmap.replace t.pages page_no index;
+    t.page_count <- index + 1;
+    index
   end
 
-let choose_victim t set =
-  let base = set * t.assoc in
-  (* prefer an invalid way; a loop rather than a local closure keeps
-     the miss path allocation-free *)
-  let invalid = ref 0 in
-  while !invalid < t.assoc && t.tags.(base + !invalid) <> -1 do
-    incr invalid
-  done;
-  if !invalid < t.assoc then !invalid
-  else (
-    match t.policy with
-    | Replacement.Lru | Replacement.Fifo ->
-      let best = ref 0 in
-      for w = 1 to t.assoc - 1 do
-        if t.stamp.(base + w) < t.stamp.(base + !best) then best := w
-      done;
-      !best
-    | Replacement.Random _ -> Rng.int t.rng ~bound:t.assoc
-    | Replacement.Plru -> plru_victim t set)
-
-let touch t set way =
-  let base = set * t.assoc in
-  (match t.policy with
-  | Replacement.Lru -> t.stamp.(base + way) <- t.clock
-  | Replacement.Fifo | Replacement.Random _ -> ()
-  | Replacement.Plru -> plru_touch t set way);
-  t.clock <- t.clock + 1
-
-let install t set way tag ~write =
-  let base = set * t.assoc in
-  t.tags.(base + way) <- tag;
-  Bytes.set t.dirty (base + way) (if write then '\001' else '\000');
-  (match t.policy with
-  | Replacement.Fifo -> t.stamp.(base + way) <- t.clock
-  | Replacement.Lru -> t.stamp.(base + way) <- t.clock
-  | Replacement.Random _ | Replacement.Plru -> ());
-  touch t set way
+(* Set [block]'s first-touch bit; 1 if it was clear (a cold miss). *)
+let first_touch t block =
+  let page_no = block lsr page_shift in
+  if page_no <> t.page_no then begin
+    t.page_index <- page_of t page_no;
+    t.page_no <- page_no
+  end;
+  let chunk = t.chunks.(t.page_index lsr chunk_shift) in
+  let bit = block land (page_bits - 1) in
+  let i = ((t.page_index land (chunk_pages - 1)) * page_bytes) + (bit lsr 3) in
+  let byte = Char.code (Bytes.get chunk i) in
+  Bytes.set chunk i (Char.unsafe_chr (byte lor (1 lsl (bit land 7))));
+  1 - ((byte lsr (bit land 7)) land 1)
 
 let block_number_of t set tag = (tag * t.sets) + set
 
+(* The counters move by 0/1 terms, so neither a hit nor a miss branches
+   on [write], on the victim's dirt or on whether the victim was valid. *)
 let access t addr ~write =
   let block = addr lsr t.block_shift in
   let set = block land t.set_mask in
   let tag = block lsr t.set_shift in
   let base = set * t.assoc in
   let way = find_way t base tag in
+  let w = Bool.to_int write in
+  let st = t.stats in
+  st.Stats.accesses <- st.Stats.accesses + 1;
+  st.Stats.write_accesses <- st.Stats.write_accesses + w;
+  st.Stats.read_accesses <- st.Stats.read_accesses + (1 - w);
   if way >= 0 then begin
-    Stats.record t.stats ~hit:true ~write;
-    if write then Bytes.set t.dirty (base + way) '\001';
-    touch t set way;
+    st.Stats.hits <- st.Stats.hits + 1;
+    let i = base + way in
+    Bytes.set t.dirty i (Char.unsafe_chr (Char.code (Bytes.get t.dirty i) lor w));
+    (match t.policy with
+    | Replacement.Lru -> t.stamp.(i) <- t.clock
+    | Replacement.Fifo | Replacement.Random _ -> ()
+    | Replacement.Plru -> plru_touch t set way);
+    t.clock <- t.clock + 1;
     hit_outcome
   end
   else begin
-    Stats.record t.stats ~hit:false ~write;
+    st.Stats.misses <- st.Stats.misses + 1;
     (* a hit implies the block was installed by an earlier miss and is
        already in [seen], so first-touch tracking only needs the miss
        path *)
-    let cold = Intmap.add_if_absent t.seen block in
-    if cold then t.stats.Stats.cold_misses <- t.stats.Stats.cold_misses + 1;
-    let way = choose_victim t set in
-    let old_tag = t.tags.(base + way) in
-    let outcome =
-      if old_tag = -1 then fill_outcome
-      else begin
-        t.stats.Stats.evictions <- t.stats.Stats.evictions + 1;
-        let d = Bytes.get t.dirty (base + way) = '\001' in
-        if d then t.stats.Stats.writebacks <- t.stats.Stats.writebacks + 1;
-        (block_number_of t set old_tag lsl 1) lor Bool.to_int d
-      end
-    in
-    install t set way tag ~write;
-    outcome
+    st.Stats.cold_misses <- st.Stats.cold_misses + first_touch t block;
+    let way = choose_victim t set base in
+    let i = base + way in
+    let old_tag = t.tags.(i) in
+    (* an invalid way was never written, so its dirty byte is 0 *)
+    let valid = 1 - Bool.to_int (old_tag = -1) in
+    let d = Char.code (Bytes.get t.dirty i) in
+    st.Stats.evictions <- st.Stats.evictions + valid;
+    st.Stats.writebacks <- st.Stats.writebacks + d;
+    let evicted = (block_number_of t set old_tag lsl 1) lor d in
+    t.tags.(i) <- tag;
+    Bytes.set t.dirty i (Char.unsafe_chr w);
+    (match t.policy with
+    | Replacement.Lru | Replacement.Fifo -> t.stamp.(i) <- t.clock
+    | Replacement.Random _ -> ()
+    | Replacement.Plru -> plru_touch t set way);
+    t.clock <- t.clock + 1;
+    evicted land -valid lor (fill_outcome land (valid - 1))
   end
 
 let contains t addr =
@@ -230,6 +302,9 @@ let valid_blocks t =
   done;
   !acc
 
-(* expose the first-touch set's probe-length counts so the profile
-   layer can drain them into the Metrics registry after a traversal *)
-let drain_probe_hist t = Intmap.drain_probe_hist t.seen
+let first_touch_words t =
+  Obj.reachable_words (Obj.repr t.pages) + Obj.reachable_words (Obj.repr t.chunks)
+
+(* expose the page directory's probe-length counts so the profile layer
+   can drain them into the Metrics registry after a traversal *)
+let drain_probe_hist t = Intmap.drain_probe_hist t.pages

@@ -53,6 +53,13 @@ val reset_stats : t -> unit
 val valid_blocks : t -> int list
 (** Block numbers currently resident (unordered); for tests. *)
 
+val first_touch_words : t -> int
+(** Heap words held by the first-touch set behind
+    [Stats.cold_misses]: one bit per block number, in 32-byte pages
+    found through an {!Intmap} page directory.  For tests and sizing. *)
+
 val drain_probe_hist : t -> int array
-(** {!Intmap.drain_probe_hist} of the internal first-touch set:
-    probe-length counts since the last drain, then zeroed. *)
+(** {!Intmap.drain_probe_hist} of the first-touch set's page directory:
+    probe-length counts since the last drain, then zeroed.  Misses
+    within the page the previous miss used skip the directory and are
+    not counted. *)

@@ -4,7 +4,7 @@ type t = {
   block : int;
   mutable issued : int;
   mutable useful : int;
-  pending : (int, unit) Hashtbl.t; (* prefetched blocks not yet demanded *)
+  pending : Intmap.t; (* block -> 1 while prefetched and not yet demanded, else 0 *)
 }
 
 (* An access outcome is one immediate int, so [access] allocates
@@ -24,7 +24,7 @@ let create ?(degree = 1) ~l1 ~l2 () =
     block = Cache.block_bytes l1;
     issued = 0;
     useful = 0;
-    pending = Hashtbl.create 1024;
+    pending = Intmap.create ~initial_capacity:1024 ();
   }
 
 let hierarchy t = t.hierarchy
@@ -35,8 +35,8 @@ let accuracy t = if t.issued = 0 then 0.0 else float_of_int t.useful /. float_of
 let access t addr ~write =
   let block_no = addr / t.block in
   (* credit a pending prefetch if this demand hits one *)
-  if Hashtbl.mem t.pending block_no then begin
-    Hashtbl.remove t.pending block_no;
+  if Intmap.find t.pending block_no ~default:0 = 1 then begin
+    Intmap.replace t.pending block_no 0;
     let l2 = Hierarchy.l2 t.hierarchy in
     if Cache.contains l2 addr then t.useful <- t.useful + 1
   end;
@@ -51,7 +51,7 @@ let access t addr ~write =
         ignore (Cache.access l2 next ~write:false);
         t.issued <- t.issued + 1;
         incr issued;
-        Hashtbl.replace t.pending (block_no + k) ()
+        Intmap.replace t.pending (block_no + k) 1
       end
     done
   end;

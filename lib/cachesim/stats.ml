@@ -34,12 +34,6 @@ let reset t =
 let miss_rate t = if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
 let hit_rate t = if t.accesses = 0 then 0.0 else float_of_int t.hits /. float_of_int t.accesses
 
-let record t ~hit ~write =
-  t.accesses <- t.accesses + 1;
-  if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
-  if write then t.write_accesses <- t.write_accesses + 1
-  else t.read_accesses <- t.read_accesses + 1
-
 (* Bulk flush into the engine metrics registry — one call per finished
    simulation, never per access, so the simulator's hot loop stays
    lock-free. *)

@@ -19,9 +19,6 @@ val miss_rate : t -> float
 
 val hit_rate : t -> float
 
-val record : t -> hit:bool -> write:bool -> unit
-(** Bump the access/hit-or-miss/read-or-write counters. *)
-
 val flush_to_metrics : prefix:string -> t -> unit
 (** Add every non-zero counter to the {!Nmcache_engine.Metrics}
     registry as [<prefix>.accesses], [<prefix>.misses], … — called

@@ -551,7 +551,7 @@ let fold_chunks t ~init ~f =
    one is memory-unsafe.  Slot keys therefore name the state format:
    bump it with any such layout change, so an older journal's slots
    miss and are recomputed. *)
-let state_format = "rng-bytes"
+let state_format = "bit-pages"
 
 let slot_key ~skey ~salt index =
   (* pseudo-task namespace "stream": no Sweep task carries that name,

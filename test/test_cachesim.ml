@@ -5,6 +5,7 @@ module Hierarchy = Nmcache_cachesim.Hierarchy
 module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Address = Nmcache_cachesim.Address
+module Intmap = Nmcache_cachesim.Intmap
 module Rng = Nmcache_numerics.Rng
 
 let kb n = n * 1024
@@ -163,7 +164,13 @@ let test_access_allocation_gate () =
       if words > 0.0 then
         Alcotest.failf "%d-way %s: %.0f minor words over %d accesses" assoc
           (Replacement.name policy) words (Array.length addrs))
-    [ (4, Replacement.Plru); (16, Replacement.Lru); (8, Replacement.Random 3) ]
+    [
+      (4, Replacement.Plru);
+      (16, Replacement.Lru);
+      (8, Replacement.Random 3);
+      (* the L2 shape: 8-way LRU, the masked-minimum victim choice *)
+      (8, Replacement.Lru);
+    ]
 
 let test_random_policy_reproducible () =
   let run () =
@@ -311,6 +318,241 @@ let prop_stats_bookkeeping =
       && st.Stats.cold_misses <= st.Stats.misses
       && st.Stats.evictions <= st.Stats.misses)
 
+(* --- the kernel against reference models ---------------------------------
+
+   One reference set keeps, per way, the block number (-1 when invalid)
+   and its dirty bit.  [order] lists valid ways, most recent first under
+   LRU and newest install first under FIFO; [tree] holds PLRU's internal
+   nodes, [true] meaning the victim lies in the right subtree; Random
+   draws from its own [Rng] with the cache's seed, only when the set has
+   no invalid way.  Every counter is kept by hand, and cold misses by a
+   Hashtbl of every block ever missed on. *)
+
+type ref_set = {
+  blocks : int array;
+  dirt : bool array;
+  mutable order : int list;
+  tree : bool array;
+}
+
+type ref_cache = {
+  r_assoc : int;
+  r_policy : Replacement.t;
+  r_sets : ref_set array;
+  r_rng : Rng.t;
+  r_seen : (int, unit) Hashtbl.t;
+  r_stats : Stats.t;
+}
+
+let ref_create ~sets ~assoc policy =
+  let seed = match policy with Replacement.Random s -> s | _ -> 0 in
+  {
+    r_assoc = assoc;
+    r_policy = policy;
+    r_sets =
+      Array.init sets (fun _ ->
+          {
+            blocks = Array.make assoc (-1);
+            dirt = Array.make assoc false;
+            order = [];
+            tree = Array.make (max 0 (assoc - 1)) false;
+          });
+    r_rng = Rng.create ~seed:(Int64.of_int seed);
+    r_seen = Hashtbl.create 64;
+    r_stats = Stats.create ();
+  }
+
+(* point every tree node on the way's path at the other subtree *)
+let ref_plru_touch r s w =
+  let node = ref (w + r.r_assoc - 1) in
+  while !node > 0 do
+    let parent = (!node - 1) / 2 in
+    s.tree.(parent) <- !node = (2 * parent) + 1;
+    node := parent
+  done
+
+let ref_plru_victim r s =
+  let node = ref 0 in
+  while !node < r.r_assoc - 1 do
+    node := (2 * !node) + if s.tree.(!node) then 2 else 1
+  done;
+  !node - (r.r_assoc - 1)
+
+let rec last = function [ x ] -> x | _ :: tl -> last tl | [] -> assert false
+
+let ref_victim r s =
+  let rec first_invalid w =
+    if w = r.r_assoc then None
+    else if s.blocks.(w) = -1 then Some w
+    else first_invalid (w + 1)
+  in
+  match first_invalid 0 with
+  | Some w -> w
+  | None -> (
+    match r.r_policy with
+    | Replacement.Lru | Replacement.Fifo -> last s.order
+    | Replacement.Plru -> ref_plru_victim r s
+    | Replacement.Random _ -> Rng.int r.r_rng ~bound:r.r_assoc)
+
+(* (hit, victim block or -1, victim dirty) *)
+let ref_access r block ~write =
+  let st = r.r_stats in
+  let s = r.r_sets.(block mod Array.length r.r_sets) in
+  let to_front w = s.order <- w :: List.filter (fun x -> x <> w) s.order in
+  st.Stats.accesses <- st.Stats.accesses + 1;
+  if write then st.Stats.write_accesses <- st.Stats.write_accesses + 1
+  else st.Stats.read_accesses <- st.Stats.read_accesses + 1;
+  let rec find w =
+    if w = r.r_assoc then None else if s.blocks.(w) = block then Some w else find (w + 1)
+  in
+  match find 0 with
+  | Some w ->
+    st.Stats.hits <- st.Stats.hits + 1;
+    if write then s.dirt.(w) <- true;
+    (match r.r_policy with
+    | Replacement.Lru -> to_front w
+    | Replacement.Plru -> ref_plru_touch r s w
+    | Replacement.Fifo | Replacement.Random _ -> ());
+    (true, -1, false)
+  | None ->
+    st.Stats.misses <- st.Stats.misses + 1;
+    if not (Hashtbl.mem r.r_seen block) then begin
+      Hashtbl.add r.r_seen block ();
+      st.Stats.cold_misses <- st.Stats.cold_misses + 1
+    end;
+    let w = ref_victim r s in
+    let old = s.blocks.(w) and old_dirty = s.dirt.(w) in
+    if old <> -1 then begin
+      st.Stats.evictions <- st.Stats.evictions + 1;
+      if old_dirty then st.Stats.writebacks <- st.Stats.writebacks + 1
+    end;
+    s.blocks.(w) <- block;
+    s.dirt.(w) <- write;
+    (match r.r_policy with
+    | Replacement.Lru | Replacement.Fifo -> to_front w
+    | Replacement.Plru -> ref_plru_touch r s w
+    | Replacement.Random _ -> ());
+    (false, old, old <> -1 && old_dirty)
+
+let stats_fields (s : Stats.t) =
+  [
+    ("accesses", s.Stats.accesses);
+    ("hits", s.Stats.hits);
+    ("misses", s.Stats.misses);
+    ("read_accesses", s.Stats.read_accesses);
+    ("write_accesses", s.Stats.write_accesses);
+    ("evictions", s.Stats.evictions);
+    ("writebacks", s.Stats.writebacks);
+    ("cold_misses", s.Stats.cold_misses);
+  ]
+
+(* Block numbers for one case.  Clustered traces draw from a range a few
+   times the capacity; sparse ones draw from a pool of blocks spread over
+   [0, 2^40), one per first-touch page and mostly above 2^32, with a run
+   of neighbours so some misses share a page. *)
+let case_blocks rng ~clustered ~capacity n =
+  if clustered then Array.init n (fun _ -> Rng.int rng ~bound:(4 * capacity))
+  else begin
+    let pool =
+      Array.init (3 * capacity) (fun i ->
+          if i < 8 then (1 lsl 33) + i else Rng.int rng ~bound:(1 lsl 40))
+    in
+    Array.init n (fun _ -> pool.(Rng.int rng ~bound:(Array.length pool)))
+  end
+
+let prop_kernel_against_references =
+  QCheck.Test.make ~count:10 ~name:"cache kernel vs reference models (4 policies x 1-16 ways)"
+    Generators.trace_seed_arb
+    (fun seed ->
+      let rng = Rng.create ~seed:(Int64.of_int seed) in
+      let sets = 4 and block = 64 and n = 1500 in
+      List.iter
+        (fun assoc ->
+          List.iter
+            (fun policy ->
+              List.iter
+                (fun clustered ->
+                  let c =
+                    Cache.create ~size_bytes:(assoc * sets * block) ~assoc ~block_bytes:block
+                      ~policy ()
+                  in
+                  let r = ref_create ~sets ~assoc policy in
+                  let case =
+                    Printf.sprintf "%d-way %s %s" assoc (Replacement.name policy)
+                      (if clustered then "clustered" else "sparse")
+                  in
+                  let compare_stats at =
+                    List.iter2
+                      (fun (name, want) (_, got) ->
+                        if want <> got then
+                          QCheck.Test.fail_reportf "%s, %s: %s %d, reference %d" case at
+                            name got want)
+                      (stats_fields r.r_stats)
+                      (stats_fields (Cache.stats c))
+                  in
+                  let blocks = case_blocks rng ~clustered ~capacity:(assoc * sets) n in
+                  Array.iteri
+                    (fun i b ->
+                      (* statistics restart halfway; first touches do not *)
+                      if i = n / 2 then begin
+                        compare_stats "before reset";
+                        Cache.reset_stats c;
+                        Stats.reset r.r_stats
+                      end;
+                      let write = Rng.int rng ~bound:3 = 0 in
+                      let o = Cache.access c (b * block) ~write in
+                      let hit, victim, dirty = ref_access r b ~write in
+                      if
+                        Cache.hit o <> hit
+                        || Cache.victim o <> victim
+                        || Cache.victim_dirty o <> dirty
+                      then
+                        QCheck.Test.fail_reportf
+                          "%s, access %d (block %d): (hit %b, victim %d, dirty %b), reference \
+                           (%b, %d, %b)"
+                          case i b (Cache.hit o) (Cache.victim o) (Cache.victim_dirty o) hit
+                          victim dirty)
+                    blocks;
+                  compare_stats "at the end")
+                [ true; false ])
+            [ Replacement.Lru; Replacement.Fifo; Replacement.Plru; Replacement.Random (seed land 0xffff) ])
+        [ 1; 2; 4; 8; 16 ];
+      true)
+
+(* A fully sparse trace puts every block on its own first-touch page,
+   the bit pages' worst case.  It must cost at most 4x the bytes per
+   distinct block of an Intmap holding each block (created as the
+   per-block first-touch set was, at 4096 slots), measured just below
+   the Intmap's growth points, where its bytes per block are least.
+   A dense trace costs a bit per block and its share of a page. *)
+let test_first_touch_bytes () =
+  List.iter
+    (fun n ->
+      let c = make ~size:64 ~assoc:1 ~block:64 () in
+      let per_block = Intmap.create ~initial_capacity:4096 () in
+      for k = 0 to n - 1 do
+        (* pages are 256 blocks; a stride of 4099 pages, above 2^32 *)
+        let b = (1 lsl 33) + (k * 4099 * 256) + (k land 255) in
+        ignore (Cache.access c (b * 64) ~write:false);
+        ignore (Intmap.add_if_absent per_block b)
+      done;
+      Alcotest.(check int) "every block cold" n (Cache.stats c).Stats.cold_misses;
+      let bytes words = float_of_int (words * (Sys.word_size / 8)) /. float_of_int n in
+      let ours = bytes (Cache.first_touch_words c)
+      and theirs = bytes (Obj.reachable_words (Obj.repr per_block)) in
+      if ours > 4.0 *. theirs then
+        Alcotest.failf "sparse, %d blocks: %.1f bytes per block, Intmap %.1f (bound: 4x)" n
+          ours theirs)
+    [ 1_000; 3_071; 12_287 ];
+  let n = 100_000 in
+  let c = make ~size:64 ~assoc:1 ~block:64 () in
+  for b = 0 to n - 1 do
+    ignore (Cache.access c ((1 lsl 40) + (b * 64)) ~write:false)
+  done;
+  Alcotest.(check int) "dense: every block cold" n (Cache.stats c).Stats.cold_misses;
+  let bytes = float_of_int (Cache.first_touch_words c * (Sys.word_size / 8)) /. float_of_int n in
+  if bytes > 1.0 then Alcotest.failf "dense: %.2f bytes per block (bound: 1)" bytes
+
 let suite =
   [
     Alcotest.test_case "address arithmetic" `Quick test_address;
@@ -333,5 +575,8 @@ let suite =
     Alcotest.test_case "write-back to memory" `Quick test_hierarchy_writeback_to_memory;
     Alcotest.test_case "hierarchy validation" `Quick test_hierarchy_validation;
     Alcotest.test_case "miss rates" `Quick test_miss_rates;
+    Alcotest.test_case "first touches: sparse <= 4x an Intmap's bytes per block, dense <= 1"
+      `Quick test_first_touch_bytes;
   ]
-  @ List.map Generators.to_alcotest [ prop_lru_against_reference; prop_stats_bookkeeping ]
+  @ List.map Generators.to_alcotest
+      [ prop_lru_against_reference; prop_stats_bookkeeping; prop_kernel_against_references ]
