@@ -812,6 +812,11 @@ let verify sections quick golden_dir update_golden report_json seeds session =
   Option.iter (validate_out_path ~flag:"report-json") report_json;
   let selected = match sections with [] -> [ "oracles"; "anchors" ] | s -> s in
   let on = List.mem in
+  if on "golden" selected && not (try Sys.is_directory golden_dir with Sys_error _ -> false)
+  then
+    fail "ppcache: --golden-dir %s: no such directory (the default is relative to the \
+          repository root)"
+      golden_dir;
   let ctx = context quick in
   let checks = ref [] in
   with_session session (fun _ ->

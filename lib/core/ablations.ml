@@ -15,32 +15,31 @@ module Minimize = Nmcache_numerics.Minimize
 (* --- X1: knob ablation --------------------------------------------- *)
 
 let knob_ablation ctx =
-  let fitted = Context.fitted ctx (Context.l1_config ctx ()) in
-  let full = ctx.Context.grid in
+  let tables = Context.tables ctx (Context.l1_config ctx ()) in
+  let grid = ctx.Context.grid in
   let reference = Context.reference_knob ctx in
-  let vth_only = { full with Grid.toxs = [| reference.Component.tox |] } in
-  let tox_only = { full with Grid.vths = [| reference.Component.vth |] } in
+  let full = tables ~grid in
+  let columns =
+    [
+      tables ~grid:{ grid with Grid.toxs = [| reference.Component.tox |] };
+      tables ~grid:{ grid with Grid.vths = [| reference.Component.vth |] };
+      full;
+    ]
+  in
   let budgets =
-    let fast = Scheme.fastest_access_time fitted ~grid:full in
-    let slow = Scheme.slowest_access_time fitted ~grid:full in
+    let fast = Scheme.fastest full and slow = Scheme.slowest full in
     Array.init 6 (fun i ->
         (fast *. 1.05) +. ((slow *. 0.95) -. (fast *. 1.05)) *. float_of_int i /. 5.0)
   in
-  let cell grid budget =
-    match Scheme.minimize_leakage fitted ~grid ~scheme:Scheme.Split ~delay_budget:budget with
+  let cell budget t =
+    match Scheme.minimize t ~scheme:Scheme.Split ~delay_budget:budget with
     | None -> "infeasible"
     | Some r -> Printf.sprintf "%.3f" (Units.to_mw r.Scheme.leak_w)
   in
   let rows =
     Array.to_list
       (Array.map
-         (fun budget ->
-           [
-             Printf.sprintf "%.0f" (Units.to_ps budget);
-             cell vth_only budget;
-             cell tox_only budget;
-             cell full budget;
-           ])
+         (fun budget -> Printf.sprintf "%.0f" (Units.to_ps budget) :: List.map (cell budget) columns)
          budgets)
   in
   [
@@ -65,17 +64,16 @@ let temperature_sensitivity ctx =
       (fun temp_k ->
         let tech = Tech.with_temperature ctx.Context.tech ~temp_k in
         let ctx_t = { ctx with Context.tech } in
-        let fitted = Context.fitted ctx_t (Context.l1_config ctx_t ()) in
-        let grid = ctx.Context.grid in
+        let tables = Context.tables ctx_t (Context.l1_config ctx_t ()) ~grid:ctx.Context.grid in
         let b =
           match !budget with
           | Some b -> b
           | None ->
-            let b = 1.35 *. Scheme.fastest_access_time fitted ~grid in
+            let b = 1.35 *. Scheme.fastest tables in
             budget := Some b;
             b
         in
-        match Scheme.minimize_leakage fitted ~grid ~scheme:Scheme.Split ~delay_budget:b with
+        match Scheme.minimize tables ~scheme:Scheme.Split ~delay_budget:b with
         | None -> [ Printf.sprintf "%.0f" temp_k; "infeasible"; "-"; "-" ]
         | Some r ->
           [

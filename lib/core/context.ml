@@ -92,13 +92,21 @@ let l2_config t ?size () =
 let memo : Fitted_cache.t Nmcache_engine.Memo.t =
   Nmcache_engine.Memo.create ~name:"context.fitted-models" ()
 
-let clear_memo () = Nmcache_engine.Memo.clear memo
+(* each fitted cache's tables over a grid, keyed by the fit's key and
+   the grid's exact values *)
+let tables_memo : Nmcache_opt.Scheme.tables Nmcache_engine.Memo.t =
+  Nmcache_engine.Memo.create ~name:"context.scheme-tables" ()
+
+let clear_memo () =
+  Nmcache_engine.Memo.clear memo;
+  Nmcache_engine.Memo.clear tables_memo
+
+let fitted_key t config =
+  Printf.sprintf "%s:%.1fK:%.2fV:%s:out%d" t.tech.Tech.name t.tech.Tech.temp_k
+    t.tech.Tech.vdd (Config.describe config) config.Config.output_bits
 
 let fitted t config =
-  let key =
-    Printf.sprintf "%s:%.1fK:%.2fV:%s:out%d" t.tech.Tech.name t.tech.Tech.temp_k
-      t.tech.Tech.vdd (Config.describe config) config.Config.output_bits
-  in
+  let key = fitted_key t config in
   Nmcache_engine.Memo.find_or_compute memo key (fun () ->
       (* fault point inside the memoised compute: injection here proves
          a failing fit never poisons the table (Pending is dropped,
@@ -106,6 +114,15 @@ let fitted t config =
       Nmcache_engine.Faultpoint.hit ~point:"context.fit" ~key ();
       Nmcache_engine.Trace.with_stage "context.characterize+fit" (fun () ->
           Fitted_cache.characterize_and_fit (Cache_model.make t.tech config)))
+
+let tables t config ~grid =
+  let values a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  let key =
+    Printf.sprintf "%s|vth=%s|tox=%s" (fitted_key t config) (values grid.Grid.vths)
+      (values grid.Grid.toxs)
+  in
+  Nmcache_engine.Memo.find_or_compute tables_memo key (fun () ->
+      Nmcache_opt.Scheme.tables (fitted t config) ~grid)
 
 let l1_sizes = [| kb 4; kb 8; kb 16; kb 32; kb 64 |]
 let l2_sizes = [| kb 256; kb 512; mb 1; mb 2; mb 4; mb 8 |]

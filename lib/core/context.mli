@@ -49,6 +49,12 @@ val fitted : t -> Nmcache_geometry.Config.t -> Nmcache_fit.Fitted_cache.t
 (** Characterise-and-fit, memoised per (tech, config) within the
     process. *)
 
+val tables :
+  t -> Nmcache_geometry.Config.t -> grid:Nmcache_opt.Grid.t -> Nmcache_opt.Scheme.tables
+(** {!fitted}'s models tabulated over [grid] ({!Nmcache_opt.Scheme.tables}),
+    memoised per (tech, config, grid values) within the process: every
+    search over one cache and grid reads one table. *)
+
 val l1_sizes : int array
 (** 4 K … 64 K. *)
 
@@ -59,3 +65,4 @@ val reference_knob : t -> Nmcache_geometry.Component.knob
 (** The default pair (0.30 V, 12 Å) components start from. *)
 
 val clear_memo : unit -> unit
+(** Drop the {!fitted} and {!tables} memos. *)

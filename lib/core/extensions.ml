@@ -94,8 +94,8 @@ let vdd_sensitivity ctx =
         let tech = Tech.with_vdd ctx.Context.tech ~vdd in
         let ctx_v = { ctx with Context.tech } in
         let fitted = Context.fitted ctx_v (Context.l1_config ctx_v ()) in
-        let grid = ctx.Context.grid in
-        let fast = Scheme.fastest_access_time fitted ~grid in
+        let tables = Context.tables ctx_v (Context.l1_config ctx_v ()) ~grid:ctx.Context.grid in
+        let fast = Scheme.fastest tables in
         let b =
           match !budget with
           | Some b -> b
@@ -107,7 +107,7 @@ let vdd_sensitivity ctx =
         let ref_est =
           Fitted_cache.eval fitted (Component.uniform (Context.reference_knob ctx))
         in
-        match Scheme.minimize_leakage fitted ~grid ~scheme:Scheme.Split ~delay_budget:b with
+        match Scheme.minimize tables ~scheme:Scheme.Split ~delay_budget:b with
         | None ->
           [ Printf.sprintf "%.2f" vdd; Printf.sprintf "%.0f" (Units.to_ps fast);
             "infeasible"; "-" ]
@@ -195,21 +195,16 @@ let drowsy_comparison ctx =
 (* --- X9: annealing cross-check ------------------------------------------- *)
 
 let anneal_crosscheck ctx =
-  let fitted = Context.fitted ctx (Context.l1_config ctx ()) in
-  let grid = ctx.Context.grid in
-  let fast = Scheme.fastest_access_time fitted ~grid in
-  let slow = Scheme.slowest_access_time fitted ~grid in
+  let tables = Context.tables ctx (Context.l1_config ctx ()) ~grid:ctx.Context.grid in
+  let fast = Scheme.fastest tables and slow = Scheme.slowest tables in
   let rows =
     List.filter_map
       (fun frac ->
         let budget = fast +. (frac *. (slow -. fast)) in
-        match
-          Scheme.minimize_leakage fitted ~grid ~scheme:Scheme.Independent
-            ~delay_budget:budget
-        with
+        match Scheme.minimize tables ~scheme:Scheme.Independent ~delay_budget:budget with
         | None -> None
         | Some exact ->
-          let sa = Anneal.minimize_leakage fitted ~grid ~delay_budget:budget () in
+          let sa = Anneal.minimize_leakage tables ~delay_budget:budget () in
           let gap =
             if sa.Anneal.feasible then (sa.Anneal.leak_w /. exact.Scheme.leak_w) -. 1.0
             else Float.nan

@@ -1,13 +1,14 @@
 (* The serve protocol (see the .mli for the contract).
 
    Layering: Server owns lines/batches/drain, Service owns meaning —
-   parsing, validation, admission bounds, the store-backed compute
-   paths, breaker bookkeeping and response rendering.  Everything that
+   parsing, validation, admission bounds, the store-backed answer
+   path, breaker bookkeeping and response rendering.  Everything that
    mutates cross-request state (breaker cells, the nearest-optimum
    index, request counters) happens in the settle thunk the serve loop
    runs sequentially in request order: the handler body itself only
-   reads shared state, so responses are byte-identical at any pool
-   width. *)
+   reads shared state, besides the store and the claims that make one
+   request compute each store key, so responses are byte-identical at
+   any pool width. *)
 
 open Nmcache_engine
 module Config = Nmcache_geometry.Config
@@ -90,6 +91,10 @@ type t = {
   (* family (scheme|assoc|block|out) -> cached optima, settle-phase
      mutations only *)
   index : (string, index_entry list ref) Hashtbl.t;
+  claim_lock : Mutex.t;
+  released : Condition.t;
+  (* store keys ([ns]\x00[key]) a request is computing now *)
+  claimed : (string, unit) Hashtbl.t;
 }
 
 let breaker t = t.brk
@@ -208,6 +213,9 @@ let create ?(max_points = 64) ?(max_n = 100_000_000) ?breaker ?store ~ctx ~queue
       degraded_count = 0;
       index_lock = Mutex.create ();
       index = Hashtbl.create 16;
+      claim_lock = Mutex.create ();
+      released = Condition.create ();
+      claimed = Hashtbl.create 16;
     }
   in
   seed_index t;
@@ -308,12 +316,7 @@ let req_str j name =
   | Some s -> s
   | None -> bad_request ~stage:"serve.validate" "missing required field %S" name
 
-(* --- compute plumbing ------------------------------------------------ *)
-
-let with_deadline f =
-  match Deadline.default () with
-  | Some budget_s -> Deadline.with_budget ~budget_s f
-  | None -> f ()
+(* --- the store-backed answer path ------------------------------------ *)
 
 (* faults that count toward a breaker trip: the compute stack is
    misbehaving.  Out_of_domain is the query's fault, not the stack's. *)
@@ -324,22 +327,92 @@ let breaker_counts (k : Fault.kind) =
     true
   | Fault.Out_of_domain -> false
 
-let fitted_model t config =
-  match t.store with
-  | None -> Context.fitted t.ctx config
-  | Some store -> (
-    let key = model_key t config in
-    match
-      (Store.lookup store ~ns:model_ns ~key : Nmcache_fit.Fitted_cache.t option)
-    with
-    | Some m -> m
-    | None ->
-      let m = Context.fitted t.ctx config in
-      Store.add store ~ns:model_ns ~key m;
-      m)
-
 let observe_elapsed name t0 =
   Metrics.observe name ((Unix.gettimeofday () -. t0) *. 1e6)
+
+let lookup t ~ns ~key =
+  match t.store with None -> None | Some store -> Store.lookup store ~ns ~key
+
+let claim t k =
+  Mutex.protect t.claim_lock (fun () ->
+      while Hashtbl.mem t.claimed k do
+        Condition.wait t.released t.claim_lock
+      done;
+      Hashtbl.replace t.claimed k ())
+
+let release t k =
+  Mutex.protect t.claim_lock (fun () ->
+      Hashtbl.remove t.claimed k;
+      Condition.broadcast t.released)
+
+type 'a answer = Warm of 'a | Cold of 'a | Refused
+
+(* The one path from a store key to its value.  A stored value is a
+   warm answer and takes no claim.  A miss that [admit] lets compute
+   claims the key, so concurrent requests for one key compute it once:
+   a request that finds the key claimed waits for its owner, then looks
+   again.  The owner computes under the deadline, stores the value and
+   releases the key; a compute that raises releases it too, and a
+   waiter computes in its turn. *)
+let answer ?(admit = fun () -> true) t ~ns ~key compute =
+  match lookup t ~ns ~key with
+  | Some v -> Warm v
+  | None when not (admit ()) -> Refused
+  | None -> (
+    let k = ns ^ "\x00" ^ key in
+    claim t k;
+    Fun.protect ~finally:(fun () -> release t k) @@ fun () ->
+    match t.store with
+    | Some store when Store.mem store ~ns ~key -> Warm (Option.get (lookup t ~ns ~key))
+    | _ ->
+      let v = Deadline.with_root compute in
+      Option.iter (fun store -> Store.add store ~ns ~key v) t.store;
+      Cold v)
+
+let fitted_model t config =
+  match answer t ~ns:model_ns ~key:(model_key t config) (fun () -> Context.fitted t.ctx config) with
+  | Warm m | Cold m -> m
+  | Refused -> assert false (* nothing refuses without [admit] *)
+
+(* A handler's answer: its response line and settle thunk.  [bkey]
+   names the request's breaker cell, [result] the rendered bytes of an
+   answer, [degrade] the answer to a request the breaker deflects, and
+   [cold] the settle-phase work of a computed answer. *)
+let respond_answer ?(degrade = fun () -> None) ?(cold = ignore) t ~t0 ~id ~bkey ~ns ~key
+    ~result compute =
+  match answer t ~ns ~key ~admit:(fun () -> Breaker.admit t.brk ~key:(bkey ())) compute with
+  | Warm v ->
+    observe_elapsed "serve.warm_us" t0;
+    (respond ~id (result v), fun () -> note t `Ok)
+  | Cold v ->
+    observe_elapsed "serve.cold_us" t0;
+    ( respond ~id (result v),
+      fun () ->
+        Breaker.record t.brk ~key:(bkey ()) ~ok:true;
+        cold v;
+        note t `Ok )
+  | Refused -> (
+    let bkey = bkey () in
+    let deflected outcome () =
+      Breaker.record t.brk ~key:bkey ~ok:false;
+      note t outcome
+    in
+    match degrade () with
+    | Some (from, body) -> (respond ~id ~degraded_from:from body, deflected `Degraded)
+    | None ->
+      ( error_line ~id
+          {
+            e_kind = "circuit_open";
+            e_stage = "serve.breaker";
+            e_detail = Printf.sprintf "%s cooling down, nothing cached to degrade to" bkey;
+          },
+        deflected `Error ))
+  | exception Fault.Fault f ->
+    Fault.record f;
+    ( error_line ~id (of_fault f),
+      fun () ->
+        if breaker_counts f.Fault.kind then Breaker.record t.brk ~key:(bkey ()) ~ok:false;
+        note t `Error )
 
 (* --- optimize -------------------------------------------------------- *)
 
@@ -391,20 +464,15 @@ let knob_json kind (k : Component.knob) =
     ]
 
 let compute_optimize t p scheme config =
-  let fitted = fitted_model t config in
-  let grid = t.ctx.Context.grid in
-  match
-    Scheme.minimize_leakage fitted ~grid ~scheme
-      ~delay_budget:(Units.ps p.p_budget_ps)
-  with
+  let tables = Scheme.tables (fitted_model t config) ~grid:t.ctx.Context.grid in
+  match Scheme.minimize tables ~scheme ~delay_budget:(Units.ps p.p_budget_ps) with
   | None ->
     Json.Obj
       [
         ("scheme", Json.String p.p_scheme);
         ("size_kb", Json.Int p.p_size_kb);
         ("feasible", Json.Bool false);
-        ( "fastest_access_ps",
-          Json.Float (Units.to_ps (Scheme.fastest_access_time fitted ~grid)) );
+        ("fastest_access_ps", Json.Float (Units.to_ps (Scheme.fastest tables)));
       ]
   | Some r ->
     Json.Obj
@@ -428,58 +496,13 @@ let degraded_from p =
 
 let handle_optimize t ~t0 ~id j =
   let p, scheme, config = parse_optimize t j in
-  let skey = optimize_key t p in
-  let warm =
-    match t.store with
-    | None -> None
-    | Some store ->
-      (Store.lookup store ~ns:optimize_ns ~key:skey : (opt_params * string) option)
-  in
-  match warm with
-  | Some (_, result) ->
-    observe_elapsed "serve.warm_us" t0;
-    (respond ~id result, fun () -> note t `Ok)
-  | None ->
-    let bkey = "opt|" ^ family p ^ Printf.sprintf "|s=%d" p.p_size_kb in
-    if not (Breaker.admit t.brk ~key:bkey) then (
-      match nearest t p with
-      | Some e ->
-        ( respond ~id ~degraded_from:(degraded_from e.e_params) e.e_result,
-          fun () ->
-            Breaker.record t.brk ~key:bkey ~ok:false;
-            note t `Degraded )
-      | None ->
-        ( error_line ~id
-            {
-              e_kind = "circuit_open";
-              e_stage = "serve.breaker";
-              e_detail =
-                Printf.sprintf "%s cooling down, nothing cached to degrade to"
-                  bkey;
-            },
-          fun () ->
-            Breaker.record t.brk ~key:bkey ~ok:false;
-            note t `Error ))
-    else
-      match with_deadline (fun () -> compute_optimize t p scheme config) with
-      | body ->
-        let result = Json.to_string body in
-        Option.iter
-          (fun store -> Store.add store ~ns:optimize_ns ~key:skey (p, result))
-          t.store;
-        observe_elapsed "serve.cold_us" t0;
-        ( respond ~id result,
-          fun () ->
-            Breaker.record t.brk ~key:bkey ~ok:true;
-            index_add t p result;
-            note t `Ok )
-      | exception Fault.Fault f ->
-        Fault.record f;
-        ( error_line ~id (of_fault f),
-          fun () ->
-            if breaker_counts f.Fault.kind then
-              Breaker.record t.brk ~key:bkey ~ok:false;
-            note t `Error )
+  respond_answer t ~t0 ~id
+    ~bkey:(fun () -> Printf.sprintf "opt|%s|s=%d" (family p) p.p_size_kb)
+    ~ns:optimize_ns ~key:(optimize_key t p) ~result:snd
+    ~degrade:(fun () ->
+      Option.map (fun e -> (degraded_from e.e_params, e.e_result)) (nearest t p))
+    ~cold:(fun (p, result) -> index_add t p result)
+    (fun () -> (p, Json.to_string (compute_optimize t p scheme config)))
 
 (* --- miss_curve ------------------------------------------------------ *)
 
@@ -529,7 +552,6 @@ let handle_miss_curve t ~t0 ~id j =
       (List.length l2_kb) t.max_points;
   if n < 1 || n > t.max_n then
     overloaded ~stage:"serve.admission" "n=%d outside [1, %d]" n t.max_n;
-  let skey = curve_key t ~workload ~l1_kb ~assoc ~block ~n ~seed ~l2_kb in
   let render (c : Missrate.l2_curve) =
     Json.Obj
       [
@@ -548,52 +570,17 @@ let handle_miss_curve t ~t0 ~id j =
                    ])) );
       ]
   in
-  let warm =
-    match t.store with
-    | None -> None
-    | Some store ->
-      (Store.lookup store ~ns:curve_ns ~key:skey : string option)
-  in
-  match warm with
-  | Some result ->
-    observe_elapsed "serve.warm_us" t0;
-    (respond ~id result, fun () -> note t `Ok)
-  | None ->
-    let bkey = Printf.sprintf "curve|%s|l1=%d|a=%d|b=%d" workload l1_kb assoc block in
-    if not (Breaker.admit t.brk ~key:bkey) then
-      ( error_line ~id
-          {
-            e_kind = "circuit_open";
-            e_stage = "serve.breaker";
-            e_detail =
-              Printf.sprintf "%s cooling down, nothing cached to degrade to" bkey;
-          },
-        fun () ->
-          Breaker.record t.brk ~key:bkey ~ok:false;
-          note t `Error )
-    else
-      let compute () =
-        Missrate.l2_curve ~l1_assoc:assoc ~block ~seed ~workload
-          ~l1_size:(l1_kb * 1024)
-          ~l2_sizes:(Array.of_list (List.map (fun kb -> kb * 1024) l2_kb))
-          ~n ()
-      in
-      match with_deadline compute with
-      | c ->
-        let result = Json.to_string (render c) in
-        Option.iter (fun store -> Store.add store ~ns:curve_ns ~key:skey result) t.store;
-        observe_elapsed "serve.cold_us" t0;
-        ( respond ~id result,
-          fun () ->
-            Breaker.record t.brk ~key:bkey ~ok:true;
-            note t `Ok )
-      | exception Fault.Fault f ->
-        Fault.record f;
-        ( error_line ~id (of_fault f),
-          fun () ->
-            if breaker_counts f.Fault.kind then
-              Breaker.record t.brk ~key:bkey ~ok:false;
-            note t `Error )
+  respond_answer t ~t0 ~id
+    ~bkey:(fun () -> Printf.sprintf "curve|%s|l1=%d|a=%d|b=%d" workload l1_kb assoc block)
+    ~ns:curve_ns ~key:(curve_key t ~workload ~l1_kb ~assoc ~block ~n ~seed ~l2_kb)
+    ~result:Fun.id
+    (fun () ->
+      Json.to_string
+        (render
+           (Missrate.l2_curve ~l1_assoc:assoc ~block ~seed ~workload
+              ~l1_size:(l1_kb * 1024)
+              ~l2_sizes:(Array.of_list (List.map (fun kb -> kb * 1024) l2_kb))
+              ~n ())))
 
 (* --- amat / health --------------------------------------------------- *)
 

@@ -50,16 +50,19 @@
     only the exception constructor, never raw exception text that
     could carry local paths.
 
-    Caching: fitted models (namespace ["model"]) persist in the
+    Caching: fitted models (namespace ["model.r2"]) persist in the
     {!Nmcache_engine.Store} across runs, and so do the rendered bytes of
     every miss-curve and optimisation [result] object (["curve.r1"],
     ["optimize.r1"]), keyed by canonical request parameters plus
     {!Context.fingerprint} — a store written under one context is never
     served into another.  A warm hit splices the stored bytes into the
-    response without rendering anything.  The [id]/[tag] fields are
+    response without rendering anything.  A cold key is computed once:
+    concurrent requests for it wait for the first and are answered from
+    the store, as they would be one after another, so the store's
+    counts do not depend on [--jobs] either.  The [id]/[tag] fields are
     {e not} part of the key, so replays and renamed requests hit.  The
-    ["curve"] and ["optimize"] namespaces of older stores held other
-    value types and are never read.
+    ["model"], ["curve"] and ["optimize"] namespaces of older stores
+    held other value types and are never read.
 
     Determinism: responses never contain timings, store hit/miss
     markers or clocks; breaker updates and nearest-model index growth

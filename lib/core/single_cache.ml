@@ -6,14 +6,12 @@ module Grid = Nmcache_opt.Grid
 module Task = Nmcache_engine.Task
 module Sweep = Nmcache_engine.Sweep
 
-let fitted_l1 ctx = Context.fitted ctx (Context.l1_config ctx ())
-
 let uniform_point fitted knob =
   let est = Fitted_cache.eval fitted (Component.uniform knob) in
   (Units.to_ps est.Fitted_cache.access_time, Units.to_mw est.Fitted_cache.leak_w)
 
 let figure1_series ctx =
-  let fitted = fitted_l1 ctx in
+  let fitted = Context.fitted ctx (Context.l1_config ctx ()) in
   let grid = ctx.Context.grid in
   let vth_sweep tox =
     Array.to_list
@@ -70,18 +68,13 @@ type scheme_row = {
   results : (Scheme.t * Scheme.result option) list;
 }
 
-let default_budgets fitted ~grid =
-  let fast = Scheme.fastest_access_time fitted ~grid in
-  let slow = Scheme.slowest_access_time fitted ~grid in
-  let lo = fast *. 1.02 and hi = slow *. 0.98 in
+let default_budgets tables =
+  let lo = Scheme.fastest tables *. 1.02 and hi = Scheme.slowest tables *. 0.98 in
   Array.init 9 (fun i -> lo +. ((hi -. lo) *. float_of_int i /. 8.0))
 
 let scheme_rows ctx ?budgets () =
-  let fitted = fitted_l1 ctx in
-  let grid = ctx.Context.grid in
-  let budgets =
-    match budgets with Some b -> b | None -> default_budgets fitted ~grid
-  in
+  let tables = Context.tables ctx (Context.l1_config ctx ()) ~grid:ctx.Context.grid in
+  let budgets = match budgets with Some b -> b | None -> default_budgets tables in
   (* every (budget, scheme) search is independent; fan budgets out and
      keep rows in budget order *)
   Array.to_list
@@ -92,7 +85,7 @@ let scheme_rows ctx ?budgets () =
               results =
                 List.map
                   (fun scheme ->
-                    (scheme, Scheme.minimize_leakage fitted ~grid ~scheme ~delay_budget:budget))
+                    (scheme, Scheme.minimize tables ~scheme ~delay_budget:budget))
                   Scheme.all;
             }))
        budgets)

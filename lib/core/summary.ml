@@ -99,8 +99,9 @@ let sensitivity ctx =
 (* --- Schemes (sec.4) ------------------------------------------------------ *)
 
 let schemes ctx =
-  let fitted = Context.fitted ctx (Context.l1_config ctx ()) in
-  let fastest = Scheme.fastest_access_time fitted ~grid:ctx.Context.grid in
+  let fastest =
+    Scheme.fastest (Context.tables ctx (Context.l1_config ctx ()) ~grid:ctx.Context.grid)
+  in
   let rows = Single_cache.scheme_rows ctx () in
   let lookup r s = Option.join (List.assoc_opt s r.Single_cache.results) in
   let complete =

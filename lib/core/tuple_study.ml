@@ -1,5 +1,6 @@
 module Units = Nmcache_physics.Units
-module Grid = Nmcache_opt.Grid
+module Component = Nmcache_geometry.Component
+module Scheme = Nmcache_opt.Scheme
 module Tuple_problem = Nmcache_opt.Tuple_problem
 module System = Nmcache_energy.System
 module Main_memory = Nmcache_energy.Main_memory
@@ -25,31 +26,34 @@ let system_for ctx ~workloads =
 
 let system ctx = system_for ctx ~workloads:ctx.Context.workloads
 
-(* Flat per-group tables over the grid's knobs for the hot eval path. *)
-let build_eval sys ~grid =
-  let knobs = Grid.knobs grid in
-  let n = Array.length knobs in
-  let group_arrays group =
-    let d = Array.make n 0.0 and l = Array.make n 0.0 and e = Array.make n 0.0 in
-    Array.iteri
-      (fun i k ->
-        let ge = System.eval_group sys group k in
-        d.(i) <- ge.System.delay;
-        l.(i) <- ge.System.leak_w;
-        e.(i) <- ge.System.dyn_energy)
-      knobs;
-    (d, l, e)
+(* Figure 2's four knob groups (L1/L2 × cell/periphery) as columns
+   over the grid's knobs, read from the two caches' tables and summed
+   as [System.eval_group] sums them: from 0.0, the array alone or the
+   decoder, address drivers and data drivers in that order. *)
+let group_columns (tables : Scheme.tables) =
+  let column values kinds =
+    Array.init (Array.length tables.Scheme.knobs) (fun i ->
+        List.fold_left
+          (fun acc kind -> acc +. values.(Component.kind_index kind).(i))
+          0.0 kinds)
   in
-  let d0, l0, e0 = group_arrays System.L1_cell in
-  let d1, l1, e1 = group_arrays System.L1_periph in
-  let d2, l2, e2 = group_arrays System.L2_cell in
-  let d3, l3, e3 = group_arrays System.L2_periph in
+  let periph = [ Component.Decoder; Component.Addr_drivers; Component.Data_drivers ] in
+  let group values = (column values [ Component.Array_sense ], column values periph) in
+  (group tables.Scheme.delay, group tables.Scheme.leak, group tables.Scheme.energy)
+
+let figure2_curves ?workloads ctx =
+  let workloads = Option.value workloads ~default:ctx.Context.workloads in
+  let sys = system_for ctx ~workloads in
+  let grid = ctx.Context.coarse_grid in
+  let columns config = group_columns (Context.tables ctx config ~grid) in
+  let (d0, d1), (l0, l1), (e0, e1) = columns (Context.l1_config ctx ()) in
+  let (d2, d3), (l2, l3), (e2, e3) = columns (Context.l2_config ctx ()) in
   let m1 = System.m1 sys and m2 = System.m2 sys in
   let mem = System.mem sys in
   let t_mem = mem.Main_memory.t_access in
   let e_mem = mem.Main_memory.e_access in
   let standby = mem.Main_memory.standby_w in
-  fun (idx : int array) ->
+  let eval (idx : int array) =
     let i0 = idx.(0) and i1 = idx.(1) and i2 = idx.(2) and i3 = idx.(3) in
     let t_l1 = d0.(i0) +. d1.(i1) in
     let t_l2 = d2.(i2) +. d3.(i3) in
@@ -57,12 +61,7 @@ let build_eval sys ~grid =
     let dyn = e0.(i0) +. e1.(i1) +. (m1 *. (e2.(i2) +. e3.(i3) +. (m2 *. e_mem))) in
     let leak = l0.(i0) +. l1.(i1) +. l2.(i2) +. l3.(i3) +. standby in
     (amat, dyn +. (leak *. amat))
-
-let figure2_curves ?workloads ctx =
-  let workloads = Option.value workloads ~default:ctx.Context.workloads in
-  let sys = system_for ctx ~workloads in
-  let grid = ctx.Context.coarse_grid in
-  let eval = build_eval sys ~grid in
+  in
   Tuple_problem.curves ~grid ~n_groups:4 ~eval ~specs:Tuple_problem.figure2_specs
 
 let energy_at points ~amat =

@@ -83,11 +83,10 @@ let l2_sweep ctx ~scheme =
               | None ->
                 { l2_size; m2; t_l2_budget = None; result = None; l2_leak = None; total_leak = None }
               | Some t_budget ->
-                let fitted = Context.fitted ctx (Context.l2_config ctx ~size:l2_size ()) in
-                let result =
-                  Scheme.minimize_leakage fitted ~grid:ctx.Context.grid ~scheme
-                    ~delay_budget:t_budget
+                let tables =
+                  Context.tables ctx (Context.l2_config ctx ~size:l2_size ()) ~grid:ctx.Context.grid
                 in
+                let result = Scheme.minimize tables ~scheme ~delay_budget:t_budget in
                 let l2_leak = Option.map (fun (r : Scheme.result) -> r.Scheme.leak_w) result in
                 {
                   l2_size;
@@ -300,11 +299,10 @@ let l1_sweep_rows ctx =
                l1_total_leak = None;
              }
            else begin
-             let fitted = Context.fitted ctx (Context.l1_config ctx ~size:l1_size ()) in
-             let result =
-               Scheme.minimize_leakage fitted ~grid:ctx.Context.grid ~scheme:Scheme.Split
-                 ~delay_budget:t_budget
+             let tables =
+               Context.tables ctx (Context.l1_config ctx ~size:l1_size ()) ~grid:ctx.Context.grid
              in
+             let result = Scheme.minimize tables ~scheme:Scheme.Split ~delay_budget:t_budget in
              let l1_leak = Option.map (fun (r : Scheme.result) -> r.Scheme.leak_w) result in
              {
                l1_size;

@@ -21,7 +21,7 @@
     Namespaces in use (the first three keyed by
     {!Core.Context.fingerprint}-derived strings):
 
-    - ["model"]       — fitted cache models ({!Nmcache_fit.Fitted_cache.t}),
+    - ["model.r2"]    — fitted cache models ({!Nmcache_fit.Fitted_cache.t}),
                         so a restarted server never re-characterises a
                         cache it has seen under any budget;
     - ["curve.r1"]    — the rendered [result] bytes of miss-curve
@@ -38,9 +38,9 @@
     type that was stored, which the namespace discipline guarantees —
     one namespace, one value type (the ["slot"] keys carry their task
     name for the same reason).  A new value format therefore takes a
-    new namespace name: the ["curve"] and ["optimize"] records of older
-    stores held other types, stay on disk unread, and compaction keeps
-    them.  All operations are domain-safe. *)
+    new namespace name: the ["model"], ["curve"] and ["optimize"]
+    records of older stores held other types, stay on disk unread, and
+    compaction keeps them.  All operations are domain-safe. *)
 
 type t
 

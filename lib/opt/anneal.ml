@@ -1,5 +1,4 @@
 module Component = Nmcache_geometry.Component
-module Fitted_cache = Nmcache_fit.Fitted_cache
 module Rng = Nmcache_numerics.Rng
 
 type params = {
@@ -23,7 +22,7 @@ type result = {
 
 let n_components = List.length Component.all_kinds
 
-let minimize_leakage ?(params = default_params) fitted ~grid ~delay_budget () =
+let minimize_leakage ?(params = default_params) (tables : Scheme.tables) ~delay_budget () =
   if delay_budget <= 0.0 then invalid_arg "Anneal.minimize_leakage: non-positive budget";
   let fault_key =
     Printf.sprintf "seed=%Ld:iters=%d:budget=%.4e" params.seed params.iterations
@@ -33,33 +32,18 @@ let minimize_leakage ?(params = default_params) fitted ~grid ~delay_budget () =
      retried (per-attempt arm semantics) before becoming a casualty *)
   Nmcache_engine.Retry.run ~stage:"anneal" ~key:fault_key (fun ~attempt ~last:_ ->
       Nmcache_engine.Faultpoint.hit ~attempt ~point:"anneal" ~key:fault_key ());
-  let knobs = Grid.knobs grid in
-  let n = Array.length knobs in
+  let leak = tables.Scheme.leak and delay = tables.Scheme.delay in
+  let n = Array.length tables.Scheme.knobs in
   let rng = Rng.create ~seed:params.seed in
-  (* per-component tables *)
-  let leak = Array.make_matrix n_components n 0.0 in
-  let delay = Array.make_matrix n_components n 0.0 in
-  List.iteri
-    (fun c kind ->
-      Array.iteri
-        (fun i k ->
-          leak.(c).(i) <- Fitted_cache.leak_of fitted kind k;
-          delay.(c).(i) <- Fitted_cache.delay_of fitted kind k)
-        knobs)
-    Component.all_kinds;
   (* relative-cost scale: the all-slowest (lowest-leak) state *)
   let floor_leak =
     Array.fold_left (fun acc row -> acc +. Array.fold_left Float.min row.(0) row) 0.0 leak
   in
   let floor_leak = Float.max floor_leak 1e-15 in
   let cost state =
-    let l = ref 0.0 and d = ref 0.0 in
-    for c = 0 to n_components - 1 do
-      l := !l +. leak.(c).(state.(c));
-      d := !d +. delay.(c).(state.(c))
-    done;
-    let excess = Float.max 0.0 (!d -. delay_budget) /. delay_budget in
-    ((!l /. floor_leak) +. (params.penalty_weight *. excess), !l, !d)
+    let l, d = Scheme.totals tables state in
+    let excess = Float.max 0.0 (d -. delay_budget) /. delay_budget in
+    ((l /. floor_leak) +. (params.penalty_weight *. excess), l, d)
   in
   (* start from the fastest knob per component (always budget-feasible
      if anything is) *)
@@ -139,21 +123,16 @@ let minimize_leakage ?(params = default_params) fitted ~grid ~delay_budget () =
   let chosen_state, leak_w, access_time, feasible =
     match !best_feasible with
     | Some (_, st) ->
-      let l = ref 0.0 and d = ref 0.0 in
-      for c = 0 to n_components - 1 do
-        l := !l +. leak.(c).(st.(c));
-        d := !d +. delay.(c).(st.(c))
-      done;
-      (st, !l, !d, true)
+      let l, d = Scheme.totals tables st in
+      (st, l, d, true)
     | None ->
       let _, l, d = !best in
       (best_state, l, d, false)
   in
-  let assignment =
-    List.fold_left
-      (fun acc kind ->
-        Component.set acc kind knobs.(chosen_state.(Component.kind_index kind)))
-      (Component.uniform knobs.(0))
-      Component.all_kinds
-  in
-  { assignment; leak_w; access_time; feasible; evaluations = !evaluations }
+  {
+    assignment = Scheme.assignment tables chosen_state;
+    leak_w;
+    access_time;
+    feasible;
+    evaluations = !evaluations;
+  }

@@ -1,7 +1,7 @@
 (** Simulated annealing over per-component knob assignments.
 
     A stochastic cross-check for the exact Pareto search of
-    {!Scheme.minimize_leakage} (Scheme I), and the fallback optimiser
+    {!Scheme.minimize} (Scheme I), and the fallback optimiser
     for objective shapes that search cannot decompose (couplings across
     components, non-additive penalties).  The constraint is folded in as
     a smooth penalty: states over the delay budget pay
@@ -26,13 +26,8 @@ type result = {
 }
 
 val minimize_leakage :
-  ?params:params ->
-  Nmcache_fit.Fitted_cache.t ->
-  grid:Grid.t ->
-  delay_budget:float ->
-  unit ->
-  result
+  ?params:params -> Scheme.tables -> delay_budget:float -> unit -> result
 (** Anneal a Scheme-I assignment (independent pair per component)
-    toward minimum leakage under the budget.  Deterministic for a given
+    over the cache's tables toward minimum leakage under the budget.  Deterministic for a given
     [params.seed].  Raises [Invalid_argument] on a non-positive
     budget. *)

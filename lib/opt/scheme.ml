@@ -22,35 +22,39 @@ type result = {
   access_time : float;
 }
 
-(* Per-component tables over the grid's knob list: index -> value. *)
 type tables = {
   knobs : Component.knob array;
-  leak : float array array;  (* [component][knob] *)
+  leak : float array array;
   delay : float array array;
+  energy : float array array;
 }
 
-(* one task per knob: evaluate every component's fitted leak and delay
-   there; columns land in knob order, so the tables are identical to a
-   sequential build *)
+(* one task per knob: evaluate every component's fitted leak, delay and
+   energy there; columns land in knob order, so the tables are
+   identical to a sequential build *)
 let table_task fitted =
   Task.make ~name:"scheme.tables" (fun knob ->
       let eval f = Array.of_list (List.map (fun kind -> f kind knob) Component.all_kinds) in
-      (eval (Fitted_cache.leak_of fitted), eval (Fitted_cache.delay_of fitted)))
-
-let build_tables fitted ~grid =
-  let knobs = Grid.knobs grid in
-  let columns = Sweep.map_array (table_task fitted) knobs in
-  let n_kinds = List.length Component.all_kinds in
-  let per pick c = Array.init (Array.length knobs) (fun i -> (pick columns.(i)).(c)) in
-  {
-    knobs;
-    leak = Array.init n_kinds (per fst);
-    delay = Array.init n_kinds (per snd);
-  }
+      ( eval (Fitted_cache.leak_of fitted),
+        eval (Fitted_cache.delay_of fitted),
+        eval (Fitted_cache.energy_of fitted) ))
 
 let n_components = List.length Component.all_kinds
 
-let assignment_of_indices tables idx =
+let tables fitted ~grid =
+  let knobs = Grid.knobs grid in
+  let columns = Sweep.map_array (table_task fitted) knobs in
+  let per pick =
+    Array.init n_components (fun c -> Array.map (fun col -> (pick col).(c)) columns)
+  in
+  {
+    knobs;
+    leak = per (fun (l, _, _) -> l);
+    delay = per (fun (_, d, _) -> d);
+    energy = per (fun (_, _, e) -> e);
+  }
+
+let assignment tables idx =
   List.fold_left
     (fun acc kind ->
       Component.set acc kind tables.knobs.(idx.(Component.kind_index kind)))
@@ -67,7 +71,7 @@ let totals tables idx =
 
 let result_of scheme tables idx =
   let leak_w, access_time = totals tables idx in
-  { scheme; assignment = assignment_of_indices tables idx; leak_w; access_time }
+  { scheme; assignment = assignment tables idx; leak_w; access_time }
 
 (* Scheme III: one knob index for all components. *)
 let minimize_uniform tables ~delay_budget =
@@ -173,26 +177,20 @@ let minimize_independent tables ~delay_budget =
     front01;
   Option.map (fun (idx, _) -> result_of Independent tables idx) !best
 
-let minimize_leakage fitted ~grid ~scheme ~delay_budget =
-  if delay_budget <= 0.0 then invalid_arg "Scheme.minimize_leakage: non-positive budget";
-  let tables = build_tables fitted ~grid in
+let minimize tables ~scheme ~delay_budget =
+  if delay_budget <= 0.0 then invalid_arg "Scheme.minimize: non-positive budget";
   match scheme with
   | Uniform -> minimize_uniform tables ~delay_budget
   | Split -> minimize_split tables ~delay_budget
   | Independent -> minimize_independent tables ~delay_budget
 
-let extreme_access_time fitted ~grid ~pick =
-  let tables = build_tables fitted ~grid in
-  let n = Array.length tables.knobs in
-  let total = ref 0.0 in
-  for c = 0 to n_components - 1 do
-    let best = ref tables.delay.(c).(0) in
-    for i = 1 to n - 1 do
-      best := pick !best tables.delay.(c).(i)
-    done;
-    total := !total +. !best
-  done;
-  !total
+(* per component, the [pick]-most delay over the knobs, summed *)
+let extreme_access_time tables ~pick =
+  Array.fold_left
+    (fun total row -> total +. Array.fold_left pick row.(0) row)
+    0.0 tables.delay
 
-let fastest_access_time fitted ~grid = extreme_access_time fitted ~grid ~pick:Float.min
-let slowest_access_time fitted ~grid = extreme_access_time fitted ~grid ~pick:Float.max
+let fastest tables = extreme_access_time tables ~pick:Float.min
+let slowest tables = extreme_access_time tables ~pick:Float.max
+let minimize_leakage fitted ~grid = minimize (tables fitted ~grid)
+let fastest_access_time fitted ~grid = fastest (tables fitted ~grid)

@@ -31,19 +31,50 @@ type result = {
   access_time : float;  (** fitted-model delay at the optimum [s] *)
 }
 
+type tables = private {
+  knobs : Nmcache_geometry.Component.knob array;  (** the grid's knobs, vth-major *)
+  leak : float array array;
+      (** fitted leakage [W], indexed [component][knob], components in
+          {!Nmcache_geometry.Component.all_kinds} order *)
+  delay : float array array;  (** fitted delay contribution [s], same layout *)
+  energy : float array array;  (** fitted dynamic energy [J], same layout *)
+}
+(** A fitted cache tabulated over a grid: what every search reads. *)
+
+val tables : Nmcache_fit.Fitted_cache.t -> grid:Grid.t -> tables
+(** Evaluate every component's fitted models at every grid knob, one
+    ["scheme.tables"] sweep task per knob.  The only code that
+    tabulates fitted models for a search: build it once per (cache,
+    grid) and ask it every question ([Core.Context.tables] memoises
+    it). *)
+
+val totals : tables -> int array -> float * float
+(** Leakage and delay of the assignment taking knob [idx.(c)] for
+    component [c]: each summed in component order, as every search
+    sums them. *)
+
+val assignment : tables -> int array -> Nmcache_geometry.Component.assignment
+(** That assignment. *)
+
+val minimize : tables -> scheme:t -> delay_budget:float -> result option
+(** Minimum-leakage assignment meeting the budget, or [None] when even
+    the fastest assignment misses it.  Raises [Invalid_argument] on a
+    non-positive budget. *)
+
+val fastest : tables -> float
+(** Access time of the all-fastest-knob assignment — the lower limit of
+    feasible delay budgets. *)
+
+val slowest : tables -> float
+(** Access time of the all-slowest-knob assignment. *)
+
 val minimize_leakage :
   Nmcache_fit.Fitted_cache.t ->
   grid:Grid.t ->
   scheme:t ->
   delay_budget:float ->
   result option
-(** Minimum-leakage assignment meeting the budget, or [None] when even
-    the fastest assignment misses it.  Raises [Invalid_argument] on a
-    non-positive budget. *)
+(** [minimize (tables fitted ~grid)], tabulating on every call. *)
 
 val fastest_access_time : Nmcache_fit.Fitted_cache.t -> grid:Grid.t -> float
-(** Access time of the all-fastest-knob assignment — the lower limit of
-    feasible delay budgets. *)
-
-val slowest_access_time : Nmcache_fit.Fitted_cache.t -> grid:Grid.t -> float
-(** Access time of the all-slowest-knob assignment. *)
+(** [fastest (tables fitted ~grid)], tabulating on every call. *)

@@ -75,12 +75,11 @@ let budget_fractions = [ 0.1; 0.3; 0.5; 0.8 ]
 
 let scheme ctx =
   Check.group ~name:"oracle.scheme" @@ fun () ->
-  let fitted = Context.fitted ctx (Context.l1_config ctx ()) in
+  let config = Context.l1_config ctx () in
   let grid = Grid.subsample ctx.Context.grid ~vths:4 ~toxs:3 in
-  let knobs = Grid.knobs grid in
-  let t = tables fitted knobs in
-  let fast = Scheme.fastest_access_time fitted ~grid in
-  let slow = Scheme.slowest_access_time fitted ~grid in
+  let t = tables (Context.fitted ctx config) (Grid.knobs grid) in
+  let production = Context.tables ctx config ~grid in
+  let fast = Scheme.fastest production and slow = Scheme.slowest production in
   List.concat_map
     (fun frac ->
       let budget = fast +. (frac *. (slow -. fast)) in
@@ -90,7 +89,7 @@ let scheme ctx =
         in
         match
           (brute_force t ~scheme:s ~delay_budget:budget,
-           Scheme.minimize_leakage fitted ~grid ~scheme:s ~delay_budget:budget)
+           Scheme.minimize production ~scheme:s ~delay_budget:budget)
         with
         | None, None -> [ Check.pass ~name:(name "brute-vs-opt") "both infeasible" ]
         | Some b, None ->
@@ -123,7 +122,7 @@ let scheme ctx =
         match brute_force t ~scheme:Scheme.Independent ~delay_budget:budget with
         | None -> []
         | Some b ->
-          let r = Anneal.minimize_leakage fitted ~grid ~delay_budget:budget () in
+          let r = Anneal.minimize_leakage production ~delay_budget:budget () in
           [
             Check.check ~name:(name "feasible") r.Anneal.feasible
               (Printf.sprintf "best feasible state found after %d evaluations"

@@ -65,6 +65,14 @@ let test_usage_errors_leave_events_alone () =
   write_file plain "a regular file, not a journal directory\n";
   let held = "fourteen bytes" in
   let not_a_dir = Unix.error_message Unix.ENOTDIR in
+  let no_goldens = Filename.concat dir "no-goldens" and report = Filename.concat dir "report.json" in
+  let no_goldens_message =
+    Printf.sprintf
+      "ppcache: --golden-dir %s: no such directory (the default is relative to the \
+       repository root)\n"
+      no_goldens
+  in
+  write_file report held;
   List.iter
     (fun (args, message) ->
       write_file events held;
@@ -87,7 +95,14 @@ let test_usage_errors_leave_events_alone () =
         Printf.sprintf "ppcache: Server.serve_unix_socket: %s exists and is not a socket\n"
           plain
         ^ usage_hint );
+      ( [ "verify"; "golden"; "--quick"; "--golden-dir"; no_goldens; "--report-json"; report ],
+        no_goldens_message );
+      ( [ "verify"; "golden"; "--update-golden"; "--golden-dir"; no_goldens;
+          "--report-json"; report ],
+        no_goldens_message );
     ];
+  Alcotest.(check string) "the --report-json file is untouched" held (read_file report);
+  Alcotest.(check bool) "--update-golden made no directory" false (Sys.file_exists no_goldens);
   Alcotest.(check string) "the file at --socket survives"
     "a regular file, not a journal directory\n" (read_file plain)
 

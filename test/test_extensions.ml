@@ -96,7 +96,7 @@ let test_anneal_close_to_exact () =
       match Scheme.minimize_leakage f ~grid ~scheme:Scheme.Independent ~delay_budget:budget with
       | None -> Alcotest.fail "Scheme I should be feasible"
       | Some exact ->
-        let sa = Anneal.minimize_leakage f ~grid ~delay_budget:budget () in
+        let sa = Anneal.minimize_leakage (Scheme.tables f ~grid) ~delay_budget:budget () in
         Alcotest.(check bool) "SA feasible" true sa.Anneal.feasible;
         Alcotest.(check bool) "SA meets the budget" true
           (sa.Anneal.access_time <= budget *. 1.0000001);
@@ -114,15 +114,15 @@ let test_anneal_deterministic () =
   let f = Lazy.force fitted in
   let grid = Grid.coarse tech in
   let budget = 1.3 *. Scheme.fastest_access_time f ~grid in
-  let r1 = Anneal.minimize_leakage f ~grid ~delay_budget:budget () in
-  let r2 = Anneal.minimize_leakage f ~grid ~delay_budget:budget () in
+  let r1 = Anneal.minimize_leakage (Scheme.tables f ~grid) ~delay_budget:budget () in
+  let r2 = Anneal.minimize_leakage (Scheme.tables f ~grid) ~delay_budget:budget () in
   Alcotest.(check bool) "same seed, same answer" true (r1.Anneal.leak_w = r2.Anneal.leak_w)
 
 let test_anneal_validation () =
   let f = Lazy.force fitted in
   Alcotest.(check bool) "bad budget" true
     (try
-       ignore (Anneal.minimize_leakage f ~grid:(Grid.coarse tech) ~delay_budget:0.0 ());
+       ignore (Anneal.minimize_leakage (Scheme.tables f ~grid:(Grid.coarse tech)) ~delay_budget:0.0 ());
        false
      with Invalid_argument _ -> true)
 

@@ -371,6 +371,125 @@ let test_experiment_determinism () =
   let second = render () in
   Alcotest.(check bool) "byte-identical reruns" true (String.equal first second)
 
+(* --- every search, pinned bit for bit --------------------------------------------- *)
+
+(* MD5 of the hex-float results of every search over a fitted cache on
+   the quick context: T1's scheme rows, the Uniform and Split L2 sweeps
+   (T2/T3), the L1 sweep (T4), X9's anneal runs and Figure 2's fronts
+   for the default and one per-workload miss-rate set, as computed when
+   each search tabulated the fitted models itself.  Printed output
+   rounds away the table layout and Figure 2's summation order that
+   this guards. *)
+let searches_known_md5 = "027d552790a698712c31d1fca0f007d7"
+
+let test_searches_pinned () =
+  let c = Lazy.force ctx in
+  let b = Buffer.create (1 lsl 18) in
+  let h x = Printf.bprintf b "%h " x in
+  let opt f = function None -> Buffer.add_string b "- " | Some x -> f x in
+  let knob (k : Component.knob) =
+    h k.Component.vth;
+    h k.Component.tox
+  in
+  let knobs a = List.iter (fun kind -> knob (Component.get a kind)) Component.all_kinds in
+  let result (r : Scheme.result) =
+    h r.Scheme.leak_w;
+    h r.Scheme.access_time;
+    knobs r.Scheme.assignment
+  in
+  List.iter
+    (fun (row : Core.Single_cache.scheme_row) ->
+      h row.Core.Single_cache.budget;
+      List.iter (fun (_, r) -> opt result r) row.Core.Single_cache.results)
+    (Core.Single_cache.scheme_rows c ());
+  List.iter
+    (fun scheme ->
+      let s = Core.Two_level.l2_sweep c ~scheme in
+      List.iter h [ s.target_amat; s.m1; s.t_l1; s.l1_leak ];
+      List.iter
+        (fun (r : Core.Two_level.l2_row) ->
+          Printf.bprintf b "%d " r.l2_size;
+          h r.m2;
+          opt h r.t_l2_budget;
+          opt result r.result;
+          opt h r.l2_leak;
+          opt h r.total_leak)
+        s.rows)
+    [ Scheme.Uniform; Scheme.Split ];
+  let s = Core.Two_level.l1_sweep_rows c in
+  h s.Core.Two_level.l1_target_amat;
+  List.iter
+    (fun (r : Core.Two_level.l1_row) ->
+      Printf.bprintf b "%d " r.l1_size;
+      h r.m1;
+      opt h r.t_l1_budget;
+      opt result r.l1_result;
+      opt h r.l1_leak;
+      opt h r.l1_total_leak)
+    s.l1_rows;
+  let tables = Core.Context.tables c (Core.Context.l1_config c ()) ~grid:c.Core.Context.grid in
+  let fast = Scheme.fastest tables and slow = Scheme.slowest tables in
+  List.iter
+    (fun frac ->
+      let budget = fast +. (frac *. (slow -. fast)) in
+      match Scheme.minimize tables ~scheme:Scheme.Independent ~delay_budget:budget with
+      | None -> Buffer.add_string b "- "
+      | Some exact ->
+        let module Anneal = Nmcache_opt.Anneal in
+        result exact;
+        let sa = Anneal.minimize_leakage tables ~delay_budget:budget () in
+        h sa.Anneal.leak_w;
+        h sa.Anneal.access_time;
+        Printf.bprintf b "%b %d " sa.Anneal.feasible sa.Anneal.evaluations;
+        knobs sa.Anneal.assignment)
+    [ 0.05; 0.15; 0.3; 0.5; 0.75 ];
+  List.iter
+    (fun workloads ->
+      List.iter
+        (fun (_, points) ->
+          List.iter
+            (fun (p : Tuple_problem.point) ->
+              h p.Tuple_problem.amat;
+              h p.Tuple_problem.energy;
+              Array.iter h p.Tuple_problem.vth_set;
+              Array.iter h p.Tuple_problem.tox_set;
+              Array.iter knob p.Tuple_problem.group_knobs)
+            points)
+        (Core.Tuple_study.figure2_curves ?workloads c))
+    [ None; Some [ List.hd c.Core.Context.workloads ] ];
+  Alcotest.(check string) "search results" searches_known_md5
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* --- one table per (cache, grid) ------------------------------------------------ *)
+
+let table_builds () =
+  List.fold_left
+    (fun n (st : Nmcache_engine.Trace.stage) ->
+      if st.Nmcache_engine.Trace.name = "scheme.tables" then st.Nmcache_engine.Trace.calls
+      else n)
+    0
+    (Nmcache_engine.Trace.stages ())
+
+let test_scheme_rows_build_one_table () =
+  let c = Lazy.force ctx in
+  Core.Context.clear_memo ();
+  let before = table_builds () in
+  let rows = Core.Single_cache.scheme_rows c () in
+  Alcotest.(check int) "27 searches" 27 (List.length rows * List.length Scheme.all);
+  Alcotest.(check int) "one table build" 1 (table_builds () - before)
+
+(* perfbench resets the memos before every batch through clear_memo *)
+let test_clear_memo_drops_tables () =
+  let c = Lazy.force ctx in
+  let build () = Core.Context.tables c (Core.Context.l2_config c ()) ~grid:c.Core.Context.grid in
+  let first = build () in
+  let before = table_builds () in
+  Alcotest.(check bool) "memoised" true (build () == first);
+  Alcotest.(check int) "no build while memoised" 0 (table_builds () - before);
+  Core.Context.clear_memo ();
+  Alcotest.(check bool) "a new table after clear_memo" true (build () != first);
+  Alcotest.(check int) "one build after clear_memo" 1 (table_builds () - before)
+
 let test_all_experiments_produce_output () =
   let c = Lazy.force ctx in
   List.iter
@@ -416,4 +535,7 @@ let suite =
     Alcotest.test_case "bigger-L2 verdict can fail (T2)" `Quick
       test_bigger_l2_verdict_can_fail;
     Alcotest.test_case "all experiments run" `Slow test_all_experiments_produce_output;
+    Alcotest.test_case "searches pinned bit for bit" `Slow test_searches_pinned;
+    Alcotest.test_case "scheme rows build one table" `Quick test_scheme_rows_build_one_table;
+    Alcotest.test_case "clear_memo drops the tables" `Quick test_clear_memo_drops_tables;
   ]

@@ -143,7 +143,7 @@ let test_scheme_ordering () =
   let f = Lazy.force fitted in
   let grid = Grid.make tech in
   let fast = Scheme.fastest_access_time f ~grid in
-  let slow = Scheme.slowest_access_time f ~grid in
+  let slow = Scheme.slowest (Scheme.tables f ~grid) in
   Alcotest.(check bool) "fast < slow" true (fast < slow);
   List.iter
     (fun frac ->
@@ -286,7 +286,7 @@ let test_scheme_i_matches_bruteforce () =
     }
   in
   let fast = Scheme.fastest_access_time f ~grid:small in
-  let slow = Scheme.slowest_access_time f ~grid:small in
+  let slow = Scheme.slowest (Scheme.tables f ~grid:small) in
   List.iter
     (fun frac ->
       let budget = fast +. (frac *. (slow -. fast)) in
@@ -413,7 +413,7 @@ let prop_scheme_ordering_on_subgrids =
     (fun grid ->
       let f = Lazy.force fitted in
       let fast = Scheme.fastest_access_time f ~grid in
-      let slow = Scheme.slowest_access_time f ~grid in
+      let slow = Scheme.slowest (Scheme.tables f ~grid) in
       let budget = fast +. (0.4 *. (slow -. fast)) in
       let leak s =
         Option.map
@@ -437,7 +437,7 @@ let prop_scheme_i_exact_on_subgrids =
     (fun (grid, frac) ->
       let f = Lazy.force fitted in
       let fast = Scheme.fastest_access_time f ~grid in
-      let slow = Scheme.slowest_access_time f ~grid in
+      let slow = Scheme.slowest (Scheme.tables f ~grid) in
       let budget = match frac with None -> fast | Some x -> fast +. (x *. (slow -. fast)) in
       let exact =
         Scheme.minimize_leakage f ~grid ~scheme:Scheme.Independent ~delay_budget:budget

@@ -610,6 +610,42 @@ let test_store_old_formats_unread () =
   Store.close fresh;
   Store.close old
 
+(* Concurrent cold requests for one key compute it once: the first
+   claims the key, and the rest wait for it and are answered from the
+   store, as they are one after another at --jobs 1. *)
+let test_concurrent_cold_requests_compute_once () =
+  let lines =
+    List.init 8 (fun _ ->
+        {|{"id":"o","op":"optimize","scheme":"II","size_kb":2,"assoc":1,"block_bytes":32,"delay_budget_ps":2500}|})
+    @ List.init 8 (fun _ ->
+          {|{"id":"c","op":"miss_curve","workload":"tpcc","l1_kb":2,"l2_kb":[64,128],"n":25000}|})
+  in
+  let computed () =
+    Option.fold ~none:0
+      ~some:(fun (h : Metrics.histogram_summary) -> h.Metrics.count)
+      (Metrics.histogram_summary "serve.cold_us")
+  in
+  let run jobs =
+    let store = Store.open_ ~dir:(tmpdir ()) in
+    let computed0 = computed () in
+    let _, out =
+      serve_file ~queue:16 ~jobs ~handler:(Service.handler (make_service ~store ())) lines
+    in
+    let counts = (computed () - computed0, Store.served store, Store.appended store) in
+    Store.close store;
+    (out, counts)
+  in
+  (* --jobs 4 first, while the in-process fit and profile memos are
+     cold and each computation takes longest *)
+  let out4, (computed4, served4, appended4) = run 4 in
+  let out1, (computed1, served1, appended1) = run 1 in
+  Alcotest.(check (list int)) "--jobs 1: computed, served, appended" [ 2; 14; 3 ]
+    [ computed1; served1; appended1 ];
+  Alcotest.(check int) "--jobs 4: each key computed once" 2 computed4;
+  Alcotest.(check int) "--jobs 4: served as at --jobs 1" served1 served4;
+  Alcotest.(check int) "--jobs 4: appended as at --jobs 1" appended1 appended4;
+  Alcotest.(check string) "responses byte-identical" out1 out4
+
 (* A warm hit is a parse, a key, one store probe and a splice.  Each
    query is answered cold and warm once before the measured hit. *)
 let test_warm_hit_allocation () =
@@ -859,6 +895,8 @@ let suite =
       test_store_restart_serves_nothing;
     Alcotest.test_case "store: records of an older value format are never read"
       `Quick test_store_old_formats_unread;
+    Alcotest.test_case "store: concurrent cold requests compute each key once" `Quick
+      test_concurrent_cold_requests_compute_once;
     Alcotest.test_case "alloc gate: warm serve hit" `Quick test_warm_hit_allocation;
     Alcotest.test_case "chaos: SIGKILL mid-serve, restart replays identically"
       `Quick test_kill_and_restart_serving;
