@@ -118,10 +118,13 @@ let resume_arg =
 let retries_arg =
   let doc =
     "Attempt budget for transient faults (injected, fit_diverged) at the \
-     fit/anneal/simulate retry boundaries, with deterministic seeded \
-     exponential backoff; $(b,1) disables retries."
+     fit/anneal/simulate retry boundaries; the next attempt starts at once. \
+     $(b,1) disables retries."
   in
-  Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt int Nmcache_engine.Retry.default_max_attempts
+    & info [ "retries" ] ~docv:"N" ~doc)
 
 let deadline_arg =
   let doc =

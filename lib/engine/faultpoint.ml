@@ -76,8 +76,6 @@ let configure spec =
     Ok ()
   | Error _ as e -> e
 
-let armed_seed () = Option.map (fun c -> c.seed) (Atomic.get state)
-
 (* retry semantics per arm: [Always] models a permanent fault (fires on
    every attempt, a retry can never mask it); [Key] models a targeted
    transient (fires on the first attempt only, so a retry boundary

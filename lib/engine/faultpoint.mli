@@ -51,14 +51,5 @@ val hit : ?attempt:int -> point:string -> key:string -> unit -> unit
     selected on this [attempt]; count it under [faults.injected].  A
     nop (one atomic load) when nothing is configured. *)
 
-val draw : seed:int64 -> point:string -> key:string -> float
-(** The underlying deterministic hash draw, uniform in [0, 1) — a pure
-    function of its arguments, stable across platforms and domains.
-    {!Retry} derives backoff jitter from it so chaos runs never consult
-    a wall clock in the decision path. *)
-
-val armed_seed : unit -> int64 option
-(** The seed of the armed spec, if any ([seed:N], default 0). *)
-
 val env_var : string
 (** ["PPCACHE_FAULTS"]. *)

@@ -23,7 +23,11 @@ val metrics_report : unit -> Json.t
     "faults": [{kind,stage,detail}]; "resilience": {..};
     "resource": {..} }] — stages and memo tables mirror
     {!Trace.summary} in machine-readable form; faults are the {!Fault}
-    log in canonical order; resource is {!Resource.summary_json}. *)
+    log in canonical order; resource is the process's wall time since
+    start and its GC totals from one [Gc.quick_stat]: words allocated
+    (minor, promoted, major, total), collection counts, and current and
+    peak major-heap words.  The runtime does not expose time spent in
+    the collector, so counts stand in for it. *)
 
 val verify_report : checks:Json.t -> Json.t
 (** [{ "schema_version"; "checks"; "faults" }] — wraps a verification

@@ -1,61 +1,32 @@
-(* Per-stage retry with deterministic backoff.
+(* Per-stage retry.
 
    Transient faults — an injected chaos hit, a fit left unconverged by
    an unlucky start — should be retried at the boundary that understands
-   them before being recorded as casualties.  The *decision path* is
-   pure: which kinds retry, how many attempts, and the backoff schedule
-   are all functions of the policy and of (seed, stage, key, attempt)
-   via the Faultpoint hash draw.  Only the sleep itself touches the
-   clock, and it is injectable so tests run instantly. *)
+   them before being recorded as casualties.  The retried kernels run
+   in-process and are deterministic, so the next attempt starts at once:
+   a pause would wait for nothing and only spend the kernel's deadline. *)
 
-type policy = {
-  max_attempts : int;
-  base_delay_s : float;
-  max_delay_s : float;
-  jitter : float;
-  retry_kinds : Fault.kind list;
-}
+let default_max_attempts = 3
 
-let default_policy =
-  {
-    max_attempts = 3;
-    base_delay_s = 0.002;
-    max_delay_s = 0.050;
-    jitter = 0.5;
-    retry_kinds = [ Fault.Injected; Fault.Fit_diverged ];
-  }
+(* everything else (singular systems, domain errors, crashes, deadlines)
+   fails identically on every attempt *)
+let retry_kinds = [ Fault.Injected; Fault.Fit_diverged ]
 
-(* process-wide policy, overridable from the CLI (--retries) *)
-let current : policy Atomic.t = Atomic.make default_policy
+(* process-wide budget, overridable from the CLI (--retries) *)
+let budget = Atomic.make default_max_attempts
 
-let policy () = Atomic.get current
-let set_policy p =
-  if p.max_attempts < 1 then
-    invalid_arg (Printf.sprintf "Retry.set_policy: max_attempts %d < 1" p.max_attempts);
-  Atomic.set current p
+let set_max_attempts n =
+  if n < 1 then invalid_arg (Printf.sprintf "Retry.set_max_attempts: %d < 1" n);
+  Atomic.set budget n
 
-let set_max_attempts n = set_policy { (Atomic.get current) with max_attempts = n }
-let reset () = Atomic.set current default_policy
+let reset () = Atomic.set budget default_max_attempts
 
-(* injectable sleeper: production sleeps, tests don't *)
-let sleeper : (float -> unit) Atomic.t = Atomic.make Unix.sleepf
-let set_sleep f = Atomic.set sleeper f
+let retryable (f : Fault.t) = List.mem f.Fault.kind retry_kinds
 
-let backoff_s p ~seed ~stage ~key ~attempt =
-  let exp_delay = p.base_delay_s *. (2.0 ** float_of_int (max 0 (attempt - 1))) in
-  let capped = Float.min p.max_delay_s exp_delay in
-  (* jitter in [1 - j, 1 + j), from the same splitmix draw the fault
-     points use: a pure function of its inputs, no wall clock *)
-  let u = Faultpoint.draw ~seed ~point:("retry." ^ stage) ~key:(Printf.sprintf "%s#%d" key attempt) in
-  capped *. (1.0 +. (p.jitter *. ((2.0 *. u) -. 1.0)))
-
-let retryable p (f : Fault.t) = List.mem f.Fault.kind p.retry_kinds
-
-let run ?policy ~stage ~key f =
-  let p = match policy with Some p -> p | None -> Atomic.get current in
-  let seed = Option.value (Faultpoint.armed_seed ()) ~default:0L in
+let run ~stage f =
+  let max_attempts = Atomic.get budget in
   let rec go attempt =
-    let last = attempt >= p.max_attempts in
+    let last = attempt >= max_attempts in
     match f ~attempt ~last with
     | v ->
       if attempt > 1 then begin
@@ -63,13 +34,12 @@ let run ?policy ~stage ~key f =
         Metrics.incr ("retry.recovered." ^ stage)
       end;
       v
-    | exception Fault.Fault fault when (not last) && retryable p fault ->
+    | exception Fault.Fault fault when (not last) && retryable fault ->
       Metrics.incr "retry.attempts";
       Metrics.incr ("retry.attempts." ^ stage);
-      (Atomic.get sleeper) (backoff_s p ~seed ~stage ~key ~attempt);
       go (attempt + 1)
     | exception (Fault.Fault fault as e) ->
-      if last && p.max_attempts > 1 && retryable p fault then begin
+      if last && max_attempts > 1 && retryable fault then begin
         Metrics.incr "retry.exhausted";
         Metrics.incr ("retry.exhausted." ^ stage)
       end;

@@ -40,6 +40,28 @@ let with_parent parent f =
 
 let record s = Mutex.protect mutex (fun () -> completed := s :: !completed)
 
+(* close a span whose body allocated [words] minor words *)
+let close ~stack ~id ~parent ~name ~attrs ~t0 ~words =
+  let t1 = Unix.gettimeofday () in
+  (match !stack with
+  | top :: rest when top = id -> stack := rest
+  | _ -> () (* enabled flag flipped mid-span; stack already reset *));
+  let e = Atomic.get epoch in
+  record
+    {
+      id;
+      parent;
+      name;
+      tid = (Domain.self () :> int);
+      ts_us = (t0 -. e) *. 1e6;
+      dur_us = (t1 -. t0) *. 1e6;
+      attrs = attrs @ [ ("minor_words", Json.Int (int_of_float words)) ];
+    }
+
+(* [Gc.minor_words] reads this domain's minor-heap pointer: exact, and a
+   few nanoseconds a call.  It is read last on entry and first on exit,
+   and [f] is called directly rather than through [Fun.protect], so a
+   span counts only the words [f] allocates. *)
 let with_span ?(attrs = []) name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
@@ -47,28 +69,17 @@ let with_span ?(attrs = []) name f =
     let parent = match !stack with [] -> None | id :: _ -> Some id in
     let id = Atomic.fetch_and_add next_id 1 in
     stack := id :: !stack;
-    let r0 = Resource.sample () in
-    let t0 = r0.Resource.wall in
-    Fun.protect
-      ~finally:(fun () ->
-        let r1 = Resource.sample () in
-        let t1 = r1.Resource.wall in
-        (match !stack with
-        | top :: rest when top = id -> stack := rest
-        | _ -> () (* enabled flag flipped mid-span; stack already reset *));
-        let e = Atomic.get epoch in
-        record
-          {
-            id;
-            parent;
-            name;
-            tid = (Domain.self () :> int);
-            ts_us = (t0 -. e) *. 1e6;
-            dur_us = (t1 -. t0) *. 1e6;
-            (* every traced span carries its GC-allocation delta *)
-            attrs = attrs @ Resource.span_attrs ~before:r0 ~after:r1;
-          })
-      f
+    let t0 = Unix.gettimeofday () in
+    let w0 = Gc.minor_words () in
+    match f () with
+    | v ->
+      close ~stack ~id ~parent ~name ~attrs ~t0 ~words:(Gc.minor_words () -. w0);
+      v
+    | exception exn ->
+      let words = Gc.minor_words () -. w0 in
+      let bt = Printexc.get_raw_backtrace () in
+      close ~stack ~id ~parent ~name ~attrs ~t0 ~words;
+      Printexc.raise_with_backtrace exn bt
   end
 
 let spans () =

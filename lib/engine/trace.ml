@@ -125,21 +125,9 @@ let summary () =
             ])
           ss
       in
-      let busy = List.fold_left (fun a s -> a +. s.busy_s) 0.0 ss in
-      let wall = List.fold_left (fun a s -> a +. s.wall_s) 0.0 ss in
-      let total =
-        [
-          "total";
-          string_of_int (List.fold_left (fun a s -> a + s.calls) 0 ss);
-          string_of_int (List.fold_left (fun a s -> a + s.tasks) 0 ss);
-          Printf.sprintf "%.3f" busy;
-          Printf.sprintf "%.3f" wall;
-          (if wall > 0.0 then Printf.sprintf "%.2fx" (busy /. wall) else "-");
-        ]
-      in
       render_table buf ~title:"engine trace: stages"
         ~columns:[ "stage"; "calls"; "tasks"; "busy (s)"; "wall (s)"; "speedup" ]
-        (rows @ [ total ])
+        rows
     end;
     if cs <> [] then begin
       if ss <> [] then Buffer.add_char buf '\n';

@@ -45,7 +45,9 @@ val reset : unit -> unit
 
 val summary : unit -> string
 (** Rendered summary: one table of stages and one of cache counters.
-    The speedup column is busy/wall — the average number of kernels in
+    Stages nest (an experiment's stage encloses its sweeps), so the
+    table has no total row: the outermost stage is the total.  The
+    speedup column is busy/wall — the average number of kernels in
     flight, which equals the real speedup when each worker keeps a
     core to itself (on an oversubscribed machine it reads as apparent
     concurrency instead).  Empty string when nothing was recorded. *)

@@ -30,10 +30,10 @@ let samples_key (samples : samples) =
    armed fault point fires first (chaos harness — per-attempt, so
    transient arms recover under retry), then a singular design escaping
    the solver is mapped into a typed fault instead of a raw exception.
-   Retryable faults (injected, fit_diverged) get up to the policy's
-   attempt budget with deterministic backoff before escaping. *)
+   Retryable faults (injected, fit_diverged) get up to the attempt
+   budget before escaping. *)
 let fit_boundary ~stage ~key f =
-  Retry.run ~stage ~key (fun ~attempt ~last ->
+  Retry.run ~stage (fun ~attempt ~last ->
       Faultpoint.hit ~attempt ~point:stage ~key ();
       try f ~attempt ~last with
       | Linsolve.Singular ->

@@ -30,7 +30,7 @@ let minimize_leakage ?(params = default_params) (tables : Scheme.tables) ~delay_
   in
   (* retry boundary: an injected transient at the anneal fault point is
      retried (per-attempt arm semantics) before becoming a casualty *)
-  Nmcache_engine.Retry.run ~stage:"anneal" ~key:fault_key (fun ~attempt ~last:_ ->
+  Nmcache_engine.Retry.run ~stage:"anneal" (fun ~attempt ~last:_ ->
       Nmcache_engine.Faultpoint.hit ~attempt ~point:"anneal" ~key:fault_key ());
   let leak = tables.Scheme.leak and delay = tables.Scheme.delay in
   let n = Array.length tables.Scheme.knobs in

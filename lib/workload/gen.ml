@@ -84,7 +84,7 @@ let walk_memoised ~stage ~gen ~n members =
             (fun i ->
               let _, key, start = members.(i) in
               match
-                Retry.run ~stage ~key (fun ~attempt ~last:_ ->
+                Retry.run ~stage (fun ~attempt ~last:_ ->
                     Faultpoint.hit ~attempt ~point:stage ~key ());
                 start ()
               with

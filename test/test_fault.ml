@@ -339,9 +339,8 @@ let check_fault_fails_one_member ~label ~bad ~counter ~clear build members =
   Alcotest.(check (pair int int)) (label ^ ": one retry, of the armed member") (1, 1)
     (c "retry.attempts.simulate" - a0, c "retry.recovered.simulate" - r0);
   clear ();
-  let policy = Retry.policy () in
   Retry.set_max_attempts 1;
-  Fun.protect ~finally:(fun () -> Retry.set_policy policy) @@ fun () ->
+  Fun.protect ~finally:Retry.reset @@ fun () ->
   let w0 = c "workload.walks" and k0 = c counter in
   (match build members with
   | _ -> Alcotest.fail (label ^ ": the armed member succeeded")

@@ -1,10 +1,10 @@
 (* Resilience suite: the checkpoint journal (a Store armed through
    Sweep: roundtrip, corruption chaos, sweep integration, the
-   resilience report's counters), deterministic retry (counters,
-   backoff purity), and cooperative deadlines (budget tokens, pool
+   resilience report's counters), retry (counters, which kinds retry,
+   the attempt budget), and cooperative deadlines (budget tokens, pool
    watchdog).
 
-   The journal, retry policy, deadline default and fault log are
+   The journal, retry budget, deadline default and fault log are
    process-wide, so every test that arms one disarms it in a
    [Fun.protect] finally — the rest of the binary must run with the
    resilience layer quiescent. *)
@@ -20,10 +20,6 @@ module Metrics = Nmcache_engine.Metrics
 module Pool = Nmcache_engine.Pool
 module Task = Nmcache_engine.Task
 module Sweep = Nmcache_engine.Sweep
-
-(* tests must not really sleep; the backoff schedule is tested as a
-   pure function, so dropping the sleeps loses nothing *)
-let () = Retry.set_sleep (fun _ -> ())
 
 let tmp_counter = ref 0
 
@@ -265,7 +261,7 @@ let test_retry_recovers () =
   let a0 = c "retry.attempts" and r0 = c "retry.recovered" in
   let calls = ref 0 in
   let v =
-    Retry.run ~stage:"t" ~key:"k" (fun ~attempt ~last:_ ->
+    Retry.run ~stage:"t" (fun ~attempt ~last:_ ->
         incr calls;
         if attempt < 3 then Fault.error ~kind:Fault.Injected ~stage:"t" "transient";
         7)
@@ -275,25 +271,30 @@ let test_retry_recovers () =
   Alcotest.(check int) "attempts counted" 2 (c "retry.attempts" - a0);
   Alcotest.(check int) "recovery counted" 1 (c "retry.recovered" - r0)
 
-let test_retry_exhausts () =
-  let c = Metrics.counter_value in
-  let e0 = c "retry.exhausted" in
+(* the number of attempts a kernel that always fails gets *)
+let attempts_of_permanent_fault () =
   let calls = ref 0 in
   (match
-     Retry.run ~stage:"t" ~key:"k2" (fun ~attempt:_ ~last:_ ->
+     Retry.run ~stage:"t" (fun ~attempt:_ ~last:_ ->
          incr calls;
          Fault.error ~kind:Fault.Injected ~stage:"t" "permanent")
    with
   | (_ : int) -> Alcotest.fail "should have raised"
   | exception Fault.Fault f ->
     Alcotest.(check bool) "fault propagates" true (f.Fault.kind = Fault.Injected));
-  Alcotest.(check int) "budget honoured" (Retry.default_policy.Retry.max_attempts) !calls;
+  !calls
+
+let test_retry_exhausts () =
+  let c = Metrics.counter_value in
+  let e0 = c "retry.exhausted" in
+  Alcotest.(check int) "budget honoured" Retry.default_max_attempts
+    (attempts_of_permanent_fault ());
   Alcotest.(check int) "exhaustion counted" 1 (c "retry.exhausted" - e0)
 
 let test_retry_skips_deterministic_kinds () =
   let calls = ref 0 in
   (match
-     Retry.run ~stage:"t" ~key:"k3" (fun ~attempt:_ ~last:_ ->
+     Retry.run ~stage:"t" (fun ~attempt:_ ~last:_ ->
          incr calls;
          Fault.error ~kind:Fault.Singular_system ~stage:"t" "deterministic")
    with
@@ -314,7 +315,7 @@ let test_retry_with_faultpoint_key_arm () =
     (fun () ->
       let calls = ref 0 in
       let v =
-        Retry.run ~stage:"spin" ~key:"k1" (fun ~attempt ~last:_ ->
+        Retry.run ~stage:"spin" (fun ~attempt ~last:_ ->
             incr calls;
             Faultpoint.hit ~attempt ~point:"spin" ~key:"k1" ();
             42)
@@ -338,34 +339,13 @@ let test_faultpoint_attempt_semantics () =
       Alcotest.(check bool) "p=1 prob arm fires every attempt" true
         (Faultpoint.should_fire ~attempt:3 ~point:"r" ~key:"any" ()))
 
-let backoff_pure_prop =
-  (* the schedule is a pure function of (seed, stage, key, attempt),
-     bounded by the jitter envelope around the capped exponential *)
-  QCheck.Test.make ~count:300
-    ~name:"retry backoff is pure and inside the jitter envelope"
-    QCheck.(
-      quad small_printable_string small_printable_string (int_range 1 8)
-        (int_range 0 100_000))
-    (fun (stage, key, attempt, seedi) ->
-      let p = Retry.default_policy in
-      let seed = Int64.of_int seedi in
-      let d1 = Retry.backoff_s p ~seed ~stage ~key ~attempt in
-      let d2 = Retry.backoff_s p ~seed ~stage ~key ~attempt in
-      let capped =
-        Float.min p.Retry.max_delay_s
-          (p.Retry.base_delay_s *. (2.0 ** float_of_int (attempt - 1)))
-      in
-      d1 = d2
-      && d1 >= capped *. (1.0 -. p.Retry.jitter) -. 1e-12
-      && d1 <= capped *. (1.0 +. p.Retry.jitter) +. 1e-12)
-
 let test_retry_policy_validation () =
   (match Retry.set_max_attempts 0 with
   | () -> Alcotest.fail "max_attempts 0 accepted"
   | exception Invalid_argument _ -> ());
   Retry.set_max_attempts 5;
   Fun.protect ~finally:Retry.reset (fun () ->
-      Alcotest.(check int) "override sticks" 5 (Retry.policy ()).Retry.max_attempts)
+      Alcotest.(check int) "override sticks" 5 (attempts_of_permanent_fault ()))
 
 (* --- deadlines -------------------------------------------------------- *)
 
@@ -530,7 +510,6 @@ let suite =
       test_retry_with_faultpoint_key_arm;
     Alcotest.test_case "faultpoint: per-arm attempt semantics" `Quick
       test_faultpoint_attempt_semantics;
-    Generators.to_alcotest backoff_pure_prop;
     Alcotest.test_case "retry: policy validation" `Quick test_retry_policy_validation;
     Alcotest.test_case "deadline: zero budget fires deterministically" `Quick
       test_deadline_budget_zero_fires;
