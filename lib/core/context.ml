@@ -61,11 +61,11 @@ let numerics_tag = "vp2"
 (* A stable fingerprint of every context field that can change an
    experiment's numbers — the checkpoint layer folds it into slot keys
    so a journal written under one context is never served under
-   another (quick vs default, different seeds, grids, workloads,
-   numerics generations…). *)
+   another (quick vs default, different seeds, grids, workloads, trace
+   or numerics generations…). *)
 let fingerprint t =
   Printf.sprintf
-    "%s:%.1fK:%.2fV:l1=%d/%d:l2=%d/%d:b%d:out%d:w=%s:seed=%Ld:n=%d:g=%dx%d:cg=%dx%d:mem=%.2e:num=%s"
+    "%s:%.1fK:%.2fV:l1=%d/%d:l2=%d/%d:b%d:out%d:w=%s:seed=%Ld:n=%d:g=%dx%d:cg=%dx%d:mem=%.2e:gen=%s:num=%s"
     t.tech.Tech.name t.tech.Tech.temp_k t.tech.Tech.vdd t.l1_size t.l1_assoc t.l2_size
     t.l2_assoc t.block_bytes t.l2_output_bits
     (String.concat "+" t.workloads)
@@ -74,7 +74,8 @@ let fingerprint t =
     (Array.length t.grid.Grid.toxs)
     (Array.length t.coarse_grid.Grid.vths)
     (Array.length t.coarse_grid.Grid.toxs)
-    t.mem.Nmcache_energy.Main_memory.e_access numerics_tag
+    t.mem.Nmcache_energy.Main_memory.e_access Nmcache_workload.Registry.generator_tag
+    numerics_tag
 
 let l1_config t ?size () =
   Config.make

@@ -36,7 +36,8 @@ val numerics_tag : string
 val fingerprint : t -> string
 (** A stable, human-readable digest of every field that can change an
     experiment's numbers (tech corner, geometries, workloads, seed,
-    trace length, grid shapes, memory model, {!numerics_tag}).
+    trace length, grid shapes, memory model,
+    {!Nmcache_workload.Registry.generator_tag}, {!numerics_tag}).
     {!Experiments.task} folds it into checkpoint slot keys and
     [Service] into store keys, so a journal or store recorded under one
     context or numerics generation is never served into a run with

@@ -234,7 +234,7 @@ let l2_two_pair ctx =
       (match Two_level.two_pair_gain ~single ~split with
       | Some (size, g) ->
         ( true,
-          Printf.sprintf "at %d KB the two-pair design leaks %.0f%% less" (kb size) (100.0 *. g) )
+          Printf.sprintf "at %d KB the two-pair design leaks %.1f%% less" (kb size) (100.0 *. g) )
       | None -> (false, "no size where two pairs improved"));
   ]
 

@@ -225,7 +225,7 @@ let l2_two_pair ctx =
          (match two_pair_gain ~single:sweep3 ~split:sweep2 with
          | None -> ""
          | Some (size, gain) ->
-           Printf.sprintf "; at %s the two-pair design leaks %.0f%% less, extending \
+           Printf.sprintf "; at %s the two-pair design leaks %.1f%% less, extending \
                            the competitive range to smaller L2s" (size_label size)
              (100.0 *. gain)));
   ]

@@ -30,22 +30,23 @@ let policy_key = function
 
 (* The memo keys double as checkpoint slot keys for the sweep tasks
    below, so they must (and do) name every input the result depends
-   on.  Prefixes are versioned ("curve2", "l1d", "grid3", "walk1")
-   where a slot's meaning changed, so a stale journal can never alias
-   a result of another shape. *)
+   on, the trace generation ({!Registry.generator_tag}) last.
+   Prefixes are versioned ("curve2", "l1d", "grid3", "walk1") where a
+   slot's meaning changed, so a stale journal can never alias a result
+   of another shape. *)
 let sim_key ~workload ~l1_size ~l2_size ~l1_assoc ~l2_assoc ~block ~policy ~seed ~n =
-  Printf.sprintf "sim:%s:%d:%d:%d:%d:%d:%s:%Ld:%d" workload l1_size l2_size l1_assoc
-    l2_assoc block (policy_key policy) seed n
+  Printf.sprintf "sim:%s:%d:%d:%d:%d:%d:%s:%Ld:%d:%s" workload l1_size l2_size l1_assoc
+    l2_assoc block (policy_key policy) seed n Registry.generator_tag
 
 let sizes_key sizes = String.concat "," (Array.to_list (Array.map string_of_int sizes))
 
 let curve_key ~workload ~l1_size ~l1_assoc ~block ~seed ~n ~l2_sizes =
-  Printf.sprintf "curve2:%s:%d:%d:%d:%Ld:%d:%s" workload l1_size l1_assoc block seed n
-    (sizes_key l2_sizes)
+  Printf.sprintf "curve2:%s:%d:%d:%d:%Ld:%d:%s:%s" workload l1_size l1_assoc block seed n
+    (sizes_key l2_sizes) Registry.generator_tag
 
 let l1_key ~workload ~l1_size ~l1_assoc ~block ~policy ~seed ~n =
-  Printf.sprintf "l1:%s:%d:%d:%d:%s:%Ld:%d" workload l1_size l1_assoc block
-    (policy_key policy) seed n
+  Printf.sprintf "l1:%s:%d:%d:%d:%s:%Ld:%d:%s" workload l1_size l1_assoc block
+    (policy_key policy) seed n Registry.generator_tag
 
 (* Workload lists are length-prefixed before joining so the combined
    key of ["a+b"] can never alias that of ["a"; "b"] — "+" inside a
@@ -240,8 +241,8 @@ let averaged_l2_curve ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_se
     ~workloads ~l1_size ~l2_sizes ~n () =
   if workloads = [] then invalid_arg "Missrate.averaged_l2_curve: no workloads";
   let key =
-    Printf.sprintf "avg:%s:%d:%d:%d:%Ld:%d:%s" (combined_workloads_key workloads) l1_size
-      l1_assoc block seed n (sizes_key l2_sizes)
+    Printf.sprintf "avg:%s:%d:%d:%d:%Ld:%d:%s:%s" (combined_workloads_key workloads)
+      l1_size l1_assoc block seed n (sizes_key l2_sizes) Registry.generator_tag
   in
   Memo.find_or_compute avg_cache key (fun () ->
       (* one independent profile build per workload — the engine fans
@@ -287,8 +288,8 @@ let grid ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~workload
     Sweep.map_list
       (Task.make ~name:"missrate.grid"
          ~key:(fun workload ->
-           Printf.sprintf "grid3:%s:%s:%d:%d:%Ld:%d:%s" workload (sizes_key l1_sizes)
-             l1_assoc block seed n (sizes_key l2_sizes))
+           Printf.sprintf "grid3:%s:%s:%d:%d:%Ld:%d:%s:%s" workload (sizes_key l1_sizes)
+             l1_assoc block seed n (sizes_key l2_sizes) Registry.generator_tag)
          (fun workload ->
            Profile.build_many ~seed ~workload ~n
              (Array.to_list

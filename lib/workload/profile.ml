@@ -41,9 +41,11 @@ let clear_cache () = Memo.clear cache
 
 let key ~workload ~kind ~block ~seed ~n =
   match kind with
-  | Raw -> Printf.sprintf "prof:raw:%s:%d:%Ld:%d" workload block seed n
+  | Raw ->
+    Printf.sprintf "prof:raw:%s:%d:%Ld:%d:%s" workload block seed n Registry.generator_tag
   | L1_filtered { l1_size; l1_assoc } ->
-    Printf.sprintf "prof:l1:%s:%d:%d:%d:%Ld:%d" workload l1_size l1_assoc block seed n
+    Printf.sprintf "prof:l1:%s:%d:%d:%d:%Ld:%d:%s" workload l1_size l1_assoc block seed n
+      Registry.generator_tag
 
 (* One profile under construction, shared by [build_many] and
    [of_stream]: a profiler, the optional L1 filter in front of it, and

@@ -34,8 +34,9 @@ type t = {
 }
 
 val key : workload:string -> kind:kind -> block:int -> seed:int64 -> n:int -> string
-(** The memo key; names every input the profile depends on, so it also
-    serves as a checkpoint slot key. *)
+(** The memo key; names every input the profile depends on, the trace
+    generation ({!Registry.generator_tag}) included, so it also serves
+    as a checkpoint slot key. *)
 
 val build_many :
   ?seed:int64 -> workload:string -> n:int -> (kind * int) list -> t list

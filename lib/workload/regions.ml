@@ -1,19 +1,8 @@
 module Rng = Nmcache_numerics.Rng
 module Zipf = Nmcache_numerics.Zipf
-module Memo = Nmcache_engine.Memo
 module Stream_trace = Nmcache_cachesim.Stream_trace
 
 let word = 8
-
-(* A table is a pure function of (n, s) and can be large (tpcc's leaf
-   region samples 8M blocks), so each is built once per process, on
-   first use, and shared by every generator that samples it; a domain
-   asking for a table another is building waits for it. *)
-let zipf_tables : Zipf.t Memo.t = Memo.create ~name:"workload.zipf-tables" ()
-
-let zipf_table ~n ~s =
-  Memo.find_or_compute zipf_tables (Printf.sprintf "%d:%h" n s) (fun () ->
-      Zipf.create ~n ~s)
 
 let locality_walker ~rng ~base ~bytes ~p_continue () =
   if bytes < word then invalid_arg "Regions.locality_walker: region too small";
@@ -34,7 +23,7 @@ let zipf_blocks ~rng ~base ~bytes ~block ~s ~run () =
     invalid_arg "Regions.zipf_blocks: block must divide region";
   if run < 1 then invalid_arg "Regions.zipf_blocks: run < 1";
   let n_blocks = bytes / block in
-  let zipf = zipf_table ~n:n_blocks ~s in
+  let zipf = Zipf.create ~n:n_blocks ~s in
   let words_per_block = block / word in
   let current = ref 0 in
   let remaining = ref 0 in

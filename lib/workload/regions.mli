@@ -5,12 +5,6 @@
     ({!Nmcache_cachesim.Stream_trace.pack}), the form {!Gen.make}
     takes, so walking allocates nothing. *)
 
-val zipf_table : n:int -> s:float -> Nmcache_numerics.Zipf.t
-(** The Zipf sampler over [n] ranks with exponent [s], built on the
-    first request for this [(n, s)] and shared, physically, by every
-    later one in the process (domain-safe: a concurrent request waits
-    for the build in flight).  Tables are never dropped. *)
-
 val locality_walker :
   rng:Nmcache_numerics.Rng.t ->
   base:int ->
@@ -38,9 +32,11 @@ val zipf_blocks :
 (** Block-grained Zipf popularity over the region: each visit picks a
     block by Zipf rank (rank→place scrambled so popularity is not
     spatially correlated) and scans [run] consecutive words inside it.
-    Models heap/object locality with a long tail.  The sampler is
-    {!zipf_table}'s.  Raises [Invalid_argument] if [block] doesn't
-    divide the region or is not a multiple of 8, or [run < 1]. *)
+    Models heap/object locality with a long tail.  The sampler is a
+    {!Nmcache_numerics.Zipf.t} of a few words at any region size, so
+    the walker keeps nothing per block.  Raises [Invalid_argument] if
+    [block] doesn't divide the region or is not a multiple of 8, or
+    [run < 1]. *)
 
 val stream : base:int -> bytes:int -> stride:int -> unit -> unit -> int
 (** Sequential scan with wrap-around — array streaming. *)

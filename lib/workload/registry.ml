@@ -47,6 +47,12 @@ let find name = List.find_opt (fun e -> e.name = name) all
 let names = List.map (fun e -> e.name) all
 let default_seed = 42L
 
+(* Names the trace generation.  Change it with any change to a generator,
+   or to what one draws through ([Rng], [Zipf]), that moves a trace, so
+   memo keys, checkpoint slots and stores written before it miss and
+   recompute rather than serve the old traces' numbers. *)
+let generator_tag = "ri1"
+
 let build ?(seed = default_seed) name =
   match find name with
   | Some e -> e.build seed

@@ -14,8 +14,11 @@ let of_workload ?(chunk_size = Stream_trace.default_chunk_size)
       (Printf.sprintf "Stream.of_workload: unknown workload %s" workload);
   if n < 0 then invalid_arg "Stream.of_workload: n < 0";
   (* the checkpoint identity names every input the entries — and the
-     chunk boundaries — depend on *)
-  let key = Printf.sprintf "stream:%s:%Ld:%d:%d" workload seed n chunk_size in
+     chunk boundaries — depend on, the trace generation included *)
+  let key =
+    Printf.sprintf "stream:%s:%Ld:%d:%d:%s" workload seed n chunk_size
+      Registry.generator_tag
+  in
   Stream_trace.of_producer ~chunk_size ~key ~name:workload ~n (fun () ->
       let gen = Registry.build ~seed workload in
       fun () ->

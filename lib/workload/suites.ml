@@ -169,7 +169,7 @@ let specweb_like ~seed () =
   let rng = Rng.create ~seed in
   let n_objects = 1 lsl 17 in
   let slot = kb 16 in
-  let zipf = Regions.zipf_table ~n:n_objects ~s:0.9 in
+  let zipf = Nmcache_numerics.Zipf.create ~n:n_objects ~s:0.9 in
   let obj_rng = Rng.split rng in
   let size_rng = Rng.split rng in
   let remaining = ref 0 in

@@ -364,7 +364,9 @@ let test_fault_fails_one_walk_member () =
   (* L1-only configurations gained the fault point with fusion *)
   check_fault_fails_one_member ~label:"simulations" ~counter:"cachesim.simulations"
     ~clear:Missrate.clear_cache
-    ~bad:(Printf.sprintf "l1:%s:8192:4:64:fifo:%Ld:%d" workload seed n)
+    ~bad:
+      (Printf.sprintf "l1:%s:8192:4:64:fifo:%Ld:%d:%s" workload seed n
+         Nmcache_workload.Registry.generator_tag)
     (Missrate.simulate_many ~seed ~workload ~n)
     (List.map
        (fun kb -> Missrate.config ~policy:Replacement.Fifo ~l1_size:(kb * 1024) ())

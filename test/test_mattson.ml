@@ -90,9 +90,11 @@ let test_compaction () =
 (* A 64-entry timestamp floor makes the profiler compact every time its
    timestamps reach 4x the footprint: every ~3 footprints of accesses
    once grown, and at each doubling while it grows.  The CDFs are known
-   answers computed with the list-sorting compaction this one replaced:
-   an MD5 over "dist:suffix;" pairs of the measured second half of
-   200 000 accesses at seed 42, plus the counts beside it.  A 100-block
+   answers first computed with the list-sorting compaction this one
+   replaced, and recaptured with this one when the traces moved to
+   rejection-inversion Zipf sampling (trace generation [ri1]): an MD5
+   over "dist:suffix;" pairs of the measured second half of 200 000
+   accesses at seed 42, plus the counts beside it.  A 100-block
    loop (compacting every 300 accesses, over 600 times) has every warm
    access at distance 99. *)
 let test_compaction_known_answers () =
@@ -117,9 +119,9 @@ let test_compaction_known_answers () =
       Alcotest.(check string) (workload ^ ": CDF digest") md5
         (Digest.to_hex (Digest.string (Buffer.contents b))))
     [
-      ("spec2000-gcc", 6459, 2760, 1914, "b5f8ca229b2c23b8a50bcf6f972b0cd2");
-      ("tpcc", 10930, 5183, 1303, "b2ffdebeb1e26c6f1f94c93036ebcf3e");
-      ("spec2000-mix", 7814, 3430, 1989, "a77ab11bdf7cc7ca4587cb6c50b02a8f");
+      ("spec2000-gcc", 6431, 2705, 1877, "093eb438140bb233bd56f9ecbeb1eb57");
+      ("tpcc", 10974, 5195, 1300, "0356ecd79b71af6433fc513fa4bf4c31");
+      ("spec2000-mix", 7764, 3388, 1940, "ba026ff4697d203e7ea57b03c5d966d1");
     ];
   let m = profile ~warm:100 ~n:200_000 (Gen.cyclic ~name:"loop" ~length:100 ()) in
   Alcotest.(check (pair (array int) (array int))) "loop CDF" ([| 99 |], [| 199_900 |])
