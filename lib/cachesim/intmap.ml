@@ -114,6 +114,22 @@ let replace t k v =
     if t.size >= t.limit then grow t
   end
 
+let exchange t k v ~default =
+  if k < 0 then invalid_arg "Intmap.exchange: negative key";
+  let slot = probe_counted t k in
+  if t.keys.(slot) = k then begin
+    let old = t.vals.(slot) in
+    t.vals.(slot) <- v;
+    old
+  end
+  else begin
+    t.keys.(slot) <- k;
+    t.vals.(slot) <- v;
+    t.size <- t.size + 1;
+    if t.size >= t.limit then grow t;
+    default
+  end
+
 let add_if_absent t k =
   if k < 0 then invalid_arg "Intmap.add_if_absent: negative key";
   let slot = probe_counted t k in
@@ -133,6 +149,7 @@ let fold f t init =
   done;
   !acc
 
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  t.size <- 0
+let map_values f t =
+  for i = 0 to Array.length t.keys - 1 do
+    if t.keys.(i) <> empty_key then t.vals.(i) <- f t.vals.(i)
+  done

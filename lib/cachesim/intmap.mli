@@ -23,6 +23,12 @@ val mem : t -> int -> bool
 val replace : t -> int -> int -> unit
 (** Insert or overwrite.  Raises [Invalid_argument] on a negative key. *)
 
+val exchange : t -> int -> int -> default:int -> int
+(** [exchange t k v ~default] binds [k] to [v] and returns what [k]
+    was bound to before, or [default] if it was absent: {!find} and
+    {!replace} in one probe.  Raises [Invalid_argument] on a negative
+    key. *)
+
 val add_if_absent : t -> int -> bool
 (** Insert the key (bound to 0) if absent and return [true]; return
     [false] if it was already present.  One probe for the common
@@ -32,8 +38,9 @@ val add_if_absent : t -> int -> bool
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over all bindings in unspecified order. *)
 
-val clear : t -> unit
-(** Remove all bindings, keeping the allocated capacity. *)
+val map_values : (int -> int) -> t -> unit
+(** Replace every bound value [v] by [f v], in place; no key is
+    probed or counted. *)
 
 val probe_hist_buckets : int
 (** Number of probe-length buckets (17): index [i < 16] counts lookups

@@ -1,16 +1,22 @@
-(* Fenwick (binary indexed) tree over timestamps.  tree.(i) covers a
-   range ending at i (1-based).  A '1' sits at the last-access time of
-   each resident block; suffix_count(time) counts blocks accessed
-   strictly after [time], which is exactly the reuse distance. *)
+(* Fenwick (binary indexed) tree over access timestamps, counting
+   holes (Almási, Caşcaval and Padua, "Calculating stack distances
+   efficiently", MSP 2002).  Every timestamp below [time] is either the
+   last access of its block, or a hole: an access whose block has been
+   accessed again since.  tree.(i) covers a range ending at i
+   (1-based) and a '1' sits at each hole, so the blocks accessed
+   strictly after [prev] are the timestamps after it minus the holes
+   after it, which is exactly the reuse distance.  A first touch adds
+   no hole and does no tree work; a re-access turns its previous
+   timestamp into one. *)
 
 type t = {
   block_bytes : int;
   block_shift : int;            (* log2 block_bytes *)
   min_capacity : int;           (* floor of the timestamp space after compaction *)
-  mutable tree : int array;     (* 1-based Fenwick array *)
+  mutable tree : int array;     (* 1-based Fenwick array of holes *)
   mutable capacity : int;
   mutable time : int;           (* next timestamp, 0-based *)
-  mutable live : int;           (* markers in the tree *)
+  mutable holes : int;          (* holes in the tree *)
   last_access : Intmap.t;       (* block -> timestamp *)
   mutable hist : int array;     (* hist.(d) = warm accesses at distance d *)
   mutable hist_used : int;      (* 1 + highest distance recorded, 0 if none *)
@@ -33,7 +39,7 @@ let create ?(initial_capacity = 1 lsl 16) ~block_bytes () =
     tree = Array.make (initial_capacity + 1) 0;
     capacity = initial_capacity;
     time = 0;
-    live = 0;
+    holes = 0;
     last_access = Intmap.create ~initial_capacity:4096 ();
     hist = Array.make 256 0;
     hist_used = 0;
@@ -42,62 +48,56 @@ let create ?(initial_capacity = 1 lsl 16) ~block_bytes () =
     cold_measured = 0;
   }
 
-let fen_add t idx delta =
+let add_hole t idx =
   (* idx is a 0-based timestamp *)
+  let tree = t.tree and capacity = t.capacity in
   let i = ref (idx + 1) in
-  while !i <= t.capacity do
-    t.tree.(!i) <- t.tree.(!i) + delta;
+  while !i <= capacity do
+    tree.(!i) <- tree.(!i) + 1;
     i := !i + (!i land - !i)
-  done
+  done;
+  t.holes <- t.holes + 1
 
 let fen_prefix t idx =
-  (* count of markers at timestamps <= idx (0-based) *)
+  (* holes at timestamps <= idx (0-based) *)
+  let tree = t.tree in
   let acc = ref 0 in
   let i = ref (idx + 1) in
   while !i > 0 do
-    acc := !acc + t.tree.(!i);
+    acc := !acc + tree.(!i);
     i := !i - (!i land - !i)
   done;
   !acc
 
-(* Renumber timestamps 0..live-1 preserving order, rebuilding the tree.
-   Triggered when the timestamp space fills; amortised O(capacity) per
-   compaction, so O(1) per access.  Timestamps are unique and below the
-   capacity, so dropping each block into the tree array at its
-   timestamp sorts the blocks without a list or a comparison sort; the
-   tree is then refilled in place unless the timestamp space grows. *)
+(* Renumber the live timestamps 0..live-1 in order and drop every
+   hole.  Triggered when the timestamp space fills; amortised
+   O(capacity) per compaction, so O(1) per access.  The tree array
+   first serves as the renumbering table: mark each block's timestamp,
+   then an exclusive prefix sum turns each mark into the number of
+   live timestamps before it, which is the block's new timestamp.  The
+   map's values are rewritten in place, and the tree is zeroed: no
+   holes.  The timestamp space grows to 4x the footprint when that
+   exceeds it. *)
 let compact t =
   let live = Intmap.length t.last_access in
-  let slots = t.tree in
-  (* slots.(time + 1) holds block + 1, 0 when no block was last
-     accessed at [time] *)
-  Array.fill slots 0 (Array.length slots) 0;
-  Intmap.fold (fun block time () -> slots.(time + 1) <- block + 1) t.last_access ();
-  Intmap.clear t.last_access;
+  let rank = t.tree in
+  Array.fill rank 0 (Array.length rank) 0;
+  Intmap.fold (fun _ time () -> rank.(time) <- 1) t.last_access ();
   let next = ref 0 in
-  for i = 1 to t.capacity do
-    let b = slots.(i) in
-    if b > 0 then begin
-      Intmap.replace t.last_access (b - 1) !next;
-      incr next
-    end
+  for time = 0 to t.time - 1 do
+    let marked = rank.(time) in
+    rank.(time) <- !next;
+    next := !next + marked
   done;
+  Intmap.map_values (fun time -> rank.(time)) t.last_access;
   let capacity = max t.min_capacity (4 * live) in
   if capacity > t.capacity then begin
     t.tree <- Array.make (capacity + 1) 0;
     t.capacity <- capacity
-  end;
-  (* markers at timestamps 0..live-1: node i covers the timestamps
-     (lo, i] (1-based), lo = i - lowbit i, and counts the live ones.
-     Plain int tests, not [min]/[max]: those compare polymorphically
-     through a C call, which made this loop the profiler's hot spot. *)
-  let tree = t.tree in
-  for i = 1 to t.capacity do
-    let lo = i - (i land -i) in
-    tree.(i) <- (if i <= live then i - lo else if lo < live then live - lo else 0)
-  done;
+  end
+  else Array.fill t.tree 0 (Array.length t.tree) 0;
   t.time <- live;
-  t.live <- live
+  t.holes <- 0
 
 let bump_hist t dist =
   if dist >= Array.length t.hist then begin
@@ -115,20 +115,17 @@ let no_time = -1
 
 let access t addr =
   if t.time >= t.capacity then compact t;
-  let block = addr lsr t.block_shift in
-  if t.measuring then t.accesses <- t.accesses + 1;
-  let prev = Intmap.find t.last_access block ~default:no_time in
-  if prev >= 0 then begin
-    (* distance = markers strictly after prev = live - prefix(prev) *)
-    if t.measuring then bump_hist t (t.live - fen_prefix t prev);
-    fen_add t prev (-1);
-    t.live <- t.live - 1
-  end
-  else if t.measuring then t.cold_measured <- t.cold_measured + 1;
-  Intmap.replace t.last_access block t.time;
-  fen_add t t.time 1;
-  t.live <- t.live + 1;
-  t.time <- t.time + 1
+  let time = t.time in
+  let prev = Intmap.exchange t.last_access (addr lsr t.block_shift) time ~default:no_time in
+  if t.measuring then begin
+    t.accesses <- t.accesses + 1;
+    if prev < 0 then t.cold_measured <- t.cold_measured + 1
+    else
+      (* the (time - 1 - prev) timestamps after prev, less its holes *)
+      bump_hist t (time - 1 - prev - (t.holes - fen_prefix t prev))
+  end;
+  if prev >= 0 then add_hole t prev;
+  t.time <- time + 1
 
 let accesses t = t.accesses
 let distinct_blocks t = Intmap.length t.last_access

@@ -8,9 +8,17 @@
     {e every} capacity at once — how the workload library builds
     miss-rate tables efficiently.
 
-    Implementation: a Fenwick tree over access timestamps holding one
-    marker per resident block at its last-access time; a distance query
-    is a suffix count, O(log n), with periodic timestamp compaction. *)
+    Implementation: a Fenwick tree over access timestamps that counts
+    {e holes} (Almási, Caşcaval and Padua, MSP 2002).  A timestamp is a
+    hole once its block has been accessed again; the others are the
+    last accesses of distinct blocks.  The distance of an access whose
+    block was last accessed at [prev] is therefore the timestamps after
+    [prev] less the holes after it: one prefix walk, taken only while
+    measuring, and one point update that makes [prev] a hole.  A first
+    touch does no tree work.  The block → timestamp map is probed once
+    per access ({!Intmap.exchange}).  When the timestamp space fills,
+    compaction renumbers the live timestamps in order and zeroes the
+    tree. *)
 
 type t
 

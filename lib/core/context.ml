@@ -102,9 +102,27 @@ let clear_memo () =
   Nmcache_engine.Memo.clear memo;
   Nmcache_engine.Memo.clear tables_memo
 
+let corner_key t =
+  Printf.sprintf "%s:%.1fK:%.2fV" t.tech.Tech.name t.tech.Tech.temp_k t.tech.Tech.vdd
+
 let fitted_key t config =
-  Printf.sprintf "%s:%.1fK:%.2fV:%s:out%d" t.tech.Tech.name t.tech.Tech.temp_k
-    t.tech.Tech.vdd (Config.describe config) config.Config.output_bits
+  Printf.sprintf "%s:%s:out%d" (corner_key t) (Config.describe config)
+    config.Config.output_bits
+
+let grid_key grid =
+  let values a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  Printf.sprintf "vth=%s|tox=%s" (values grid.Grid.vths) (values grid.Grid.toxs)
+
+(* Stored fits and optima name what they depend on and nothing more
+   (not the workloads, seed or trace length of {!fingerprint}), so a
+   store outlives a change of those; both end with the numerics
+   generation. *)
+let fit_key t config = Printf.sprintf "%s:num=%s" (fitted_key t config) numerics_tag
+
+let search_key t ~grid =
+  Printf.sprintf "%s|grid=%s:num=%s" (corner_key t)
+    (Digest.to_hex (Digest.string (grid_key grid)))
+    numerics_tag
 
 let fitted t config =
   let key = fitted_key t config in
@@ -117,11 +135,7 @@ let fitted t config =
           Fitted_cache.characterize_and_fit (Cache_model.make t.tech config)))
 
 let tables t config ~grid =
-  let values a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
-  let key =
-    Printf.sprintf "%s|vth=%s|tox=%s" (fitted_key t config) (values grid.Grid.vths)
-      (values grid.Grid.toxs)
-  in
+  let key = Printf.sprintf "%s|%s" (fitted_key t config) (grid_key grid) in
   Nmcache_engine.Memo.find_or_compute tables_memo key (fun () ->
       Nmcache_opt.Scheme.tables (fitted t config) ~grid)
 

@@ -39,9 +39,24 @@ val fingerprint : t -> string
     trace length, grid shapes, memory model,
     {!Nmcache_workload.Registry.generator_tag}, {!numerics_tag}).
     {!Experiments.task} folds it into checkpoint slot keys and
-    [Service] into store keys, so a journal or store recorded under one
-    context or numerics generation is never served into a run with
-    different inputs. *)
+    [Service] into its miss-curve store keys, so a journal or stored
+    curve recorded under one context or numerics generation is never
+    served into a run with different inputs.  Stored fits and optima
+    use the narrower {!fit_key} and {!search_key}. *)
+
+val fit_key : t -> Nmcache_geometry.Config.t -> string
+(** What a fitted model depends on: the technology's name, temperature
+    and supply, the configuration ([Config.describe] and its output
+    bits) and {!numerics_tag}, last.  [Service] keys stored fits by it,
+    so a store written under other workloads, seeds or trace lengths
+    still serves them. *)
+
+val search_key : t -> grid:Nmcache_opt.Grid.t -> string
+(** What a search's answer depends on besides its cache and request:
+    the technology corner, the grid's exact values (an MD5 of their
+    hex floats) and {!numerics_tag}, last.  [Service] keys stored
+    optima by it and the request's parameters, which name the
+    configuration. *)
 
 val l1_config : t -> ?size:int -> unit -> Nmcache_geometry.Config.t
 val l2_config : t -> ?size:int -> unit -> Nmcache_geometry.Config.t

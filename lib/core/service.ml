@@ -76,6 +76,7 @@ type index_entry = { e_params : opt_params; e_result : string }
 type t = {
   ctx : Context.t;
   fingerprint : string;
+  search_key : string;
   store : Store.t option;
   brk : Breaker.t;
   queue : int;
@@ -167,13 +168,13 @@ let optimize_ns = "optimize.r1"
 let curve_ns = "curve.r1"
 let model_ns = "model.r2"
 
-let model_key t config =
-  Printf.sprintf "%s|%s|out%d" t.fingerprint (Config.describe config)
-    config.Config.output_bits
+(* a fit and an optimum are keyed by what they depend on, a miss
+   curve by the whole context *)
+let model_key t config = Context.fit_key t.ctx config
 
 let optimize_key t p =
   Printf.sprintf "%s|s=%d|a=%d|b=%d|o=%d|bud=%.6f|%s" p.p_scheme p.p_size_kb
-    p.p_assoc p.p_block p.p_out p.p_budget_ps t.fingerprint
+    p.p_assoc p.p_block p.p_out p.p_budget_ps t.search_key
 
 let curve_key t ~workload ~l1_kb ~assoc ~block ~n ~seed ~l2_kb =
   Printf.sprintf "%s|l1=%d|a=%d|b=%d|n=%d|seed=%Ld|l2=%s|%s" workload l1_kb
@@ -200,6 +201,7 @@ let create ?(max_points = 64) ?(max_n = 100_000_000) ?breaker ?store ~ctx ~queue
     {
       ctx;
       fingerprint = Context.fingerprint ctx;
+      search_key = Context.search_key ctx ~grid:ctx.Context.grid;
       store;
       brk;
       queue;

@@ -53,14 +53,26 @@ let figure2_curves ?workloads ctx =
   let t_mem = mem.Main_memory.t_access in
   let e_mem = mem.Main_memory.e_access in
   let standby = mem.Main_memory.standby_w in
-  let eval (idx : int array) =
-    let i0 = idx.(0) and i1 = idx.(1) and i2 = idx.(2) and i3 = idx.(3) in
-    let t_l1 = d0.(i0) +. d1.(i1) in
-    let t_l2 = d2.(i2) +. d3.(i3) in
-    let amat = t_l1 +. (m1 *. (t_l2 +. (m2 *. t_mem))) in
-    let dyn = e0.(i0) +. e1.(i1) +. (m1 *. (e2.(i2) +. e3.(i3) +. (m2 *. e_mem))) in
-    let leak = l0.(i0) +. l1.(i1) +. l2.(i2) +. l3.(i3) +. standby in
-    (amat, dyn +. (leak *. amat))
+  (* one row: groups 1..3 fixed, every allowed pair of the L1 array.
+     The L2 terms, m1·(t_l2 + m2·t_mem) and m1·(e2 + e3 + m2·e_mem),
+     are the row's constants; every other sum keeps the association
+     order of amat = t_l1 + m1·(t_l2 + m2·t_mem), dyn = e0 + e1 +
+     m1·(...), leak = l0 + l1 + l2 + l3 + standby, so each answer is
+     bit for bit the per-assignment one *)
+  let eval ~groups ~pairs ~amat ~energy =
+    let i1 = groups.(1) and i2 = groups.(2) and i3 = groups.(3) in
+    let t_miss = m1 *. (d2.(i2) +. d3.(i3) +. (m2 *. t_mem)) in
+    let e_miss = m1 *. (e2.(i2) +. e3.(i3) +. (m2 *. e_mem)) in
+    let d_1 = d1.(i1) and e_1 = e1.(i1) and l_1 = l1.(i1) in
+    let l_2 = l2.(i2) and l_3 = l3.(i3) in
+    for k = 0 to Array.length pairs - 1 do
+      let i0 = pairs.(k) in
+      let t = d0.(i0) +. d_1 +. t_miss in
+      let dyn = e0.(i0) +. e_1 +. e_miss in
+      let leak = l0.(i0) +. l_1 +. l_2 +. l_3 +. standby in
+      amat.(k) <- t;
+      energy.(k) <- dyn +. (leak *. t)
+    done
   in
   Tuple_problem.curves ~grid ~n_groups:4 ~eval ~specs:Tuple_problem.figure2_specs
 

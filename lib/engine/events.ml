@@ -7,7 +7,9 @@
    dependent, so each emitted line carries a sequence number assigned
    under the sink mutex: consumers order by [seq], not by wall clock,
    and the stream stays valid NDJSON because the mutex also makes each
-   line a single atomic write.
+   line a single atomic write.  Within one fan-out, [Sweep] emits each
+   slot_done under the fan-out's own lock, so its [done] count rises
+   with [seq]: the last one read in [seq] order has done = total.
 
    The module is off by default and costs one atomic load per
    [emit]-site check when disabled. *)

@@ -18,7 +18,8 @@ type event =
       name : string;
       index : int;  (** slot index within the fan-out *)
       completed : int;
-          (** slots finished in this fan-out so far, including this one *)
+          (** slots finished in this fan-out so far, including this
+              one; within a fan-out it rises with [seq], 1 to [total] *)
       total : int;
       memo_hits : int;  (** cumulative across the run, not per-slot *)
       faults : int;

@@ -65,9 +65,10 @@ let map_array ?pool task arr =
       let times = Array.make n 0.0 in
       if Events.enabled () then
         Events.emit (Events.Sweep_started { name; total = n });
-      (* per-fanout completion counter; events carry it so a consumer
-         can track progress without assuming arrival order *)
-      let completed = Atomic.make 0 in
+      (* per-fanout completion count; each slot_done is built and
+         emitted under the fan-out's lock, so [done] rises with [seq] *)
+      let slot_lock = Mutex.create () in
+      let completed = ref 0 in
       let t0 = Unix.gettimeofday () in
       let kernel i =
         let s = Unix.gettimeofday () in
@@ -79,25 +80,25 @@ let map_array ?pool task arr =
           else eval_slot task arr.(i)
         in
         times.(i) <- Unix.gettimeofday () -. s;
-        if Events.enabled () then begin
-          let done_now = 1 + Atomic.fetch_and_add completed 1 in
-          let memo_hits =
-            List.fold_left
-              (fun acc (c : Trace.cache_counter) -> acc + c.Trace.hits)
-              0 (Trace.cache_counters ())
-          in
-          Events.emit
-            (Events.Slot_done
-               {
-                 name;
-                 index = i;
-                 completed = done_now;
-                 total = n;
-                 memo_hits;
-                 faults = List.length (Fault.recorded ());
-                 retries = Metrics.counter_value "retry.attempts";
-               })
-        end;
+        if Events.enabled () then
+          Mutex.protect slot_lock (fun () ->
+              incr completed;
+              let memo_hits =
+                List.fold_left
+                  (fun acc (c : Trace.cache_counter) -> acc + c.Trace.hits)
+                  0 (Trace.cache_counters ())
+              in
+              Events.emit
+                (Events.Slot_done
+                   {
+                     name;
+                     index = i;
+                     completed = !completed;
+                     total = n;
+                     memo_hits;
+                     faults = List.length (Fault.recorded ());
+                     retries = Metrics.counter_value "retry.attempts";
+                   }));
         r
       in
       let results = Pool.map_array pool kernel (Array.init n Fun.id) in

@@ -37,117 +37,107 @@ let combinations n k f =
   in
   if k >= 1 && k <= n then go 0 0
 
-(* Binned frontier accumulator: dynamic amat range discovered from the
-   uniform sweep (delay extremes are at uniform extreme assignments),
-   best energy per bin, payload captured on improvement. *)
-type cell = {
-  c_amat : float;
-  c_energy : float;
-  c_assignment : int array;  (* flat grid indices per group *)
-  c_vset : int array;
-  c_xset : int array;
-}
+type row_eval =
+  groups:int array -> pairs:int array -> amat:float array -> energy:float array -> unit
 
+(* Frontier bins: the amat range is discovered from the uniform sweep
+   (delay extremes are at uniform extreme assignments), and each of
+   [n_bins] bins keeps the least energy seen so far, first found on a
+   tie, with its assignment and value sets in flat arrays, so keeping
+   a better point allocates nothing. *)
 let n_bins = 1024
 
-let pareto_curve ~grid ~n_groups ~eval ~spec =
+let pareto_curve ~grid ~n_groups ~(eval : row_eval) ~spec =
   if n_groups < 1 || n_groups > 8 then invalid_arg "Tuple_problem: n_groups out of [1,8]";
   let n_v = Array.length grid.Grid.vths and n_t = Array.length grid.Grid.toxs in
   if spec.n_vth < 1 || spec.n_vth > n_v then invalid_arg "Tuple_problem: n_vth out of range";
   if spec.n_tox < 1 || spec.n_tox > n_t then invalid_arg "Tuple_problem: n_tox out of range";
-  (* amat range estimate from the uniform sweep *)
+  let groups = Array.make n_groups 0 in
+  (* amat range estimate from the uniform sweep, one pair per row *)
   let amat_min = ref Float.infinity and amat_max = ref Float.neg_infinity in
-  let buf = Array.make n_groups 0 in
+  let pair = [| 0 |] and pair_amat = [| 0.0 |] and pair_energy = [| 0.0 |] in
   for i = 0 to (n_v * n_t) - 1 do
-    Array.fill buf 0 n_groups i;
-    let amat, _ = eval buf in
+    Array.fill groups 0 n_groups i;
+    pair.(0) <- i;
+    eval ~groups ~pairs:pair ~amat:pair_amat ~energy:pair_energy;
+    let amat = pair_amat.(0) in
     if amat < !amat_min then amat_min := amat;
     if amat > !amat_max then amat_max := amat
   done;
   let lo = !amat_min *. 0.999 and hi = !amat_max *. 1.001 in
   let scale = float_of_int n_bins /. (hi -. lo) in
-  let bins = Array.make n_bins None in
-  let record amat energy assignment vset xset =
-    let b = int_of_float ((amat -. lo) *. scale) in
-    let b = max 0 (min (n_bins - 1) b) in
-    let better =
-      match bins.(b) with None -> true | Some c -> energy < c.c_energy
-    in
-    if better then
-      bins.(b) <-
-        Some
-          {
-            c_amat = amat;
-            c_energy = energy;
-            c_assignment = Array.copy assignment;
-            c_vset = Array.copy vset;
-            c_xset = Array.copy xset;
-          }
-  in
+  let filled = Array.make n_bins false in
+  let bin_amat = Array.make n_bins 0.0 and bin_energy = Array.make n_bins 0.0 in
+  let bin_groups = Array.make (n_bins * n_groups) 0 in
+  let bin_vset = Array.make (n_bins * spec.n_vth) 0 in
+  let bin_xset = Array.make (n_bins * spec.n_tox) 0 in
   (* enumerate value subsets, then group assignments over the subset *)
   let n_pairs = spec.n_vth * spec.n_tox in
   let allowed = Array.make n_pairs 0 in
-  let assignment = Array.make n_groups 0 in
+  let amat = Array.make n_pairs 0.0 and energy = Array.make n_pairs 0.0 in
   let choice = Array.make n_groups 0 in
   combinations n_v spec.n_vth (fun vset ->
       combinations n_t spec.n_tox (fun xset ->
           (* flat grid index = vth_index * n_t + tox_index *)
-          let p = ref 0 in
-          Array.iter
-            (fun v ->
-              Array.iter
-                (fun x ->
-                  allowed.(!p) <- (v * n_t) + x;
-                  incr p)
-                xset)
-            vset;
-          (* odometer over n_pairs^n_groups *)
+          for j = 0 to spec.n_vth - 1 do
+            for l = 0 to spec.n_tox - 1 do
+              allowed.((j * spec.n_tox) + l) <- (vset.(j) * n_t) + xset.(l)
+            done
+          done;
+          (* an odometer over n_pairs^n_groups with group 0 turning
+             fastest: one row per setting of groups 1..n-1, each row
+             every allowed pair of group 0 *)
           Array.fill choice 0 n_groups 0;
-          let continue_ = ref true in
-          while !continue_ do
-            for g = 0 to n_groups - 1 do
-              assignment.(g) <- allowed.(choice.(g))
+          let more = ref true in
+          while !more do
+            for g = 1 to n_groups - 1 do
+              groups.(g) <- allowed.(choice.(g))
             done;
-            let amat, energy = eval assignment in
-            record amat energy assignment vset xset;
-            (* increment odometer *)
-            let rec bump g =
-              if g >= n_groups then continue_ := false
-              else begin
-                choice.(g) <- choice.(g) + 1;
-                if choice.(g) >= n_pairs then begin
-                  choice.(g) <- 0;
-                  bump (g + 1)
-                end
+            eval ~groups ~pairs:allowed ~amat ~energy;
+            for k = 0 to n_pairs - 1 do
+              let a = amat.(k) and e = energy.(k) in
+              let b = int_of_float ((a -. lo) *. scale) in
+              let b = if b < 0 then 0 else if b >= n_bins then n_bins - 1 else b in
+              if (not filled.(b)) || e < bin_energy.(b) then begin
+                filled.(b) <- true;
+                bin_amat.(b) <- a;
+                bin_energy.(b) <- e;
+                groups.(0) <- allowed.(k);
+                Array.blit groups 0 bin_groups (b * n_groups) n_groups;
+                Array.blit vset 0 bin_vset (b * spec.n_vth) spec.n_vth;
+                Array.blit xset 0 bin_xset (b * spec.n_tox) spec.n_tox
               end
-            in
-            bump 0
-          done))
-    [@warning "-26"];
+            done;
+            let g = ref 1 in
+            while !g < n_groups && choice.(!g) = n_pairs - 1 do
+              choice.(!g) <- 0;
+              incr g
+            done;
+            if !g < n_groups then choice.(!g) <- choice.(!g) + 1 else more := false
+          done));
   (* sweep bins ascending, keep strictly improving energy *)
   let knob_of_flat i =
     Component.knob ~vth:grid.Grid.vths.(i / n_t) ~tox:grid.Grid.toxs.(i mod n_t)
   in
   let points = ref [] in
   let best = ref Float.infinity in
-  Array.iter
-    (fun cell ->
-      match cell with
-      | None -> ()
-      | Some c ->
-        if c.c_energy < !best then begin
-          best := c.c_energy;
-          points :=
-            {
-              amat = c.c_amat;
-              energy = c.c_energy;
-              vth_set = Array.map (fun v -> grid.Grid.vths.(v)) c.c_vset;
-              tox_set = Array.map (fun x -> grid.Grid.toxs.(x)) c.c_xset;
-              group_knobs = Array.map knob_of_flat c.c_assignment;
-            }
-            :: !points
-        end)
-    bins;
+  for b = 0 to n_bins - 1 do
+    if filled.(b) && bin_energy.(b) < !best then begin
+      best := bin_energy.(b);
+      points :=
+        {
+          amat = bin_amat.(b);
+          energy = bin_energy.(b);
+          vth_set =
+            Array.init spec.n_vth (fun j -> grid.Grid.vths.(bin_vset.((b * spec.n_vth) + j)));
+          tox_set =
+            Array.init spec.n_tox (fun l -> grid.Grid.toxs.(bin_xset.((b * spec.n_tox) + l)));
+          group_knobs =
+            Array.init n_groups (fun g -> knob_of_flat bin_groups.((b * n_groups) + g));
+        }
+        :: !points
+    end
+  done;
   List.rev !points
 
 let curves ~grid ~n_groups ~eval ~specs =

@@ -461,6 +461,59 @@ let test_searches_pinned () =
   Alcotest.(check string) "search results" searches_known_md5
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* --- Figure 2's search ------------------------------------------------------------ *)
+
+(* MD5 of Figure 2's five fronts on the quick context, for the
+   three-workload system and for each workload alone: every point's
+   hex-float amat and energy, value sets and group knobs.  Computed
+   with the per-assignment evaluator that the row evaluator replaced;
+   the row form lifts the L2 terms out of each row and must keep every
+   other sum's association order to match it. *)
+let figure2_fronts_md5 = "a7d912f183b73254a231ca91fb785f2a"
+
+let test_figure2_fronts_pinned () =
+  let c = Lazy.force ctx in
+  let b = Buffer.create (1 lsl 16) in
+  let h x = Printf.bprintf b "%h " x in
+  List.iter
+    (fun workloads ->
+      Buffer.add_string b (String.concat "+" workloads);
+      List.iter
+        (fun (spec, points) ->
+          Printf.bprintf b "\n%s:" (Tuple_problem.spec_name spec);
+          List.iter
+            (fun (p : Tuple_problem.point) ->
+              h p.Tuple_problem.amat;
+              h p.Tuple_problem.energy;
+              Array.iter h p.Tuple_problem.vth_set;
+              Array.iter h p.Tuple_problem.tox_set;
+              Array.iter
+                (fun (k : Component.knob) ->
+                  h k.Component.vth;
+                  h k.Component.tox)
+                p.Tuple_problem.group_knobs;
+              Buffer.add_char b ';')
+            points)
+        (Core.Tuple_study.figure2_curves ~workloads c);
+      Buffer.add_char b '\n')
+    (c.Core.Context.workloads :: List.map (fun w -> [ w ]) c.Core.Context.workloads);
+  Alcotest.(check string) "fronts" figure2_fronts_md5
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* One [figure2_curves] on tables already built evaluates 782,320
+   assignments.  Row by row into the search's own arrays, with flat
+   bins, it allocates ~3.2e4 words: the memo lookups, the value-subset
+   buffers and the fronts.  A boxed (amat, energy) pair per
+   assignment, as before, was ~1.14e7. *)
+let test_tuple_search_allocation () =
+  let c = Lazy.force ctx in
+  ignore (Core.Tuple_study.figure2_curves c);
+  let w0 = Gc.minor_words () in
+  ignore (Core.Tuple_study.figure2_curves c);
+  let words = Gc.minor_words () -. w0 in
+  if words > 1e5 then
+    Alcotest.failf "one figure2_curves allocated %.0f minor words (gate: 1e5)" words
+
 (* --- one table per (cache, grid) ------------------------------------------------ *)
 
 let table_builds () =
@@ -537,6 +590,8 @@ let suite =
       test_bigger_l2_verdict_can_fail;
     Alcotest.test_case "all experiments run" `Slow test_all_experiments_produce_output;
     Alcotest.test_case "searches pinned bit for bit" `Slow test_searches_pinned;
+    Alcotest.test_case "figure 2 fronts pinned bit for bit" `Slow test_figure2_fronts_pinned;
+    Alcotest.test_case "tuple search allocation bound" `Slow test_tuple_search_allocation;
     Alcotest.test_case "scheme rows build one table" `Quick test_scheme_rows_build_one_table;
     Alcotest.test_case "clear_memo drops the tables" `Quick test_clear_memo_drops_tables;
   ]

@@ -310,14 +310,20 @@ let test_scheme_i_matches_bruteforce () =
 (* --- tuple problem ---------------------------------------------------------- *)
 
 (* a synthetic, fully-controlled system: 2 groups; delay/energy are simple
-   functions of the grid knob so the optimum is known *)
-let synthetic_eval grid =
+   functions of the grid knob so the optimum is known.  One row holds
+   group 1 fixed and gives group 0 each of [pairs]. *)
+let synthetic_eval grid : Tuple_problem.row_eval =
   let knobs = Grid.knobs grid in
-  fun (idx : int array) ->
-    let k0 = knobs.(idx.(0)) and k1 = knobs.(idx.(1)) in
-    let d (k : Component.knob) = k.Component.vth +. (Units.to_angstrom k.Component.tox /. 100.0) in
-    let e (k : Component.knob) = 2.0 -. k.Component.vth in
-    (d k0 +. d k1, e k0 +. e k1)
+  let d (k : Component.knob) = k.Component.vth +. (Units.to_angstrom k.Component.tox /. 100.0) in
+  let e (k : Component.knob) = 2.0 -. k.Component.vth in
+  fun ~groups ~pairs ~amat ~energy ->
+    let k1 = knobs.(groups.(1)) in
+    Array.iteri
+      (fun j p ->
+        let k0 = knobs.(p) in
+        amat.(j) <- d k0 +. d k1;
+        energy.(j) <- e k0 +. e k1)
+      pairs
 
 let test_tuple_synthetic () =
   let grid = Grid.coarse tech in

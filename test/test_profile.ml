@@ -111,6 +111,12 @@ let test_intmap_matches_hashtbl () =
       if fresh_ht then Hashtbl.replace ht k 0;
       Alcotest.(check bool) "add_if_absent agrees" fresh_ht fresh_im
     end
+    else if i mod 5 = 1 then begin
+      let old = Option.value (Hashtbl.find_opt ht k) ~default:(-1) in
+      Alcotest.(check int) "exchange returns the old binding" old
+        (Intmap.exchange im k i ~default:(-1));
+      Hashtbl.replace ht k i
+    end
     else begin
       Intmap.replace im k i;
       Hashtbl.replace ht k i
@@ -124,9 +130,13 @@ let test_intmap_matches_hashtbl () =
   let sum_im = Intmap.fold (fun _ v acc -> acc + v) im 0 in
   let sum_ht = Hashtbl.fold (fun _ v acc -> acc + v) ht 0 in
   Alcotest.(check int) "fold sum" sum_ht sum_im;
-  Intmap.clear im;
-  Alcotest.(check int) "cleared" 0 (Intmap.length im);
-  Alcotest.(check bool) "reinsert after clear" true (Intmap.add_if_absent im 7)
+  Intmap.map_values (fun v -> v + 1) im;
+  Alcotest.(check int) "map_values keeps the keys" (Hashtbl.length ht) (Intmap.length im);
+  Hashtbl.iter
+    (fun k v ->
+      Alcotest.(check int) (Printf.sprintf "mapped key %d" k) (v + 1)
+        (Intmap.find im k ~default:(-1)))
+    ht
 
 (* --- derived curves ------------------------------------------------------ *)
 

@@ -705,7 +705,6 @@ let test_store_stale_numerics_misses () =
   let tag = ":num=" ^ Core.Context.numerics_tag in
   Alcotest.(check bool) "the tag ends the fingerprint" true
     (String.ends_with ~suffix:tag current);
-  let legacy = String.sub current 0 (String.length current - String.length tag) in
   let source = Store.open_ ~dir:(tmpdir ()) in
   let cold = ask (make_service ~store:source ()) q in
   let copy ~rekey =
@@ -728,13 +727,37 @@ let test_store_stale_numerics_misses () =
     Store.close store;
     (response, appended)
   in
-  let stale, stale_appended = answer (copy ~rekey:(replace_all ~sub:current ~by:legacy)) in
+  let stale, stale_appended = answer (copy ~rekey:(replace_all ~sub:tag ~by:"")) in
   let warm, warm_appended = answer (copy ~rekey:Fun.id) in
   Store.close source;
   Alcotest.(check string) "stale store recomputes the same answer" cold stale;
   Alcotest.(check bool) "stale records missed, fresh ones appended" true (stale_appended > 0);
   Alcotest.(check string) "current store answers warm" cold warm;
   Alcotest.(check int) "current records hit" 0 warm_appended
+
+(* A fitted model and a cache's optimum depend on the technology
+   corner, the configuration, the grid and the numerics generation, not
+   on the workloads, seed or trace length the context also names: a
+   store written under another seed and workload list answers an
+   optimize query warm, appending nothing. *)
+let test_store_fits_survive_trace_changes () =
+  let q =
+    {|{"id":"t","op":"optimize","scheme":"II","size_kb":16,"assoc":4,"block_bytes":64,"output_bits":64,"delay_budget_ps":2200}|}
+  in
+  let dir = tmpdir () in
+  let other =
+    { (Core.Context.quick ()) with Core.Context.seed = 7L; workloads = [ "tpcc" ] }
+  in
+  let store = Store.open_ ~dir in
+  let cold = ask (Service.create ~store ~ctx:other ~queue:8 ~jobs:1 ()) q in
+  Store.close store;
+  let store = Store.open_ ~dir in
+  let before = Store.appended store in
+  let warm = ask (make_service ~store ()) q in
+  let appended = Store.appended store - before in
+  Store.close store;
+  Alcotest.(check string) "same answer" cold warm;
+  Alcotest.(check int) "answered warm: nothing appended" 0 appended
 
 (* --- kill-and-restart chaos gate --------------------------------------- *)
 
@@ -891,6 +914,8 @@ let suite =
       `Quick test_store_serves_warm_and_restart;
     Alcotest.test_case "store: records of an older numerics tag miss" `Quick
       test_store_stale_numerics_misses;
+    Alcotest.test_case "store: fits and optima survive a seed or workload change"
+      `Quick test_store_fits_survive_trace_changes;
     Alcotest.test_case "store: a restart's index seeding serves nothing" `Quick
       test_store_restart_serves_nothing;
     Alcotest.test_case "store: records of an older value format are never read"

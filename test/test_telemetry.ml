@@ -97,6 +97,35 @@ let test_events_stream_shape () =
            && int_of e "retries" <> None))
         slot_dones)
 
+(* Read in [seq] order, one fan-out's slot_done events count done =
+   1..n: each is built and emitted under the fan-out's lock.  Kernels
+   that finish together on several domains race for the sink, so a
+   count taken outside that lock reaches it out of order.  Twenty
+   fan-outs of 32 cheap slots on four domains, one after another, so
+   each fan-out's events are contiguous in [seq]. *)
+let test_slot_done_in_seq_order () =
+  with_event_file (fun path ->
+      let pool = Pool.create ~jobs:4 in
+      let task = Task.make ~name:"telemetry.order" (fun i -> i + 1) in
+      let fanouts = 20 and slots = 32 in
+      for _ = 1 to fanouts do
+        ignore (Sweep.map_array ~pool task (Array.init slots Fun.id))
+      done;
+      Events.close ();
+      let events =
+        List.sort
+          (fun a b -> compare (int_of a "seq") (int_of b "seq"))
+          (read_events path)
+      in
+      let dones =
+        List.filter_map
+          (fun e -> if str e "event" = Some "slot_done" then int_of e "done" else None)
+          events
+      in
+      Alcotest.(check (list int)) "done rises with seq in every fan-out"
+        (List.concat (List.init fanouts (fun _ -> List.init slots (fun i -> i + 1))))
+        dones)
+
 let test_events_checkpoint_replayed () =
   with_event_file (fun path ->
       incr tmp_counter;
@@ -225,6 +254,7 @@ let suite =
     Alcotest.test_case "events disabled by default" `Quick test_events_disabled_by_default;
     Alcotest.test_case "event stream shape under parallel sweep" `Quick
       test_events_stream_shape;
+    Alcotest.test_case "slot_done counts rise with seq" `Quick test_slot_done_in_seq_order;
     Alcotest.test_case "checkpoint replay emits an event" `Quick
       test_events_checkpoint_replayed;
     Alcotest.test_case "progress line rendering" `Quick test_events_render;
