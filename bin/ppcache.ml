@@ -526,11 +526,10 @@ let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb h =
     Stream_trace.resumable_fold ~salt s ~init:(h, Trace_rec.analyzer (), 0)
       ~f:(fun (h, a, count) ~index:_ chunk ->
         for i = 0 to Array.length chunk - 1 do
-          let addr = Stream_trace.addr chunk.(i)
-          and write = Stream_trace.is_write chunk.(i) in
-          Trace_rec.feed_analyzer a addr write;
-          ignore (Hierarchy.access h addr ~write)
+          let e = chunk.(i) in
+          Trace_rec.feed_analyzer a (Stream_trace.addr e) (Stream_trace.is_write e)
         done;
+        Hierarchy.run h chunk 0 (Array.length chunk);
         (h, a, count + Array.length chunk))
   in
   (* a file whose tail was torn off or cut at a record boundary yields

@@ -112,7 +112,7 @@ let eq (tags : int array) i (tag : int) = Bool.to_int (Array.unsafe_get tags i =
    most once, so [sum (w + 1) * eq w] is the way plus one, or 0: no
    branch depends on which way holds it.  Unrolled for the
    associativities the experiments sweep (1/2/4/8). *)
-let find_way t base tag =
+let[@inline] find_way t base tag =
   let tags = t.tags in
   match t.assoc with
   | 1 -> eq tags base tag - 1
@@ -238,8 +238,10 @@ let first_touch t block =
 let block_number_of t set tag = (tag * t.sets) + set
 
 (* The counters move by 0/1 terms, so neither a hit nor a miss branches
-   on [write], on the victim's dirt or on whether the victim was valid. *)
-let access t addr ~write =
+   on [write], on the victim's dirt or on whether the victim was valid.
+   Inlined into the chunk kernels below, each of which then probes the
+   set in place; other modules call it as a function. *)
+let[@inline] access t addr ~write =
   let block = addr lsr t.block_shift in
   let set = block land t.set_mask in
   let tag = block lsr t.set_shift in
@@ -285,6 +287,63 @@ let access t addr ~write =
     t.clock <- t.clock + 1;
     evicted land -valid lor (fill_outcome land (valid - 1))
   end
+
+(* ---- chunk kernels ------------------------------------------------------ *)
+
+(* The loops below run a chunk of packed entries, [addr lsl 1 lor write]
+   (Stream_trace's chunk layout), without leaving this module: [access]
+   and the two-level [step] are inlined into them, so a replayed access
+   makes no call through another module's closure. *)
+
+let check_range where entries pos len =
+  if pos < 0 || len < 0 || pos > Array.length entries - len then invalid_arg where
+
+let run t entries pos len =
+  check_range "Cache.run" entries pos len;
+  for i = pos to pos + len - 1 do
+    let e = Array.unsafe_get entries i in
+    ignore (access t (e lsr 1) ~write:(e land 1 = 1))
+  done
+
+type pair = {
+  l1 : t;
+  l2 : t;
+  mutable memory_reads : int;
+  mutable memory_writes : int;
+}
+
+let pair ~l1 ~l2 = { l1; l2; memory_reads = 0; memory_writes = 0 }
+
+(* One access through L1, then on a miss L2 and memory: a dirty L1
+   victim is written into L2 at its first byte (its block number
+   shifted by the L1's block shift), then the demand is fetched from
+   L2.  A write-back that misses L2 allocates there, which reads the
+   line from memory; a dirty L2 victim is written to memory.  The
+   level that served the demand: 0 L1, 1 L2, 2 memory. *)
+let[@inline] step p addr ~write =
+  let o1 = access p.l1 addr ~write in
+  if o1 = hit_outcome then 0
+  else begin
+    if victim_dirty o1 then begin
+      let o = access p.l2 ((o1 lsr 1) lsl p.l1.block_shift) ~write:true in
+      p.memory_writes <- p.memory_writes + Bool.to_int (victim_dirty o);
+      p.memory_reads <- p.memory_reads + Bool.to_int (o <> hit_outcome)
+    end;
+    let o2 = access p.l2 addr ~write:false in
+    p.memory_writes <- p.memory_writes + Bool.to_int (victim_dirty o2);
+    if o2 = hit_outcome then 1
+    else begin
+      p.memory_reads <- p.memory_reads + 1;
+      2
+    end
+  end
+
+let run_pair p entries pos len =
+  check_range "Cache.run_pair" entries pos len;
+  for i = pos to pos + len - 1 do
+    let e = Array.unsafe_get entries i in
+    ignore (step p (e lsr 1) ~write:(e land 1 = 1))
+  done
 
 let contains t addr =
   let block = addr lsr t.block_shift in

@@ -44,6 +44,47 @@ val victim : outcome -> int
 val victim_dirty : outcome -> bool
 (** The eviction caused a write-back; [false] when {!victim} is [-1]. *)
 
+(** {1 Chunk kernels}
+
+    Loops that run a range of packed entries — one immediate per
+    access, [addr lsl 1 lor write], the chunk layout of
+    {!Stream_trace} — through one cache or an L1/L2 pair.  Every
+    access stays inside this module, so a replayed access makes no
+    cross-module call.  Each is exactly the per-access calls it
+    replaces: same statistics, same memory counters, bit for bit. *)
+
+val run : t -> int array -> int -> int -> unit
+(** [run t entries pos len] is {!access} on each of
+    [entries.(pos) .. entries.(pos + len - 1)], in order.  Raises
+    [Invalid_argument] if the range is not inside [entries]. *)
+
+type pair = private {
+  l1 : t;
+  l2 : t;
+  mutable memory_reads : int;  (** demand fetches and write-back fills that reached memory *)
+  mutable memory_writes : int;  (** dirty L2 victims written to memory *)
+}
+(** An L1 over an L2 over main memory: the state {!step} moves.
+    {!Hierarchy} is its checked, named view. *)
+
+val pair : l1:t -> l2:t -> pair
+(** A pair with zeroed memory counters.  The shapes are not checked
+    here: {!Hierarchy.create} checks them. *)
+
+val step : pair -> int -> write:bool -> int
+(** One access through the pair: the L1 access; on a miss, a dirty L1
+    victim written into L2 (at its block number shifted by the L1's
+    block size), then the demand fetch from L2.  A write-back that
+    misses L2 counts a memory read (the allocation fetches the line);
+    every dirty L2 victim counts a memory write, and a demand that
+    misses L2 a memory read.  Returns the level that served the
+    demand: [0] L1, [1] L2, [2] memory. *)
+
+val run_pair : pair -> int array -> int -> int -> unit
+(** [run_pair p entries pos len] is {!step} on each of
+    [entries.(pos) .. entries.(pos + len - 1)], in order.  Raises
+    [Invalid_argument] if the range is not inside [entries]. *)
+
 val contains : t -> int -> bool
 (** Whether the block holding this byte address is currently resident
     (no statistics side effects, no recency update). *)

@@ -9,8 +9,10 @@
    across chunk sizes {1, 7, 4096, whole} and [--jobs] settings.
 
    Memory is O(chunk): a chunk buffer plus whatever the consumer
-   carries.  The PPTRC01 reader additionally holds one decoded on-disk
-   record, so a file recorded at a huge chunk grain costs that grain —
+   carries.  The PPTRC01 reader additionally holds one record's payload
+   bytes, in a buffer reused for every record, and — only when the
+   reader's chunk is smaller than the file's records — one decoded
+   record, so a file recorded at a huge chunk grain costs that grain;
    recording and streaming grains are otherwise independent. *)
 
 module Engine = Nmcache_engine
@@ -61,10 +63,11 @@ let encode_entry buf prev addr write =
     else Buffer.add_char buf (Char.chr (b lor 0x80))
   done
 
-(* The one decoder: a record's [count] entries, packed, into
-   [dst.(0 .. count-1)].  [false] on any overrun, garbage or
-   out-of-domain address — the caller treats the record as a corrupt
-   tail, mirroring a CRC mismatch.
+(* The one decoder: the [count] entries of the record whose payload
+   is [payload.[0 .. len-1]], packed, into [dst.(off .. off+count-1)].
+   [false] on any overrun, garbage or out-of-domain address — the
+   caller treats the record as a corrupt tail, mirroring a CRC
+   mismatch.  Bytes of [payload] past [len] are never read.
 
    While 8 payload bytes remain, a varint of up to 7 bytes decodes
    from one 64-bit load [w], whose bytes 0-6 are exact ([Int64.to_int]
@@ -75,8 +78,9 @@ let encode_entry buf prev addr write =
    9-byte varint, or one that starts in the payload's last 7 bytes —
    takes the byte loop, the only place an overrun or an overlong
    varint is rejected. *)
-let decode_into payload count dst =
-  let len = String.length payload in
+let decode_into payload len count dst off =
+  if off < 0 || count < 0 || off > Array.length dst - count then
+    invalid_arg "Stream_trace.decode_into";
   let pos = ref 0 and prev = ref 0 in
   match
     for i = 0 to count - 1 do
@@ -111,16 +115,16 @@ let decode_into payload count dst =
       let a = !prev + unzigzag (v lsr 1) in
       if not (in_domain a) then raise Exit;
       prev := a;
-      dst.(i) <- pack a (v land 1 = 1)
+      Array.unsafe_set dst (off + i) (pack a (v land 1 = 1))
     done
   with
   | () -> !pos = len
   | exception Exit -> false
 
 (* decode into a reused buffer, grown to the largest record seen *)
-let decode_record dec payload count =
+let decode_record dec payload len count =
   if count > Array.length !dec then dec := Array.make count 0;
-  decode_into payload count !dec
+  decode_into payload len count !dec 0
 
 (* Store's u32 helpers are private to the journal; the trace file
    carries its own (same little-endian layout). *)
@@ -186,11 +190,29 @@ let read_header ic ~path =
 
 exception Corrupt_tail
 
-(* [None] at a clean end-of-file (a record boundary); [Corrupt_tail] on
-   anything torn — a partial word, short payload, or CRC mismatch. *)
-let read_record ic =
+(* A record reader: every payload is read into [buf], one buffer
+   reused for the whole file and grown to a power of two at least as
+   long as the largest record, so a read allocates nothing once the
+   buffer fits.  The current record's payload is [buf.[0 .. plen-1]]. *)
+type reader = {
+  ic : in_channel;
+  mutable buf : Bytes.t;
+  mutable plen : int;
+}
+
+let reader ic = { ic; buf = Bytes.empty; plen = 0 }
+
+(* The payload as a string for the decoder and the CRC, which only
+   read it: the buffer is not written again until the next record. *)
+let payload r = Bytes.unsafe_to_string r.buf
+
+(* The next record's entry count, its payload in [r]'s buffer; [-1] at
+   a clean end-of-file (a record boundary); [Corrupt_tail] on anything
+   torn — a partial word, short payload, or CRC mismatch. *)
+let read_record r =
+  let ic = r.ic in
   match input_byte ic with
-  | exception End_of_file -> None
+  | exception End_of_file -> -1
   | b0 -> (
     try
       let b1 = input_byte ic in
@@ -199,10 +221,19 @@ let read_record ic =
       let count = b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24) in
       let plen = read_u32 ic in
       if plen > max_payload_bytes || count > plen + 1 then raise Corrupt_tail;
-      let payload = really_input_string ic plen in
+      if plen > Bytes.length r.buf then begin
+        let size = ref 4096 in
+        while !size < plen do
+          size := 2 * !size
+        done;
+        r.buf <- Bytes.create !size
+      end;
+      really_input ic r.buf 0 plen;
+      r.plen <- plen;
       let crc = read_u32 ic in
-      if crc <> Engine.Crc32.crc payload then raise Corrupt_tail;
-      Some (count, payload)
+      if crc <> Engine.Crc32.update_sub Engine.Crc32.init (payload r) 0 plen then
+        raise Corrupt_tail;
+      count
     with End_of_file -> raise Corrupt_tail)
 
 (* magic + header(total), the head of every PPTRC01 file *)
@@ -268,19 +299,19 @@ let file_info path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let fh = read_header ic ~path in
-      let dec = ref [||] in
+      let r = reader ic and dec = ref [||] in
       let chunks = ref 0 and entries = ref 0 in
       let dropped = ref false and stop = ref false in
       while not !stop do
-        match read_record ic with
-        | None -> stop := true
+        match read_record r with
+        | -1 -> stop := true
         | exception Corrupt_tail ->
           dropped := true;
           stop := true
-        | Some (count, payload) ->
+        | count ->
           (* decode too: [fi_entries] must be exactly what streaming
              yields, and streaming drops undecodable records *)
-          if decode_record dec payload count then begin
+          if decode_record dec (payload r) r.plen count then begin
             incr chunks;
             entries := !entries + count
           end
@@ -305,7 +336,7 @@ type source =
   | Producer of {
       p_name : string;
       p_n : int;
-      p_make : unit -> unit -> Trace.entry;
+      p_make : unit -> unit -> int;
     }
   | Trace_src of { t_name : string; t_trace : Trace.t }
   | File of { f_path : string; f_header : file_header }
@@ -379,56 +410,68 @@ let declared_length t =
 
 (* ---- feeds ----------------------------------------------------------- *)
 
-(* A feed is a fill function plus its cleanup: [fill buf pos n] writes
-   up to [n] packed entries into [buf] from [pos] and returns how many
-   it wrote, 0 only once the stream is exhausted; [close] releases
-   whatever backs it. *)
+(* A feed is a fill function, its cleanup and a first buffer size:
+   [fill buf pos n] writes up to [n] packed entries into [buf] from
+   [pos] and returns how many it wrote, 0 only once the stream is
+   exhausted; [close] releases whatever backs it; [first] is how many
+   entries the stream is expected to yield, so the fold can size its
+   chunk buffer once instead of growing it. *)
+type feed = {
+  fill : int array -> int -> int -> int;
+  close : unit -> unit;
+  first : int;
+}
 
+(* A record that fits the space [fill] is asked to fill is decoded
+   straight into the fold's chunk.  One that does not (the reader's
+   chunk is smaller than the file's records, or the chunk is nearly
+   full) is decoded into [dec], the staged copy, and handed out
+   piecewise. *)
 let file_feed path =
   let ic = open_in_bin path in
-  let () =
+  let first =
     match read_header ic ~path with
-    | _ -> ()
+    (* every entry takes at least one byte of the file *)
+    | h -> min h.fh_total (in_channel_length ic)
     | exception e ->
       close_in_noerr ic;
       raise e
   in
+  let r = reader ic in
   let dec = ref [||] and dpos = ref 0 and dlen = ref 0 in
   let finished = ref false in
   let drop () =
     Engine.Metrics.incr "stream.dropped_tail";
-    finished := true
+    finished := true;
+    0
   in
   let rec fill buf pos n =
     if !dpos < !dlen then begin
-      let k = min n (!dlen - !dpos) and d = !dec and from = !dpos in
-      for i = 0 to k - 1 do
-        buf.(pos + i) <- d.(from + i)
-      done;
-      dpos := from + k;
+      let k = min n (!dlen - !dpos) in
+      Array.blit !dec !dpos buf pos k;
+      dpos := !dpos + k;
       k
     end
     else if !finished then 0
     else
-      match read_record ic with
-      | None ->
+      match read_record r with
+      | -1 ->
         finished := true;
         0
-      | exception Corrupt_tail ->
-        drop ();
-        0
-      | Some (count, payload) ->
-        if decode_record dec payload count then begin
+      | exception Corrupt_tail -> drop ()
+      | count when count <= n ->
+        if not (decode_into (payload r) r.plen count buf pos) then drop ()
+        else if count = 0 then fill buf pos n
+        else count
+      | count ->
+        if decode_record dec (payload r) r.plen count then begin
           dpos := 0;
           dlen := count;
           fill buf pos n
         end
-        else begin
-          drop ();
-          0
-        end
+        else drop ()
   in
-  (fill, fun () -> close_in_noerr ic)
+  { fill; close = (fun () -> close_in_noerr ic); first }
 
 (* The sources that yield one entry at a time: [next] returns a packed
    entry, or -1 at the end (packed entries are never negative). *)
@@ -445,20 +488,21 @@ let fill_from next buf pos n =
   in
   go 0
 
-(* [n] entries pulled from [next_entry], each checked against the
-   address domain *)
+(* [n] packed entries pulled from [next_entry], each checked against
+   the address domain: an entry is negative exactly when its address,
+   [e lsr 1], is 2^61 or more, and the error names that address *)
 let entry_feed ~name ~n next_entry =
   let left = ref n and where = "Stream_trace " ^ name in
   let next () =
     if !left <= 0 then -1
     else begin
       decr left;
-      let (e : Trace.entry) = next_entry () in
-      check_addr ~where e.addr;
-      pack e.addr e.write
+      let e = next_entry () in
+      check_addr ~where (addr e);
+      e
     end
   in
-  (fill_from next, fun () -> ())
+  { fill = fill_from next; close = ignore; first = n }
 
 let ndjson_feed ~name fd =
   let reader = Engine.Server.make_reader fd in
@@ -493,30 +537,35 @@ let ndjson_feed ~name fd =
           | Some _ -> fail !line_no "\"addr\" must be below 2^61"
           | None -> fail !line_no "missing or non-integer \"addr\""))
   in
-  (fill_from next, fun () -> ())
+  (* a pipe's length is unknown until it ends *)
+  { fill = fill_from next; close = ignore; first = 4096 }
 
 let feed_of t =
   match t.source with
   | Producer { p_name; p_n; p_make } -> entry_feed ~name:p_name ~n:p_n (p_make ())
   | Trace_src { t_name; t_trace } ->
-    let i = ref (-1) in
+    let i = ref (-1) and where = "Stream_trace " ^ t_name in
     entry_feed ~name:t_name ~n:(Trace.length t_trace) (fun () ->
         incr i;
-        Trace.get t_trace !i)
+        let e = Trace.get t_trace !i in
+        (* checked before packing, which would wrap a negative address *)
+        check_addr ~where e.addr;
+        pack e.addr e.write)
   | File { f_path; _ } -> file_feed f_path
   | Fd { d_name; d_fd } -> ndjson_feed ~name:d_name d_fd
 
 (* ---- folding --------------------------------------------------------- *)
 
 let fold_chunks t ~init ~f =
-  let fill, close = feed_of t in
+  let { fill; close; first } = feed_of t in
   Fun.protect ~finally:close (fun () ->
       let cs = t.chunk_size in
       let stream_name = name t in
-      (* one buffer serves every full chunk; it grows geometrically
-         toward [cs] so a whole-trace chunk size never preallocates more
-         than the stream holds *)
-      let buf = ref (Array.make (min cs 4096) 0) in
+      (* one buffer serves every full chunk; it starts at what the feed
+         expects and grows geometrically toward [cs] beyond that, so a
+         whole-trace chunk size never preallocates more than the stream
+         can hold *)
+      let buf = ref (Array.make (max 1 (min cs first)) 0) in
       let acc = ref init in
       let index = ref 0 in
       let stop = ref false in
@@ -547,11 +596,12 @@ let fold_chunks t ~init ~f =
       !acc)
 
 (* A slot holds a marshalled fold state (a [Cache.t], and with it an
-   [Rng.t]), and unmarshalling a state of another layout as the current
-   one is memory-unsafe.  Slot keys therefore name the state format:
-   bump it with any such layout change, so an older journal's slots
-   miss and are recomputed. *)
-let state_format = "bit-pages"
+   [Rng.t]; `simulate --trace-file` adds a [Trace.analyzer]), and
+   unmarshalling a state of another layout as the current one is
+   memory-unsafe.  Slot keys therefore name the state format: bump it
+   with any such layout change, so an older journal's slots miss and
+   are recomputed. *)
+let state_format = "intmap-analyzer"
 
 let slot_key ~skey ~salt index =
   (* pseudo-task namespace "stream": no Sweep task carries that name,
@@ -596,10 +646,7 @@ let cache_salt c =
 let replay t cache =
   let salt = "replay:" ^ cache_salt cache in
   resumable_fold ~salt t ~init:(cache, 0) ~f:(fun (c, n) ~index:_ chunk ->
-      for i = 0 to Array.length chunk - 1 do
-        let e = chunk.(i) in
-        ignore (Cache.access c (addr e) ~write:(is_write e))
-      done;
+      Cache.run c chunk 0 (Array.length chunk);
       (c, n + Array.length chunk))
 
 let replay_hierarchy t h =
@@ -608,10 +655,7 @@ let replay_hierarchy t h =
       (cache_salt (Hierarchy.l2 h))
   in
   resumable_fold ~salt t ~init:(h, 0) ~f:(fun (h, n) ~index:_ chunk ->
-      for i = 0 to Array.length chunk - 1 do
-        let e = chunk.(i) in
-        ignore (Hierarchy.access h (addr e) ~write:(is_write e))
-      done;
+      Hierarchy.run h chunk 0 (Array.length chunk);
       (h, n + Array.length chunk))
 
 (* --- recording a stream of unknown length ---------------------------- *)

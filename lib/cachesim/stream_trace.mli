@@ -56,13 +56,16 @@ val of_producer :
   ?key:string ->
   name:string ->
   n:int ->
-  (unit -> unit -> Trace.entry) ->
+  (unit -> unit -> int) ->
   t
 (** [of_producer ~name ~n make]: a lazy generator source of exactly
-    [n] entries.  [make] must return a {e fresh} producer each call
-    (folds may re-open the stream), and a given producer must be
-    deterministic — the streamed-equals-materialised contract depends
-    on it.  [key], when given, makes folds over the stream
+    [n] entries, each a packed entry ({!pack}).  [make] must return a
+    {e fresh} producer each call (folds may re-open the stream), and a
+    given producer must be deterministic — the
+    streamed-equals-materialised contract depends on it.  An entry
+    whose {!addr} is outside [\[0, 2^61)] — a negative int, which is
+    what {!pack} makes of an address from [2^61] up — raises
+    [Invalid_argument] naming that address when the fold pulls it.  [key], when given, makes folds over the stream
     checkpointable; it must name every input the entries depend on
     (workload, seed, n, chunk size).  Raises [Invalid_argument] if
     [n < 0] or [chunk_size < 1]. *)
@@ -135,7 +138,21 @@ val fold_chunks : t -> init:'a -> f:('a -> index:int -> int array -> 'a) -> 'a
     same physical array, overwritten by the next chunk.  It is valid
     only while [f] runs — [f] must never retain it, capture it in a
     closure, or carry it in the fold state.  This is what keeps a
-    steady-state pass allocation-free.
+    steady-state pass allocation-free.  It starts at the smaller of
+    {!chunk_size} and what the source is expected to hold (a
+    producer's [n], a trace's length, a file's declared total bounded
+    by its byte length) and grows geometrically toward {!chunk_size}
+    only if the source yields more, as a pipe may.
+
+    A [PPTRC01] file is read the same way: every record's payload goes
+    into one byte buffer reused for the whole file (grown to a power of
+    two at least as long as the largest record) and its CRC is checked
+    in place ({!Nmcache_engine.Crc32.update_sub}); a record that fits
+    the space left in the chunk is decoded straight into it, and only
+    a record larger than that — the reader's chunk is smaller than the
+    file's records, or the chunk is nearly full — is decoded into a
+    staged copy and handed out piecewise.  A replay of a file therefore
+    allocates nothing per record once its buffers fit.
 
     Memory is O(chunk).  Each chunk boundary polls the engine deadline
     (stage [cachesim.stream]), emits an
@@ -163,7 +180,16 @@ val resumable_fold :
     warmup boundary) so two different computations over one stream
     can never serve each other's slots.  The chunk contract of
     {!fold_chunks} applies.  Without a journal or a key this is
-    exactly {!fold_chunks}. *)
+    exactly {!fold_chunks}.
+
+    The state format names the marshalled layout of the states the
+    library's folds journal: [intmap-analyzer] since the statistics
+    analyzer that [ppcache simulate --trace-file] journals beside its
+    hierarchy keeps its blocks in an {!Intmap} (it was [bit-pages],
+    with a [Hashtbl]).  A {!Hierarchy.t} is a {!Cache.pair}, the same
+    four-field record it was, and {!Cache.t} is unchanged; any later
+    change to these layouts bumps the format again, so an older
+    journal's slots miss and are recomputed. *)
 
 val iter : t -> (int -> bool -> unit) -> int
 (** [iter t g] calls [g addr write] for every entry; returns the
@@ -178,14 +204,16 @@ val analyze : t -> Trace.stats
     [Invalid_argument]. *)
 
 val replay : t -> Cache.t -> Cache.t * int
-(** Stream every entry through a cache.  Checkpoint-aware
+(** Stream every entry through a cache, each chunk through the
+    {!Cache.run} kernel.  Checkpoint-aware
     ({!resumable_fold} with the cache geometry as salt): the returned
     cache is the one holding the final state — on a resumed run it is
     a journal-restored object, {e not} the argument — together with
     the entry count. *)
 
 val replay_hierarchy : t -> Hierarchy.t -> Hierarchy.t * int
-(** {!replay} through a two-level hierarchy. *)
+(** {!replay} through a two-level hierarchy, each chunk through the
+    {!Cache.run_pair} kernel ({!Hierarchy.run}). *)
 
 (** {1 PPTRC01 recording} *)
 

@@ -52,7 +52,7 @@ let zero_stats =
 (* Incremental form of [analyze], shared with the streaming engine:
    memory is O(footprint) — the distinct-block set — never O(trace). *)
 type analyzer = {
-  blocks : (int, unit) Hashtbl.t;
+  blocks : Intmap.t;  (* the distinct [addr / 64] blocks, zigzagged *)
   mutable a_accesses : int;
   mutable a_writes : int;
   mutable a_sequential : int;
@@ -61,7 +61,7 @@ type analyzer = {
 
 let analyzer () =
   {
-    blocks = Hashtbl.create 4096;
+    blocks = Intmap.create ~initial_capacity:4096 ();
     a_accesses = 0;
     a_writes = 0;
     a_sequential = 0;
@@ -71,7 +71,9 @@ let analyzer () =
 let feed_analyzer a addr write =
   a.a_accesses <- a.a_accesses + 1;
   if write then a.a_writes <- a.a_writes + 1;
-  Hashtbl.replace a.blocks (addr / 64) ();
+  (* zigzag keeps a negative block distinct, and Intmap keys non-negative *)
+  let b = addr / 64 in
+  ignore (Intmap.add_if_absent a.blocks ((b lsl 1) lxor (b asr 62)));
   if a.a_prev <> min_int && addr >= a.a_prev && addr <= a.a_prev + 64 then
     a.a_sequential <- a.a_sequential + 1;
   a.a_prev <- addr
@@ -83,8 +85,8 @@ let analyzer_stats a =
     {
       accesses = a.a_accesses;
       writes = a.a_writes;
-      distinct_blocks = Hashtbl.length a.blocks;
-      footprint_bytes = 64 * Hashtbl.length a.blocks;
+      distinct_blocks = Intmap.length a.blocks;
+      footprint_bytes = 64 * Intmap.length a.blocks;
       sequential_fraction =
         float_of_int a.a_sequential /. float_of_int a.a_accesses;
     }

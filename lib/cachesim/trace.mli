@@ -54,8 +54,9 @@ val zero_stats : stats
 
     The streaming engine computes {!stats} over traces that are never
     materialised; the analyzer is the incremental form of {!analyze}
-    (O(footprint) memory — the distinct-block set — independent of
-    trace length).  [analyze] itself is one fold over it. *)
+    (O(footprint) memory — the distinct-block set, an {!Intmap} —
+    independent of trace length).  [analyze] itself is one fold over
+    it. *)
 
 type analyzer
 

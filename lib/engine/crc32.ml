@@ -32,10 +32,11 @@ let u32 s i = Int32.to_int (String.get_int32_le s i) land 0xFFFFFFFF
 
 (* zlib convention: the argument and result are finished CRCs, the
    pre/post-conditioning happens inside, so updates chain *)
-let update crc s =
-  let len = String.length s in
-  let c = ref (crc lxor 0xFFFFFFFF) and i = ref 0 in
-  while !i + 8 <= len do
+let update_sub crc s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Crc32.update_sub";
+  let stop = pos + len in
+  let c = ref (crc lxor 0xFFFFFFFF) and i = ref pos in
+  while !i + 8 <= stop do
     let lo = !c lxor u32 s !i and hi = u32 s (!i + 4) in
     c :=
       slices.(1792 + (lo land 0xFF))
@@ -48,9 +49,10 @@ let update crc s =
       lxor slices.(hi lsr 24);
     i := !i + 8
   done;
-  for j = !i to len - 1 do
+  for j = !i to stop - 1 do
     c := table.((!c lxor Char.code (String.unsafe_get s j)) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 
+let update crc s = update_sub crc s 0 (String.length s)
 let crc s = update init s

@@ -18,5 +18,11 @@ val update : int -> string -> int
     [update (update init a) b = crc (a ^ b)] — a record can be
     checksummed piecewise without concatenating it. *)
 
+val update_sub : int -> string -> int -> int -> int
+(** [update_sub crc s pos len] extends [crc] with the [len] bytes of
+    [s] from [pos]: [update crc (String.sub s pos len)] without the
+    copy, so a record read into a reused buffer is checked in place.
+    Raises [Invalid_argument] if the range is not inside [s]. *)
+
 val crc : string -> int
 (** [crc s = update init s]; [crc "123456789" = 0xCBF43926]. *)

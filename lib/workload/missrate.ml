@@ -150,11 +150,12 @@ module Stream_trace = Nmcache_cachesim.Stream_trace
    identical warmup reset (statistics cleared exactly when the running
    access count reaches the warmup boundary), so rates are bitwise
    equal to [simulate]'s for a stream wrapping the same workload — at
-   any chunk size.  Chunk boundaries double as checkpoint slots
-   (Stream_trace.resumable_fold): the state is the hierarchy plus the
-   access count, and the salt names every consumer-side input, so a
-   SIGKILLed run resumes byte-identically.  Not memoised — the journal
-   is the cross-process cache. *)
+   any chunk size.  Each chunk runs through [Hierarchy.run], split at
+   the warm-up cut when the cut falls inside it.  Chunk boundaries
+   double as checkpoint slots (Stream_trace.resumable_fold): the state
+   is the hierarchy plus the access count, and the salt names every
+   consumer-side input, so a SIGKILLed run resumes byte-identically.
+   Not memoised — the journal is the cross-process cache. *)
 let simulate_stream ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64)
     ?(policy = Replacement.Lru) ?(warmup = true) ~stream ~l1_size ~l2_size () =
   let l1 =
@@ -178,17 +179,15 @@ let simulate_stream ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64)
   let h, (_ : int) =
     Stream_trace.resumable_fold ~salt stream ~init:(h, 0)
       ~f:(fun (h, processed) ~index:_ chunk ->
-        for i = 0 to Array.length chunk - 1 do
-          if processed + i = warm then begin
-            Cache.reset_stats (Hierarchy.l1 h);
-            Cache.reset_stats (Hierarchy.l2 h)
-          end;
-          let e = chunk.(i) in
-          ignore
-            (Hierarchy.access h (Stream_trace.addr e)
-               ~write:(Stream_trace.is_write e))
-        done;
-        (h, processed + Array.length chunk))
+        let len = Array.length chunk and cut = warm - processed in
+        if cut >= 0 && cut < len then begin
+          Hierarchy.run h chunk 0 cut;
+          Cache.reset_stats (Hierarchy.l1 h);
+          Cache.reset_stats (Hierarchy.l2 h);
+          Hierarchy.run h chunk cut (len - cut)
+        end
+        else Hierarchy.run h chunk 0 len;
+        (h, processed + len))
   in
   Nmcache_engine.Metrics.incr "cachesim.simulations";
   Nmcache_engine.Metrics.incr "stream.simulations";

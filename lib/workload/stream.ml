@@ -4,7 +4,6 @@
    deterministically and carries a checkpoint key. *)
 
 module Stream_trace = Nmcache_cachesim.Stream_trace
-module Trace = Nmcache_cachesim.Trace
 
 let of_workload ?(chunk_size = Stream_trace.default_chunk_size)
     ?(seed = Registry.default_seed) ~workload ~n () =
@@ -21,6 +20,4 @@ let of_workload ?(chunk_size = Stream_trace.default_chunk_size)
   in
   Stream_trace.of_producer ~chunk_size ~key ~name:workload ~n (fun () ->
       let gen = Registry.build ~seed workload in
-      fun () ->
-        let a = Gen.next gen in
-        { Trace.addr = a.Access.addr; write = a.Access.write })
+      fun () -> Gen.next_packed gen)

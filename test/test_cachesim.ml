@@ -4,7 +4,6 @@ module Cache = Nmcache_cachesim.Cache
 module Hierarchy = Nmcache_cachesim.Hierarchy
 module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
-module Address = Nmcache_cachesim.Address
 module Intmap = Nmcache_cachesim.Intmap
 module Rng = Nmcache_numerics.Rng
 
@@ -12,17 +11,6 @@ let kb n = n * 1024
 
 let make ?(size = kb 1) ?(assoc = 2) ?(block = 64) ?(policy = Replacement.Lru) () =
   Cache.create ~size_bytes:size ~assoc ~block_bytes:block ~policy ()
-
-(* --- address arithmetic ------------------------------------------------ *)
-
-let test_address () =
-  Alcotest.(check int) "block" 2 (Address.block_of 128 ~block_bytes:64);
-  Alcotest.(check int) "set" 2 (Address.set_of 128 ~block_bytes:64 ~sets:8);
-  Alcotest.(check int) "tag" 0 (Address.tag_of 128 ~block_bytes:64 ~sets:8);
-  Alcotest.(check int) "tag nonzero" 1 (Address.tag_of (64 * 8 + 128) ~block_bytes:64 ~sets:8);
-  Alcotest.(check int) "roundtrip" 640 (Address.of_block 10 ~block_bytes:64);
-  Alcotest.check_raises "log2 invalid" (Invalid_argument "Address.log2: not a power of two")
-    (fun () -> ignore (Address.log2 48))
 
 (* --- basic behaviour ---------------------------------------------------- *)
 
@@ -519,6 +507,119 @@ let prop_kernel_against_references =
         [ 1; 2; 4; 8; 16 ];
       true)
 
+(* --- chunk kernels ---------------------------------------------------- *)
+
+(* The two-level step as [Hierarchy.access] performed it before the step
+   moved into [Cache]: per-access [Cache.access] calls, with a dirty L1
+   victim written into L2 at its block number times the block size. *)
+type ref_pair = {
+  p_l1 : Cache.t;
+  p_l2 : Cache.t;
+  mutable p_reads : int;
+  mutable p_writes : int;
+}
+
+let ref_pair_access p addr ~write =
+  let o1 = Cache.access p.p_l1 addr ~write in
+  if not (Cache.hit o1) then begin
+    if Cache.victim_dirty o1 then begin
+      let o_wb =
+        Cache.access p.p_l2 (Cache.victim o1 * Cache.block_bytes p.p_l1) ~write:true
+      in
+      if Cache.victim_dirty o_wb then p.p_writes <- p.p_writes + 1;
+      if not (Cache.hit o_wb) then p.p_reads <- p.p_reads + 1
+    end;
+    let o2 = Cache.access p.p_l2 addr ~write:false in
+    if Cache.victim_dirty o2 then p.p_writes <- p.p_writes + 1;
+    if not (Cache.hit o2) then p.p_reads <- p.p_reads + 1
+  end
+
+(* Packed entries ([addr lsl 1 lor write]): 70 % from a hot range twice
+   the L1's capacity, the rest from eight times the L2's, at unaligned
+   addresses, a third of them writes, so both levels hit, miss and evict
+   dirty blocks. *)
+let kernel_trace rng ~l1_blocks ~l2_blocks n =
+  Array.init n (fun _ ->
+      let range = if Rng.int rng ~bound:10 < 7 then 2 * l1_blocks else 8 * l2_blocks in
+      let addr = (64 * Rng.int rng ~bound:range) + Rng.int rng ~bound:64 in
+      (addr lsl 1) lor Bool.to_int (Rng.int rng ~bound:3 = 0))
+
+(* sorted cut points in [0, n], the ends included: the pieces a chunked
+   replay hands the kernels, one of them empty (the first cut twice) *)
+let kernel_cuts rng n =
+  let cuts = List.init (1 + Rng.int rng ~bound:6) (fun _ -> Rng.int rng ~bound:(n + 1)) in
+  List.sort compare (0 :: n :: List.hd cuts :: cuts)
+
+let prop_chunk_kernels =
+  QCheck.Test.make ~count:10
+    ~name:"chunk kernels equal per-access simulation (4 policies x 1-16 ways, any cuts)"
+    Generators.trace_seed_arb
+    (fun seed ->
+      let rng = Rng.create ~seed:(Int64.of_int seed) in
+      let policies =
+        [| Replacement.Lru; Replacement.Fifo; Replacement.Plru; Replacement.Random (seed land 0xffff) |]
+      and ways = [| 1; 2; 4; 8; 16 |] and n = 3000 in
+      let cache assoc sets policy =
+        Cache.create ~size_bytes:(assoc * sets * 64) ~assoc ~block_bytes:64 ~policy ()
+      in
+      let same case what (want : Cache.t) (got : Cache.t) =
+        List.iter2
+          (fun (name, w) (_, g) ->
+            if w <> g then
+              QCheck.Test.fail_reportf "%s, %s: %s %d, per-access %d" case what name g w)
+          (stats_fields (Cache.stats want))
+          (stats_fields (Cache.stats got))
+      in
+      Array.iter
+        (fun assoc ->
+          Array.iter
+            (fun policy ->
+              let l2_assoc = ways.(Rng.int rng ~bound:(Array.length ways)) in
+              let l2_policy = policies.(Rng.int rng ~bound:(Array.length policies)) in
+              let case =
+                Printf.sprintf "L1 %d-way %s, L2 %d-way %s" assoc (Replacement.name policy)
+                  l2_assoc (Replacement.name l2_policy)
+              in
+              let trace = kernel_trace rng ~l1_blocks:(4 * assoc) ~l2_blocks:(64 * l2_assoc) n in
+              let cuts = kernel_cuts rng n in
+              (* one cache *)
+              let c_ref = cache assoc 4 policy and c = cache assoc 4 policy in
+              (* the pair, against the step written out above *)
+              let r =
+                { p_l1 = cache assoc 4 policy; p_l2 = cache l2_assoc 64 l2_policy;
+                  p_reads = 0; p_writes = 0 }
+              in
+              let p = Cache.pair ~l1:(cache assoc 4 policy) ~l2:(cache l2_assoc 64 l2_policy) in
+              let compare_at at =
+                same case ("one cache, " ^ at) c_ref c;
+                same case ("L1, " ^ at) r.p_l1 p.Cache.l1;
+                same case ("L2, " ^ at) r.p_l2 p.Cache.l2;
+                if (r.p_reads, r.p_writes) <> (p.Cache.memory_reads, p.Cache.memory_writes) then
+                  QCheck.Test.fail_reportf "%s, %s: memory reads/writes %d/%d, per-access %d/%d"
+                    case at p.Cache.memory_reads p.Cache.memory_writes r.p_reads r.p_writes
+              in
+              let rec pieces = function
+                | a :: (b :: _ as rest) ->
+                  for i = a to b - 1 do
+                    let e = trace.(i) in
+                    let addr = e lsr 1 and write = e land 1 = 1 in
+                    ignore (Cache.access c_ref addr ~write);
+                    ref_pair_access r addr ~write
+                  done;
+                  Cache.run c trace a (b - a);
+                  Cache.run_pair p trace a (b - a);
+                  compare_at (Printf.sprintf "after [%d, %d)" a b);
+                  pieces rest
+                | _ -> ()
+              in
+              pieces cuts;
+              (* the trace must have exercised dirty victims at both levels *)
+              if (Cache.stats r.p_l1).Stats.writebacks = 0 || r.p_writes = 0 then
+                QCheck.Test.fail_reportf "%s: no dirty victim at L1 or L2" case)
+            policies)
+        ways;
+      true)
+
 (* A fully sparse trace puts every block on its own first-touch page,
    the bit pages' worst case.  It must cost at most 4x the bytes per
    distinct block of an Intmap holding each block (created as the
@@ -555,7 +656,6 @@ let test_first_touch_bytes () =
 
 let suite =
   [
-    Alcotest.test_case "address arithmetic" `Quick test_address;
     Alcotest.test_case "cold miss then hit" `Quick test_cold_then_hit;
     Alcotest.test_case "stats consistency" `Quick test_stats_consistency;
     Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
@@ -579,4 +679,9 @@ let suite =
       `Quick test_first_touch_bytes;
   ]
   @ List.map Generators.to_alcotest
-      [ prop_lru_against_reference; prop_stats_bookkeeping; prop_kernel_against_references ]
+      [
+        prop_lru_against_reference;
+        prop_stats_bookkeeping;
+        prop_kernel_against_references;
+        prop_chunk_kernels;
+      ]

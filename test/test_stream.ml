@@ -776,6 +776,126 @@ let test_replay_allocation_gate () =
   if per_access > 1.0 then
     Alcotest.failf "replay allocates %.2f minor words per access (gate: 1)" per_access
 
+(* The words a replay allocates, minor and major alike (large blocks
+   go straight to the major heap, where [Gc.minor_words] misses them). *)
+let allocated_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* A replay's caches, first-touch pages, chunk buffer and record buffer
+   are costs per replay, not per access.  To see the per-access cost,
+   the same 1M accesses are recorded once and twice over (the same
+   footprint, the same records): the second pass's words over 1M are
+   what a replayed access allocates.  0.48 when every record was read
+   into a fresh string; 0.017 with one reused buffer, nearly all of it
+   the copy of the last, partial chunk, which is longer in the doubled
+   file. *)
+let test_replay_words_per_access () =
+  let n = 1_000_000 in
+  let gen = Registry.build "spec2000-mix" in
+  let packed = Array.init n (fun _ -> Gen.next_packed gen) in
+  let dir = tmpdir () in
+  let record copies =
+    let path = Filename.concat dir (Printf.sprintf "x%d.pptrc" copies) in
+    let i = ref (-1) in
+    Stream_trace.write_file ~path ~name:"spec2000-mix" ~n:(copies * n)
+      ~next:(fun () ->
+        incr i;
+        let e = packed.(!i mod n) in
+        { Trace.addr = Stream_trace.addr e; write = Stream_trace.is_write e })
+      ();
+    path
+  in
+  let words path =
+    let replay () =
+      Missrate.simulate_stream ~warmup:false ~stream:(Stream_trace.of_file path)
+        ~l1_size:(16 * 1024) ~l2_size:(1024 * 1024) ()
+    in
+    ignore (replay ());
+    let w0 = allocated_words () in
+    ignore (replay ());
+    allocated_words () -. w0
+  in
+  let once = words (record 1) and twice = words (record 2) in
+  let per_access = (twice -. once) /. float_of_int n in
+  if per_access > 0.1 then
+    Alcotest.failf "a replayed access allocates %.3f words (gate: 0.1; %.0f words per 1M-access replay)"
+      per_access once
+
+(* --- direct and staged decode ------------------------------------------ *)
+
+(* A file recorded at chunk [c], read at chunks 1, 7, c - 1, c, c + 1 and
+   whole: a record that fits the space left in the fold's chunk decodes
+   straight into it, any other through the staged copy.  Every grain
+   must yield the entries of the records before the first bad one, in
+   chunks of the reader's grain, and count one dropped tail exactly when
+   there is a bad one.  A record count is outside the CRC, so a count
+   off by one makes a record undecodable after its CRC passed: the
+   direct path then fails half-way through writing into the chunk. *)
+let test_pptrc_direct_and_staged_decode () =
+  let c = 300 and n = 2_500 in
+  let entries = entries_of "tpcc" n in
+  let path = Filename.concat (tmpdir ()) "grains.pptrc" in
+  record_to ~path ~name:"tpcc" ~chunk_size:c entries;
+  let clean = read_file path in
+  (* the offset of record [k], from the payload lengths the records carry *)
+  let record_at k =
+    let rec go pos k = if k = 0 then pos else go (pos + 12 + u32_at clean (pos + 4)) (k - 1) in
+    go (head_length clean) k
+  in
+  let edit pos bytes =
+    String.sub clean 0 pos ^ bytes
+    ^ String.sub clean (pos + String.length bytes) (String.length clean - pos - String.length bytes)
+  in
+  let count_plus k d = edit (record_at k) (u32 (u32_at clean (record_at k) + d)) in
+  let flipped pos = String.make 1 (Char.chr (Char.code clean.[pos] lxor 0x5a)) in
+  (* (case, file, records that survive, dropped tail) *)
+  let cases =
+    [
+      ("clean", clean, 9, false);
+      ("cut at record 8", String.sub clean 0 (record_at 8), 8, false);
+      ("torn inside record 4", String.sub clean 0 (record_at 4 + 20), 4, true);
+      ("torn inside record 8's count", String.sub clean 0 (record_at 8 + 2), 8, true);
+      ("garbled payload in record 3", edit (record_at 3 + 30) (flipped (record_at 3 + 30)), 3, true);
+      ("count one more in record 5", count_plus 5 1, 5, true);
+      ("count one less in record 0", count_plus 0 (-1), 0, true);
+      ("count one more in the last record", count_plus 8 1, 8, true);
+    ]
+  in
+  List.iter
+    (fun (case, file, records, dropped) ->
+      write_file path file;
+      let want = Array.sub entries 0 (min n (records * c)) in
+      let info = Stream_trace.file_info path in
+      Alcotest.(check int) (case ^ ": file_info entries") (Array.length want)
+        info.Stream_trace.fi_entries;
+      Alcotest.(check bool) (case ^ ": file_info dropped tail") dropped
+        info.Stream_trace.fi_dropped_tail;
+      List.iter
+        (fun chunk_size ->
+          let what = Printf.sprintf "%s, chunk %d" case chunk_size in
+          let before = Nmcache_engine.Metrics.counter_value "stream.dropped_tail" in
+          let got = ref [] and lengths = ref [] in
+          let (_ : unit) =
+            Stream_trace.fold_chunks (Stream_trace.of_file ~chunk_size path) ~init:()
+              ~f:(fun () ~index:_ chunk ->
+                lengths := Array.length chunk :: !lengths;
+                Array.iter
+                  (fun e ->
+                    got := { Trace.addr = Stream_trace.addr e; write = Stream_trace.is_write e } :: !got)
+                  chunk)
+          in
+          let drops = Nmcache_engine.Metrics.counter_value "stream.dropped_tail" - before in
+          Alcotest.(check bool) (what ^ ": entries") true (Array.of_list (List.rev !got) = want);
+          Alcotest.(check int) (what ^ ": dropped tails") (Bool.to_int dropped) drops;
+          (* [lengths] is newest first: the last chunk heads it *)
+          Alcotest.(check bool) (what ^ ": every chunk but the last is full") true
+            (match !lengths with
+            | [] -> true
+            | _ :: full -> List.for_all (fun l -> l = chunk_size) full))
+        [ 1; 7; c - 1; c; c + 1; n ])
+    cases
+
 (* --- checkpointed streaming -------------------------------------------- *)
 
 let test_checkpoint_resume_in_process () =
@@ -986,6 +1106,10 @@ let suite =
       test_full_chunks_share_one_buffer;
     Alcotest.test_case "alloc gate: file replay allocates <= 1 minor word/access"
       `Quick test_replay_allocation_gate;
+    Alcotest.test_case "alloc gate: a replayed access allocates <= 0.1 words (1M-access file)"
+      `Quick test_replay_words_per_access;
+    Alcotest.test_case "pptrc: direct and staged decode agree" `Quick
+      test_pptrc_direct_and_staged_decode;
     Alcotest.test_case "checkpoint: an old-format slot is recomputed, not served" `Quick
       test_checkpoint_old_slot_format_recomputed;
     Alcotest.test_case "checkpoint: chunk slots resume byte-identically" `Quick
