@@ -16,8 +16,6 @@ module Fitted_cache = Nmcache_fit.Fitted_cache
 module Model = Nmcache_fit.Model
 module Missrate = Nmcache_workload.Missrate
 module Registry = Nmcache_workload.Registry
-module Gen = Nmcache_workload.Gen
-module Access = Nmcache_workload.Access
 module Wstream = Nmcache_workload.Stream
 module Trace_rec = Nmcache_cachesim.Trace
 module Stream_trace = Nmcache_cachesim.Stream_trace
@@ -710,13 +708,13 @@ let trace_record workload n out chunk seed from_ndjson =
         (String.concat ", " Registry.names);
     if n < 0 then fail "ppcache: --accesses must be >= 0, got %d" n;
     usage_guard @@ fun () ->
-    let gen = Registry.build ~seed workload in
-    Stream_trace.write_file ~path:out ~name:workload ~chunk_size:chunk
-      ~next:(fun () ->
-        let a = Gen.next gen in
-        { Trace_rec.addr = a.Access.addr; write = a.Access.write })
-      ~n ();
-    Printf.printf "recorded %s: %d accesses to %s (chunk %d)\n" workload n out
+    (* packed entries straight from the generator, through the same
+       recorder as --from-ndjson: the bytes [write_file] writes *)
+    let total =
+      Stream_trace.record_stream ~path:out
+        (Wstream.of_workload ~chunk_size:chunk ~seed ~workload ~n ())
+    in
+    Printf.printf "recorded %s: %d accesses to %s (chunk %d)\n" workload total out
       chunk
   end
 

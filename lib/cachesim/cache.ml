@@ -99,6 +99,7 @@ let create ~size_bytes ~assoc ~block_bytes ~policy () =
 let size_bytes t = t.size_bytes
 let assoc t = t.assoc
 let block_bytes t = t.block_bytes
+let block_shift t = t.block_shift
 let sets t = t.sets
 let policy t = t.policy
 let stats t = t.stats
@@ -304,6 +305,20 @@ let run t entries pos len =
     let e = Array.unsafe_get entries i in
     ignore (access t (e lsr 1) ~write:(e land 1 = 1))
   done
+
+(* A miss's entry is written at [misses.(m)] whether or not the access
+   missed, and [m] advances only on a miss: the copy takes no branch. *)
+let run_misses t entries pos len ~into:misses =
+  check_range "Cache.run_misses" entries pos len;
+  if Array.length misses < len then invalid_arg "Cache.run_misses: buffer too short";
+  let m = ref 0 in
+  for i = pos to pos + len - 1 do
+    let e = Array.unsafe_get entries i in
+    let o = access t (e lsr 1) ~write:(e land 1 = 1) in
+    Array.unsafe_set misses !m e;
+    m := !m + Bool.to_int (o <> hit_outcome)
+  done;
+  !m
 
 type pair = {
   l1 : t;

@@ -25,6 +25,11 @@ val create :
 val size_bytes : t -> int
 val assoc : t -> int
 val block_bytes : t -> int
+
+val block_shift : t -> int
+(** log2 of {!block_bytes}: a byte address's block number is
+    [addr lsr block_shift t]. *)
+
 val sets : t -> int
 val policy : t -> Replacement.t
 val stats : t -> Stats.t
@@ -57,6 +62,14 @@ val run : t -> int array -> int -> int -> unit
 (** [run t entries pos len] is {!access} on each of
     [entries.(pos) .. entries.(pos + len - 1)], in order.  Raises
     [Invalid_argument] if the range is not inside [entries]. *)
+
+val run_misses : t -> int array -> int -> int -> into:int array -> int
+(** [run_misses t entries pos len ~into] is {!run} that also copies
+    the entries that missed, in order, to [into.(0) .. into.(m - 1)],
+    and returns their count [m]: the miss stream of an L1 filter.
+    [into] is scratch: the slots from [m] up to [len - 1] may be
+    overwritten too.  Raises [Invalid_argument] if the range is not
+    inside [entries] or [into] is shorter than [len]. *)
 
 type pair = private {
   l1 : t;

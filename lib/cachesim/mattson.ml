@@ -113,7 +113,7 @@ let set_measuring t flag = t.measuring <- flag
 (* sentinel for "block never seen": timestamps are >= 0 *)
 let no_time = -1
 
-let access t addr =
+let[@inline] access t addr =
   if t.time >= t.capacity then compact t;
   let time = t.time in
   let prev = Intmap.exchange t.last_access (addr lsr t.block_shift) time ~default:no_time in
@@ -126,6 +126,12 @@ let access t addr =
   end;
   if prev >= 0 then add_hole t prev;
   t.time <- time + 1
+
+let run t entries pos len =
+  if pos < 0 || len < 0 || pos > Array.length entries - len then invalid_arg "Mattson.run";
+  for i = pos to pos + len - 1 do
+    access t (Array.unsafe_get entries i lsr 1)
+  done
 
 let accesses t = t.accesses
 let distinct_blocks t = Intmap.length t.last_access

@@ -30,6 +30,13 @@ val create : ?initial_capacity:int -> block_bytes:int -> unit -> t
 val access : t -> int -> unit
 (** Record an access to a byte address. *)
 
+val run : t -> int array -> int -> int -> unit
+(** [run t entries pos len] is {!access} on the address of each packed
+    entry ([addr lsl 1 lor write], the chunk layout of
+    {!Stream_trace}) of [entries.(pos) .. entries.(pos + len - 1)], in
+    order, in one loop with {!access} inlined.  Raises
+    [Invalid_argument] if the range is not inside [entries]. *)
+
 val set_measuring : t -> bool -> unit
 (** While measuring is off (it starts on), accesses still update the
     LRU stack but are not counted — neither in the histogram nor as

@@ -1,9 +1,11 @@
 type t = {
   hierarchy : Hierarchy.t;
   degree : int;
-  block : int;
+  block_shift : int;
   mutable issued : int;
   mutable useful : int;
+  mutable demand : int;
+  mutable demand_misses : int;
   pending : Intmap.t; (* block -> 1 while prefetched and not yet demanded, else 0 *)
 }
 
@@ -21,9 +23,11 @@ let create ?(degree = 1) ~l1 ~l2 () =
   {
     hierarchy = Hierarchy.create ~l1 ~l2;
     degree;
-    block = Cache.block_bytes l1;
+    block_shift = Cache.block_shift l1;
     issued = 0;
     useful = 0;
+    demand = 0;
+    demand_misses = 0;
     pending = Intmap.create ~initial_capacity:1024 ();
   }
 
@@ -31,9 +35,17 @@ let hierarchy t = t.hierarchy
 let prefetches t = t.issued
 let useful_prefetches t = t.useful
 let accuracy t = if t.issued = 0 then 0.0 else float_of_int t.useful /. float_of_int t.issued
+let demand_accesses t = t.demand
+let demand_misses t = t.demand_misses
 
-let access t addr ~write =
-  let block_no = addr / t.block in
+let reset_demand t =
+  t.demand <- 0;
+  t.demand_misses <- 0
+
+(* Addresses are never negative and blocks are a power of two, so the
+   block number is a shift, not a division. *)
+let[@inline] access t addr ~write =
+  let block_no = addr lsr t.block_shift in
   (* credit a pending prefetch if this demand hits one *)
   if Intmap.find t.pending block_no ~default:0 = 1 then begin
     Intmap.replace t.pending block_no 0;
@@ -43,10 +55,12 @@ let access t addr ~write =
   let o = Hierarchy.access t.hierarchy addr ~write in
   let issued = ref 0 in
   if not o.Hierarchy.l1_hit then begin
+    t.demand <- t.demand + 1;
+    if not o.Hierarchy.l2_hit then t.demand_misses <- t.demand_misses + 1;
     (* demand L1 miss: stream the next [degree] lines into L2 *)
     let l2 = Hierarchy.l2 t.hierarchy in
     for k = 1 to t.degree do
-      let next = (block_no + k) * t.block in
+      let next = (block_no + k) lsl t.block_shift in
       if not (Cache.contains l2 next) then begin
         ignore (Cache.access l2 next ~write:false);
         t.issued <- t.issued + 1;
@@ -58,3 +72,10 @@ let access t addr ~write =
   (!issued lsl 2)
   lor (if o.Hierarchy.l2_hit then 2 else 0)
   lor if o.Hierarchy.l1_hit then 1 else 0
+
+let run t entries pos len =
+  if pos < 0 || len < 0 || pos > Array.length entries - len then invalid_arg "Prefetch.run";
+  for i = pos to pos + len - 1 do
+    let e = Array.unsafe_get entries i in
+    ignore (access t (e lsr 1) ~write:(e land 1 = 1))
+  done

@@ -21,6 +21,13 @@ val create : ?degree:int -> l1:Cache.t -> l2:Cache.t -> unit -> t
 
 val access : t -> int -> write:bool -> outcome
 
+val run : t -> int array -> int -> int -> unit
+(** [run t entries pos len] is {!access} on each packed entry
+    ([addr lsl 1 lor write], the chunk layout of {!Stream_trace}) of
+    [entries.(pos) .. entries.(pos + len - 1)], in order, in one loop
+    with {!access} inlined.  Raises [Invalid_argument] if the range is
+    not inside [entries]. *)
+
 val l1_hit : outcome -> bool
 (** The demand access hit in L1. *)
 
@@ -39,3 +46,14 @@ val useful_prefetches : t -> int
 
 val accuracy : t -> float
 (** useful / issued (0 when none were issued). *)
+
+val demand_accesses : t -> int
+(** Demand accesses that missed L1 and so reached L2, since creation
+    or the last {!reset_demand}. *)
+
+val demand_misses : t -> int
+(** Of those, the ones that missed L2 too. *)
+
+val reset_demand : t -> unit
+(** Zero {!demand_accesses} and {!demand_misses}, as at the end of a
+    warm-up; the prefetch counts behind {!accuracy} run on. *)

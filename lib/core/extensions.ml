@@ -302,8 +302,9 @@ let geometry_sweeps ctx =
 let prefetch_study ctx =
   let workload = "spec2000-mix" in
   let n = ctx.Context.n_sim / 2 in
-  (* one prefetcher per (L2 size, degree), all fed by one walk: warm
-     half, measure half; count demand L2 behaviour only *)
+  (* one prefetcher per (L2 size, degree), all fed by one walk through
+     the [Prefetch.run] kernel: warm half, measure half; count demand
+     L2 behaviour only *)
   let prefetcher ~l2_size ~degree =
     let l1 =
       Cache.create ~size_bytes:ctx.Context.l1_size ~assoc:ctx.Context.l1_assoc
@@ -314,24 +315,12 @@ let prefetch_study ctx =
         ~block_bytes:ctx.Context.block_bytes ~policy:Replacement.Lru ()
     in
     let p = Prefetch.create ~degree ~l1 ~l2 () in
-    let measuring = ref false in
-    let demand_misses = ref 0 and demand_accesses = ref 0 in
-    let consumer =
-      {
-        Gen.feed =
-          (fun addr write ->
-            let o = Prefetch.access p addr ~write in
-            if !measuring && not (Prefetch.l1_hit o) then begin
-              incr demand_accesses;
-              if not (Prefetch.l2_hit o) then incr demand_misses
-            end);
-        measure = (fun () -> measuring := true);
-      }
-    in
+    let consumer = { Gen.feed = Prefetch.run p; measure = (fun () -> Prefetch.reset_demand p) } in
     let result () =
+      let demand = Prefetch.demand_accesses p in
       let m2 =
-        if !demand_accesses = 0 then 0.0
-        else float_of_int !demand_misses /. float_of_int !demand_accesses
+        if demand = 0 then 0.0
+        else float_of_int (Prefetch.demand_misses p) /. float_of_int demand
       in
       (m2, Prefetch.accuracy p)
     in

@@ -260,8 +260,14 @@ let parse_exn s =
 
 (* --- accessors ------------------------------------------------------ *)
 
+(* [String.equal], not [List.assoc_opt]'s polymorphic compare; the
+   first field named [key] wins, as it did with [assoc_opt] *)
+let rec find_field key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else find_field key rest
+
 let member key = function
-  | Obj fields -> List.assoc_opt key fields
+  | Obj fields -> find_field key fields
   | _ -> None
 
 let to_list = function List l -> Some l | _ -> None

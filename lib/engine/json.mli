@@ -37,7 +37,7 @@ val parse_exn : string -> t
 (* -- accessors (total: return [None] on shape mismatch) ------------- *)
 
 val member : string -> t -> t option
-(** Field lookup in an [Obj]. *)
+(** Field lookup in an [Obj]: the first field with that name. *)
 
 val to_list : t -> t list option
 val to_float : t -> float option

@@ -1,10 +1,18 @@
 (* The xoshiro256** state is four 64-bit words in one 32-byte buffer,
    read and written in place: a record of [int64] fields would box a
-   fresh word on every update, while here a draw allocates nothing. *)
+   fresh word on every update, while here a draw allocates nothing.
+
+   Invariant: every [t] is 32 bytes long.  The type is abstract, and
+   only [create] (which allocates 32) and [copy] ([Bytes.copy] of a
+   [t]) make one, so the word offsets 0, 8, 16 and 24 are always in
+   bounds and the state is read and written without bounds checks. *)
 type t = Bytes.t
 
-let[@inline] get t i = Bytes.get_int64_ne t (i lsl 3)
-let[@inline] set t i v = Bytes.set_int64_ne t (i lsl 3) v
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] get t i = get64u t (i lsl 3)
+let[@inline] set t i v = set64u t (i lsl 3) v
 
 let splitmix64 x =
   let open Int64 in

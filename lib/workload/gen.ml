@@ -38,38 +38,63 @@ let iter ~stage t n f =
     f (Stream_trace.addr e) (Stream_trace.is_write e)
   done
 
+let fill t entries pos len =
+  if pos < 0 || len < 0 || pos > Array.length entries - len then invalid_arg "Gen.fill";
+  let next = t.next in
+  for i = pos to pos + len - 1 do
+    Array.unsafe_set entries i (next ())
+  done
+
 (* A warm-up prefix of half the trace fills caches and LRU stacks
    before counters start, so every consumer measures steady state
    rather than cold start. *)
 let warmup_fraction = 0.5
 
 type consumer = {
-  feed : int -> bool -> unit;
+  feed : int array -> int -> int -> unit;
   measure : unit -> unit;
 }
 
-(* Each access is drawn once and handed to every consumer in turn;
-   the split into an unmeasured prefix and a measured rest is made
-   here, once, for all of them. *)
+let chunk_size = 4096
+
+(* Each chunk is drawn once into one buffer and handed whole to every
+   consumer in turn, so an access costs a consumer one step of its own
+   kernel rather than a call per access.  The split into an unmeasured
+   prefix and a measured rest is made here, once, for all of them: the
+   chunk holding the cut is fed in two pieces, with [measure] between.
+   The deadline is polled before each full chunk, once per 4096
+   accesses as in [iter]. *)
 let walk ~stage t n consumers =
   Metrics.incr "workload.walks";
   let k = Array.length consumers in
-  let feed =
-    if k = 1 then consumers.(0).feed
-    else fun addr write ->
-      for j = 0 to k - 1 do
-        (Array.unsafe_get consumers j).feed addr write
-      done
-  in
   Span.with_span
     ~attrs:
       [ ("workload", Json.String t.name); ("n", Json.Int n); ("consumers", Json.Int k) ]
     "workload:walk"
     (fun () ->
       let warm = int_of_float (warmup_fraction *. float_of_int n) in
-      iter ~stage t warm feed;
-      Array.iter (fun c -> c.measure ()) consumers;
-      iter ~stage t (n - warm) feed)
+      let buf = Array.make (max 1 (min chunk_size n)) 0 in
+      let feed pos len =
+        for j = 0 to k - 1 do
+          (Array.unsafe_get consumers j).feed buf pos len
+        done
+      in
+      let measure () = Array.iter (fun c -> c.measure ()) consumers in
+      if n = 0 then measure ();
+      let drawn = ref 0 in
+      while !drawn < n do
+        let len = min chunk_size (n - !drawn) in
+        if len = chunk_size then Deadline.poll ~stage;
+        fill t buf 0 len;
+        let cut = warm - !drawn in
+        if cut >= 0 && cut < len then begin
+          if cut > 0 then feed 0 cut;
+          measure ();
+          feed cut (len - cut)
+        end
+        else feed 0 len;
+        drawn := !drawn + len
+      done)
 
 let walk_memoised ~stage ~gen ~n members =
   let results =
@@ -123,20 +148,24 @@ let mix ~name ~rng parts =
   done;
   let gens = Array.map snd parts in
   make ~name (fun () ->
-      (* [Rng.float rng *. total], without the boxed float return *)
+      (* [Rng.float rng *. total], without the boxed float return;
+         [!i] stays at most [last], below both arrays' lengths *)
       let u = Float.of_int (Rng.bits53 rng) *. 0x1.0p-53 *. total in
       let i = ref 0 in
-      while !i < last && not (u < bounds.(!i)) do
+      while !i < last && not (u < Array.unsafe_get bounds !i) do
         incr i
       done;
-      gens.(!i).next ())
+      (Array.unsafe_get gens !i).next ())
 
+(* [Rng.bernoulli rng ~p] written out, with [p] clamped once: the same
+   uniform against the same bound *)
 let with_write_fraction ~rng ~p t =
   let p = Float.min 1.0 (Float.max 0.0 p) in
   let next = t.next in
   make ~name:t.name (fun () ->
       let e = next () in
-      Stream_trace.pack (Stream_trace.addr e) (Rng.bernoulli rng ~p))
+      Stream_trace.pack (Stream_trace.addr e)
+        (Float.of_int (Rng.bits53 rng) *. 0x1.0p-53 < p))
 
 let sequential ?(start = 0) ?(stride = 64) ~name () =
   let cursor = ref start in

@@ -9,8 +9,8 @@
     {!Nmcache_cachesim.Stream_trace.pack} and read back with
     {!Nmcache_cachesim.Stream_trace.addr} and
     {!Nmcache_cachesim.Stream_trace.is_write} — so the built-in
-    generators and {!iter} allocate nothing per access.  {!next} and
-    {!take} box each access as an {!Access.t}. *)
+    generators, {!iter}, {!fill} and {!walk} allocate nothing per
+    access.  {!next} and {!take} box each access as an {!Access.t}. *)
 
 type t
 
@@ -33,7 +33,14 @@ val take : t -> int -> Access.t array
 val iter : stage:string -> t -> int -> (int -> bool -> unit) -> unit
 (** [iter ~stage t n f] calls [f addr write] on each of the next [n]
     accesses without materialising or boxing them, and polls
-    {!Nmcache_engine.Deadline.poll} [~stage] every 4096 accesses. *)
+    {!Nmcache_engine.Deadline.poll} [~stage] every 4096 accesses.  It
+    is the per-access reference the chunked {!walk} is held to. *)
+
+val fill : t -> int array -> int -> int -> unit
+(** [fill t entries pos len] draws the next [len] accesses into
+    [entries.(pos) .. entries.(pos + len - 1)] as packed entries, in
+    order: the same entries [len] calls of {!next_packed} return.
+    Raises [Invalid_argument] if the range is not inside [entries]. *)
 
 (** {1 Fan-out walks} *)
 
@@ -41,18 +48,31 @@ val warmup_fraction : float
 (** Fraction of a walk fed as an unmeasured warm-up prefix (0.5). *)
 
 type consumer = {
-  feed : int -> bool -> unit;  (** [feed addr write]: one access *)
+  feed : int array -> int -> int -> unit;
+      (** [feed entries pos len]: the accesses
+          [entries.(pos) .. entries.(pos + len - 1)], packed entries
+          ({!Nmcache_cachesim.Stream_trace.pack}) in trace order.  The
+          array is the walk's buffer, overwritten by the next chunk:
+          a consumer must not keep it. *)
   measure : unit -> unit;
       (** called once, at the warm-up boundary: reset statistics and
           start counting *)
 }
 
+val chunk_size : int
+(** Accesses a {!walk} draws per chunk (4096). *)
+
 val walk : stage:string -> t -> int -> consumer array -> unit
-(** [walk ~stage t n consumers] draws the next [n] accesses once each
-    and feeds every access to every consumer in turn.  After the first
-    [warmup_fraction] of [n], it calls each consumer's [measure].  It
-    polls the deadline as {!iter} does, counts one [workload.walks],
-    and runs in a [workload:walk] span. *)
+(** [walk ~stage t n consumers] draws the next [n] accesses once each,
+    {!chunk_size} at a time into one reused buffer ({!fill}), and feeds
+    every chunk to every consumer in turn.  After the first
+    [warmup_fraction] of [n], it calls each consumer's [measure]: a
+    chunk that holds the cut is fed as the piece before it, then the
+    piece from it.  Each consumer therefore sees exactly the accesses,
+    and the [measure] point, that a per-access walk with {!iter} gives
+    it.  It polls the deadline before each full chunk (once per 4096
+    accesses, as {!iter} does), counts one [workload.walks], and runs
+    in a [workload:walk] span. *)
 
 val walk_memoised :
   stage:string ->

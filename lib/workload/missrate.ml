@@ -81,8 +81,9 @@ let config_slot ~workload ~seed ~n c =
       sim_key ~workload ~l1_size:c.l1_size ~l2_size ~l1_assoc:c.l1_assoc ~l2_assoc
         ~block:c.block ~policy:c.policy ~seed ~n )
 
-(* a configuration's walk consumer, and the point it reads off its
-   caches once the walk is done *)
+(* a configuration's walk consumer, which runs each chunk through the
+   [Cache.run] or [Hierarchy.run] kernel, and the point it reads off
+   its caches once the walk is done *)
 let start c () =
   let cache (size, assoc) =
     Cache.create ~size_bytes:size ~assoc ~block_bytes:c.block ~policy:c.policy ()
@@ -91,11 +92,10 @@ let start c () =
   let l2 = Option.map cache c.l2 in
   let feed, l2_rates =
     match l2 with
-    | None -> ((fun addr write -> ignore (Cache.access l1 addr ~write)), fun () -> (nan, nan))
+    | None -> (Cache.run l1, fun () -> (nan, nan))
     | Some l2 ->
       let h = Hierarchy.create ~l1 ~l2 in
-      ( (fun addr write -> ignore (Hierarchy.access h addr ~write)),
-        fun () -> (Hierarchy.l2_local_miss_rate h, Hierarchy.l2_global_miss_rate h) )
+      (Hierarchy.run h, fun () -> (Hierarchy.l2_local_miss_rate h, Hierarchy.l2_global_miss_rate h))
   in
   let measure () =
     Cache.reset_stats l1;

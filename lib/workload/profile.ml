@@ -49,9 +49,18 @@ let key ~workload ~kind ~block ~seed ~n =
 
 (* One profile under construction, shared by [build_many] and
    [of_stream]: a profiler, the optional L1 filter in front of it, and
-   the walk consumer that runs each access through both.  Measuring
-   starts at the consumer's warm-up boundary. *)
-let start ~block kind =
+   the walk consumer that runs each chunk through both.  Measuring
+   starts at the consumer's warm-up boundary.
+
+   A raw profile runs the chunk through [Mattson.run].  A filtered one
+   runs it through the L1 with [Cache.run_misses], which copies the
+   misses in order into [scratch], and then runs those through
+   [Mattson.run]: the profiler never acts on the L1, so filtering a
+   piece before profiling it gives the per-access interleaving's
+   result.  Pieces are at most [scratch]'s length, so one scratch
+   serves every filtered consumer of a walk (they run one after
+   another) and a stream's longer chunks too. *)
+let start ~block ~scratch kind =
   let profiler = Mattson.create ~block_bytes:block () in
   Mattson.set_measuring profiler false;
   match kind with
@@ -59,7 +68,7 @@ let start ~block kind =
     ( profiler,
       None,
       {
-        Gen.feed = (fun addr _ -> Mattson.access profiler addr);
+        Gen.feed = Mattson.run profiler;
         measure = (fun () -> Mattson.set_measuring profiler true);
       } )
   | L1_filtered { l1_size; l1_assoc } ->
@@ -67,18 +76,27 @@ let start ~block kind =
       Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block
         ~policy:Replacement.Lru ()
     in
+    let feed entries pos len =
+      let pos = ref pos and left = ref len in
+      while !left > 0 do
+        let piece = min !left (Array.length scratch) in
+        let m = Cache.run_misses l1 entries !pos piece ~into:scratch in
+        Mattson.run profiler scratch 0 m;
+        pos := !pos + piece;
+        left := !left - piece
+      done
+    in
     ( profiler,
       Some l1,
       {
-        Gen.feed =
-          (fun addr write ->
-            if not (Cache.hit (Cache.access l1 addr ~write)) then
-              Mattson.access profiler addr);
+        Gen.feed;
         measure =
           (fun () ->
             Cache.reset_stats l1;
             Mattson.set_measuring profiler true);
       } )
+
+let new_scratch () = Array.make Gen.chunk_size 0
 
 (* close a traversal: flush its counters and reduce the profiler to the
    suffix CDF *)
@@ -120,6 +138,7 @@ let kind_name = function Raw -> "raw" | L1_filtered _ -> "l1-filtered"
    behind an L1 filter.  This is the only place in the derivation
    layer that touches the generator. *)
 let build_many ?(seed = Registry.default_seed) ~workload ~n members =
+  let scratch = lazy (new_scratch ()) in
   Gen.walk_memoised ~stage:"simulate"
     ~gen:(fun () -> Registry.build ~seed workload)
     ~n
@@ -129,7 +148,9 @@ let build_many ?(seed = Registry.default_seed) ~workload ~n members =
             ( cache,
               key ~workload ~kind ~block ~seed ~n,
               fun () ->
-                let profiler, l1_opt, consumer = start ~block kind in
+                let profiler, l1_opt, consumer =
+                  start ~block ~scratch:(Lazy.force scratch) kind
+                in
                 (consumer, fun () -> finish ~workload ~kind ~block ~seed ~n profiler l1_opt) ))
           members))
   |> Array.to_list
@@ -146,11 +167,13 @@ let l1_filtered ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~w
 
 module Stream_trace = Nmcache_cachesim.Stream_trace
 
-(* The streamed twin of [build_many]: the same consumer, measuring
-   from [warmup_fraction] of the stream's declared length, so a stream
-   wrapping a registry workload yields a profile equal to [build]'s
-   field for field.  Not memoised (a stream is consumed, not named);
-   deadline polling rides the stream's own chunk boundaries. *)
+(* The streamed twin of [build_many]: the same consumer, fed each
+   chunk of the stream whole, or in two pieces around [measure] when
+   the chunk holds the cut at [warmup_fraction] of the stream's
+   declared length.  So a stream wrapping a registry workload yields a
+   profile equal to [build]'s field for field.  Not memoised (a stream
+   is consumed, not named); deadline polling rides the stream's own
+   chunk boundaries. *)
 let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
   Span.with_span
     ~attrs:
@@ -160,18 +183,24 @@ let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
       ]
     "profile:stream"
     (fun () ->
-      let profiler, l1_opt, consumer = start ~block kind in
+      let profiler, l1_opt, { Gen.feed; measure } =
+        start ~block ~scratch:(new_scratch ()) kind
+      in
       let warm =
         match Stream_trace.declared_length stream with
         | Some n -> int_of_float (warmup_fraction *. float_of_int n)
         | None -> 0
       in
-      let fed = ref 0 in
       let n_fed =
-        Stream_trace.iter stream (fun addr write ->
-            if !fed = warm then consumer.Gen.measure ();
-            incr fed;
-            consumer.Gen.feed addr write)
+        Stream_trace.fold_chunks stream ~init:0 ~f:(fun fed ~index:_ chunk ->
+            let len = Array.length chunk and cut = warm - fed in
+            if cut >= 0 && cut < len then begin
+              feed chunk 0 cut;
+              measure ();
+              feed chunk cut (len - cut)
+            end
+            else feed chunk 0 len;
+            fed + len)
       in
       finish ~workload:(Stream_trace.name stream) ~kind ~block ~seed ~n:n_fed
         profiler l1_opt)

@@ -4,12 +4,20 @@ module Stream_trace = Nmcache_cachesim.Stream_trace
 
 let word = 8
 
+(* The cursor stays below [words] (a draw from [Rng.int ~bound:words],
+   or a step that wraps at [words]), so one compare replaces [mod].  The
+   continue draw is [Rng.bernoulli] written out with [p] clamped once:
+   the same uniform, compared with the same bound. *)
 let locality_walker ~rng ~base ~bytes ~p_continue () =
   if bytes < word then invalid_arg "Regions.locality_walker: region too small";
   let words = bytes / word in
+  let p = Float.min 1.0 (Float.max 0.0 p_continue) in
   let cursor = ref (Rng.int rng ~bound:words) in
   fun () ->
-    if Rng.bernoulli rng ~p:p_continue then cursor := (!cursor + 1) mod words
+    if Float.of_int (Rng.bits53 rng) *. 0x1.0p-53 < p then begin
+      let next = !cursor + 1 in
+      cursor := if next = words then 0 else next
+    end
     else cursor := Rng.int rng ~bound:words;
     Stream_trace.pack (base + (word * !cursor)) false
 
@@ -41,10 +49,14 @@ let zipf_blocks ~rng ~base ~bytes ~block ~s ~run () =
     decr remaining;
     Stream_trace.pack addr false
 
+(* The cursor stays below [bytes] and the stride is at most [bytes], so
+   a step passes [bytes] by less than [bytes]: one subtraction wraps it
+   exactly as [mod] would. *)
 let stream ~base ~bytes ~stride () =
   if stride <= 0 || bytes < stride then invalid_arg "Regions.stream: bad stride/region";
   let cursor = ref 0 in
   fun () ->
     let addr = base + !cursor in
-    cursor := (!cursor + stride) mod bytes;
+    let next = !cursor + stride in
+    cursor := if next >= bytes then next - bytes else next;
     Stream_trace.pack addr false

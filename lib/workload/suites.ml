@@ -225,9 +225,12 @@ let tpcc_like ~seed () =
   Gen.mix ~name:"tpcc" ~rng:(Rng.split rng)
     [ (0.35, root); (0.25, internal); (0.28, leaf); (0.12, log) ]
   |> fun mixed ->
-  (* reads/writes: log is all writes; give the rest a 25% store mix *)
+  (* reads/writes: log is all writes; give the rest a 25% store mix,
+     drawn as [Rng.bernoulli wrng ~p:0.25] written out *)
   let wrng = Rng.split rng in
   Gen.make ~name:"tpcc" (fun () ->
       let e = Gen.next_packed mixed in
       if Stream_trace.is_write e then e
-      else Stream_trace.pack (Stream_trace.addr e) (Rng.bernoulli wrng ~p:0.25))
+      else
+        Stream_trace.pack (Stream_trace.addr e)
+          (Float.of_int (Rng.bits53 wrng) *. 0x1.0p-53 < 0.25))

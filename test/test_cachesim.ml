@@ -620,6 +620,53 @@ let prop_chunk_kernels =
         ways;
       true)
 
+(* The miss kernel is [Cache.access] plus a filter: the same statistics
+   after every piece, and the entries that missed, in order. *)
+let prop_miss_kernel =
+  QCheck.Test.make ~count:10
+    ~name:"miss kernel equals Cache.access plus a filter (4 policies x 1-16 ways, any cuts)"
+    Generators.trace_seed_arb
+    (fun seed ->
+      let rng = Rng.create ~seed:(Int64.of_int seed) in
+      let policies =
+        [| Replacement.Lru; Replacement.Fifo; Replacement.Plru; Replacement.Random (seed land 0xffff) |]
+      and n = 3000 in
+      let into = Array.make n (-1) in
+      Array.iter
+        (fun assoc ->
+          Array.iter
+            (fun policy ->
+              let cache () =
+                Cache.create ~size_bytes:(assoc * 4 * 64) ~assoc ~block_bytes:64 ~policy ()
+              in
+              let case = Printf.sprintf "%d-way %s" assoc (Replacement.name policy) in
+              let trace = kernel_trace rng ~l1_blocks:(4 * assoc) ~l2_blocks:(16 * assoc) n in
+              let by_access = cache () and by_kernel = cache () in
+              let rec pieces = function
+                | a :: (b :: _ as rest) ->
+                  let want = ref [] in
+                  for i = a to b - 1 do
+                    let e = trace.(i) in
+                    if not (Cache.hit (Cache.access by_access (e lsr 1) ~write:(e land 1 = 1)))
+                    then want := e :: !want
+                  done;
+                  let m = Cache.run_misses by_kernel trace a (b - a) ~into in
+                  if Array.to_list (Array.sub into 0 m) <> List.rev !want then
+                    QCheck.Test.fail_reportf "%s, [%d, %d): %d misses copied, %d by access"
+                      case a b m (List.length !want);
+                  if stats_fields (Cache.stats by_access) <> stats_fields (Cache.stats by_kernel)
+                  then QCheck.Test.fail_reportf "%s, [%d, %d): statistics differ" case a b;
+                  pieces rest
+                | _ -> ()
+              in
+              pieces (kernel_cuts rng n))
+            policies)
+        [| 1; 2; 4; 8; 16 |];
+      (match Cache.run_misses (make ~size:1024 ~assoc:2 ~block:64 ()) into 0 2 ~into:[| 0 |] with
+       | _ -> QCheck.Test.fail_reportf "a buffer shorter than the range was accepted"
+       | exception Invalid_argument _ -> ());
+      true)
+
 (* A fully sparse trace puts every block on its own first-touch page,
    the bit pages' worst case.  It must cost at most 4x the bytes per
    distinct block of an Intmap holding each block (created as the
@@ -684,4 +731,5 @@ let suite =
         prop_stats_bookkeeping;
         prop_kernel_against_references;
         prop_chunk_kernels;
+        prop_miss_kernel;
       ]

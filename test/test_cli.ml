@@ -199,6 +199,43 @@ let test_flag_surface_pinned () =
       Alcotest.(check (list string)) (name ^ ": long flags") want (long_flags help))
     pinned_flags
 
+(* --- trace record ------------------------------------------------------ *)
+
+(* [trace record --workload] draws packed entries through
+   [Stream.of_workload] and [Stream_trace.record_stream]; its file must
+   be the bytes [Stream_trace.write_file] writes from the boxed
+   accesses of [Gen.next], at a chunk that divides nothing evenly and
+   at the default. *)
+let test_trace_record_bytes () =
+  let module Gen = Nmcache_workload.Gen in
+  let module Registry = Nmcache_workload.Registry in
+  let module Stream_trace = Nmcache_cachesim.Stream_trace in
+  let dir = tmpdir () in
+  List.iter
+    (fun (workload, n, chunk, seed) ->
+      let out = Filename.concat dir "cli.pptrc" and ref_path = Filename.concat dir "ref.pptrc" in
+      let status, stdout, _ =
+        run_ppcache ~dir
+          [ "trace"; "record"; "--workload"; workload; "--accesses"; string_of_int n;
+            "--chunk"; string_of_int chunk; "--seed"; Int64.to_string seed; "--out"; out ]
+      in
+      Alcotest.(check bool) (workload ^ ": exit 0") true (status = Unix.WEXITED 0);
+      Alcotest.(check string) (workload ^ ": its summary line")
+        (Printf.sprintf "recorded %s: %d accesses to %s (chunk %d)\n" workload n out chunk)
+        stdout;
+      let gen = Registry.build ~seed workload in
+      Stream_trace.write_file ~path:ref_path ~name:workload ~chunk_size:chunk
+        ~next:(fun () ->
+          let a = Gen.next gen in
+          { Nmcache_cachesim.Trace.addr = a.Nmcache_workload.Access.addr;
+            write = a.Nmcache_workload.Access.write })
+        ~n ();
+      Alcotest.(check bool) (workload ^ ": the bytes write_file writes") true
+        (read_file out = read_file ref_path);
+      Alcotest.(check bool) (workload ^ ": no spool left behind") false
+        (Sys.file_exists (out ^ ".spool")))
+    [ ("tpcc", 100_003, 777, 7L); ("spec2000-mix", 70_000, 65_536, 42L); ("specweb", 0, 100, 3L) ]
+
 let suite =
   [
     Alcotest.test_case "usage errors leave an existing --events file alone" `Quick
@@ -207,4 +244,6 @@ let suite =
       test_bad_config_writes_no_report;
     Alcotest.test_case "every subcommand offers exactly its pinned flags" `Quick
       test_flag_surface_pinned;
+    Alcotest.test_case "trace record --workload writes write_file's bytes" `Quick
+      test_trace_record_bytes;
   ]

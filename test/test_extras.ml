@@ -79,6 +79,65 @@ let prop_prefetch_degree0_equals_hierarchy =
       (Cache.stats l1a).Stats.misses = (Cache.stats l1b).Stats.misses
       && (Cache.stats l2a).Stats.misses = (Cache.stats l2b).Stats.misses)
 
+(* [Prefetch.run] is [Prefetch.access] on each packed entry, demand
+   counts included, at degrees 0-3 and with the demand counts reset
+   between pieces. *)
+let prop_prefetch_run_equals_access =
+  QCheck.Test.make ~count:10 ~name:"Prefetch.run = Prefetch.access on each entry (any cuts)"
+    Generators.trace_seed_arb
+    (fun seed ->
+      let rng = Rng.create ~seed:(Int64.of_int seed) in
+      let n = 3_000 in
+      let trace =
+        Array.init n (fun _ ->
+            let addr = (64 * Rng.int rng ~bound:1024) + Rng.int rng ~bound:64 in
+            (addr lsl 1) lor Bool.to_int (Rng.int rng ~bound:3 = 0))
+      in
+      let cuts =
+        List.sort compare (0 :: n :: List.init (1 + Rng.int rng ~bound:5) (fun _ -> Rng.int rng ~bound:(n + 1)))
+      in
+      List.iter
+        (fun degree ->
+          let by_access =
+            let l1, l2 = fresh_pair () in
+            Prefetch.create ~degree ~l1 ~l2 ()
+          and by_run =
+            let l1, l2 = fresh_pair () in
+            Prefetch.create ~degree ~l1 ~l2 ()
+          in
+          let view p =
+            let h = Prefetch.hierarchy p in
+            ( (Cache.stats (Hierarchy.l1 h), Cache.stats (Hierarchy.l2 h)),
+              (Hierarchy.memory_reads h, Hierarchy.memory_writes h),
+              (Prefetch.prefetches p, Prefetch.useful_prefetches p),
+              (Prefetch.demand_accesses p, Prefetch.demand_misses p) )
+          in
+          let demand = ref 0 and misses = ref 0 in
+          let rec pieces = function
+            | a :: (b :: _ as rest) ->
+              for i = a to b - 1 do
+                let e = trace.(i) in
+                let o = Prefetch.access by_access (e lsr 1) ~write:(e land 1 = 1) in
+                if not (Prefetch.l1_hit o) then begin
+                  incr demand;
+                  if not (Prefetch.l2_hit o) then incr misses
+                end
+              done;
+              Prefetch.run by_run trace a (b - a);
+              if view by_access <> view by_run
+                 || (!demand, !misses) <> (Prefetch.demand_accesses by_run, Prefetch.demand_misses by_run)
+              then QCheck.Test.fail_reportf "degree %d, [%d, %d): the two paths differ" degree a b;
+              Prefetch.reset_demand by_access;
+              Prefetch.reset_demand by_run;
+              demand := 0;
+              misses := 0;
+              pieces rest
+            | _ -> ()
+          in
+          pieces cuts)
+        [ 0; 1; 2; 3 ];
+      true)
+
 (* --- phased ----------------------------------------------------------------- *)
 
 let test_phased_cycles () =
@@ -118,4 +177,5 @@ let suite =
     Alcotest.test_case "phased deterministic" `Quick test_phased_deterministic;
     Alcotest.test_case "phased validation" `Quick test_phased_validation;
   ]
-  @ List.map Generators.to_alcotest [ prop_prefetch_degree0_equals_hierarchy ]
+  @ List.map Generators.to_alcotest
+      [ prop_prefetch_degree0_equals_hierarchy; prop_prefetch_run_equals_access ]

@@ -149,6 +149,51 @@ let prop_matches_fullassoc_lru =
       done;
       (Cache.stats cache).Stats.misses = Mattson.misses_at m ~capacity_blocks:capacity)
 
+(* [Mattson.run] is [Mattson.access] on each packed entry: the same
+   histogram, counts and CDF after every piece, with measuring switched
+   between pieces as a walk's warm-up cut does, and a timestamp space
+   small enough that compaction runs inside pieces. *)
+let prop_run_matches_access =
+  QCheck.Test.make ~count:25 ~name:"Mattson.run = Mattson.access on each entry (any cuts)"
+    Generators.trace_seed_arb
+    (fun seed ->
+      let rng = Rng.create ~seed:(Int64.of_int seed) in
+      let n = 5_000 in
+      let entries =
+        Array.init n (fun _ ->
+            let b = if Rng.int rng ~bound:4 = 0 then Rng.int rng ~bound:5_000 else Rng.int rng ~bound:60 in
+            let addr = (64 * b) + Rng.int rng ~bound:64 in
+            (addr lsl 1) lor Rng.int rng ~bound:2)
+      in
+      let cuts =
+        List.sort compare (0 :: n :: List.init (1 + Rng.int rng ~bound:6) (fun _ -> Rng.int rng ~bound:(n + 1)))
+      in
+      let by_access = Mattson.create ~initial_capacity:64 ~block_bytes:64 ()
+      and by_run = Mattson.create ~initial_capacity:64 ~block_bytes:64 () in
+      let same at =
+        let view m = (Mattson.histogram m, Mattson.cold_misses m, Mattson.accesses m,
+                      Mattson.distinct_blocks m, Mattson.cdf m) in
+        if view by_access <> view by_run then
+          QCheck.Test.fail_reportf "seed %d: profiles differ after %s" seed at
+      in
+      let rec pieces measuring = function
+        | a :: (b :: _ as rest) ->
+          Mattson.set_measuring by_access measuring;
+          Mattson.set_measuring by_run measuring;
+          for i = a to b - 1 do
+            Mattson.access by_access (entries.(i) lsr 1)
+          done;
+          Mattson.run by_run entries a (b - a);
+          same (Printf.sprintf "[%d, %d)" a b);
+          pieces (not measuring) rest
+        | _ -> ()
+      in
+      pieces false cuts;
+      (match Mattson.run by_run entries (n - 1) 2 with
+       | () -> QCheck.Test.fail_reportf "a range past the end was accepted"
+       | exception Invalid_argument _ -> ());
+      true)
+
 (* Registered workloads (shared generator): the one-pass miss-ratio
    curve must be a valid non-increasing curve on every real trace. *)
 let prop_workload_curve_monotone =
@@ -235,4 +280,4 @@ let suite =
     Alcotest.test_case "validation" `Quick test_validation;
   ]
   @ List.map Generators.to_alcotest
-      [ prop_matches_fullassoc_lru; prop_workload_curve_monotone ]
+      [ prop_matches_fullassoc_lru; prop_run_matches_access; prop_workload_curve_monotone ]

@@ -138,7 +138,11 @@ let test_json_accessors () =
   Alcotest.(check (option string)) "str member" (Some "x")
     (Option.bind (Json.member "b" v) Json.to_str);
   Alcotest.(check (option string)) "missing member" None
-    (Option.bind (Json.member "zzz" v) Json.to_str)
+    (Option.bind (Json.member "zzz" v) Json.to_str);
+  Alcotest.(check (option int)) "the first of two same-named fields wins" (Some 1)
+    (Option.bind (Json.member "k" (Json.parse_exn {|{"j": 0, "k": 1, "k": 2}|})) Json.to_int);
+  Alcotest.(check (option int)) "no member of a non-object" None
+    (Option.bind (Json.member "k" (Json.Int 1)) Json.to_int)
 
 (* --- metrics -------------------------------------------------------------- *)
 

@@ -9,6 +9,7 @@ module Intmap = Nmcache_cachesim.Intmap
 module Mattson = Nmcache_cachesim.Mattson
 module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
+module Stream_trace = Nmcache_cachesim.Stream_trace
 module Metrics = Nmcache_engine.Metrics
 module Gen = Nmcache_workload.Gen
 module Registry = Nmcache_workload.Registry
@@ -255,12 +256,16 @@ let prefetcher degree =
   let measuring = ref false and demand = ref 0 and misses = ref 0 in
   ( {
       Gen.feed =
-        (fun addr write ->
-          let o = Prefetch.access p addr ~write in
-          if !measuring && not (Prefetch.l1_hit o) then begin
-            incr demand;
-            if not (Prefetch.l2_hit o) then incr misses
-          end);
+        (fun entries pos len ->
+          for i = pos to pos + len - 1 do
+            let e = entries.(i) in
+            let addr = Stream_trace.addr e and write = Stream_trace.is_write e in
+            let o = Prefetch.access p addr ~write in
+            if !measuring && not (Prefetch.l1_hit o) then begin
+              incr demand;
+              if not (Prefetch.l2_hit o) then incr misses
+            end
+          done);
       measure = (fun () -> measuring := true);
     },
     fun () -> (!demand, !misses, Prefetch.prefetches p, Prefetch.useful_prefetches p) )
@@ -312,6 +317,139 @@ let test_fused_walk_equivalence () =
         fused)
     [ 5L; 6L ]
 
+(* One consumer of every kind a reproduction fuses, each running the
+   chunk through its kernel, and what it appends to a digest once the
+   walk is done: a profile's distances, counts, cold misses and
+   accesses, and a simulation's statistics. *)
+let ints buf a =
+  Buffer.add_int64_le buf (Int64.of_int (Array.length a));
+  Array.iter (fun v -> Buffer.add_int64_le buf (Int64.of_int v)) a
+
+let add_stats buf (s : Stats.t) =
+  ints buf
+    [| s.Stats.accesses; s.Stats.hits; s.Stats.misses; s.Stats.read_accesses;
+       s.Stats.write_accesses; s.Stats.evictions; s.Stats.writebacks; s.Stats.cold_misses |]
+
+let cache ?(assoc = 4) ?(policy = Replacement.Lru) size =
+  Cache.create ~size_bytes:size ~assoc ~block_bytes:64 ~policy ()
+
+let add_profile m buf =
+  let dists, suffix = Mattson.cdf m in
+  let k = Array.length dists in
+  ints buf dists;
+  ints buf (Array.init k (fun i -> if i + 1 < k then suffix.(i) - suffix.(i + 1) else suffix.(i)));
+  ints buf [| Mattson.cold_misses m; Mattson.accesses m |]
+
+let raw_consumer block =
+  let m = Mattson.create ~block_bytes:block () in
+  Mattson.set_measuring m false;
+  ( { Gen.feed = Mattson.run m; measure = (fun () -> Mattson.set_measuring m true) },
+    add_profile m )
+
+let filtered_consumer ~scratch size =
+  let m = Mattson.create ~block_bytes:64 () in
+  Mattson.set_measuring m false;
+  let l1 = cache size in
+  ( {
+      Gen.feed =
+        (fun entries pos len ->
+          Mattson.run m scratch 0 (Cache.run_misses l1 entries pos len ~into:scratch));
+      measure =
+        (fun () ->
+          Cache.reset_stats l1;
+          Mattson.set_measuring m true);
+    },
+    fun buf ->
+      add_profile m buf;
+      add_stats buf (Cache.stats l1) )
+
+let cache_consumer policy =
+  let c = cache ~policy (kb 16) in
+  ( { Gen.feed = Cache.run c; measure = (fun () -> Cache.reset_stats c) },
+    fun buf -> add_stats buf (Cache.stats c) )
+
+let hierarchy_consumer policy =
+  let l1 = cache ~policy (kb 16) and l2 = cache ~assoc:8 ~policy (kb 1024) in
+  let h = Hierarchy.create ~l1 ~l2 in
+  ( {
+      Gen.feed = Hierarchy.run h;
+      measure =
+        (fun () ->
+          Cache.reset_stats l1;
+          Cache.reset_stats l2);
+    },
+    fun buf ->
+      add_stats buf (Cache.stats l1);
+      add_stats buf (Cache.stats l2);
+      ints buf [| Hierarchy.memory_reads h; Hierarchy.memory_writes h |] )
+
+let prefetch_consumer degree =
+  let l1 = cache (kb 16) and l2 = cache ~assoc:8 (kb 256) in
+  let p = Prefetch.create ~degree ~l1 ~l2 () in
+  ( { Gen.feed = Prefetch.run p; measure = (fun () -> Prefetch.reset_demand p) },
+    fun buf ->
+      let h = Prefetch.hierarchy p in
+      add_stats buf (Cache.stats l1);
+      add_stats buf (Cache.stats l2);
+      ints buf
+        [| Hierarchy.memory_reads h; Hierarchy.memory_writes h; Prefetch.demand_accesses p;
+           Prefetch.demand_misses p; Prefetch.prefetches p; Prefetch.useful_prefetches p |] )
+
+(* raw profiles at 32/64/128 B blocks, L1-filtered profiles behind
+   4-64 KB L1s sharing one scratch, FIFO/Random/PLRU L1s, four L1/L2
+   hierarchies and next-line prefetchers of degree 0-2 *)
+let every_kind () =
+  let scratch = Array.make Gen.chunk_size 0 in
+  List.map raw_consumer [ 32; 64; 128 ]
+  @ List.map (fun s -> filtered_consumer ~scratch (kb s)) [ 4; 8; 16; 32; 64 ]
+  @ List.map cache_consumer [ Replacement.Fifo; Replacement.Random 17; Replacement.Plru ]
+  @ List.map hierarchy_consumer
+      [ Replacement.Lru; Replacement.Fifo; Replacement.Random 17; Replacement.Plru ]
+  @ List.map prefetch_consumer [ 0; 1; 2 ]
+
+(* Known answers computed with the per-access consumers ([Mattson.access],
+   [Cache.access] behind an L1 filter, [Cache.access], [Hierarchy.access],
+   [Prefetch.access]) fed one access at a time by the walk the chunked
+   one replaced, on spec2000-mix at seed 42.  At n = 200,001 the warm-up
+   cut (access 100,000) falls inside the walk's 25th chunk; at n = 3,000
+   the walk is one partial chunk. *)
+let walk_digests =
+  [ (200_001, "3b70cf612247146d8915fe024af91228"); (3_000, "732fe26fb58d116a5c5cae8a1c3631db") ]
+
+let test_walk_pinned () =
+  List.iter
+    (fun (n, want) ->
+      let consumers = every_kind () in
+      Gen.walk ~stage:"test" (Registry.build ~seed:42L "spec2000-mix") n
+        (Array.of_list (List.map fst consumers));
+      let buf = Buffer.create 4096 in
+      List.iter (fun (_, add) -> add buf) consumers;
+      Alcotest.(check string)
+        (Printf.sprintf "%d consumers, n %d" (List.length consumers) n)
+        want
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    walk_digests
+
+(* Handing a chunk to a consumer allocates nothing: once 20 consumers
+   have grown to a trace's footprint (first-touch pages, stack-distance
+   maps), walking that trace again allocates only the walk's span and
+   buffer. *)
+let test_walk_allocation_gate () =
+  let n = 200_000 in
+  let consumers =
+    Array.of_list
+      (List.map fst (every_kind () @ [ raw_consumer 256; hierarchy_consumer Replacement.Lru ]))
+  in
+  Alcotest.(check int) "20 consumers" 20 (Array.length consumers);
+  let walk () = Gen.walk ~stage:"test" (Registry.build ~seed:42L "spec2000-mix") n consumers in
+  walk ();
+  let w0 = Gc.minor_words () in
+  walk ();
+  let per_access = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_access > 0.01 then
+    Alcotest.failf "a 20-consumer walk allocates %.4f minor words per access (gate: 0.01)"
+      per_access
+
 (* --- memo-key hygiene ----------------------------------------------------- *)
 
 let test_combined_key_no_alias () =
@@ -336,5 +474,8 @@ let suite =
     Alcotest.test_case "l1 sweep is profile-derived" `Quick test_l1_sweep_derived;
     Alcotest.test_case "combined key cannot alias" `Quick test_combined_key_no_alias;
     Alcotest.test_case "fused walk = one walk per consumer" `Quick test_fused_walk_equivalence;
+    Alcotest.test_case "walks pinned bit for bit" `Quick test_walk_pinned;
+    Alcotest.test_case "alloc gate: a 20-consumer walk allocates <= 0.01 words/access" `Quick
+      test_walk_allocation_gate;
   ]
   @ List.map Generators.to_alcotest [ prop_fullassoc_exact; prop_derived_monotone ]

@@ -130,6 +130,29 @@ let test_generators_known_answers () =
       done)
     known_digests
 
+(* A chunk draw is the per-access draw: [Gen.fill] over pieces of any
+   length, at any offset, writes what [Gen.next_packed] returns. *)
+let test_fill_equals_next_packed () =
+  let rng = Rng.create ~seed:11L in
+  List.iter
+    (fun name ->
+      let by_fill = Registry.build ~seed:42L name and by_next = Registry.build ~seed:42L name in
+      let buf = Array.make 5_000 (-1) in
+      for _ = 1 to 20 do
+        let len = Rng.int rng ~bound:4_097 in
+        let pos = Rng.int rng ~bound:(Array.length buf - len + 1) in
+        Gen.fill by_fill buf pos len;
+        for i = pos to pos + len - 1 do
+          let want = Gen.next_packed by_next in
+          if buf.(i) <> want then
+            Alcotest.failf "%s: entry %d of a %d-entry fill is %d, next_packed %d" name (i - pos)
+              len buf.(i) want
+        done
+      done;
+      Alcotest.check_raises "a range past the end" (Invalid_argument "Gen.fill") (fun () ->
+          Gen.fill by_fill buf 1 (Array.length buf)))
+    Registry.names
+
 (* The steady-state generation path allocates nothing: packed entries,
    unboxed RNG state, float draws that never leave their function.  The
    gate is the ROADMAP's 1 word/access; every workload measures 0. *)
@@ -299,6 +322,7 @@ let suite =
     Alcotest.test_case "generators deterministic" `Quick test_generators_deterministic;
     Alcotest.test_case "generators known answers (seed 42)" `Quick
       test_generators_known_answers;
+    Alcotest.test_case "chunk draw equals next_packed" `Quick test_fill_equals_next_packed;
     Alcotest.test_case "stale journal slots recompute" `Quick test_stale_journal_recomputes;
     Alcotest.test_case "alloc gate: Gen.iter allocates <= 1 minor word/access" `Quick
       test_gen_iter_allocation_gate;
