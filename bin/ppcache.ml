@@ -20,7 +20,6 @@ module Wstream = Nmcache_workload.Stream
 module Trace_rec = Nmcache_cachesim.Trace
 module Stream_trace = Nmcache_cachesim.Stream_trace
 module Cache = Nmcache_cachesim.Cache
-module Hierarchy = Nmcache_cachesim.Hierarchy
 module Replacement = Nmcache_cachesim.Replacement
 
 open Cmdliner
@@ -494,25 +493,23 @@ let print_point ~header p =
   Printf.printf "  L2 local miss rate %.3f%%\n" (100.0 *. p.Missrate.l2_local);
   Printf.printf "  L2 global miss     %.3f%%\n" (100.0 *. p.Missrate.l2_global)
 
-(* The L1/L2 hierarchy `simulate` models, as [Missrate.simulate] builds
-   it for a workload: 4-way L1, 8-way L2, 64-byte blocks, LRU. *)
-let hierarchy ~l1_kb ~l2_kb =
+(* The L1/L2 pair `simulate` models, as [Missrate.simulate_stream]
+   builds it for a workload: 4-way L1, 8-way L2, 64-byte blocks, LRU. *)
+let pair ~l1_kb ~l2_kb =
   let cache kb assoc =
     Cache.create ~size_bytes:(kb * 1024) ~assoc ~block_bytes:64 ~policy:Replacement.Lru ()
   in
-  let l1 = cache l1_kb 4 in
-  let l2 = cache l2_kb 8 in
-  Hierarchy.create ~l1 ~l2
+  Cache.pair ~l1:(cache l1_kb 4) ~l2:(cache l2_kb 8)
 
-(* Simulate a recorded (or piped) trace on the hierarchy [h]: one
-   streamed pass carries the hierarchy, the running statistics analyzer
+(* Simulate a recorded (or piped) trace on the pair [p]: one streamed
+   pass carries the pair, the running statistics analyzer
    and the access count — a single traversal, because a pipe cannot be
    re-read.  When a checkpoint journal is armed and the source is a
    trace file, chunk boundaries are resumable slots.  Returns false for
    an empty trace: there is no defined miss rate, so the caller exits 2
    (after the session has closed the journal and written the reports:
    exit does not unwind Fun.protect). *)
-let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb h =
+let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb p =
   let s =
     match source with
     | `File path -> Stream_trace.of_file ~chunk_size:chunk path
@@ -520,15 +517,15 @@ let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb h =
   in
   let l1_size = l1_kb * 1024 and l2_size = l2_kb * 1024 in
   let salt = Printf.sprintf "simulate-trace:%d:%d" l1_size l2_size in
-  let h, analyzer, count =
-    Stream_trace.resumable_fold ~salt s ~init:(h, Trace_rec.analyzer (), 0)
-      ~f:(fun (h, a, count) ~index:_ chunk ->
+  let p, analyzer, count =
+    Stream_trace.resumable_fold ~salt s ~init:(p, Trace_rec.analyzer (), 0)
+      ~f:(fun (p, a, count) ~index:_ chunk ->
         for i = 0 to Array.length chunk - 1 do
           let e = chunk.(i) in
           Trace_rec.feed_analyzer a (Stream_trace.addr e) (Stream_trace.is_write e)
         done;
-        Hierarchy.run h chunk 0 (Array.length chunk);
-        (h, a, count + Array.length chunk))
+        Cache.run_pair p chunk 0 (Array.length chunk);
+        (p, a, count + Array.length chunk))
   in
   (* a file whose tail was torn off or cut at a record boundary yields
      fewer accesses than its header declares: say so on stderr, leaving
@@ -561,16 +558,11 @@ let simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb h =
     Printf.printf "trace %s (%d accesses, L1 %dKB, L2 %dKB):\n" (Stream_trace.name s)
       count l1_kb l2_kb;
     Format.printf "  %a@." Trace_rec.pp_stats (Trace_rec.analyzer_stats analyzer);
-    print_point ~header:""
-      {
-        Missrate.l1_miss = Hierarchy.l1_miss_rate h;
-        l2_local = Hierarchy.l2_local_miss_rate h;
-        l2_global = Hierarchy.l2_global_miss_rate h;
-      };
+    print_point ~header:"" (Missrate.point_of_pair p);
     true
   end
 
-let simulate workload l1_kb l2_kb n stream chunk trace_file trace_stdin session =
+let simulate workload l1_kb l2_kb n chunk trace_file trace_stdin session =
   require_positive "l1" l1_kb;
   require_positive "l2" l2_kb;
   require_positive "chunk" chunk;
@@ -600,33 +592,28 @@ let simulate workload l1_kb l2_kb n stream chunk trace_file trace_stdin session 
   | Some _ -> ());
   let ok = ref true in
   usage_guard (fun () ->
-      (* built before the session, so that a size the hierarchy refuses
+      (* built before the session, so that a size the pair refuses
          exits 2 before any report file is touched *)
-      let h = hierarchy ~l1_kb ~l2_kb in
+      let p = pair ~l1_kb ~l2_kb in
       with_session session (fun _ ->
           match source with
           | None ->
-            (* the workload path: --stream must not change a byte of
-               the output (the stream gate diffs the two stdouts) *)
-            let p =
+            (* a workload streams, so --checkpoint journals its chunks *)
+            let point =
               Nmcache_engine.Span.with_span
                 ~attrs:[ ("workload", Nmcache_engine.Json.String workload) ]
                 "simulate"
                 (fun () ->
-                  if stream then
-                    Missrate.simulate_stream
-                      ~stream:(Wstream.of_workload ~chunk_size:chunk ~workload ~n ())
-                      ~l1_size:(l1_kb * 1024) ~l2_size:(l2_kb * 1024) ()
-                  else
-                    Missrate.simulate ~workload ~l1_size:(l1_kb * 1024)
-                      ~l2_size:(l2_kb * 1024) ~n ())
+                  Missrate.simulate_stream
+                    ~stream:(Wstream.of_workload ~chunk_size:chunk ~workload ~n ())
+                    ~l1_size:(l1_kb * 1024) ~l2_size:(l2_kb * 1024) ())
             in
             print_point
               ~header:
                 (Printf.sprintf "%s over %d accesses (L1 %dKB, L2 %dKB):\n" workload n
                    l1_kb l2_kb)
-              p
-          | Some source -> ok := simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb h));
+              point
+          | Some source -> ok := simulate_trace_source ~source ~chunk ~l1_kb ~l2_kb p));
   if not !ok then exit 2
 
 let simulate_cmd =
@@ -636,16 +623,6 @@ let simulate_cmd =
   let l1 = Arg.(value & opt int 16 & info [ "l1" ] ~docv:"KB" ~doc:"L1 size in KB.") in
   let l2 = Arg.(value & opt int 1024 & info [ "l2" ] ~docv:"KB" ~doc:"L2 size in KB.") in
   let n = Arg.(value & opt int 2_000_000 & info [ "n"; "accesses" ] ~doc:"Trace length.") in
-  let stream =
-    Arg.(
-      value & flag
-      & info [ "stream" ]
-          ~doc:
-            "Simulate the workload through the chunked streaming engine (O(chunk) \
-             memory) instead of generator iteration.  Output is byte-identical \
-             either way; with $(b,--checkpoint), chunk boundaries become resume \
-             points.")
-  in
   let chunk =
     Arg.(
       value & opt int Stream_trace.default_chunk_size
@@ -677,13 +654,14 @@ let simulate_cmd =
   in
   let doc =
     "Simulate a workload (or a recorded/piped trace) through an L1+L2 hierarchy \
-     and print miss rates.  Streamed and materialised paths are byte-identical; \
-     with $(b,--checkpoint) a killed streamed run resumes byte-identically."
+     and print miss rates.  Every source is streamed a chunk at a time in \
+     O(chunk) memory; with $(b,--checkpoint) a killed run of a workload or a \
+     trace file resumes byte-identically."
   in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
-      const simulate $ workload $ l1 $ l2 $ n $ stream $ chunk $ trace_file
-      $ trace_stdin $ session_term ~prom:false ())
+      const simulate $ workload $ l1 $ l2 $ n $ chunk $ trace_file $ trace_stdin
+      $ session_term ~prom:false ())
 
 (* --- trace ------------------------------------------------------------- *)
 

@@ -10,8 +10,8 @@ module Rng = Nmcache_numerics.Rng
 module Gen = Nmcache_workload.Gen
 module Regions = Nmcache_workload.Regions
 module Cache = Nmcache_cachesim.Cache
-module Hierarchy = Nmcache_cachesim.Hierarchy
 module Replacement = Nmcache_cachesim.Replacement
+module Stats = Nmcache_cachesim.Stats
 module System = Nmcache_energy.System
 module Component = Nmcache_geometry.Component
 module Units = Nmcache_physics.Units
@@ -41,18 +41,17 @@ let () =
   let ctx = Core.Context.default () in
   let gen = video_server ~seed:7L in
 
-  (* measure miss rates with an explicit hierarchy *)
+  (* measure miss rates with an explicit L1/L2 pair *)
   let l1 =
     Cache.create ~size_bytes:(kb 16) ~assoc:4 ~block_bytes:64 ~policy:Replacement.Lru ()
   in
   let l2 =
     Cache.create ~size_bytes:(mb 1) ~assoc:8 ~block_bytes:64 ~policy:Replacement.Lru ()
   in
-  let h = Hierarchy.create ~l1 ~l2 in
-  Gen.iter ~stage:"simulate" gen 2_000_000 (fun addr write ->
-      ignore (Hierarchy.access h addr ~write));
-  let m1 = Hierarchy.l1_miss_rate h in
-  let m2 = Hierarchy.l2_local_miss_rate h in
+  let p = Cache.pair ~l1 ~l2 in
+  Gen.iter ~stage:"simulate" gen 2_000_000 (fun addr write -> ignore (Cache.step p addr ~write));
+  let m1 = Stats.miss_rate (Cache.stats l1) in
+  let m2 = Stats.miss_rate (Cache.stats l2) in
   Printf.printf "video-server: L1 miss %.2f%%, L2 local miss %.2f%%\n" (100.0 *. m1)
     (100.0 *. m2);
 

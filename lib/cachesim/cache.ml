@@ -327,7 +327,10 @@ type pair = {
   mutable memory_writes : int;
 }
 
-let pair ~l1 ~l2 = { l1; l2; memory_reads = 0; memory_writes = 0 }
+let pair ~l1 ~l2 =
+  if l1.block_bytes <> l2.block_bytes then invalid_arg "Cache.pair: L1/L2 block sizes differ";
+  if l2.size_bytes < l1.size_bytes then invalid_arg "Cache.pair: L2 smaller than L1";
+  { l1; l2; memory_reads = 0; memory_writes = 0 }
 
 (* One access through L1, then on a miss L2 and memory: a dirty L1
    victim is written into L2 at its first byte (its block number
@@ -359,6 +362,11 @@ let run_pair p entries pos len =
     let e = Array.unsafe_get entries i in
     ignore (step p (e lsr 1) ~write:(e land 1 = 1))
   done
+
+let l2_global_miss_rate p =
+  let s1 = p.l1.stats and s2 = p.l2.stats in
+  if s1.Stats.accesses = 0 then 0.0
+  else float_of_int s2.Stats.misses /. float_of_int s1.Stats.accesses
 
 let contains t addr =
   let block = addr lsr t.block_shift in

@@ -78,11 +78,14 @@ type pair = private {
   mutable memory_writes : int;  (** dirty L2 victims written to memory *)
 }
 (** An L1 over an L2 over main memory: the state {!step} moves.
-    {!Hierarchy} is its checked, named view. *)
+    Every access probes the L1; an L1 miss probes the L2, and an L2
+    miss goes to memory.  This is the architectural simulation the
+    paper's Section 5 takes its miss rates from. *)
 
 val pair : l1:t -> l2:t -> pair
-(** A pair with zeroed memory counters.  The shapes are not checked
-    here: {!Hierarchy.create} checks them. *)
+(** A pair with zeroed memory counters.  Raises [Invalid_argument] if
+    the L2's block size differs from the L1's (refills would be
+    ill-defined) or the L2 is smaller than the L1. *)
 
 val step : pair -> int -> write:bool -> int
 (** One access through the pair: the L1 access; on a miss, a dirty L1
@@ -97,6 +100,10 @@ val run_pair : pair -> int array -> int -> int -> unit
 (** [run_pair p entries pos len] is {!step} on each of
     [entries.(pos) .. entries.(pos + len - 1)], in order.  Raises
     [Invalid_argument] if the range is not inside [entries]. *)
+
+val l2_global_miss_rate : pair -> float
+(** L2 misses over L1 accesses (0 before any access).  The local rates
+    are each level's own {!Stats.miss_rate}. *)
 
 val contains : t -> int -> bool
 (** Whether the block holding this byte address is currently resident

@@ -1,5 +1,5 @@
 type t = {
-  hierarchy : Hierarchy.t;
+  pair : Cache.pair;
   degree : int;
   block_shift : int;
   mutable issued : int;
@@ -21,7 +21,7 @@ let prefetches_issued o = o lsr 2
 let create ?(degree = 1) ~l1 ~l2 () =
   if degree < 0 then invalid_arg "Prefetch.create: degree < 0";
   {
-    hierarchy = Hierarchy.create ~l1 ~l2;
+    pair = Cache.pair ~l1 ~l2;
     degree;
     block_shift = Cache.block_shift l1;
     issued = 0;
@@ -31,7 +31,7 @@ let create ?(degree = 1) ~l1 ~l2 () =
     pending = Intmap.create ~initial_capacity:1024 ();
   }
 
-let hierarchy t = t.hierarchy
+let hierarchy t = t.pair
 let prefetches t = t.issued
 let useful_prefetches t = t.useful
 let accuracy t = if t.issued = 0 then 0.0 else float_of_int t.useful /. float_of_int t.issued
@@ -46,19 +46,19 @@ let reset_demand t =
    block number is a shift, not a division. *)
 let[@inline] access t addr ~write =
   let block_no = addr lsr t.block_shift in
+  let l2 = t.pair.Cache.l2 in
   (* credit a pending prefetch if this demand hits one *)
   if Intmap.find t.pending block_no ~default:0 = 1 then begin
     Intmap.replace t.pending block_no 0;
-    let l2 = Hierarchy.l2 t.hierarchy in
     if Cache.contains l2 addr then t.useful <- t.useful + 1
   end;
-  let o = Hierarchy.access t.hierarchy addr ~write in
+  (* the level that served the demand: 0 L1, 1 L2, 2 memory *)
+  let level = Cache.step t.pair addr ~write in
   let issued = ref 0 in
-  if not o.Hierarchy.l1_hit then begin
+  if level > 0 then begin
     t.demand <- t.demand + 1;
-    if not o.Hierarchy.l2_hit then t.demand_misses <- t.demand_misses + 1;
+    if level = 2 then t.demand_misses <- t.demand_misses + 1;
     (* demand L1 miss: stream the next [degree] lines into L2 *)
-    let l2 = Hierarchy.l2 t.hierarchy in
     for k = 1 to t.degree do
       let next = (block_no + k) lsl t.block_shift in
       if not (Cache.contains l2 next) then begin
@@ -69,9 +69,7 @@ let[@inline] access t addr ~write =
       end
     done
   end;
-  (!issued lsl 2)
-  lor (if o.Hierarchy.l2_hit then 2 else 0)
-  lor if o.Hierarchy.l1_hit then 1 else 0
+  (!issued lsl 2) lor (Bool.to_int (level = 1) lsl 1) lor Bool.to_int (level = 0)
 
 let run t entries pos len =
   if pos < 0 || len < 0 || pos > Array.length entries - len then invalid_arg "Prefetch.run";

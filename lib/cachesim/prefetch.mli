@@ -1,5 +1,5 @@
-(** Sequential (next-N-line) prefetching on top of a two-level
-    hierarchy.
+(** Sequential (next-N-line) prefetching on top of an L1/L2
+    {!Cache.pair}.
 
     On every L1 demand miss, the prefetcher issues the next [degree]
     blocks into L2 (prefetches never allocate into L1 and are not
@@ -15,9 +15,9 @@ type outcome = private int
     {!l1_hit}, {!l2_hit} and {!prefetches_issued}. *)
 
 val create : ?degree:int -> l1:Cache.t -> l2:Cache.t -> unit -> t
-(** Wrap a hierarchy with a prefetcher of the given [degree] (default 1,
-    i.e. next-line).  Raises [Invalid_argument] if [degree < 0] or the
-    caches are incompatible (see {!Hierarchy.create}). *)
+(** Pair the caches ({!Cache.pair}) under a prefetcher of the given
+    [degree] (default 1, i.e. next-line).  Raises [Invalid_argument] if
+    [degree < 0] or the caches are incompatible (see {!Cache.pair}). *)
 
 val access : t -> int -> write:bool -> outcome
 
@@ -37,7 +37,9 @@ val l2_hit : outcome -> bool
 val prefetches_issued : outcome -> int
 (** Prefetch fills this access issued into L2. *)
 
-val hierarchy : t -> Hierarchy.t
+val hierarchy : t -> Cache.pair
+(** The pair the demand accesses run through. *)
+
 val prefetches : t -> int
 (** Total prefetch fills issued. *)
 

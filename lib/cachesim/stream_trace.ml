@@ -49,6 +49,14 @@ let check_addr ~where addr =
   if not (in_domain addr) then
     invalid_arg (Printf.sprintf "%s: address %d outside [0, 2^61)" where addr)
 
+(* The first address of [addr_at pos .. addr_at (pos + len - 1)]
+   outside the domain raises, naming it: the pass a range takes only
+   once a branchless OR over it has found one. *)
+let reject_first ~where addr_at pos len =
+  for i = pos to pos + len - 1 do
+    check_addr ~where (addr_at i)
+  done
+
 let encode_entry buf prev addr write =
   let z = zigzag (addr - prev) in
   let v = ref ((z lsl 1) lor Bool.to_int write) in
@@ -336,9 +344,8 @@ type source =
   | Producer of {
       p_name : string;
       p_n : int;
-      p_make : unit -> unit -> int;
+      p_make : unit -> int array -> int -> int -> unit;
     }
-  | Trace_src of { t_name : string; t_trace : Trace.t }
   | File of { f_path : string; f_header : file_header }
   | Fd of { d_name : string; d_fd : Unix.file_descr }
 
@@ -360,9 +367,21 @@ let of_producer ?(chunk_size = default_chunk_size) ?key ~name ~n make =
     skey = key;
   }
 
-let of_trace ?(chunk_size = default_chunk_size) ?key ~name trace =
-  check_chunk_size chunk_size;
-  { source = Trace_src { t_name = name; t_trace = trace }; chunk_size; skey = key }
+let of_trace ?chunk_size ?key ~name trace =
+  let where = "Stream_trace " ^ name in
+  of_producer ?chunk_size ?key ~name ~n:(Trace.length trace) (fun () ->
+      let next = ref 0 in
+      fun buf pos len ->
+        let start = !next and bits = ref 0 in
+        for k = 0 to len - 1 do
+          let e = Trace.get trace (start + k) in
+          bits := !bits lor e.addr;
+          buf.(pos + k) <- pack e.addr e.write
+        done;
+        (* checked on the addresses: packing would wrap a negative one *)
+        if not (in_domain !bits) then
+          reject_first ~where (fun i -> (Trace.get trace i).addr) start len;
+        next := start + len)
 
 let of_file ?(chunk_size = default_chunk_size) ?key path =
   check_chunk_size chunk_size;
@@ -394,7 +413,6 @@ let of_ndjson_fd ?(chunk_size = default_chunk_size) ~name fd =
 let name t =
   match t.source with
   | Producer { p_name; _ } -> p_name
-  | Trace_src { t_name; _ } -> t_name
   | File { f_header; _ } -> f_header.fh_name
   | Fd { d_name; _ } -> d_name
 
@@ -404,7 +422,6 @@ let key t = t.skey
 let declared_length t =
   match t.source with
   | Producer { p_n; _ } -> Some p_n
-  | Trace_src { t_trace; _ } -> Some (Trace.length t_trace)
   | File { f_header; _ } -> Some f_header.fh_total
   | Fd _ -> None
 
@@ -473,7 +490,7 @@ let file_feed path =
   in
   { fill; close = (fun () -> close_in_noerr ic); first }
 
-(* The sources that yield one entry at a time: [next] returns a packed
+(* The NDJSON pipe yields one entry at a time: [next] returns a packed
    entry, or -1 at the end (packed entries are never negative). *)
 let fill_from next buf pos n =
   let rec go k =
@@ -488,21 +505,26 @@ let fill_from next buf pos n =
   in
   go 0
 
-(* [n] packed entries pulled from [next_entry], each checked against
-   the address domain: an entry is negative exactly when its address,
-   [e lsr 1], is 2^61 or more, and the error names that address *)
-let entry_feed ~name ~n next_entry =
+(* [n] packed entries written a range at a time by [fill], each range
+   checked against the address domain at once: an entry is negative
+   exactly when its address, [e lsr 1], is 2^61 or more, so the OR of
+   the range is negative exactly when one is out of the domain *)
+let range_feed ~name ~n fill =
   let left = ref n and where = "Stream_trace " ^ name in
-  let next () =
-    if !left <= 0 then -1
-    else begin
-      decr left;
-      let e = next_entry () in
-      check_addr ~where (addr e);
-      e
-    end
+  let fill buf pos len =
+    let len = min len !left in
+    if len > 0 then begin
+      fill buf pos len;
+      let bits = ref 0 in
+      for i = pos to pos + len - 1 do
+        bits := !bits lor buf.(i)
+      done;
+      if !bits < 0 then reject_first ~where (fun i -> addr buf.(i)) pos len;
+      left := !left - len
+    end;
+    len
   in
-  { fill = fill_from next; close = ignore; first = n }
+  { fill; close = ignore; first = n }
 
 let ndjson_feed ~name fd =
   let reader = Engine.Server.make_reader fd in
@@ -542,15 +564,7 @@ let ndjson_feed ~name fd =
 
 let feed_of t =
   match t.source with
-  | Producer { p_name; p_n; p_make } -> entry_feed ~name:p_name ~n:p_n (p_make ())
-  | Trace_src { t_name; t_trace } ->
-    let i = ref (-1) and where = "Stream_trace " ^ t_name in
-    entry_feed ~name:t_name ~n:(Trace.length t_trace) (fun () ->
-        incr i;
-        let e = Trace.get t_trace !i in
-        (* checked before packing, which would wrap a negative address *)
-        check_addr ~where e.addr;
-        pack e.addr e.write)
+  | Producer { p_name; p_n; p_make } -> range_feed ~name:p_name ~n:p_n (p_make ())
   | File { f_path; _ } -> file_feed f_path
   | Fd { d_name; d_fd } -> ndjson_feed ~name:d_name d_fd
 
@@ -649,14 +663,13 @@ let replay t cache =
       Cache.run c chunk 0 (Array.length chunk);
       (c, n + Array.length chunk))
 
-let replay_hierarchy t h =
+let replay_hierarchy t p =
   let salt =
-    Printf.sprintf "hier:%s:%s" (cache_salt (Hierarchy.l1 h))
-      (cache_salt (Hierarchy.l2 h))
+    Printf.sprintf "hier:%s:%s" (cache_salt p.Cache.l1) (cache_salt p.Cache.l2)
   in
-  resumable_fold ~salt t ~init:(h, 0) ~f:(fun (h, n) ~index:_ chunk ->
-      Hierarchy.run h chunk 0 (Array.length chunk);
-      (h, n + Array.length chunk))
+  resumable_fold ~salt t ~init:(p, 0) ~f:(fun (p, n) ~index:_ chunk ->
+      Cache.run_pair p chunk 0 (Array.length chunk);
+      (p, n + Array.length chunk))
 
 (* --- recording a stream of unknown length ---------------------------- *)
 

@@ -4,8 +4,8 @@
     A stream is a chunked view over one of three sources — a lazy
     producer (re-runnable generator), a recorded [PPTRC01] trace file,
     or NDJSON lines piped over a file descriptor — simulated through
-    {!Cache}/{!Hierarchy} (and the workload library's profiler)
-    without ever materialising the trace.  Chunk boundaries are the
+    {!Cache}'s kernels, one cache or an L1/L2 {!Cache.pair}, without
+    ever materialising the trace.  Chunk boundaries are the
     engine seams: each boundary polls the cooperative deadline, emits
     a [chunk_done] progress event, and — through {!resumable_fold} —
     registers a checkpoint slot, so a SIGKILLed billion-access run
@@ -56,23 +56,29 @@ val of_producer :
   ?key:string ->
   name:string ->
   n:int ->
-  (unit -> unit -> int) ->
+  (unit -> int array -> int -> int -> unit) ->
   t
 (** [of_producer ~name ~n make]: a lazy generator source of exactly
-    [n] entries, each a packed entry ({!pack}).  [make] must return a
-    {e fresh} producer each call (folds may re-open the stream), and a
-    given producer must be deterministic — the
-    streamed-equals-materialised contract depends on it.  An entry
+    [n] entries.  [make ()] returns a filler: [fill entries pos len]
+    writes the next [len] packed entries ({!pack}) into
+    [entries.(pos) .. entries.(pos + len - 1)].  A fold asks it for
+    whole ranges, never past the [n]th entry, and never for an empty
+    one.  [make] must return a {e fresh} filler each call (folds may
+    re-open the stream), and a given filler must be deterministic —
+    the streamed-equals-materialised contract depends on it.  An entry
     whose {!addr} is outside [\[0, 2^61)] — a negative int, which is
     what {!pack} makes of an address from [2^61] up — raises
-    [Invalid_argument] naming that address when the fold pulls it.  [key], when given, makes folds over the stream
+    [Invalid_argument] naming that address when the fold pulls its
+    range.  [key], when given, makes folds over the stream
     checkpointable; it must name every input the entries depend on
     (workload, seed, n, chunk size).  Raises [Invalid_argument] if
     [n < 0] or [chunk_size < 1]. *)
 
 val of_trace : ?chunk_size:int -> ?key:string -> name:string -> Trace.t -> t
-(** A stream over an already-materialised trace (tests and the
-    differential oracle). *)
+(** A producer stream over an already-materialised trace (tests and the
+    differential oracle), filling each range from it.  An entry whose
+    address is outside [\[0, 2^61)] raises [Invalid_argument] naming
+    that address when the fold pulls its range. *)
 
 val of_file : ?chunk_size:int -> ?key:string -> string -> t
 (** A [PPTRC01] trace file.  The header is read (and validated)
@@ -185,11 +191,11 @@ val resumable_fold :
     The state format names the marshalled layout of the states the
     library's folds journal: [intmap-analyzer] since the statistics
     analyzer that [ppcache simulate --trace-file] journals beside its
-    hierarchy keeps its blocks in an {!Intmap} (it was [bit-pages],
-    with a [Hashtbl]).  A {!Hierarchy.t} is a {!Cache.pair}, the same
-    four-field record it was, and {!Cache.t} is unchanged; any later
-    change to these layouts bumps the format again, so an older
-    journal's slots miss and are recomputed. *)
+    {!Cache.pair} keeps its blocks in an {!Intmap} (it was [bit-pages],
+    with a [Hashtbl]).  The pair is the same four-field record under
+    that format, and {!Cache.t} is unchanged; any later change to these
+    layouts bumps the format again, so an older journal's slots miss
+    and are recomputed. *)
 
 val iter : t -> (int -> bool -> unit) -> int
 (** [iter t g] calls [g addr write] for every entry; returns the
@@ -211,9 +217,9 @@ val replay : t -> Cache.t -> Cache.t * int
     a journal-restored object, {e not} the argument — together with
     the entry count. *)
 
-val replay_hierarchy : t -> Hierarchy.t -> Hierarchy.t * int
-(** {!replay} through a two-level hierarchy, each chunk through the
-    {!Cache.run_pair} kernel ({!Hierarchy.run}). *)
+val replay_hierarchy : t -> Cache.pair -> Cache.pair * int
+(** {!replay} through an L1/L2 pair, each chunk through the
+    {!Cache.run_pair} kernel. *)
 
 (** {1 PPTRC01 recording} *)
 

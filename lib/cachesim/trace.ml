@@ -25,11 +25,11 @@ let replay t cache =
       ignore (Cache.access cache e.addr ~write:e.write))
     t
 
-let replay_hierarchy t h =
+let replay_hierarchy t p =
   Array.iteri
     (fun i e ->
       if i land 4095 = 4095 then Nmcache_engine.Deadline.poll ~stage:"cachesim.replay";
-      ignore (Hierarchy.access h e.addr ~write:e.write))
+      ignore (Cache.step p e.addr ~write:e.write))
     t
 
 type stats = {

@@ -29,7 +29,8 @@ val replay : t -> Cache.t -> unit
 (** Run every entry through a cache (statistics accumulate in the
     cache). *)
 
-val replay_hierarchy : t -> Hierarchy.t -> unit
+val replay_hierarchy : t -> Cache.pair -> unit
+(** Run every entry through an L1/L2 pair, one {!Cache.step} each. *)
 
 type stats = {
   accesses : int;

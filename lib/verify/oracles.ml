@@ -512,8 +512,8 @@ let stream ctx =
       Registry.headline
   in
   let simulate_equiv =
-    (* the CLI-visible contract: --stream must not change a single bit
-       of the reported rates *)
+    (* the CLI-visible contract: `simulate --workload` streams, and
+       streaming must not change a single bit of the walk's rates *)
     let workload = List.hd Registry.headline in
     let l1_size = 32 * 1024 and l2_size = 256 * 1024 in
     let reference =

@@ -1,5 +1,4 @@
 module Cache = Nmcache_cachesim.Cache
-module Hierarchy = Nmcache_cachesim.Hierarchy
 module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Memo = Nmcache_engine.Memo
@@ -81,8 +80,15 @@ let config_slot ~workload ~seed ~n c =
       sim_key ~workload ~l1_size:c.l1_size ~l2_size ~l1_assoc:c.l1_assoc ~l2_assoc
         ~block:c.block ~policy:c.policy ~seed ~n )
 
+let point_of_pair (p : Cache.pair) =
+  {
+    l1_miss = Stats.miss_rate (Cache.stats p.l1);
+    l2_local = Stats.miss_rate (Cache.stats p.l2);
+    l2_global = Cache.l2_global_miss_rate p;
+  }
+
 (* a configuration's walk consumer, which runs each chunk through the
-   [Cache.run] or [Hierarchy.run] kernel, and the point it reads off
+   [Cache.run] or [Cache.run_pair] kernel, and the point it reads off
    its caches once the walk is done *)
 let start c () =
   let cache (size, assoc) =
@@ -94,8 +100,8 @@ let start c () =
     match l2 with
     | None -> (Cache.run l1, fun () -> (nan, nan))
     | Some l2 ->
-      let h = Hierarchy.create ~l1 ~l2 in
-      (Hierarchy.run h, fun () -> (Hierarchy.l2_local_miss_rate h, Hierarchy.l2_global_miss_rate h))
+      let p = Cache.pair ~l1 ~l2 in
+      (Cache.run_pair p, fun () -> (Stats.miss_rate (Cache.stats l2), Cache.l2_global_miss_rate p))
   in
   let measure () =
     Cache.reset_stats l1;
@@ -150,21 +156,16 @@ module Stream_trace = Nmcache_cachesim.Stream_trace
    identical warmup reset (statistics cleared exactly when the running
    access count reaches the warmup boundary), so rates are bitwise
    equal to [simulate]'s for a stream wrapping the same workload — at
-   any chunk size.  Each chunk runs through [Hierarchy.run], split at
+   any chunk size.  Each chunk runs through [Cache.run_pair], split at
    the warm-up cut when the cut falls inside it.  Chunk boundaries
    double as checkpoint slots (Stream_trace.resumable_fold): the state
-   is the hierarchy plus the access count, and the salt names every
+   is the pair plus the access count, and the salt names every
    consumer-side input, so a SIGKILLed run resumes byte-identically.
    Not memoised — the journal is the cross-process cache. *)
 let simulate_stream ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64)
     ?(policy = Replacement.Lru) ?(warmup = true) ~stream ~l1_size ~l2_size () =
-  let l1 =
-    Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block ~policy ()
-  in
-  let l2 =
-    Cache.create ~size_bytes:l2_size ~assoc:l2_assoc ~block_bytes:block ~policy ()
-  in
-  let h = Hierarchy.create ~l1 ~l2 in
+  let cache size assoc = Cache.create ~size_bytes:size ~assoc ~block_bytes:block ~policy () in
+  let p = Cache.pair ~l1:(cache l1_size l1_assoc) ~l2:(cache l2_size l2_assoc) in
   let warm =
     if not warmup then 0
     else
@@ -176,28 +177,25 @@ let simulate_stream ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64)
     Printf.sprintf "simulate:%d:%d:%d:%d:%d:%s:%d" l1_size l2_size l1_assoc
       l2_assoc block (policy_key policy) warm
   in
-  let h, (_ : int) =
-    Stream_trace.resumable_fold ~salt stream ~init:(h, 0)
-      ~f:(fun (h, processed) ~index:_ chunk ->
+  (* on a resumed run the pair that comes back is the journal's *)
+  let p, (_ : int) =
+    Stream_trace.resumable_fold ~salt stream ~init:(p, 0)
+      ~f:(fun (p, processed) ~index:_ chunk ->
         let len = Array.length chunk and cut = warm - processed in
         if cut >= 0 && cut < len then begin
-          Hierarchy.run h chunk 0 cut;
-          Cache.reset_stats (Hierarchy.l1 h);
-          Cache.reset_stats (Hierarchy.l2 h);
-          Hierarchy.run h chunk cut (len - cut)
+          Cache.run_pair p chunk 0 cut;
+          Cache.reset_stats p.l1;
+          Cache.reset_stats p.l2;
+          Cache.run_pair p chunk cut (len - cut)
         end
-        else Hierarchy.run h chunk 0 len;
-        (h, processed + len))
+        else Cache.run_pair p chunk 0 len;
+        (p, processed + len))
   in
   Nmcache_engine.Metrics.incr "cachesim.simulations";
   Nmcache_engine.Metrics.incr "stream.simulations";
-  Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats (Hierarchy.l1 h));
-  Stats.flush_to_metrics ~prefix:"cachesim.l2" (Cache.stats (Hierarchy.l2 h));
-  {
-    l1_miss = Hierarchy.l1_miss_rate h;
-    l2_local = Hierarchy.l2_local_miss_rate h;
-    l2_global = Hierarchy.l2_global_miss_rate h;
-  }
+  Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats p.l1);
+  Stats.flush_to_metrics ~prefix:"cachesim.l2" (Cache.stats p.l2);
+  point_of_pair p
 
 type l2_curve = {
   workload : string;

@@ -22,6 +22,9 @@ type point = {
   l2_global : float;   (** L2 misses / L1 accesses *)
 }
 
+val point_of_pair : Nmcache_cachesim.Cache.pair -> point
+(** The rates of an L1/L2 pair's statistics so far. *)
+
 val simulate :
   ?l1_assoc:int ->
   ?l2_assoc:int ->

@@ -3,9 +3,7 @@ module Mattson = Nmcache_cachesim.Mattson
 module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Memo = Nmcache_engine.Memo
-module Span = Nmcache_engine.Span
 module Metrics = Nmcache_engine.Metrics
-module Json = Nmcache_engine.Json
 
 type kind =
   | Raw
@@ -47,19 +45,18 @@ let key ~workload ~kind ~block ~seed ~n =
     Printf.sprintf "prof:l1:%s:%d:%d:%d:%Ld:%d:%s" workload l1_size l1_assoc block seed n
       Registry.generator_tag
 
-(* One profile under construction, shared by [build_many] and
-   [of_stream]: a profiler, the optional L1 filter in front of it, and
-   the walk consumer that runs each chunk through both.  Measuring
-   starts at the consumer's warm-up boundary.
+(* One profile under construction: a profiler, the optional L1 filter
+   in front of it, and the walk consumer that runs each chunk through
+   both.  Measuring starts at the consumer's warm-up boundary.
 
    A raw profile runs the chunk through [Mattson.run].  A filtered one
    runs it through the L1 with [Cache.run_misses], which copies the
    misses in order into [scratch], and then runs those through
    [Mattson.run]: the profiler never acts on the L1, so filtering a
    piece before profiling it gives the per-access interleaving's
-   result.  Pieces are at most [scratch]'s length, so one scratch
-   serves every filtered consumer of a walk (they run one after
-   another) and a stream's longer chunks too. *)
+   result.  A walk feeds at most [Gen.chunk_size] entries at a time,
+   [scratch]'s length, so one scratch serves every filtered consumer
+   of a walk (they run one after another). *)
 let start ~block ~scratch kind =
   let profiler = Mattson.create ~block_bytes:block () in
   Mattson.set_measuring profiler false;
@@ -77,14 +74,7 @@ let start ~block ~scratch kind =
         ~policy:Replacement.Lru ()
     in
     let feed entries pos len =
-      let pos = ref pos and left = ref len in
-      while !left > 0 do
-        let piece = min !left (Array.length scratch) in
-        let m = Cache.run_misses l1 entries !pos piece ~into:scratch in
-        Mattson.run profiler scratch 0 m;
-        pos := !pos + piece;
-        left := !left - piece
-      done
+      Mattson.run profiler scratch 0 (Cache.run_misses l1 entries pos len ~into:scratch)
     in
     ( profiler,
       Some l1,
@@ -95,8 +85,6 @@ let start ~block ~scratch kind =
             Cache.reset_stats l1;
             Mattson.set_measuring profiler true);
       } )
-
-let new_scratch () = Array.make Gen.chunk_size 0
 
 (* close a traversal: flush its counters and reduce the profiler to the
    suffix CDF *)
@@ -131,14 +119,12 @@ let finish ~workload ~kind ~block ~seed ~n profiler l1_opt =
     l1_miss_rate;
   }
 
-let kind_name = function Raw -> "raw" | L1_filtered _ -> "l1-filtered"
-
 (* One measured walk of the trace builds every requested profile that
    is not memoised yet: the raw stream's CDF, or the miss stream's
    behind an L1 filter.  This is the only place in the derivation
    layer that touches the generator. *)
 let build_many ?(seed = Registry.default_seed) ~workload ~n members =
-  let scratch = lazy (new_scratch ()) in
+  let scratch = lazy (Array.make Gen.chunk_size 0) in
   Gen.walk_memoised ~stage:"simulate"
     ~gen:(fun () -> Registry.build ~seed workload)
     ~n
@@ -164,46 +150,6 @@ let raw ?(block = 64) ?(seed = Registry.default_seed) ~workload ~n () =
 let l1_filtered ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~workload
     ~l1_size ~n () =
   build ~workload ~kind:(L1_filtered { l1_size; l1_assoc }) ~block ~seed ~n
-
-module Stream_trace = Nmcache_cachesim.Stream_trace
-
-(* The streamed twin of [build_many]: the same consumer, fed each
-   chunk of the stream whole, or in two pieces around [measure] when
-   the chunk holds the cut at [warmup_fraction] of the stream's
-   declared length.  So a stream wrapping a registry workload yields a
-   profile equal to [build]'s field for field.  Not memoised (a stream
-   is consumed, not named); deadline polling rides the stream's own
-   chunk boundaries. *)
-let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
-  Span.with_span
-    ~attrs:
-      [
-        ("stream", Json.String (Stream_trace.name stream));
-        ("kind", Json.String (kind_name kind));
-      ]
-    "profile:stream"
-    (fun () ->
-      let profiler, l1_opt, { Gen.feed; measure } =
-        start ~block ~scratch:(new_scratch ()) kind
-      in
-      let warm =
-        match Stream_trace.declared_length stream with
-        | Some n -> int_of_float (warmup_fraction *. float_of_int n)
-        | None -> 0
-      in
-      let n_fed =
-        Stream_trace.fold_chunks stream ~init:0 ~f:(fun fed ~index:_ chunk ->
-            let len = Array.length chunk and cut = warm - fed in
-            if cut >= 0 && cut < len then begin
-              feed chunk 0 cut;
-              measure ();
-              feed chunk cut (len - cut)
-            end
-            else feed chunk 0 len;
-            fed + len)
-      in
-      finish ~workload:(Stream_trace.name stream) ~kind ~block ~seed ~n:n_fed
-        profiler l1_opt)
 
 (* --- derivations: no trace traversal below this line ------------------- *)
 

@@ -58,17 +58,6 @@ val l1_filtered :
   n:int -> unit -> t
 (** Profile the miss stream behind an LRU L1 filter (default 4-way). *)
 
-val of_stream :
-  ?block:int -> ?seed:int64 -> kind:kind -> Nmcache_cachesim.Stream_trace.t -> t
-(** Build a profile from a chunked stream in O(chunk + footprint)
-    memory — the streamed twin of the materialised builders: same
-    profiler, same filter, same warmup discipline (the unmeasured
-    prefix is [warmup_fraction] of the stream's declared length; 0 for
-    a pipe), so profiling a stream that wraps a registry workload
-    yields a result equal field for field to {!raw}/{!l1_filtered} at
-    any chunk size.  Not memoised; [seed] is recorded as metadata
-    only. *)
-
 val misses_at : t -> capacity_blocks:int -> int
 (** Exact fully-associative LRU misses at this capacity: cold + warm
     accesses with distance ≥ capacity.  O(log |dists|).  Raises

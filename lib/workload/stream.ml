@@ -1,6 +1,7 @@
 (* Workload-backed streams: the generator registry's entry point into
    the chunked streaming engine.  A wrapped workload is restartable
-   (every fold re-seeds a fresh generator), so the stream both replays
+   (every fold re-seeds a fresh generator, whose [Gen.fill] draws each
+   range the fold asks for), so the stream both replays
    deterministically and carries a checkpoint key. *)
 
 module Stream_trace = Nmcache_cachesim.Stream_trace
@@ -19,5 +20,4 @@ let of_workload ?(chunk_size = Stream_trace.default_chunk_size)
       Registry.generator_tag
   in
   Stream_trace.of_producer ~chunk_size ~key ~name:workload ~n (fun () ->
-      let gen = Registry.build ~seed workload in
-      fun () -> Gen.next_packed gen)
+      Gen.fill (Registry.build ~seed workload))

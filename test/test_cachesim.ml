@@ -1,7 +1,6 @@
 (* Tests for the architectural cache simulator. *)
 
 module Cache = Nmcache_cachesim.Cache
-module Hierarchy = Nmcache_cachesim.Hierarchy
 module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Intmap = Nmcache_cachesim.Intmap
@@ -190,66 +189,63 @@ let test_cache_validation () =
   expect (fun () -> make ~size:64 ~assoc:2 ~block:64 ());
   expect (fun () -> make ~assoc:3 ~policy:Replacement.Plru ())
 
-(* --- hierarchy ------------------------------------------------------------ *)
+(* --- L1/L2 pair ------------------------------------------------------------ *)
 
 let test_hierarchy_flow () =
   let l1 = make ~size:(kb 1) ~assoc:2 () in
   let l2 = make ~size:(kb 8) ~assoc:4 () in
-  let h = Hierarchy.create ~l1 ~l2 in
-  let o1 = Hierarchy.access h 0 ~write:false in
-  Alcotest.(check bool) "cold: miss everywhere" true
-    ((not o1.Hierarchy.l1_hit) && (not o1.Hierarchy.l2_hit) && o1.Hierarchy.memory_access);
-  let o2 = Hierarchy.access h 0 ~write:false in
-  Alcotest.(check bool) "L1 hit on repeat" true o2.Hierarchy.l1_hit;
-  Alcotest.(check int) "one memory read" 1 (Hierarchy.memory_reads h)
+  let p = Cache.pair ~l1 ~l2 in
+  Alcotest.(check int) "cold: served by memory" 2 (Cache.step p 0 ~write:false);
+  Alcotest.(check int) "L1 hit on repeat" 0 (Cache.step p 0 ~write:false);
+  Alcotest.(check int) "one memory read" 1 p.Cache.memory_reads
 
 let test_hierarchy_l2_catches_l1_evictions () =
   let l1 = make ~size:(2 * 64) ~assoc:2 () in
   let l2 = make ~size:(kb 8) ~assoc:4 () in
-  let h = Hierarchy.create ~l1 ~l2 in
+  let p = Cache.pair ~l1 ~l2 in
   (* touch 3 conflicting blocks: third evicts first from L1, but L2 keeps it *)
-  ignore (Hierarchy.access h 0 ~write:false);
-  ignore (Hierarchy.access h 64 ~write:false);
-  ignore (Hierarchy.access h 128 ~write:false);
-  let o = Hierarchy.access h 0 ~write:false in
-  Alcotest.(check bool) "L1 miss, L2 hit" true ((not o.Hierarchy.l1_hit) && o.Hierarchy.l2_hit)
+  ignore (Cache.step p 0 ~write:false);
+  ignore (Cache.step p 64 ~write:false);
+  ignore (Cache.step p 128 ~write:false);
+  Alcotest.(check int) "L1 miss, L2 hit" 1 (Cache.step p 0 ~write:false)
 
 let test_hierarchy_writeback_to_memory () =
   let l1 = make ~size:(64) ~assoc:1 () in
   let l2 = make ~size:(128) ~assoc:1 ~block:64 () in
-  let h = Hierarchy.create ~l1 ~l2 in
+  let p = Cache.pair ~l1 ~l2 in
   (* dirty a block, push it out of both levels *)
-  ignore (Hierarchy.access h 0 ~write:true);
-  ignore (Hierarchy.access h 64 ~write:true);
-  ignore (Hierarchy.access h 128 ~write:true);
-  ignore (Hierarchy.access h 256 ~write:true);
-  Alcotest.(check bool) "memory writes happened" true (Hierarchy.memory_writes h > 0)
+  ignore (Cache.step p 0 ~write:true);
+  ignore (Cache.step p 64 ~write:true);
+  ignore (Cache.step p 128 ~write:true);
+  ignore (Cache.step p 256 ~write:true);
+  Alcotest.(check bool) "memory writes happened" true (p.Cache.memory_writes > 0)
 
 let test_hierarchy_validation () =
   let l1 = make ~size:(kb 4) ~block:64 () in
-  let l2_small = make ~size:(kb 1) ~block:64 () in
-  Alcotest.(check bool) "L2 smaller than L1 rejected" true
-    (try
-       ignore (Hierarchy.create ~l1 ~l2:l2_small);
-       false
-     with Invalid_argument _ -> true);
-  let l2_other_block = make ~size:(kb 8) ~block:32 () in
-  Alcotest.(check bool) "block mismatch rejected" true
-    (try
-       ignore (Hierarchy.create ~l1 ~l2:l2_other_block);
-       false
-     with Invalid_argument _ -> true)
+  let refused why l2 =
+    match Cache.pair ~l1 ~l2 with
+    | _ -> Alcotest.failf "%s: accepted" why
+    | exception Invalid_argument msg -> Alcotest.(check string) why ("Cache.pair: " ^ why) msg
+  in
+  refused "L2 smaller than L1" (make ~size:(kb 1) ~block:64 ());
+  refused "L1/L2 block sizes differ" (make ~size:(kb 8) ~block:32 ());
+  (* an L2 as large as its L1 is a pair *)
+  ignore (Cache.pair ~l1 ~l2:(make ~size:(kb 4) ~block:64 ()))
 
 let test_miss_rates () =
   let l1 = make ~size:(kb 1) ~assoc:2 () in
   let l2 = make ~size:(kb 8) ~assoc:4 () in
-  let h = Hierarchy.create ~l1 ~l2 in
+  let p = Cache.pair ~l1 ~l2 in
+  Alcotest.(check (float 0.0)) "no access: global rate 0" 0.0 (Cache.l2_global_miss_rate p);
   let rng = Rng.create ~seed:4L in
   for _ = 1 to 20_000 do
-    ignore (Hierarchy.access h (64 * Rng.int rng ~bound:256) ~write:false)
+    ignore (Cache.step p (64 * Rng.int rng ~bound:256) ~write:false)
   done;
-  let m1 = Hierarchy.l1_miss_rate h in
-  let m2g = Hierarchy.l2_global_miss_rate h in
+  let m1 = Stats.miss_rate (Cache.stats l1) in
+  let m2g = Cache.l2_global_miss_rate p in
+  Alcotest.(check (float 0.0)) "global = L2 misses / L1 accesses"
+    (float_of_int (Cache.stats l2).Stats.misses /. 20_000.0)
+    m2g;
   Alcotest.(check bool) "0 < m1 < 1" true (m1 > 0.0 && m1 < 1.0);
   Alcotest.(check bool) "global <= local picture consistent" true (m2g <= m1)
 
@@ -509,9 +505,9 @@ let prop_kernel_against_references =
 
 (* --- chunk kernels ---------------------------------------------------- *)
 
-(* The two-level step as [Hierarchy.access] performed it before the step
-   moved into [Cache]: per-access [Cache.access] calls, with a dirty L1
-   victim written into L2 at its block number times the block size. *)
+(* The two-level step as it was written before it moved into [Cache]:
+   per-access [Cache.access] calls, with a dirty L1 victim written into
+   L2 at its block number times the block size. *)
 type ref_pair = {
   p_l1 : Cache.t;
   p_l2 : Cache.t;

@@ -139,8 +139,7 @@ let pinned_flags =
       [
         "--accesses"; "--checkpoint"; "--chunk"; "--deadline"; "--events"; "--jobs";
         "--l1"; "--l2"; "--metrics-json"; "--progress"; "--resume"; "--retries";
-        "--stream"; "--trace"; "--trace-file"; "--trace-json"; "--trace-stdin";
-        "--workload";
+        "--trace"; "--trace-file"; "--trace-json"; "--trace-stdin"; "--workload";
       ] );
     ( [ "trace"; "record" ],
       [ "--accesses"; "--chunk"; "--from-ndjson"; "--out"; "--seed"; "--workload" ] );
@@ -236,6 +235,33 @@ let test_trace_record_bytes () =
         (Sys.file_exists (out ^ ".spool")))
     [ ("tpcc", 100_003, 777, 7L); ("spec2000-mix", 70_000, 65_536, 42L); ("specweb", 0, 100, 3L) ]
 
+(* --- simulate --workload resumes -------------------------------------- *)
+
+(* A workload streams through [Missrate.simulate_stream], so
+   --checkpoint journals one slot per chunk: the run with --resume
+   serves every slot, computes none, and prints the bytes of the first
+   run and of a run with no journal. *)
+let test_simulate_workload_resumes () =
+  let dir = tmpdir () in
+  let ck = Filename.concat dir "ck" in
+  let plain_args = [ "simulate"; "--workload"; "tpcc"; "-n"; "200000"; "--chunk"; "10000" ] in
+  let args = plain_args @ [ "--checkpoint"; ck ] in
+  let summary counts =
+    Printf.sprintf "ppcache: checkpoint %s: %s\n" (Filename.concat ck "store.ppck") counts
+  in
+  let status, first, err = run_ppcache ~dir args in
+  Alcotest.(check bool) "first run: exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check string) "first run: one slot per chunk appended"
+    (summary "0 replayed, 0 served, 20 appended") err;
+  let status, plain, _ = run_ppcache ~dir plain_args in
+  Alcotest.(check bool) "no journal: exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check string) "no journal: the same stdout" plain first;
+  let status, resumed, err = run_ppcache ~dir (args @ [ "--resume" ]) in
+  Alcotest.(check bool) "resumed: exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check string) "resumed: byte-identical stdout" first resumed;
+  Alcotest.(check string) "resumed: every slot served, none appended"
+    (summary "20 replayed, 20 served, 0 appended") err
+
 let suite =
   [
     Alcotest.test_case "usage errors leave an existing --events file alone" `Quick
@@ -246,4 +272,6 @@ let suite =
       test_flag_surface_pinned;
     Alcotest.test_case "trace record --workload writes write_file's bytes" `Quick
       test_trace_record_bytes;
+    Alcotest.test_case "simulate --workload resumes from its checkpoint byte for byte"
+      `Quick test_simulate_workload_resumes;
   ]

@@ -3,7 +3,6 @@
 
 module Prefetch = Nmcache_cachesim.Prefetch
 module Cache = Nmcache_cachesim.Cache
-module Hierarchy = Nmcache_cachesim.Hierarchy
 module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Gen = Nmcache_workload.Gen
@@ -74,8 +73,8 @@ let prop_prefetch_degree0_equals_hierarchy =
       let p = Prefetch.create ~degree:0 ~l1:l1a ~l2:l2a () in
       Array.iter (fun a -> ignore (Prefetch.access p a ~write:false)) trace;
       let l1b, l2b = fresh_pair () in
-      let h = Hierarchy.create ~l1:l1b ~l2:l2b in
-      Array.iter (fun a -> ignore (Hierarchy.access h a ~write:false)) trace;
+      let p = Cache.pair ~l1:l1b ~l2:l2b in
+      Array.iter (fun a -> ignore (Cache.step p a ~write:false)) trace;
       (Cache.stats l1a).Stats.misses = (Cache.stats l1b).Stats.misses
       && (Cache.stats l2a).Stats.misses = (Cache.stats l2b).Stats.misses)
 
@@ -107,8 +106,8 @@ let prop_prefetch_run_equals_access =
           in
           let view p =
             let h = Prefetch.hierarchy p in
-            ( (Cache.stats (Hierarchy.l1 h), Cache.stats (Hierarchy.l2 h)),
-              (Hierarchy.memory_reads h, Hierarchy.memory_writes h),
+            ( (Cache.stats h.Cache.l1, Cache.stats h.Cache.l2),
+              (h.Cache.memory_reads, h.Cache.memory_writes),
               (Prefetch.prefetches p, Prefetch.useful_prefetches p),
               (Prefetch.demand_accesses p, Prefetch.demand_misses p) )
           in

@@ -4,7 +4,6 @@
    memo-key hygiene. *)
 
 module Cache = Nmcache_cachesim.Cache
-module Hierarchy = Nmcache_cachesim.Hierarchy
 module Intmap = Nmcache_cachesim.Intmap
 module Mattson = Nmcache_cachesim.Mattson
 module Replacement = Nmcache_cachesim.Replacement
@@ -70,15 +69,15 @@ let test_pinned_single_level () =
 let test_pinned_hierarchy () =
   let l1 = Cache.create ~size_bytes:(kb 16) ~assoc:4 ~block_bytes:64 ~policy:Replacement.Lru () in
   let l2 = Cache.create ~size_bytes:(kb 256) ~assoc:8 ~block_bytes:64 ~policy:Replacement.Lru () in
-  let h = Hierarchy.create ~l1 ~l2 in
+  let p = Cache.pair ~l1 ~l2 in
   let g = Registry.build ~seed:42L "spec2000-mix" in
-  Gen.iter ~stage:"test" g 200_000 (fun addr write -> ignore (Hierarchy.access h addr ~write));
+  Gen.iter ~stage:"test" g 200_000 (fun addr write -> ignore (Cache.step p addr ~write));
   check_stats "hierarchy L1" (Cache.stats l1)
     (200000, 188032, 11968, 139955, 60045, 11712, 10870, 7764);
   check_stats "hierarchy L2" (Cache.stats l2)
     (22838, 14645, 8193, 11968, 10870, 4106, 3779, 7764);
-  Alcotest.(check int) "memory reads" 8193 (Hierarchy.memory_reads h);
-  Alcotest.(check int) "memory writes" 3779 (Hierarchy.memory_writes h)
+  Alcotest.(check int) "memory reads" 8193 p.Cache.memory_reads;
+  Alcotest.(check int) "memory writes" 3779 p.Cache.memory_writes
 
 let test_pinned_mattson () =
   let m = Mattson.create ~block_bytes:64 () in
@@ -370,9 +369,9 @@ let cache_consumer policy =
 
 let hierarchy_consumer policy =
   let l1 = cache ~policy (kb 16) and l2 = cache ~assoc:8 ~policy (kb 1024) in
-  let h = Hierarchy.create ~l1 ~l2 in
+  let p = Cache.pair ~l1 ~l2 in
   ( {
-      Gen.feed = Hierarchy.run h;
+      Gen.feed = Cache.run_pair p;
       measure =
         (fun () ->
           Cache.reset_stats l1;
@@ -381,7 +380,7 @@ let hierarchy_consumer policy =
     fun buf ->
       add_stats buf (Cache.stats l1);
       add_stats buf (Cache.stats l2);
-      ints buf [| Hierarchy.memory_reads h; Hierarchy.memory_writes h |] )
+      ints buf [| p.Cache.memory_reads; p.Cache.memory_writes |] )
 
 let prefetch_consumer degree =
   let l1 = cache (kb 16) and l2 = cache ~assoc:8 (kb 256) in
@@ -392,7 +391,7 @@ let prefetch_consumer degree =
       add_stats buf (Cache.stats l1);
       add_stats buf (Cache.stats l2);
       ints buf
-        [| Hierarchy.memory_reads h; Hierarchy.memory_writes h; Prefetch.demand_accesses p;
+        [| h.Cache.memory_reads; h.Cache.memory_writes; Prefetch.demand_accesses p;
            Prefetch.demand_misses p; Prefetch.prefetches p; Prefetch.useful_prefetches p |] )
 
 (* raw profiles at 32/64/128 B blocks, L1-filtered profiles behind
@@ -408,7 +407,7 @@ let every_kind () =
   @ List.map prefetch_consumer [ 0; 1; 2 ]
 
 (* Known answers computed with the per-access consumers ([Mattson.access],
-   [Cache.access] behind an L1 filter, [Cache.access], [Hierarchy.access],
+   [Cache.access] behind an L1 filter, [Cache.access], the two-level access,
    [Prefetch.access]) fed one access at a time by the walk the chunked
    one replaced, on spec2000-mix at seed 42.  At n = 200,001 the warm-up
    cut (access 100,000) falls inside the walk's 25th chunk; at n = 3,000

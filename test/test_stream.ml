@@ -2,13 +2,14 @@
    engine.
 
    The load-bearing property is byte-identity: for every source and
-   every chunk size, streamed analysis / replay / profiling /
-   simulation must equal the materialised-trace results exactly — the
+   every chunk size, streamed analysis / replay / simulation must
+   equal the materialised-trace results exactly — the
    golden matrix pins it for the headline workloads at chunk sizes
    {1, 7, 4096, whole}, and a QCheck property re-samples (workload,
    chunk) pairs.  The PPTRC01 chaos set mirrors the store journal
    tests in test_serve: round-trip, torn tail, mid-file corruption,
-   foreign files, the address domain.  A file pinned byte for byte and
+   foreign files, the address domain (of files, pipes and producers).
+   A file pinned byte for byte and
    a property against a byte-at-a-time reference decoder hold the
    word-at-a-time decoder to the format, and the built CLI must report
    a short read.  The kill-and-resume gate
@@ -21,13 +22,11 @@
 module Trace = Nmcache_cachesim.Trace
 module Stream_trace = Nmcache_cachesim.Stream_trace
 module Cache = Nmcache_cachesim.Cache
-module Hierarchy = Nmcache_cachesim.Hierarchy
 module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Gen = Nmcache_workload.Gen
 module Access = Nmcache_workload.Access
 module Registry = Nmcache_workload.Registry
-module Profile = Nmcache_workload.Profile
 module Missrate = Nmcache_workload.Missrate
 module Wstream = Nmcache_workload.Stream
 module Store = Nmcache_engine.Store
@@ -71,9 +70,12 @@ let make_hierarchy () =
     Cache.create ~size_bytes:(32 * 1024) ~assoc:8 ~block_bytes:64
       ~policy:Replacement.Lru ()
   in
-  Hierarchy.create ~l1 ~l2
+  Cache.pair ~l1 ~l2
 
-let hierarchy_stats h = (Cache.stats (Hierarchy.l1 h), Cache.stats (Hierarchy.l2 h))
+let hierarchy_stats (p : Cache.pair) = (Cache.stats p.l1, Cache.stats p.l2)
+
+let rates (p : Cache.pair) =
+  (Stats.miss_rate (Cache.stats p.l1), Stats.miss_rate (Cache.stats p.l2))
 
 let collect s =
   let acc = ref [] in
@@ -139,39 +141,7 @@ let test_producer_matches_take () =
         true (got = expected))
     Registry.headline
 
-(* --- profile and simulate equality ------------------------------------- *)
-
-let check_profile_eq ~what (a : Profile.t) (b : Profile.t) =
-  Alcotest.(check int) (what ^ ": n") a.Profile.n b.Profile.n;
-  Alcotest.(check int) (what ^ ": accesses") a.Profile.accesses b.Profile.accesses;
-  Alcotest.(check int) (what ^ ": cold") a.Profile.cold b.Profile.cold;
-  Alcotest.(check bool) (what ^ ": dists") true (a.Profile.dists = b.Profile.dists);
-  Alcotest.(check bool) (what ^ ": counts") true (a.Profile.counts = b.Profile.counts);
-  Alcotest.(check bool) (what ^ ": suffix") true (a.Profile.suffix = b.Profile.suffix)
-
-let test_profile_stream_equality () =
-  let workload = "tpcc" and n = 20_000 in
-  List.iter
-    (fun chunk_size ->
-      let raw_ref = Profile.raw ~workload ~n () in
-      let raw_s =
-        Profile.of_stream ~kind:Profile.Raw
-          (Wstream.of_workload ~chunk_size ~workload ~n ())
-      in
-      check_profile_eq ~what:(Printf.sprintf "raw chunk %d" chunk_size) raw_s raw_ref;
-      let l1_size = 8 * 1024 in
-      let filt_ref = Profile.l1_filtered ~workload ~l1_size ~n () in
-      let filt_s =
-        Profile.of_stream
-          ~kind:(Profile.L1_filtered { l1_size; l1_assoc = 4 })
-          (Wstream.of_workload ~chunk_size ~workload ~n ())
-      in
-      check_profile_eq ~what:(Printf.sprintf "filtered chunk %d" chunk_size) filt_s
-        filt_ref;
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "filtered chunk %d: l1 miss rate" chunk_size)
-        filt_ref.Profile.l1_miss_rate filt_s.Profile.l1_miss_rate)
-    [ 7; n ]
+(* --- simulate equality ---------------------------------------------------- *)
 
 let test_simulate_stream_equality () =
   let workload = "specweb" and n = 20_000 in
@@ -651,7 +621,7 @@ let test_simulate_reports_short_read () =
 (* --- defined empty-stream behaviour ------------------------------------- *)
 
 let test_empty_stream () =
-  let producer () () = Alcotest.fail "an empty stream must never pull" in
+  let producer () _ _ _ = Alcotest.fail "an empty stream must never pull" in
   let s () = Stream_trace.of_producer ~name:"none" ~n:0 producer in
   Alcotest.(check bool) "analyze returns zero_stats" true
     (Stream_trace.analyze (s ()) = Trace.zero_stats);
@@ -710,6 +680,46 @@ let test_ndjson_source () =
   rejected "addr-2^61" "{\"addr\":0}\n{\"addr\":2305843009213693952}\n";
   rejected "missing-addr" "{\"write\":true}\n";
   rejected "bool-addr" "{\"addr\":true}\n"
+
+(* A producer fills whole ranges, and the fold checks each range with
+   one OR: an entry packed from an address of 2^61 or more is negative,
+   and the fold raises naming that address, wherever it falls, before
+   the chunk holding it reaches [f]. *)
+let test_producer_rejects_out_of_domain () =
+  let n = 1000 and chunk_size = 256 in
+  let stream ~bad_at addr =
+    Stream_trace.of_producer ~chunk_size ~name:"domain" ~n (fun () ->
+        let drawn = ref 0 in
+        fun entries pos len ->
+          for i = 0 to len - 1 do
+            let k = !drawn + i in
+            let a = if k = bad_at then addr else 64 * k in
+            entries.(pos + i) <- Stream_trace.pack a (k land 1 = 1)
+          done;
+          drawn := !drawn + len)
+  in
+  let chunks s =
+    let folded = ref 0 in
+    match Stream_trace.fold_chunks s ~init:() ~f:(fun () ~index:_ _ -> incr folded) with
+    | () -> Ok !folded
+    | exception Invalid_argument msg -> Error (msg, !folded)
+  in
+  List.iter
+    (fun (bad_at, addr) ->
+      let what = Printf.sprintf "entry %d at %d" bad_at addr in
+      match chunks (stream ~bad_at addr) with
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error (msg, folded) ->
+        Alcotest.(check string) (what ^ ": the error names the address")
+          (Printf.sprintf "Stream_trace domain: address %d outside [0, 2^61)" addr)
+          msg;
+        Alcotest.(check int) (what ^ ": only the chunks before it folded") (bad_at / chunk_size)
+          folded)
+    [ (0, Stream_trace.max_addr + 1); (300, Stream_trace.max_addr + 6); (999, max_int) ];
+  let s = stream ~bad_at:300 Stream_trace.max_addr in
+  Alcotest.(check bool) "2^61 - 1 accepted" true (chunks s = Ok 4);
+  Alcotest.(check bool) "and streamed as filled" true
+    ((collect s).(300) = { Trace.addr = Stream_trace.max_addr; write = false })
 
 let test_write_file_rejects_out_of_domain () =
   let path = Filename.concat (tmpdir ()) "domain.pptrc" in
@@ -987,8 +997,7 @@ let stream_child_main spec : unit =
           for i = 0 to Array.length chunk - 1 do
             let e = chunk.(i) in
             ignore
-              (Hierarchy.access h (Stream_trace.addr e)
-                 ~write:(Stream_trace.is_write e))
+              (Cache.step h (Stream_trace.addr e) ~write:(Stream_trace.is_write e))
           done;
           (h, c + Array.length chunk))
     in
@@ -996,8 +1005,8 @@ let stream_child_main spec : unit =
     Sweep.set_journal None;
     Store.close j;
     let oc = open_out_bin out_file in
-    Printf.fprintf oc "%d %.9f %.9f\nserved %d\n" count (Hierarchy.l1_miss_rate h)
-      (Hierarchy.l2_local_miss_rate h) served;
+    let m1, m2 = rates h in
+    Printf.fprintf oc "%d %.9f %.9f\nserved %d\n" count m1 m2 served;
     close_out oc
   | _ -> failwith ("bad " ^ stream_child_env ^ " spec: " ^ spec)
 
@@ -1013,8 +1022,8 @@ let test_kill_and_resume_streaming () =
   let expected =
     let h = make_hierarchy () in
     Trace.replay_hierarchy (Trace.of_entries entries) h;
-    Printf.sprintf "%d %.9f %.9f" n (Hierarchy.l1_miss_rate h)
-      (Hierarchy.l2_local_miss_rate h)
+    let m1, m2 = rates h in
+    Printf.sprintf "%d %.9f %.9f" n m1 m2
   in
   let env =
     Array.append (Unix.environment ())
@@ -1078,8 +1087,6 @@ let suite =
       `Quick test_golden_identity_matrix;
     Alcotest.test_case "wrapped workload streams Gen.take's entries" `Quick
       test_producer_matches_take;
-    Alcotest.test_case "Profile.of_stream equals build field-for-field" `Quick
-      test_profile_stream_equality;
     Alcotest.test_case "simulate_stream equals simulate bitwise (any chunk, any jobs)"
       `Quick test_simulate_stream_equality;
     Generators.to_alcotest chunk_invariance_prop;
@@ -1102,6 +1109,8 @@ let suite =
       `Quick test_ndjson_source;
     Alcotest.test_case "pptrc: write_file rejects addresses outside [0, 2^61)" `Quick
       test_write_file_rejects_out_of_domain;
+    Alcotest.test_case "producer: a range with an address of 2^61 or more raises naming it"
+      `Quick test_producer_rejects_out_of_domain;
     Alcotest.test_case "chunks: every full chunk is one reused buffer" `Quick
       test_full_chunks_share_one_buffer;
     Alcotest.test_case "alloc gate: file replay allocates <= 1 minor word/access"
